@@ -143,10 +143,6 @@ def build_observation(state: JointState, limits: JointLimits, feedback,
     return np.clip(obs, -1.0, 1.0)
 
 
-def observation_size(n_joints: int, feedback_size: int, n_future: int) -> int:
-    return 3 * n_joints + feedback_size + n_future * n_joints
-
-
 @dataclass
 class StepRecord:
     """Everything the engine knows about one executed decision step."""
@@ -163,19 +159,17 @@ class StepRecord:
     reward: RewardBreakdown | None
     ball: object = None
     feedback: np.ndarray | None = None
-    observation: np.ndarray | None = None
 
 
 def rollout(reference: ReferenceTrajectory, policy, limits: JointLimits,
             params: StepParams, weights: RewardWeights,
-            env: BallPlateEnv | None = None, seed: int = 0,
-            record_observations: bool = False):
+            env: BallPlateEnv | None = None, seed: int = 0):
     """Run one episode along a reference; returns (EpisodeReport, records).
 
     The joint state starts at rest on the first reference row.  A deviation
-    beyond the termination threshold ends the episode before the offending
-    step executes; the ball leaving the plate ends it after the step that
-    lost it.
+    beyond the termination threshold, or a policy output with a non-finite
+    entry, ends the episode before the offending step executes; the ball
+    leaving the plate ends it after the step that lost it.
     """
     if reference.n_steps < 2:
         raise ConfigurationError("reference needs at least 2 rows")
@@ -197,7 +191,11 @@ def rollout(reference: ReferenceTrajectory, policy, limits: JointLimits,
     for t in range(total_steps):
         obs = build_observation(state, limits, feedback, reference, t,
                                 weights.n_future)
-        raw = np.clip(np.asarray(policy.act(obs, policy_rng), dtype=float), -1.0, 1.0)
+        raw = np.asarray(policy.act(obs, policy_rng), dtype=float)
+        if not np.all(np.isfinite(raw)):
+            terminated = True
+            break
+        raw = np.clip(raw, -1.0, 1.0)
         desired = raw * a_max
         rng = valid_accel_range(state, limits, params)
         a_next = clip_action(desired, rng)
@@ -215,8 +213,9 @@ def rollout(reference: ReferenceTrajectory, policy, limits: JointLimits,
         if env is not None:
             q_sub, _, _ = substep_profile(state.p, state.v, state.a, a_next,
                                           params.dt, params.substeps)
-            poses = plate_motion(env.model, q_sub, params.control_dt)
-            ball, r_task, feedback = env.step(poses[1:])
+            _, rotations, lin_acc, _ = plate_motion(env.model, q_sub,
+                                                    params.control_dt)
+            ball, r_task, feedback = env.step(rotations[1:], lin_acc[1:])
 
         jerk = (a_next - state.a) / params.dt
         reward = compose_reward(
@@ -231,7 +230,6 @@ def rollout(reference: ReferenceTrajectory, policy, limits: JointLimits,
             jerk=jerk, action_raw=raw, action_clipped=a_next / a_max,
             deviation=deviation, reward=reward, ball=ball,
             feedback=feedback.copy() if env is not None else None,
-            observation=obs if record_observations else None,
         ))
         state = JointState(p=p_next, v=v_next, a=a_next)
 

@@ -6,6 +6,12 @@ force (gravity plus the pseudo-force from plate-origin acceleration), with
 Coulomb-style rolling resistance.  Plate rotation rates stay small for
 balancing, so Coriolis/Euler terms from plate angular velocity are
 neglected.  Integration is semi-implicit Euler at the control substep.
+
+Plate poses reach the ball model as arrays, one row per control tick: the
+rollout evaluates ``kinematics.plate_motion`` once per decision step on the
+substep joint profile and hands its rotation matrices (k, 3, 3) and
+finite-difference origin accelerations (k, 3) to ``BallPlateEnv.step``,
+which passes them on to ``step_ball``.
 """
 
 from __future__ import annotations
@@ -138,19 +144,21 @@ def effective_bounds(geometry: PlateGeometry, params: BallParams) -> np.ndarray:
     return geometry.half_extents - params.radius
 
 
-def step_ball(state: BallState, plate_poses, params: BallParams, dt: float,
+def step_ball(state: BallState, rotations, lin_acc, params: BallParams, dt: float,
               geometry: PlateGeometry) -> BallState:
-    """Advance the ball through a series of plate poses spaced ``dt`` apart.
+    """Advance the ball through plate ticks spaced ``dt`` apart.
 
-    Stops integrating once the ball leaves the plate (that is a state, not an
-    error).  Semi-implicit: velocity first, then position.
+    ``rotations`` (k, 3, 3) are the plate's world rotation matrices and
+    ``lin_acc`` (k, 3) the world-frame accelerations of its origin, one row
+    per tick.  Stops integrating once the ball leaves the plate (that is a
+    state, not an error).  Semi-implicit: velocity first, then position.
     """
     out = state.copy()
     if not out.on_plate:
         return out
     bounds = effective_bounds(geometry, params)
-    for pose in plate_poses:
-        acc = ball_acceleration(pose.rotation(), pose.lin_acc, out.velocity, params)
+    for rotation, acc_plate in zip(rotations, lin_acc, strict=True):
+        acc = ball_acceleration(rotation, acc_plate, out.velocity, params)
         # Coulomb resistance must not reverse the velocity within a substep
         new_v = out.velocity + acc * dt
         if params.rolling_friction > 0 and np.dot(new_v, out.velocity) < 0 \
@@ -345,12 +353,13 @@ class BallPlateEnv:
     def feedback(self) -> np.ndarray:
         return sensor_feedback(self.history, self.task, self.geometry, self.rng)
 
-    def step(self, plate_poses):
-        """Advance through one decision step's plate poses; returns
-        (ball state, task reward, feedback vector)."""
+    def step(self, rotations, lin_acc):
+        """Advance through one decision step's plate ticks (rotations
+        (k, 3, 3), origin accelerations (k, 3)); returns (ball state, task
+        reward, feedback vector)."""
         if self.state is None:
             raise ConfigurationError("environment used before reset")
-        self.state = step_ball(self.state, plate_poses, self.ball,
+        self.state = step_ball(self.state, rotations, lin_acc, self.ball,
                                self.control_dt, self.geometry)
         self.history.append(self.state.copy())
         reward = task_reward(self.state, self.task, self.geometry, self.ball)

@@ -6,13 +6,13 @@ about a fixed axis by the joint variable.  A fixed plate transform is
 appended after the last joint; the resulting frame is the plate frame used
 by the ball environment (z is the plate normal).
 
-Rotation conventions: rpy is applied as Rz(yaw) @ Ry(pitch) @ Rx(roll);
-quaternions are (x, y, z, w).
+Rotation conventions: rpy is applied as Rz(yaw) @ Ry(pitch) @ Rx(roll).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,12 +24,14 @@ from .limits import JointLimits
 
 
 def rpy_matrix(rpy) -> np.ndarray:
-    roll, pitch, yaw = np.asarray(rpy, dtype=float)
-    return Rotation.from_euler("ZYX", [yaw, pitch, roll]).as_matrix()
-
-
-def axis_angle_matrix(axis, angle: float) -> np.ndarray:
-    return Rotation.from_rotvec(np.asarray(axis, dtype=float) * float(angle)).as_matrix()
+    """Rz(yaw) @ Ry(pitch) @ Rx(roll) for rpy = (roll, pitch, yaw)."""
+    roll, pitch, yaw = (float(x) for x in rpy)
+    cr, sr = math.cos(roll), math.sin(roll)
+    cp, sp = math.cos(pitch), math.sin(pitch)
+    cy, sy = math.cos(yaw), math.sin(yaw)
+    return np.array([[cy * cp, cy * sp * sr - sy * cr, cy * sp * cr + sy * sr],
+                     [sy * cp, sy * sp * sr + cy * cr, sy * sp * cr - cy * sr],
+                     [-sp, cp * sr, cp * cr]])
 
 
 @dataclass(frozen=True)
@@ -54,11 +56,17 @@ class JointRow:
 
 @dataclass(frozen=True)
 class ChainModel:
+    """Joint rows plus the plate transform; the fixed rotations (mounts, plate
+    offset) and each joint's cross-product matrices are computed once here."""
+
     joints: tuple
     plate_xyz: np.ndarray = field(default_factory=lambda: np.zeros(3))
     plate_rpy: np.ndarray = field(default_factory=lambda: np.zeros(3))
     q_home: np.ndarray | None = None
     name: str = "chain"
+    mounts: np.ndarray = field(init=False, repr=False, compare=False)
+    plate_rot: np.ndarray = field(init=False, repr=False, compare=False)
+    axis_skews: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.joints) < 1:
@@ -70,76 +78,83 @@ class ChainModel:
             object.__setattr__(self, "q_home", np.zeros(len(self.joints)))
         else:
             object.__setattr__(self, "q_home", np.asarray(self.q_home, dtype=float))
+        object.__setattr__(self, "mounts",
+                           np.array([rpy_matrix(row.origin_rpy) for row in self.joints]))
+        object.__setattr__(self, "plate_rot", rpy_matrix(self.plate_rpy))
+        # cross-product matrices K, K @ v == cross(axis, v)
+        x, y, z = np.array([row.axis for row in self.joints]).T
+        zero = np.zeros_like(x)
+        skews = np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=1)
+        object.__setattr__(self, "axis_skews", skews.reshape(-1, 3, 3))
 
     @property
     def n_joints(self) -> int:
         return len(self.joints)
 
 
-@dataclass
-class PlatePose:
-    """Plate frame pose plus the motion quantities the ball model consumes."""
-
-    position: np.ndarray
-    quat: np.ndarray                      # (x, y, z, w), unit
-    lin_acc: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    ang_vel: np.ndarray = field(default_factory=lambda: np.zeros(3))
-
-    def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=float)
-        self.quat = np.asarray(self.quat, dtype=float)
-        n = np.linalg.norm(self.quat)
-        if abs(n - 1.0) > 1e-9:
-            raise ConfigurationError("plate orientation quaternion must be unit length")
-        self.lin_acc = np.asarray(self.lin_acc, dtype=float)
-        self.ang_vel = np.asarray(self.ang_vel, dtype=float)
-
-    def rotation(self) -> np.ndarray:
-        return Rotation.from_quat(self.quat).as_matrix()
-
-
 def _frames(model: ChainModel, q):
-    """World origin and axis of every joint, plus the plate frame."""
+    """FK for a batch of joint vectors ``q`` of shape (k, n).
+
+    Returns the world origin (k, n, 3) and axis (k, n, 3) of every joint and
+    the plate position (k, 3) and rotation (k, 3, 3).  Each joint rotation
+    is Rodrigues' formula I + sin(q) K + (1 - cos(q)) K^2, K being the
+    axis's cross-product matrix, after the joint's cached mount rotation.
+    """
     q = np.asarray(q, dtype=float)
-    if q.shape[0] != model.n_joints:
+    if q.shape[-1] != model.n_joints:
         raise ConfigurationError(
-            f"expected {model.n_joints} joint values, got {q.shape[0]}")
-    pos = np.zeros(3)
-    rot = np.eye(3)
-    origins = []
-    axes = []
-    for row, qi in zip(model.joints, q):
+            f"expected {model.n_joints} joint values, got {q.shape[-1]}")
+    sin = np.sin(q)[:, :, None, None]
+    vers = (1.0 - np.cos(q))[:, :, None, None]
+    skews = model.axis_skews
+    local = model.mounts @ (np.eye(3) + sin * skews + vers * (skews @ skews))
+    k = q.shape[0]
+    pos = np.zeros((k, 3))
+    rot = np.broadcast_to(np.eye(3), (k, 3, 3))
+    origins = np.empty((k, model.n_joints, 3))
+    axes = np.empty((k, model.n_joints, 3))
+    for i, row in enumerate(model.joints):
         pos = pos + rot @ row.origin_xyz
-        rot = rot @ rpy_matrix(row.origin_rpy)
-        origins.append(pos)
-        axes.append(rot @ row.axis)
-        rot = rot @ axis_angle_matrix(row.axis, qi)
-    plate_pos = pos + rot @ model.plate_xyz
-    plate_rot = rot @ rpy_matrix(model.plate_rpy)
-    return np.array(origins), np.array(axes), plate_pos, plate_rot
+        rot = rot @ local[:, i]
+        origins[:, i] = pos
+        # the joint rotation leaves its own axis fixed
+        axes[:, i] = rot @ row.axis
+    return origins, axes, pos + rot @ model.plate_xyz, rot @ model.plate_rot
 
 
 def fk_transform(model: ChainModel, q):
     """Plate position (3,) and rotation matrix (3, 3) for joint vector q."""
-    _, _, pos, rot = _frames(model, q)
-    return pos, rot
-
-
-def forward_kinematics(model: ChainModel, q) -> PlatePose:
-    pos, rot = fk_transform(model, q)
-    return PlatePose(position=pos, quat=Rotation.from_matrix(rot).as_quat())
+    _, _, pos, rot = _frames(model, np.asarray(q, dtype=float)[None])
+    return pos[0], rot[0]
 
 
 def jacobian(model: ChainModel, q) -> np.ndarray:
     """Geometric Jacobian (6 x n): rows 0-2 linear, 3-5 angular."""
-    origins, axes, plate_pos, _ = _frames(model, q)
-    jv = np.cross(axes, plate_pos[None, :] - origins)
-    return np.concatenate([jv.T, axes.T], axis=0)
+    origins, axes, plate_pos, _ = _frames(model, np.asarray(q, dtype=float)[None])
+    jv = np.cross(axes[0], plate_pos[0] - origins[0])
+    return np.concatenate([jv.T, axes[0].T], axis=0)
 
 
 def orientation_error(rot_current: np.ndarray, rot_target: np.ndarray) -> np.ndarray:
     """World-frame rotation vector taking the current frame onto the target."""
     return Rotation.from_matrix(rot_target @ rot_current.T).as_rotvec()
+
+
+def _rotation_log(rot: np.ndarray) -> np.ndarray:
+    """Rotation vectors (k, 3) of rotation matrices (k, 3, 3) turning by
+    less than pi.
+
+    The angle is atan2 of the skew and trace parts, which keeps full
+    relative precision for small angles; the axis comes from the skew part,
+    so it loses precision as the angle approaches pi.
+    """
+    skew = 0.5 * np.stack([rot[:, 2, 1] - rot[:, 1, 2],
+                           rot[:, 0, 2] - rot[:, 2, 0],
+                           rot[:, 1, 0] - rot[:, 0, 1]], axis=1)
+    sin = np.linalg.norm(skew, axis=1)
+    angle = np.arctan2(sin, 0.5 * (np.trace(rot, axis1=1, axis2=2) - 1.0))
+    scale = np.divide(angle, sin, out=np.ones_like(sin), where=sin > 0.0)
+    return skew * scale[:, None]
 
 
 def inverse_kinematics(model: ChainModel, target_pos, q_seed, target_rot=None,
@@ -183,42 +198,31 @@ def inverse_kinematics(model: ChainModel, target_pos, q_seed, target_rot=None,
 
 
 def plate_motion(model: ChainModel, q_series, dt: float):
-    """Plate poses with finite-difference linear acceleration / angular velocity.
+    """Plate motion over joint vectors at consecutive control ticks.
 
-    ``q_series`` are joint vectors at consecutive control ticks spaced ``dt``
-    apart.  Interior samples use central differences, the two endpoints reuse
-    their neighbours' one-sided stencils.
+    ``q_series`` (k, n) holds joint vectors spaced ``dt`` apart.  Returns
+    arrays: plate positions (k, 3), rotations (k, 3, 3), finite-difference
+    linear acceleration (k, 3) and angular velocity (k, 3), both in the
+    world frame.  Interior samples use central differences, the two
+    endpoints reuse their neighbours' one-sided stencils.
     """
     q_series = np.asarray(q_series, dtype=float)
     k = q_series.shape[0]
     if k < 3:
         raise ConfigurationError("plate_motion needs at least 3 substep samples")
-    positions = np.empty((k, 3))
-    rots = np.empty((k, 3, 3))
-    for i in range(k):
-        positions[i], rots[i] = fk_transform(model, q_series[i])
+    _, _, positions, rots = _frames(model, q_series)
 
     acc = np.empty_like(positions)
     acc[1:-1] = (positions[2:] - 2.0 * positions[1:-1] + positions[:-2]) / dt**2
     acc[0] = (positions[2] - 2.0 * positions[1] + positions[0]) / dt**2
     acc[-1] = (positions[-1] - 2.0 * positions[-2] + positions[-3]) / dt**2
 
-    omega = np.empty_like(positions)
-    for i in range(k):
-        if 0 < i < k - 1:
-            rel = rots[i + 1] @ rots[i - 1].T
-            omega[i] = Rotation.from_matrix(rel).as_rotvec() / (2.0 * dt)
-        else:
-            a, b = (0, 1) if i == 0 else (k - 2, k - 1)
-            rel = rots[b] @ rots[a].T
-            omega[i] = Rotation.from_matrix(rel).as_rotvec() / dt
-
-    poses = []
-    for i in range(k):
-        poses.append(PlatePose(position=positions[i],
-                               quat=Rotation.from_matrix(rots[i]).as_quat(),
-                               lin_acc=acc[i], ang_vel=omega[i]))
-    return poses
+    ticks = np.arange(k)
+    before = np.clip(ticks - 1, 0, k - 2)
+    after = np.clip(ticks + 1, 1, k - 1)
+    rel = rots[after] @ rots[before].transpose(0, 2, 1)
+    omega = _rotation_log(rel) / ((after - before) * dt)[:, None]
+    return positions, rots, acc, omega
 
 
 # ---------------------------------------------------------------------------

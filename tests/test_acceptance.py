@@ -23,7 +23,6 @@ from trajadapt import kinematics as kin
 from trajadapt import limits as lim
 from trajadapt import policy as pol
 from trajadapt import trajectory as tr
-from trajadapt.kinematics import PlatePose
 from trajadapt.limits import JointState, StepParams
 from trajadapt.trajectory import ReferenceTrajectory
 
@@ -183,14 +182,14 @@ def test_criterion_07_ball_physics():
     flat = envm.ball_acceleration(np.eye(3), [0, 0, 0], [0, 0], envm.BallParams())
     flat_exact = bool(np.all(flat == 0.0))
 
-    pose = PlatePose(position=np.zeros(3), quat=Rotation.from_matrix(rot).as_quat())
+    rots, lin_acc = rot[None], np.zeros((1, 3))
     geometry = envm.PlateGeometry(half_x=100.0, half_y=100.0)
     g_t = (rot.T @ np.array([0.0, 0.0, -envm.GRAVITY]))[:2]
     state = envm.BallState(position=[0.0, 0.0], velocity=[0.0, 0.0])
-    state = envm.step_ball(state, [pose], params, 0.005, geometry)
+    state = envm.step_ball(state, rots, lin_acc, params, 0.005, geometry)
     e0 = 0.7 * np.dot(state.velocity, state.velocity) - np.dot(state.position, g_t)
     for _ in range(1999):
-        state = envm.step_ball(state, [pose], params, 0.005, geometry)
+        state = envm.step_ball(state, rots, lin_acc, params, 0.005, geometry)
     e1 = 0.7 * np.dot(state.velocity, state.velocity) - np.dot(state.position, g_t)
     drift = abs(e1 - e0) / (0.7 * np.dot(state.velocity, state.velocity))
 

@@ -242,6 +242,40 @@ def test_rollout_terminates_on_reference_jump():
     assert not report.success
 
 
+class BadAfterPolicy:
+    """Zero command for ``start`` steps, then ``[bad, 0.5]``."""
+
+    def __init__(self, start, bad):
+        self.start = start
+        self.bad = bad
+        self.calls = 0
+
+    def reset(self, seed=None):
+        self.calls = 0
+
+    def act(self, obs, rng):
+        self.calls += 1
+        return np.zeros(2) if self.calls <= self.start else np.array([self.bad, 0.5])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("start", [0, 5])
+def test_rollout_terminates_on_non_finite_policy_output(start, bad):
+    model, limits = kin.gimbal_chain()
+    task = env.TaskSpec(kind="on_plate", noise_std=0.0)
+    e = env.BallPlateEnv(model, env.PlateGeometry(), task, env.BallParams(),
+                         control_dt=0.005)
+    ref = ReferenceTrajectory(dt=0.05, positions=np.zeros((41, 2)))
+    report, recs = ad.rollout(ref, BadAfterPolicy(start, bad), limits,
+                              StepParams(), ad.RewardWeights(), env=e, seed=0)
+    assert report.terminated
+    assert not report.success
+    assert report.steps_executed == len(recs) == start
+    for r in recs:
+        assert np.all(np.isfinite(r.p))
+        assert np.all((r.p >= limits.p_min) & (r.p <= limits.p_max))
+
+
 def test_rollout_deterministic():
     limits = _limits(3)
     ref = ReferenceTrajectory(dt=0.05, positions=np.zeros((20, 3)))

@@ -4,13 +4,13 @@ from scipy.spatial.transform import Rotation
 
 from trajadapt import environment as env
 from trajadapt.errors import ConfigurationError
-from trajadapt.kinematics import PlatePose, gimbal_chain
+from trajadapt.kinematics import gimbal_chain
 from trajadapt.limits import JointLimits
 
 
-def tilted_pose(deg, axis="y"):
-    rot = Rotation.from_euler(axis, np.deg2rad(deg))
-    return PlatePose(position=np.zeros(3), quat=rot.as_quat())
+def still_plate(rot, ticks=1):
+    """(rotations, lin_acc) of a plate held at ``rot`` for ``ticks`` ticks."""
+    return np.repeat(np.asarray(rot)[None], ticks, axis=0), np.zeros((ticks, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -19,8 +19,8 @@ def tilted_pose(deg, axis="y"):
 def test_flat_plate_equilibrium():
     params = env.BallParams()
     state = env.BallState(position=[0.0, 0.0], velocity=[0.0, 0.0])
-    pose = PlatePose(position=np.zeros(3), quat=[0, 0, 0, 1])
-    out = env.step_ball(state, [pose] * 10, params, 0.005, env.PlateGeometry())
+    rots, acc = still_plate(np.eye(3), ticks=10)
+    out = env.step_ball(state, rots, acc, params, 0.005, env.PlateGeometry())
     np.testing.assert_array_equal(out.position, [0.0, 0.0])
     np.testing.assert_array_equal(out.velocity, [0.0, 0.0])
     assert out.on_plate
@@ -55,7 +55,7 @@ def test_energy_conservation_on_static_tilt():
     # frictionless rolling on a fixed 5 degree incline for 10 s at 5 ms
     params = env.BallParams(rolling_friction=0.0)
     rot = Rotation.from_euler("y", np.deg2rad(5)).as_matrix()
-    pose = PlatePose(position=np.zeros(3), quat=Rotation.from_matrix(rot).as_quat())
+    rots, acc = still_plate(rot)
     geometry = env.PlateGeometry(half_x=100.0, half_y=100.0)
     g_t = (rot.T @ np.array([0.0, 0.0, -env.GRAVITY]))[:2]
 
@@ -63,21 +63,21 @@ def test_energy_conservation_on_static_tilt():
         return 0.7 * float(np.dot(s.velocity, s.velocity)) - float(np.dot(s.position, g_t))
 
     state = env.BallState(position=[0.0, 0.0], velocity=[0.0, 0.0])
-    state = env.step_ball(state, [pose], params, 0.005, geometry)
+    state = env.step_ball(state, rots, acc, params, 0.005, geometry)
     e0 = energy(state)
     for _ in range(1999):
-        state = env.step_ball(state, [pose], params, 0.005, geometry)
+        state = env.step_ball(state, rots, acc, params, 0.005, geometry)
     drift = abs(energy(state) - e0)
     assert drift < 0.01 * 0.7 * float(np.dot(state.velocity, state.velocity))
 
 
 def test_ball_leaves_plate():
     params = env.BallParams(rolling_friction=0.0)
-    pose = tilted_pose(10)
+    rots, acc = still_plate(Rotation.from_euler("y", np.deg2rad(10)).as_matrix())
     geometry = env.PlateGeometry()
     state = env.BallState(position=[0.0, 0.0], velocity=[0.0, 0.0])
     for _ in range(400):
-        state = env.step_ball(state, [pose], params, 0.005, geometry)
+        state = env.step_ball(state, rots, acc, params, 0.005, geometry)
         if not state.on_plate:
             break
     assert not state.on_plate
@@ -254,8 +254,7 @@ def test_env_reset_and_step():
                          env.BallParams(), control_dt=0.005)
     f = e.reset(seed=0)
     assert f.shape == (6,)
-    pose = PlatePose(position=np.zeros(3), quat=[0, 0, 0, 1])
-    ball, reward, f2 = e.step([pose] * 10)
+    ball, reward, f2 = e.step(*still_plate(np.eye(3), ticks=10))
     assert reward == 1.0
     assert ball.on_plate
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial.transform import Rotation
 
 from trajadapt import kinematics as kin
 from trajadapt.errors import ConfigurationError, IKConvergenceError
@@ -98,10 +99,11 @@ def test_ik_unreachable_target_raises():
 def test_plate_motion_stationary():
     model, _ = kin.gimbal_chain()
     q_series = np.zeros((5, 2))
-    poses = kin.plate_motion(model, q_series, 0.005)
-    for pose in poses:
-        np.testing.assert_allclose(pose.lin_acc, 0.0, atol=1e-12)
-        np.testing.assert_allclose(pose.ang_vel, 0.0, atol=1e-12)
+    positions, rotations, lin_acc, ang_vel = kin.plate_motion(model, q_series, 0.005)
+    assert positions.shape == lin_acc.shape == ang_vel.shape == (5, 3)
+    assert rotations.shape == (5, 3, 3)
+    np.testing.assert_allclose(lin_acc, 0.0, atol=1e-12)
+    np.testing.assert_allclose(ang_vel, 0.0, atol=1e-12)
 
 
 def test_plate_motion_single_rotating_joint_rate():
@@ -110,9 +112,8 @@ def test_plate_motion_single_rotating_joint_rate():
     rate = 0.7
     dt = 0.005
     q_series = (rate * dt * np.arange(9))[:, None]
-    poses = kin.plate_motion(model, q_series, dt)
-    mid = poses[4]
-    np.testing.assert_allclose(mid.ang_vel, [0.0, 0.0, rate], atol=1e-9)
+    _, _, _, ang_vel = kin.plate_motion(model, q_series, dt)
+    np.testing.assert_allclose(ang_vel[4], [0.0, 0.0, rate], atol=1e-9)
 
 
 def test_plate_motion_acceleration_matches_analytic():
@@ -127,17 +128,113 @@ def test_plate_motion_acceleration_matches_analytic():
         ang = amp * np.sin(w * tt)
         return np.array([np.cos(ang), np.sin(ang), 0.0])
 
-    poses = kin.plate_motion(model, q_series, dt)
+    _, _, lin_acc, _ = kin.plate_motion(model, q_series, dt)
     for k in (5, 10, 15):
         eps = 1e-5
         analytic = (pos(t[k] + eps) - 2 * pos(t[k]) + pos(t[k] - eps)) / eps**2
-        np.testing.assert_allclose(poses[k].lin_acc, analytic, atol=5e-4)
+        np.testing.assert_allclose(lin_acc[k], analytic, atol=5e-4)
 
 
 def test_plate_motion_too_few_samples():
     model, _ = kin.gimbal_chain()
     with pytest.raises(ConfigurationError):
         kin.plate_motion(model, np.zeros((2, 2)), 0.005)
+
+
+def test_plate_motion_wrong_joint_count():
+    model, _ = kin.gimbal_chain()
+    with pytest.raises(ConfigurationError):
+        kin.plate_motion(model, np.zeros((5, 3)), 0.005)
+
+
+# ---------------------------------------------------------------------------
+# batched FK against a per-pose scipy oracle
+
+def _rpy_oracle(rpy):
+    roll, pitch, yaw = rpy
+    return Rotation.from_euler("ZYX", [yaw, pitch, roll]).as_matrix()
+
+
+def oracle_fk(model, q):
+    """Plate position, rotation and geometric Jacobian for one joint vector,
+    one scipy rotation per mount and joint."""
+    pos, rot = np.zeros(3), np.eye(3)
+    origins, axes = [], []
+    for row, qi in zip(model.joints, q):
+        pos = pos + rot @ row.origin_xyz
+        rot = rot @ _rpy_oracle(row.origin_rpy)
+        origins.append(pos)
+        axes.append(rot @ row.axis)
+        rot = rot @ Rotation.from_rotvec(row.axis * qi).as_matrix()
+    plate_pos = pos + rot @ model.plate_xyz
+    plate_rot = rot @ _rpy_oracle(model.plate_rpy)
+    axes = np.array(axes)
+    jac = np.concatenate([np.cross(axes, plate_pos - np.array(origins)).T, axes.T])
+    return plate_pos, plate_rot, jac
+
+
+def mounted_chain():
+    """Four joints on skewed axes with nonzero mount and plate rotations."""
+    rng = np.random.default_rng(3)
+    joints = tuple(
+        kin.JointRow(axis=rng.normal(size=3), origin_xyz=rng.uniform(-0.3, 0.3, 3),
+                     origin_rpy=rng.uniform(-np.pi, np.pi, 3))
+        for _ in range(4))
+    return kin.ChainModel(joints=joints, plate_xyz=[0.05, -0.02, 0.1],
+                          plate_rpy=[0.3, -0.7, 1.9], name="mounted")
+
+
+FK_CHAINS = {
+    "gimbal": lambda: kin.gimbal_chain()[0],
+    "arm7": lambda: kin.seven_dof_chain()[0],
+    "mounted": mounted_chain,
+}
+
+
+@pytest.mark.parametrize("chain", sorted(FK_CHAINS))
+def test_fk_and_jacobian_match_oracle(chain):
+    model = FK_CHAINS[chain]()
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        q = rng.uniform(-np.pi, np.pi, model.n_joints)
+        want_p, want_r, want_j = oracle_fk(model, q)
+        pos, rot = kin.fk_transform(model, q)
+        np.testing.assert_allclose(pos, want_p, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(rot, want_r, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(kin.jacobian(model, q), want_j, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("chain", sorted(FK_CHAINS))
+def test_plate_motion_poses_match_oracle(chain):
+    model = FK_CHAINS[chain]()
+    rng = np.random.default_rng(19)
+    q_series = rng.uniform(-np.pi, np.pi, (11, model.n_joints))
+    positions, rotations, _, _ = kin.plate_motion(model, q_series, 0.005)
+    for q, pos, rot in zip(q_series, positions, rotations):
+        want_p, want_r, _ = oracle_fk(model, q)
+        np.testing.assert_allclose(pos, want_p, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(rot, want_r, rtol=0, atol=1e-12)
+
+
+def test_plate_motion_ang_vel_matches_scipy_rotvec():
+    # ticks q0 - h d, q0, q0 + h d: the relative rotations the finite
+    # differences see sweep from about 1e-9 to 1 rad as h grows
+    model = mounted_chain()
+    rng = np.random.default_rng(23)
+    q0 = rng.uniform(-1.0, 1.0, model.n_joints)
+    direction = rng.normal(size=model.n_joints)
+    direction /= np.linalg.norm(direction)
+    dt = 0.5
+    angles = []
+    for h in np.logspace(-9, 0.5, 20) / 2:
+        q_series = q0 + np.outer([-h, 0.0, h], direction)
+        _, rots, _, ang_vel = kin.plate_motion(model, q_series, dt)
+        for i, (a, b, span) in enumerate([(0, 1, 1), (0, 2, 2), (1, 2, 1)]):
+            rotvec = Rotation.from_matrix(rots[b] @ rots[a].T).as_rotvec()
+            np.testing.assert_allclose(ang_vel[i], rotvec / (span * dt),
+                                       rtol=1e-12, atol=1e-12)
+        angles.append(np.linalg.norm(ang_vel[1]) * 2 * dt)
+    assert min(angles) < 1e-9 and max(angles) > 1.0
 
 
 def test_chain_file_round_trip(tmp_path):
