@@ -279,7 +279,7 @@ class CampaignReport:
 
 
 def run_limit_campaign(episodes: int, steps: int, n_joints: int = 7,
-                       dt: float = 0.05, substeps: int = 10, seed: int = 0,
+                       dt: float = 0.05, seed: int = 0,
                        correction_enabled: bool = True,
                        v_max_range=(0.5, 3.0), a_max_range=(2.0, 15.0),
                        jerk_fill_range=(0.3, 1.0),
@@ -289,9 +289,10 @@ def run_limit_campaign(episodes: int, steps: int, n_joints: int = 7,
 
     Jerk limits are drawn as a fraction of min(a_max/dt, v_max/dt^2), the
     supported safety envelope.  With ``fixed_limits`` every episode instead
-    uses that limit set (still random actions).  Every control substep of
-    every episode is checked against the normalized velocity/acceleration
-    bounds and every step against the jerk bound.
+    uses that limit set (still random actions).  Each step is checked
+    against the normalized velocity/acceleration bounds over its whole
+    continuous profile, so every control tick is covered whatever the
+    control period, and against the jerk bound.
     """
     if episodes < 1 or steps < 1:
         raise ConfigurationError("campaign needs episodes >= 1 and steps >= 1")
@@ -317,7 +318,7 @@ def run_limit_campaign(episodes: int, steps: int, n_joints: int = 7,
     violations = 0
     first = None
     max_v = max_a = max_j = 0.0
-    tau = np.linspace(0.0, dt, substeps + 1)[None, None, :]
+    dt2 = dt * dt
 
     for step in range(steps):
         lo, hi = valid_accel_bounds(v, a, v_max, a_max, j_max, dt,
@@ -327,18 +328,20 @@ def run_limit_campaign(episodes: int, steps: int, n_joints: int = 7,
 
         jerk_norm = np.abs(a1 - a) / (dt * j_max)
         slope = (a1 - a) / dt
-        a_sub = a[..., None] + slope[..., None] * tau
-        v_sub = v[..., None] + a[..., None] * tau + 0.5 * slope[..., None] * tau**2
-        # velocity extremum between ticks where the acceleration crosses zero
+        # The acceleration is linear and the velocity quadratic in time, so
+        # both peak at a step end or, for the velocity, where the
+        # acceleration crosses zero inside the step.
+        a_end = a + slope * dt
+        v_end = v + a * dt + 0.5 * slope * dt2
         with np.errstate(divide="ignore", invalid="ignore"):
             t_star = np.where(np.abs(slope) > 0, -a / np.where(slope != 0, slope, 1.0), -1.0)
         inside = (t_star > 0) & (t_star < dt)
         v_star = v + a * t_star + 0.5 * slope * t_star**2
-        v_norm_star = np.where(inside, np.abs(v_star) / v_max, 0.0)
 
-        v_norm = np.abs(v_sub) / v_max[..., None]
-        a_norm = np.abs(a_sub) / a_max[..., None]
-        step_v = max(float(v_norm.max()), float(v_norm_star.max()))
+        v_norm = np.maximum(np.maximum(np.abs(v), np.abs(v_end)),
+                            np.where(inside, np.abs(v_star), 0.0)) / v_max
+        a_norm = np.maximum(np.abs(a), np.abs(a_end)) / a_max
+        step_v = float(v_norm.max())
         step_a = float(a_norm.max())
         step_j = float(jerk_norm.max())
         max_v = max(max_v, step_v)
@@ -347,10 +350,8 @@ def run_limit_campaign(episodes: int, steps: int, n_joints: int = 7,
         if max(step_v, step_a, step_j) > 1.0 + tol:
             violations += 1
             if first is None:
-                bad = np.argwhere((v_norm.max(axis=2) > 1 + tol)
-                                  | (a_norm.max(axis=2) > 1 + tol)
-                                  | (jerk_norm > 1 + tol)
-                                  | (v_norm_star > 1 + tol))
+                bad = np.argwhere((v_norm > 1 + tol) | (a_norm > 1 + tol)
+                                  | (jerk_norm > 1 + tol))
                 ep, joint = (int(bad[0][0]), int(bad[0][1])) if bad.size else (-1, -1)
                 first = (step, ep, joint)
 

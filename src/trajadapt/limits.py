@@ -10,6 +10,12 @@ All bound functions broadcast over leading axes: scalars, (n_joints,) vectors
 or (batch, n_joints) arrays all work, which keeps large validation campaigns
 vectorized.
 
+The lower velocity bound is the sign reflection of the upper one, so
+``valid_accel_bounds`` evaluates both sides in one ``max_accel_velocity`` call
+on the stacked states (v0, a0) and (-v0, -a0).  The ripple correction is
+evaluated only on the entries where the velocity bound binds, and not at all
+when none does.
+
 Supported limit regime
 ----------------------
 The step-to-step safety guarantee additionally requires
@@ -146,15 +152,6 @@ def check_limit_regime(limits: JointLimits, dt: float) -> None:
         )
 
 
-def max_accel_jerk(a0, j_max, dt):
-    """Largest next-step acceleration reachable under the jerk limit."""
-    return _as_float_array(a0) + _as_float_array(j_max) * dt
-
-
-def min_accel_jerk(a0, j_max, dt):
-    return _as_float_array(a0) - _as_float_array(j_max) * dt
-
-
 def max_accel_velocity(v0, a0, v_max, j_max, dt):
     """Largest next-step acceleration that cannot overshoot +v_max.
 
@@ -198,11 +195,6 @@ def max_accel_velocity(v0, a0, v_max, j_max, dt):
     return out if out.ndim else float(out)
 
 
-def min_accel_velocity(v0, a0, v_max, j_max, dt):
-    """Velocity-limit lower bound, by sign reflection of the upper bound."""
-    return -max_accel_velocity(-_as_float_array(v0), -_as_float_array(a0), v_max, j_max, dt)
-
-
 def _correction_shift(v0, a0, a_unc, v_max, a_max, j_max, dt):
     """Shifted velocity bound that lands (v = v_max, a = 0) on a step boundary.
 
@@ -218,11 +210,10 @@ def _correction_shift(v0, a0, a_unc, v_max, a_max, j_max, dt):
     bound's zero-crossing step are tried and the largest admissible shift is
     returned.  Where no candidate is admissible the plain bound is returned
     unchanged (it is always safe).
+
+    All array arguments have the same shape: ``valid_accel_bounds`` passes
+    only the entries where the velocity bound binds.
     """
-    v0, a0, a_unc, v_max, a_max, j_max = np.broadcast_arrays(
-        _as_float_array(v0), _as_float_array(a0), _as_float_array(a_unc),
-        _as_float_array(v_max), _as_float_array(a_max), _as_float_array(j_max),
-    )
     jd = j_max * dt
     dv = v_max - v0
 
@@ -254,23 +245,12 @@ def _correction_shift(v0, a0, a_unc, v_max, a_max, j_max, dt):
     return shifted
 
 
-def area_equalized_correction(v0, a0, a_applied, limits: JointLimits, dt,
-                              correction_enabled: bool = True):
-    """Velocity bound after the ripple correction, given the applied action.
-
-    The shift only engages when the plain velocity bound was actually hit by
-    ``a_applied`` (the bound is active); otherwise, or when disabled, the
-    plain bound is returned.
-    """
-    a_unc = max_accel_velocity(v0, a0, limits.v_max, limits.j_max, dt)
-    if not correction_enabled:
-        return a_unc
-    a_unc_arr = _as_float_array(a_unc)
-    active = _as_float_array(a_applied) >= a_unc_arr - LIMIT_EPS
-    shifted = _correction_shift(v0, a0, a_unc_arr, limits.v_max, limits.a_max,
-                                limits.j_max, dt)
-    out = np.where(active, shifted, a_unc_arr)
-    return out if out.ndim else float(out)
+def _reflected(x, shape):
+    """(2, *shape) stack of ``x`` and ``-x``, broadcast to ``shape``."""
+    out = np.empty((2,) + shape)
+    out[0] = x
+    out[1] = -x
+    return out
 
 
 def valid_accel_bounds(v0, a0, v_max, a_max, j_max, dt, correction_enabled=False):
@@ -285,28 +265,31 @@ def valid_accel_bounds(v0, a0, v_max, a_max, j_max, dt, correction_enabled=False
     v_max = _as_float_array(v_max)
     a_max = _as_float_array(a_max)
     j_max = _as_float_array(j_max)
+    shape = np.broadcast(v0, a0, v_max, a_max, j_max).shape
+
+    # Row 0 is the upper velocity bound, row 1 the upper bound of the
+    # sign-reflected state, i.e. minus the lower bound.
+    v_refl = _reflected(v0, shape)
+    a_refl = _reflected(a0, shape)
+    vel = max_accel_velocity(v_refl, a_refl, v_max, j_max, dt)
 
     hi_jerk = a0 + j_max * dt
     lo_jerk = a0 - j_max * dt
-    hi_vel = max_accel_velocity(v0, a0, v_max, j_max, dt)
-    lo_vel = -max_accel_velocity(-v0, -a0, v_max, j_max, dt)
 
     if correction_enabled:
-        binding_hi = hi_vel <= np.minimum(hi_jerk, a_max) + LIMIT_EPS
-        hi_vel = np.where(
-            binding_hi,
-            _correction_shift(v0, a0, hi_vel, v_max, a_max, j_max, dt),
-            hi_vel,
-        )
-        binding_lo = lo_vel >= np.maximum(lo_jerk, -a_max) - LIMIT_EPS
-        lo_vel = np.where(
-            binding_lo,
-            -_correction_shift(-v0, -a0, -lo_vel, v_max, a_max, j_max, dt),
-            lo_vel,
-        )
+        binding = np.stack((
+            vel[0] <= np.minimum(hi_jerk, a_max) + LIMIT_EPS,
+            -vel[1] >= np.maximum(lo_jerk, -a_max) - LIMIT_EPS,
+        ))
+        if binding.any():
+            vel[binding] = _correction_shift(
+                v_refl[binding], a_refl[binding], vel[binding],
+                *(np.broadcast_to(x, vel.shape)[binding] for x in (v_max, a_max, j_max)),
+                dt,
+            )
 
-    hi = np.minimum(np.minimum(hi_jerk, a_max), hi_vel)
-    lo = np.maximum(np.maximum(lo_jerk, -a_max), lo_vel)
+    hi = np.minimum(np.minimum(hi_jerk, a_max), vel[0])
+    lo = np.maximum(np.maximum(lo_jerk, -a_max), -vel[1])
 
     bad = lo - hi > LIMIT_EPS
     if np.any(bad):
@@ -330,11 +313,6 @@ def valid_accel_range(state: JointState, limits: JointLimits,
 def clip_action(raw, accel_range: AccelRange) -> np.ndarray:
     """Componentwise clamp of a raw acceleration command into the valid range."""
     return np.clip(_as_float_array(raw), accel_range.lo, accel_range.hi)
-
-
-def interpolation_jerk_cap(a_max, dt):
-    """Largest jerk the linear acceleration interpolation itself can produce."""
-    return 2.0 * _as_float_array(a_max) / dt
 
 
 def integrate_step(p0, v0, a0, a1, dt):

@@ -37,7 +37,7 @@ def _report(name: str, ok: bool, detail: str):
 def test_criterion_01_limit_safety_campaign():
     t0 = time.time()
     rep = ad.run_limit_campaign(episodes=10_000, steps=200, n_joints=7,
-                                dt=0.05, substeps=10, seed=42)
+                                dt=0.05, seed=42)
     wall = time.time() - t0
     worst = max(rep.max_velocity_norm, rep.max_accel_norm, rep.max_jerk_norm)
     ok = rep.violations == 0 and worst <= 1.0 + 1e-9 and wall < 120.0
@@ -269,19 +269,34 @@ def test_criterion_10_realtime_budget():
     limits = lim.JointLimits(p_min=[-2.9] * 7, p_max=[2.9] * 7,
                              v_max=[1.7] * 7, a_max=[10.0] * 7, j_max=[100.0] * 7)
     params = StepParams()
-    state = JointState(p=np.zeros(7), v=np.full(7, 0.5), a=np.full(7, 2.0))
-    lim.valid_accel_range(state, limits, params)  # warm-up
-    times = []
-    for _ in range(2000):
-        t0 = time.perf_counter()
-        lim.valid_accel_range(state, limits, params)
-        times.append(time.perf_counter() - t0)
-    median_ms = float(np.median(times)) * 1e3
+    # far from the velocity limit, and close to it on every joint (upper
+    # bound on even joints, lower bound on odd ones) so the ripple
+    # correction runs for all seven
+    states = {
+        "free": JointState(p=np.zeros(7), v=np.full(7, 0.5), a=np.full(7, 2.0)),
+        "velocity-bound": JointState(p=np.zeros(7), v=np.resize([1.6, -1.6], 7),
+                                     a=np.zeros(7)),
+    }
+    shifted = lim.valid_accel_range(states["velocity-bound"], limits, params)
+    plain = lim.valid_accel_range(states["velocity-bound"], limits,
+                                  StepParams(correction_enabled=False))
+    assert np.all((shifted.hi != plain.hi) | (shifted.lo != plain.lo))
+    medians = {}
+    for name, state in states.items():
+        lim.valid_accel_range(state, limits, params)  # warm-up
+        times = []
+        for _ in range(2000):
+            t0 = time.perf_counter()
+            lim.valid_accel_range(state, limits, params)
+            times.append(time.perf_counter() - t0)
+        medians[name] = float(np.median(times)) * 1e3
     # reported, not CI-gated at the 1 ms target; the sanity bound is loose
-    ok = median_ms < 50.0
+    ok = max(medians.values()) < 50.0
     _report("criterion 10: real-time budget (reported)", ok,
-            f"valid range for 7 joints: median {median_ms:.3f} ms over 2000 "
-            f"calls (target < 1 ms on a desktop CPU; sanity gate < 50 ms)")
+            "valid range for 7 joints: median "
+            + ", ".join(f"{ms:.3f} ms ({name})" for name, ms in medians.items())
+            + " over 2000 calls each (target < 1 ms on a desktop CPU; sanity "
+            "gate < 50 ms)")
 
 
 def test_criterion_11_cli_determinism(tmp_path):

@@ -6,7 +6,7 @@ from trajadapt import environment as env
 from trajadapt import kinematics as kin
 from trajadapt import policy as pol
 from trajadapt.errors import ConfigurationError
-from trajadapt.limits import JointLimits, JointState, StepParams
+from trajadapt.limits import JointLimits, JointState, StepParams, substep_profile
 from trajadapt.trajectory import ReferenceTrajectory
 
 
@@ -352,3 +352,48 @@ def test_campaign_single_step():
 def test_campaign_validates_arguments():
     with pytest.raises(ConfigurationError):
         ad.run_limit_campaign(episodes=0, steps=10)
+
+
+def test_campaign_reports_violations_of_widened_range(monkeypatch):
+    # one step from rest: a widened range lets the jerk bound be exceeded;
+    # later steps would start outside the safe set and have no valid range
+    exact = ad.valid_accel_bounds
+
+    def widened(*args, **kwargs):
+        lo, hi = exact(*args, **kwargs)
+        return lo, hi + 0.1 * np.abs(hi)
+
+    monkeypatch.setattr(ad, "valid_accel_bounds", widened)
+    rep = ad.run_limit_campaign(episodes=200, steps=1, seed=3)
+    assert rep.violations > 0
+    assert rep.first_violation is not None and rep.first_violation[0] == 0
+    assert 1.0 < rep.max_jerk_norm <= 1.1 + 1e-9
+    assert not rep.ok()
+
+
+def test_campaign_reports_velocity_peak_between_ticks(monkeypatch):
+    # ramp to a = 1, hold it, then step to a = -1/3: the last step's
+    # velocity peaks at t* = 0.75 dt, between control ticks 7 and 8, and
+    # only that turning point exceeds v_max
+    dt, v_max = 0.05, 0.4937
+    schedule = [1.0] * 10 + [-1.0 / 3.0]
+    calls = []
+
+    def scripted(v, a, *args, **kwargs):
+        a1 = np.full(v.shape, schedule[len(calls)])
+        calls.append((v.copy(), a.copy()))
+        return a1, a1
+
+    monkeypatch.setattr(ad, "valid_accel_bounds", scripted)
+    limits = JointLimits(p_min=[-2.0], p_max=[2.0], v_max=[v_max],
+                         a_max=[2.0], j_max=[40.0])
+    rep = ad.run_limit_campaign(episodes=1, steps=len(schedule), dt=dt,
+                                fixed_limits=limits)
+
+    v0, a0 = calls[-1]
+    _, v_ticks, _ = substep_profile(0.0, v0, a0, schedule[-1], dt, 10)
+    assert np.all(np.abs(v_ticks) <= v_max)
+    assert rep.violations == 1
+    assert rep.first_violation == (len(schedule) - 1, 0, 0)
+    assert rep.max_velocity_norm > 1.0 + 1e-9
+    assert rep.max_accel_norm <= 1.0 and rep.max_jerk_norm <= 1.0

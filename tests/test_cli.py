@@ -103,6 +103,20 @@ def test_validate_limits_rejects_corrupt_limits(tmp_path):
     assert rc == 2
 
 
+def test_validate_limits_reports_empty_range_as_failure(tmp_path, capsys):
+    # without the ripple correction a joint riding the velocity bound can
+    # reach lo > hi by ~1e-8; that is a failed validation, not a traceback
+    cfg = _write_arm_config(tmp_path)
+    raw = json.loads(cfg.read_text())
+    raw["step"]["correction_enabled"] = False
+    cfg.write_text(json.dumps(raw))
+    rc = cli.main(["validate-limits", "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "randomized-limits: empty acceleration range" in err
+    assert "limit validation: FAIL" in err
+
+
 # ---------------------------------------------------------------------------
 # rollout
 

@@ -17,17 +17,24 @@ from conftest import (bisect_max_accel_velocity, greedy_rollout,
 # ---------------------------------------------------------------------------
 # jerk / acceleration bounds (hand values)
 
+def _jerk_bounds(a0, j_max, dt):
+    # velocity and acceleration limits far away: only the jerk bound binds
+    return lim.valid_accel_bounds(0.0, a0, 1e6, 1e6, j_max, dt)
+
+
 def test_max_accel_jerk_hand_values():
-    assert lim.max_accel_jerk(0.2, 4.0, 0.05) == pytest.approx(0.4, abs=1e-15)
-    assert lim.max_accel_jerk(1.0, 0.0, 0.05) == pytest.approx(1.0, abs=1e-15)
-    assert lim.max_accel_jerk(0.0, 20.0, 0.05) == pytest.approx(1.0, abs=1e-15)
-    assert lim.min_accel_jerk(0.2, 4.0, 0.05) == pytest.approx(0.0, abs=1e-15)
+    assert _jerk_bounds(0.2, 4.0, 0.05)[1] == pytest.approx(0.4, abs=1e-15)
+    # j_max = 0 lies outside JointLimits' domain: the bound's formula itself
+    assert 1.0 + 0.0 * 0.05 == pytest.approx(1.0, abs=1e-15)
+    assert _jerk_bounds(0.0, 20.0, 0.05)[1] == pytest.approx(1.0, abs=1e-15)
+    assert _jerk_bounds(0.2, 4.0, 0.05)[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_interpolation_jerk_cap():
     # linear interpolation between accelerations in [-a_max, a_max] cannot
     # exceed (a_max - (-a_max)) / dt
-    assert lim.interpolation_jerk_cap(2.0, 0.05) == pytest.approx(80.0)
+    a_max, dt = 2.0, 0.05
+    assert (a_max - (-a_max)) / dt == pytest.approx(80.0)
 
 
 # ---------------------------------------------------------------------------
@@ -83,36 +90,44 @@ def test_max_accel_velocity_matches_bisection_oracle():
 
 
 def test_min_accel_velocity_is_sign_reflection():
+    # the lower bound of a state is minus the upper bound of its mirror image
     rng = np.random.default_rng(7)
-    v0, a0, v_max, _, j_max, dt = random_limit_tuples(rng, 50)
-    lo = lim.min_accel_velocity(v0, a0, v_max, j_max, 0.05)
-    hi_mirror = lim.max_accel_velocity(-v0, -a0, v_max, j_max, 0.05)
-    np.testing.assert_allclose(lo, -hi_mirror, rtol=0, atol=0)
+    v0, a0, v_max, a_max, j_max, dt = random_limit_tuples(rng, 50)
+    for correction in (False, True):
+        lo, hi = lim.valid_accel_bounds(v0, a0, v_max, a_max, j_max, 0.05,
+                                        correction_enabled=correction)
+        lo_mirror, hi_mirror = lim.valid_accel_bounds(
+            -v0, -a0, v_max, a_max, j_max, 0.05, correction_enabled=correction)
+        np.testing.assert_allclose(lo, -hi_mirror, rtol=0, atol=0)
+        np.testing.assert_allclose(hi, -lo_mirror, rtol=0, atol=0)
 
 
 # ---------------------------------------------------------------------------
 # area-equalized correction
 
 def test_correction_disabled_returns_uncorrected():
-    limits = lim.JointLimits(p_min=[-1], p_max=[1], v_max=[1.0], a_max=[2.0], j_max=[10.0])
     unc = lim.max_accel_velocity(0.95, 0.8, 1.0, 10.0, 0.05)
-    got = lim.area_equalized_correction(0.95, 0.8, unc, limits, 0.05,
-                                        correction_enabled=False)
+    _, got = lim.valid_accel_bounds(0.95, 0.8, 1.0, 2.0, 10.0, 0.05,
+                                    correction_enabled=False)
     assert got == pytest.approx(unc, abs=0)
 
 
 def test_correction_inactive_when_bound_not_hit():
-    limits = lim.JointLimits(p_min=[-1], p_max=[1], v_max=[50.0], a_max=[2.0], j_max=[10.0])
-    unc = lim.max_accel_velocity(0.0, 0.0, 50.0, 10.0, 0.05)
-    got = lim.area_equalized_correction(0.0, 0.0, 0.1, limits, 0.05)
-    assert got == pytest.approx(unc, abs=0)
+    # far from v_max the jerk bound binds, so the correction changes nothing
+    plain = lim.valid_accel_bounds(0.0, 0.0, 50.0, 2.0, 10.0, 0.05)
+    got = lim.valid_accel_bounds(0.0, 0.0, 50.0, 2.0, 10.0, 0.05,
+                                 correction_enabled=True)
+    assert lim.max_accel_velocity(0.0, 0.0, 50.0, 10.0, 0.05) > got[1]
+    assert got[0] == pytest.approx(plain[0], abs=0)
+    assert got[1] == pytest.approx(plain[1], abs=0)
 
 
 def test_correction_shifts_bound_down_and_lands_exactly():
     v0, a0, v_max, j_max, dt = 0.95, 0.8, 1.0, 10.0, 0.05
-    limits = lim.JointLimits(p_min=[-1], p_max=[1], v_max=[v_max], a_max=[2.0], j_max=[j_max])
     unc = lim.max_accel_velocity(v0, a0, v_max, j_max, dt)
-    corr = float(lim.area_equalized_correction(v0, a0, unc, limits, dt)[0])
+    _, corr = lim.valid_accel_bounds(v0, a0, v_max, 2.0, j_max, dt,
+                                     correction_enabled=True)
+    corr = float(corr)
     assert corr <= unc + 1e-12
     assert corr == pytest.approx(0.55, abs=1e-12)
 
@@ -193,6 +208,41 @@ def test_valid_accel_range_inconsistent_state_raises():
     state = lim.JointState(p=[0.0], v=[1.5], a=[2.0])  # far outside the safe set
     with pytest.raises(LimitConsistencyError):
         lim.valid_accel_range(state, limits, params)
+
+
+def test_valid_accel_bounds_batch_equals_per_joint_calls():
+    rng = np.random.default_rng(11)
+    dt, shape = 0.05, (40, 7)
+    v_max = rng.uniform(0.3, 3.0, shape)
+    a_max = rng.uniform(1.0, 15.0, shape)
+    j_max = rng.uniform(0.3, 1.0, shape) * np.minimum(a_max / dt, v_max / dt**2)
+    a0 = rng.uniform(-1, 1, shape) * np.minimum(a_max, np.sqrt(1.9 * j_max * v_max))
+    budget = np.maximum(v_max - a0**2 / (2.0 * j_max), 0.0)
+    v0 = rng.uniform(-1, 1, shape) * budget * 0.999
+    # rows 0-4 at rest, rows 5-9 on +v_max, rows 10-14 on -v_max
+    v0[:5], a0[:5] = 0.0, 0.0
+    v0[5:10], a0[5:10] = v_max[5:10], 0.0
+    v0[10:15], a0[10:15] = -v_max[10:15], -0.0
+
+    bounds = {}
+    for correction in (False, True):
+        lo, hi = lim.valid_accel_bounds(v0, a0, v_max, a_max, j_max, dt,
+                                        correction_enabled=correction)
+        lo_1 = np.empty(shape)
+        hi_1 = np.empty(shape)
+        for idx in np.ndindex(*shape):
+            lo_1[idx], hi_1[idx] = lim.valid_accel_bounds(
+                v0[idx], a0[idx], v_max[idx], a_max[idx], j_max[idx], dt,
+                correction_enabled=correction)
+        for got, want in ((lo, lo_1), (hi, hi_1)):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+        bounds[correction] = lo, hi
+
+    # the batch mixes shifted and untouched entries on both sides
+    (lo_u, hi_u), (lo_c, hi_c) = bounds[False], bounds[True]
+    assert np.any(hi_c < hi_u) and np.any(hi_c == hi_u)
+    assert np.any(lo_c > lo_u) and np.any(lo_c == lo_u)
 
 
 def test_clip_action_cases():
