@@ -8,6 +8,7 @@ outputs use repr-precision floats so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import multiprocessing
 import sys
@@ -55,21 +56,28 @@ def build_policy(cfg: RunConfig, reference: tr.ReferenceTrajectory):
         path = Path(weights_file)
         if not path.is_absolute():
             path = cfg.base_dir / path
-        return pol.LinearPolicy.load(path)
+        expected = (n, layout.size + 1)
+        try:
+            policy = pol.LinearPolicy.load(path)
+        except (OSError, ValueError) as exc:
+            raise ConfigurationError(f"cannot read linear policy weights {path} "
+                                     f"(expected shape {expected}): {exc}") from exc
+        if policy.weights.shape != expected:
+            raise ConfigurationError(f"linear policy weights {path} have shape "
+                                     f"{policy.weights.shape}, expected {expected}")
+        return policy
     raise ConfigurationError(f"unknown policy kind {kind!r}")
 
 
 def _references_for_run(cfg: RunConfig):
-    candidates = []
-    if cfg.dataset_file is not None:
-        candidates.append(Path(cfg.dataset_file))
-    candidates.append(cfg.out_dir / "dataset.csv")
-    for path in candidates:
-        if path.exists():
+    for path in (cfg.dataset_file, cfg.out_dir / "dataset.csv"):
+        if path is not None and path.exists():
             refs = load_dataset(path)
             if not refs:
                 raise ConfigurationError(f"dataset {path} is empty")
             return refs
+    if cfg.dataset_file is not None:
+        raise ConfigurationError(f"dataset file {cfg.dataset_file} does not exist")
     # stationary reference at the home posture (balancing demo default)
     steps = int(cfg.raw.get("stationary_steps", 201))
     rows = np.tile(np.asarray(cfg.model.q_home), (steps, 1))
@@ -203,28 +211,25 @@ def cmd_validate_limits(cfg: RunConfig) -> int:
     return 1
 
 
-def _episode_worker(args):
-    config_path, overrides, idx = args
-    cfg = load_config(config_path, **overrides)
-    refs = _references_for_run(cfg)
+def _episode(cfg: RunConfig, refs, idx: int):
     reference = refs[idx % len(refs)]
     report, records = run_episode(cfg, reference, idx)
     return idx, reference.traj_id, report.row(), records
 
 
-def _run_episodes(cfg: RunConfig, config_path, overrides):
-    jobs = [(str(config_path), overrides, i) for i in range(cfg.episodes)]
-    if cfg.workers > 1:
-        with multiprocessing.Pool(cfg.workers) as pool:
-            results = pool.map(_episode_worker, jobs)
-    else:
-        results = [_episode_worker(j) for j in jobs]
-    return sorted(results, key=lambda r: r[0])
+def _run_episodes(cfg: RunConfig):
+    """Results of ``cfg.episodes`` episodes, in order, on references loaded once."""
+    episode = functools.partial(_episode, cfg, _references_for_run(cfg))
+    indices = range(cfg.episodes)
+    if cfg.workers == 1:
+        return [episode(i) for i in indices]
+    with multiprocessing.Pool(cfg.workers) as pool:
+        return pool.map(episode, indices)
 
 
-def cmd_rollout(cfg: RunConfig, config_path, overrides) -> int:
+def cmd_rollout(cfg: RunConfig) -> int:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    results = _run_episodes(cfg, config_path, overrides)
+    results = _run_episodes(cfg)
     n = cfg.limits.n_joints
     for idx, traj_id, row, records in results:
         path = cfg.out_dir / f"episode_{idx:04d}.csv"
@@ -234,8 +239,8 @@ def cmd_rollout(cfg: RunConfig, config_path, overrides) -> int:
     return 0
 
 
-def cmd_eval(cfg: RunConfig, config_path, overrides) -> int:
-    results = _run_episodes(cfg, config_path, overrides)
+def cmd_eval(cfg: RunConfig) -> int:
+    results = _run_episodes(cfg)
     rows = [row for _, _, row, _ in results]
     summary = {
         "episodes": len(rows),
@@ -289,11 +294,14 @@ def main(argv=None) -> int:
         if args.command == "validate-limits":
             return cmd_validate_limits(cfg)
         if args.command == "rollout":
-            return cmd_rollout(cfg, args.config, overrides)
-        return cmd_eval(cfg, args.config, overrides)
+            return cmd_rollout(cfg)
+        return cmd_eval(cfg)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    except LimitConsistencyError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -106,10 +106,8 @@ def load_config(path, seed=None, episodes=None, workers=None, out=None) -> RunCo
 
     ball_raw = raw.get("ball", {})
     ball = envm.BallParams(
-        mass=ball_raw.get("mass_kg", 0.060),
         radius=ball_raw.get("radius_m", 0.02),
         rolling_friction=ball_raw.get("rolling_friction", 0.005),
-        mass_range=tuple(ball_raw.get("mass_range_kg", (0.030, 0.120))),
         radius_range=tuple(ball_raw.get("radius_range_m", (0.012, 0.030))),
         friction_range=tuple(ball_raw.get("friction_range", (0.001, 0.010))),
     )

@@ -12,6 +12,11 @@ rollout evaluates ``kinematics.plate_motion`` once per decision step on the
 substep joint profile and hands its rotation matrices (k, 3, 3) and
 finite-difference origin accelerations (k, 3) to ``BallPlateEnv.step``,
 which passes them on to ``step_ball``.
+
+The sensor reads the ball position at reset and after every decision step,
+with Gaussian noise of ``TaskSpec.noise_std`` metres.  The environment keeps
+the last reading, so a feedback vector's previous position is the current
+one of the vector before it (right after reset, the same reading twice).
 """
 
 from __future__ import annotations
@@ -44,29 +49,26 @@ class PlateGeometry:
 class BallParams:
     """Ball characteristics plus the ranges used for randomization."""
 
-    mass: float = 0.060
     radius: float = 0.02
     rolling_friction: float = 0.005
-    mass_range: tuple = (0.030, 0.120)
     radius_range: tuple = (0.012, 0.030)
     friction_range: tuple = (0.001, 0.010)
 
     def __post_init__(self):
-        if min(self.mass, self.radius) <= 0 or self.rolling_friction < 0:
+        if self.radius <= 0 or self.rolling_friction < 0:
             raise ConfigurationError("ball parameters must be positive")
-        for name in ("mass_range", "radius_range", "friction_range"):
+        for name in ("radius_range", "friction_range"):
             lo, hi = getattr(self, name)
             if lo > hi:
                 raise ConfigurationError(f"{name} must satisfy lo <= hi")
 
 
 def randomize_ball(params: BallParams, rng) -> BallParams:
-    """Uniform draw of mass/radius/friction within the configured ranges."""
+    """Uniform draw of radius/friction within the configured ranges."""
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
     return replace(
         params,
-        mass=float(rng.uniform(*params.mass_range)),
         radius=float(rng.uniform(*params.radius_range)),
         rolling_friction=float(rng.uniform(*params.friction_range)),
     )
@@ -193,33 +195,18 @@ def task_reward(state: BallState, spec: TaskSpec, geometry: PlateGeometry,
     return float(np.clip(1.0 - min(frac, 1.0) ** k, 0.0, 1.0))
 
 
-def sensor_feedback(history, spec: TaskSpec, geometry: PlateGeometry, rng,
-                    noise_std: float | None = None) -> np.ndarray:
-    """Normalized task feedback from the ball-position history.
+def sensor_feedback(measured, previous, spec: TaskSpec,
+                    geometry: PlateGeometry) -> np.ndarray:
+    """Normalized task feedback from the current and previous readings.
 
-    Current and previous measured positions (Gaussian noise added in metres,
-    then normalized by the plate half-extents); for in_place additionally the
-    2-d offset from the target.  Everything is clamped to [-1, 1].  A single
-    history entry is duplicated (first step of an episode).
+    Both positions normalized by the plate half-extents; for in_place
+    additionally the 2-d offset of the current reading from the target.
+    Everything is clamped to [-1, 1].
     """
-    if len(history) == 0:
-        raise ConfigurationError("sensor feedback needs at least one ball state")
-    if noise_std is None:
-        noise_std = spec.noise_std
-    current = history[-1]
-    previous = history[-2] if len(history) > 1 else current
     half = geometry.half_extents
-
-    def measure(ball: BallState) -> np.ndarray:
-        noisy = ball.position + rng.normal(0.0, noise_std, 2) if noise_std > 0 \
-            else ball.position
-        return noisy
-
-    cur = measure(current)
-    prev = measure(previous)
-    parts = [cur / half, prev / half]
+    parts = [measured / half, previous / half]
     if spec.kind == "in_place":
-        parts.append((cur - spec.target) / half)
+        parts.append((measured - spec.target) / half)
     return np.clip(np.concatenate(parts), -1.0, 1.0)
 
 
@@ -335,7 +322,7 @@ class BallPlateEnv:
         self.start_offset = np.asarray(start_offset, dtype=float)
         self.ball = ball
         self.state = None
-        self.history = []
+        self.measured = None
         self.rng = np.random.default_rng(0)
 
     def reset(self, seed) -> np.ndarray:
@@ -347,11 +334,17 @@ class BallPlateEnv:
         if np.any(np.abs(start) > bounds):
             raise ConfigurationError("initial ball position is off the plate")
         self.state = BallState(position=start, velocity=np.zeros(2))
-        self.history = [self.state.copy()]
-        return self.feedback()
+        self.measured = None
+        return self._sense()
 
-    def feedback(self) -> np.ndarray:
-        return sensor_feedback(self.history, self.task, self.geometry, self.rng)
+    def _sense(self) -> np.ndarray:
+        """Read the ball position; feedback from this and the last reading."""
+        measured = self.state.position
+        if self.task.noise_std > 0:
+            measured = measured + self.rng.normal(0.0, self.task.noise_std, 2)
+        previous = measured if self.measured is None else self.measured
+        self.measured = measured
+        return sensor_feedback(measured, previous, self.task, self.geometry)
 
     def step(self, rotations, lin_acc):
         """Advance through one decision step's plate ticks (rotations
@@ -361,6 +354,5 @@ class BallPlateEnv:
             raise ConfigurationError("environment used before reset")
         self.state = step_ball(self.state, rotations, lin_acc, self.ball,
                                self.control_dt, self.geometry)
-        self.history.append(self.state.copy())
         reward = task_reward(self.state, self.task, self.geometry, self.ball)
-        return self.state.copy(), reward, self.feedback()
+        return self.state.copy(), reward, self._sense()

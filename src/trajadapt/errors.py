@@ -21,6 +21,10 @@ class LimitConsistencyError(RuntimeError):
             f"lo={self.lo:.9g} > hi={self.hi:.9g}"
         )
 
+    def __reduce__(self):
+        # pickle by constructor arguments, so it survives a worker process
+        return type(self), (self.joint, self.lo, self.hi)
+
 
 class IKConvergenceError(RuntimeError):
     """Inverse kinematics failed to reach the target within max iterations."""

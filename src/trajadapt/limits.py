@@ -348,12 +348,3 @@ def substep_profile(p0, v0, a0, a1, dt, substeps: int):
     v = v0 + a0 * tau + 0.5 * slope * tau**2
     p = p0 + v0 * tau + 0.5 * a0 * tau**2 + slope * tau**3 / 6.0
     return p, v, a
-
-
-def intermediate_setpoints(p0, v0, a0, a1, params: StepParams) -> np.ndarray:
-    """Position setpoints for the controller at ticks 1..substeps of a step.
-
-    The last row equals ``integrate_step``'s end position.
-    """
-    p, _, _ = substep_profile(p0, v0, a0, a1, params.dt, params.substeps)
-    return p[1:]

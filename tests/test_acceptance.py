@@ -163,7 +163,8 @@ def test_criterion_06_integration_exactness():
     worst_end = 0.0
     for _ in range(100):
         p0, v0, a0, a1 = rng.uniform(-3, 3, (4, 1))
-        series = lim.intermediate_setpoints(p0, v0, a0, a1, params)
+        series = lim.substep_profile(p0, v0, a0, a1, params.dt,
+                                     params.substeps)[0][1:]
         p1, _ = lim.integrate_step(p0, v0, a0, a1, params.dt)
         worst_end = max(worst_end, float(abs(series[-1, 0] - p1[0])))
     ok = worst <= 1e-10 and worst_end <= 1e-12

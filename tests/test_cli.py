@@ -1,12 +1,18 @@
 import json
+import os
+import pickle
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import trajadapt
 from trajadapt import cli
 from trajadapt import kinematics as kin
+from trajadapt.errors import LimitConsistencyError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -218,11 +224,106 @@ def test_eval_workers_match_serial(tmp_path):
     assert a == b
 
 
+def test_rollout_workers_match_serial_on_generated_dataset(tmp_path):
+    cfg = _write_arm_config(tmp_path, policy={"kind": "tracking"})
+    assert cli.main(["generate", "--config", str(cfg)]) == 0
+    for workers in ("1", "2"):
+        assert cli.main(["rollout", "--config", str(cfg), "--episodes", "6",
+                         "--workers", workers,
+                         "--out", str(tmp_path / f"w{workers}")]) == 0
+    serial = sorted((tmp_path / "w1").glob("episode_*.csv"))
+    assert len(serial) == 6
+    for path in serial:
+        assert path.read_bytes() == (tmp_path / "w2" / path.name).read_bytes()
+
+
+def test_eval_loads_config_and_dataset_once(tmp_path, monkeypatch):
+    cfg = _write_arm_config(tmp_path, policy={"kind": "tracking"})
+    assert cli.main(["generate", "--config", str(cfg)]) == 0
+    calls = {"load_config": 0, "load_dataset": 0}
+
+    def counting(name):
+        original = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counting(name))
+    rc = cli.main(["eval", "--config", str(cfg), "--episodes", "3",
+                   "--workers", "1"])
+    assert rc == 0
+    assert calls == {"load_config": 1, "load_dataset": 1}
+
+
+def _empty_range_config(tmp_path):
+    # without the ripple correction the random policy drives joint 0 of the
+    # gimbal into an empty valid range in episode 0 of seed 5
+    return _write_balance_config(
+        tmp_path, policy={"kind": "random"}, use_environment=False,
+        stationary_steps=201, step={"dt_s": 0.05, "control_dt_s": 0.005,
+                                    "correction_enabled": False},
+        reward={"deviation_low_rad": 5.0, "deviation_high_rad": 9.0,
+                "termination_rad": 10.0})
+
+
+def test_limit_consistency_error_pickles():
+    err = pickle.loads(pickle.dumps(LimitConsistencyError(3, 1.5, 1.25)))
+    assert isinstance(err, LimitConsistencyError)
+    assert (err.joint, err.lo, err.hi) == (3, 1.5, 1.25)
+    assert str(err) == str(LimitConsistencyError(3, 1.5, 1.25))
+
+
+def test_rollout_reports_empty_range_as_failure(tmp_path, capsys):
+    cfg = _empty_range_config(tmp_path)
+    rc = cli.main(["rollout", "--config", str(cfg), "--seed", "5",
+                   "--episodes", "1"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "rollout: empty acceleration range for joint 0" in err
+
+
+def test_pooled_eval_reports_empty_range_instead_of_hanging(tmp_path):
+    # a worker's error must come back through the pool; run in a subprocess
+    # so that a hang fails the test instead of blocking the suite
+    cfg = _empty_range_config(tmp_path)
+    env = dict(os.environ, PYTHONPATH=str(Path(trajadapt.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "trajadapt.cli", "eval", "--config", str(cfg),
+         "--seed", "5", "--episodes", "2", "--workers", "2"],
+        capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 1
+    assert "eval: empty acceleration range for joint 0" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # config handling
 
 def test_missing_config_is_configuration_error():
     assert cli.main(["eval", "--config", "/does/not/exist.json"]) == 2
+
+
+def test_missing_dataset_file_is_configuration_error(tmp_path, capsys):
+    cfg = _write_arm_config(tmp_path, dataset_file="nope.csv")
+    assert cli.main(["eval", "--config", str(cfg), "--episodes", "1"]) == 2
+    assert str(tmp_path / "nope.csv") in capsys.readouterr().err
+
+
+def test_linear_weights_missing_or_misshapen_is_configuration_error(tmp_path, capsys):
+    cfg = _write_balance_config(
+        tmp_path, policy={"kind": "linear", "weights_file": "weights.txt"})
+    assert cli.main(["eval", "--config", str(cfg), "--episodes", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "weights.txt" in err and "(2, 15)" in err
+    np.savetxt(tmp_path / "weights.txt", np.zeros((2, 5)))
+    assert cli.main(["eval", "--config", str(cfg), "--episodes", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "shape (2, 5)" in err and "expected (2, 15)" in err
+    np.savetxt(tmp_path / "weights.txt", np.zeros((2, 15)))
+    assert cli.main(["eval", "--config", str(cfg), "--episodes", "1"]) == 0
 
 
 def test_env_var_overrides_seed(tmp_path, monkeypatch):

@@ -127,32 +127,34 @@ def test_on_plate_reward_decays_to_zero_at_rim():
 
 def test_sensor_feedback_lengths():
     geometry = env.PlateGeometry()
-    rng = np.random.default_rng(0)
-    hist = [env.BallState(position=[0.0, 0.0], velocity=[0, 0])]
-    f_on = env.sensor_feedback(hist, env.TaskSpec(kind="on_plate", noise_std=0.0),
-                               geometry, rng)
-    f_in = env.sensor_feedback(hist, env.TaskSpec(kind="in_place", noise_std=0.0),
-                               geometry, rng)
+    centre = np.zeros(2)
+    f_on = env.sensor_feedback(centre, centre,
+                               env.TaskSpec(kind="on_plate", noise_std=0.0), geometry)
+    f_in = env.sensor_feedback(centre, centre,
+                               env.TaskSpec(kind="in_place", noise_std=0.0), geometry)
     assert f_on.shape == (4,)
     assert f_in.shape == (6,)
 
 
 def test_sensor_feedback_zero_noise_stationary_centre():
-    geometry = env.PlateGeometry()
-    rng = np.random.default_rng(0)
-    hist = [env.BallState(position=[0.0, 0.0], velocity=[0, 0])] * 3
-    f = env.sensor_feedback(hist, env.TaskSpec(kind="in_place", noise_std=0.0),
-                            geometry, rng)
-    np.testing.assert_array_equal(f, np.zeros(6))
+    model, _ = gimbal_chain()
+    e = env.BallPlateEnv(model, env.PlateGeometry(),
+                         env.TaskSpec(kind="in_place", noise_std=0.0),
+                         env.BallParams(), control_dt=0.005)
+    f = e.reset(seed=0)
+    for _ in range(2):
+        np.testing.assert_array_equal(f, np.zeros(6))
+        _, _, f = e.step(*still_plate(np.eye(3)))
 
 
 def test_sensor_feedback_noise_magnitude():
     geometry = env.PlateGeometry()
     spec = env.TaskSpec(kind="on_plate", noise_std=0.001)
-    rng = np.random.default_rng(123)
-    hist = [env.BallState(position=[0.0, 0.0], velocity=[0, 0])]
-    reads = np.array([env.sensor_feedback(hist, spec, geometry, rng)[0]
-                      for _ in range(4000)])
+    model, _ = gimbal_chain()
+    e = env.BallPlateEnv(model, geometry, spec, env.BallParams(), control_dt=0.005)
+    e.reset(seed=123)
+    # the ball rests at the centre of the flat plate; only the noise moves the reading
+    reads = np.array([e.step(*still_plate(np.eye(3)))[2][0] for _ in range(4000)])
     observed = np.std(reads) * geometry.half_x
     assert observed == pytest.approx(0.001, rel=0.10)
 
@@ -160,10 +162,25 @@ def test_sensor_feedback_noise_magnitude():
 def test_sensor_feedback_clamped():
     geometry = env.PlateGeometry()
     spec = env.TaskSpec(kind="on_plate", noise_std=0.0)
-    rng = np.random.default_rng(0)
-    hist = [env.BallState(position=[0.5, -0.5], velocity=[0, 0], on_plate=False)]
-    f = env.sensor_feedback(hist, spec, geometry, rng)
+    off = np.array([0.5, -0.5])
+    f = env.sensor_feedback(off, off, spec, geometry)
     assert np.all(f <= 1.0) and np.all(f >= -1.0)
+
+
+def test_env_previous_reading_is_last_current_reading():
+    # with noise, each reading appears once as current and then unchanged as
+    # previous; right after reset both halves are the same reading
+    model, _ = gimbal_chain()
+    e = env.BallPlateEnv(model, env.PlateGeometry(),
+                         env.TaskSpec(kind="in_place", noise_std=0.002),
+                         env.BallParams(), control_dt=0.005)
+    f = e.reset(seed=3)
+    np.testing.assert_array_equal(f[2:4], f[0:2])
+    for _ in range(5):
+        _, _, f_next = e.step(*still_plate(np.eye(3), ticks=10))
+        np.testing.assert_array_equal(f_next[2:4], f[0:2])
+        assert not np.array_equal(f_next[0:2], f[0:2])
+        f = f_next
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +191,6 @@ def test_randomize_ball_within_ranges_and_deterministic():
     rng = np.random.default_rng(7)
     draws = [env.randomize_ball(base, np.random.default_rng(k)) for k in range(200)]
     for d in draws:
-        assert base.mass_range[0] <= d.mass <= base.mass_range[1]
         assert base.radius_range[0] <= d.radius <= base.radius_range[1]
         assert base.friction_range[0] <= d.rolling_friction <= base.friction_range[1]
     again = env.randomize_ball(base, np.random.default_rng(5))
@@ -182,10 +198,9 @@ def test_randomize_ball_within_ranges_and_deterministic():
 
 
 def test_randomize_ball_degenerate_ranges():
-    base = env.BallParams(mass_range=(0.05, 0.05), radius_range=(0.02, 0.02),
-                          friction_range=(0.01, 0.01))
+    base = env.BallParams(radius_range=(0.02, 0.02), friction_range=(0.01, 0.01))
     d = env.randomize_ball(base, 3)
-    assert (d.mass, d.radius, d.rolling_friction) == (0.05, 0.02, 0.01)
+    assert (d.radius, d.rolling_friction) == (0.02, 0.01)
 
 
 # ---------------------------------------------------------------------------
