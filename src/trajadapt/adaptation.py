@@ -5,13 +5,13 @@ The decision loop per step: build the normalized observation, query the
 policy, denormalize and clip the commanded acceleration into the valid
 range, integrate to the next joint setpoints, end the episode if the
 deviation from the reference exceeds the termination threshold, otherwise
-execute the substeps (driving the ball environment when present) and score
-the step.
+execute the substeps (driving the ball environment when present), score
+the step and write it as one row of the episode's ``StepLog``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -143,33 +143,63 @@ def build_observation(state: JointState, limits: JointLimits, feedback,
     return np.clip(obs, -1.0, 1.0)
 
 
-@dataclass
-class StepRecord:
-    """Everything the engine knows about one executed decision step."""
+_JOINT_COLUMNS = ("p", "v", "accel", "jerk", "raw", "act")  # (T, n_joints)
 
-    t: int
-    time: float
+
+@dataclass
+class StepLog:
+    """Columns of an episode's executed decision steps, one row per step.
+
+    ``accel`` is the physical a_{t+1} applied, ``jerk`` (a_{t+1} - a_t) / dt,
+    ``raw`` the normalized policy output and ``act`` the normalized clipped
+    command.  The ball columns are NaN without an environment; ``on_plate``
+    is 1.0 or 0.0 with one.
+    """
+
+    time: np.ndarray
     p: np.ndarray
     v: np.ndarray
-    accel: np.ndarray              # physical a_{t+1} actually applied
-    jerk: np.ndarray               # (a_{t+1} - a_t) / dt
-    action_raw: np.ndarray         # normalized policy output
-    action_clipped: np.ndarray     # normalized, after range clipping
-    deviation: float
-    reward: RewardBreakdown | None
-    ball: object = None
-    feedback: np.ndarray | None = None
+    accel: np.ndarray
+    jerk: np.ndarray
+    raw: np.ndarray
+    act: np.ndarray
+    r_task: np.ndarray
+    p_accel: np.ndarray
+    p_jerk: np.ndarray
+    p_smooth: np.ndarray
+    p_deviation: np.ndarray
+    reward: np.ndarray
+    deviation: np.ndarray
+    ball_x: np.ndarray
+    ball_y: np.ndarray
+    on_plate: np.ndarray
+
+    @classmethod
+    def allocate(cls, steps: int, n_joints: int) -> "StepLog":
+        """A NaN-filled log of ``steps`` rows."""
+        return cls(**{f.name: np.full((steps, n_joints) if f.name in _JOINT_COLUMNS
+                                      else steps, np.nan)
+                      for f in fields(cls)})
+
+    def __len__(self) -> int:
+        return self.time.shape[0]
+
+    def head(self, rows: int) -> "StepLog":
+        """The first ``rows`` rows."""
+        return StepLog(**{f.name: getattr(self, f.name)[:rows] for f in fields(self)})
 
 
 def rollout(reference: ReferenceTrajectory, policy, limits: JointLimits,
             params: StepParams, weights: RewardWeights,
             env: BallPlateEnv | None = None, seed: int = 0):
-    """Run one episode along a reference; returns (EpisodeReport, records).
+    """Run one episode along a reference; returns (EpisodeReport, StepLog).
 
     The joint state starts at rest on the first reference row.  A deviation
     beyond the termination threshold, or a policy output with a non-finite
     entry, ends the episode before the offending step executes; the ball
-    leaving the plate ends it after the step that lost it.
+    leaving the plate ends it after the step that lost it.  The log holds
+    the executed steps only, so it is empty when the first step ends the
+    episode.
     """
     if reference.n_steps < 2:
         raise ConfigurationError("reference needs at least 2 rows")
@@ -183,7 +213,8 @@ def rollout(reference: ReferenceTrajectory, policy, limits: JointLimits,
     if env is not None:
         feedback = env.reset(seed_key + [2])
 
-    records = []
+    log = StepLog.allocate(total_steps, limits.n_joints)
+    executed = 0
     terminated = False
     ball_lost = False
     a_max = limits.a_max
@@ -208,7 +239,6 @@ def rollout(reference: ReferenceTrajectory, policy, limits: JointLimits,
             terminated = True
             break
 
-        ball = None
         r_task = 1.0
         if env is not None:
             q_sub, _, _ = substep_profile(state.p, state.v, state.a, a_next,
@@ -216,6 +246,8 @@ def rollout(reference: ReferenceTrajectory, policy, limits: JointLimits,
             _, rotations, lin_acc, _ = plate_motion(env.model, q_sub,
                                                     params.control_dt)
             ball, r_task, feedback = env.step(rotations[1:], lin_acc[1:])
+            log.ball_x[t], log.ball_y[t] = ball.position
+            log.on_plate[t] = 1.0 if ball.on_plate else 0.0
 
         jerk = (a_next - state.a) / params.dt
         reward = compose_reward(
@@ -225,37 +257,32 @@ def rollout(reference: ReferenceTrajectory, policy, limits: JointLimits,
             deviation_penalty(p_next, p_ref_next, weights.deviation_low,
                               weights.deviation_high),
         )
-        records.append(StepRecord(
-            t=t, time=(t + 1) * params.dt, p=p_next, v=v_next, accel=a_next,
-            jerk=jerk, action_raw=raw, action_clipped=a_next / a_max,
-            deviation=deviation, reward=reward, ball=ball,
-            feedback=feedback.copy() if env is not None else None,
-        ))
+        log.time[t] = (t + 1) * params.dt
+        log.p[t] = p_next
+        log.v[t] = v_next
+        log.accel[t] = a_next
+        log.jerk[t] = jerk
+        log.raw[t] = raw
+        log.act[t] = a_next / a_max
+        log.r_task[t] = reward.r_task
+        log.p_accel[t] = reward.p_accel
+        log.p_jerk[t] = reward.p_jerk
+        log.p_smooth[t] = reward.p_smooth
+        log.p_deviation[t] = reward.p_deviation
+        log.reward[t] = reward.total
+        log.deviation[t] = deviation
+        executed = t + 1
         state = JointState(p=p_next, v=v_next, a=a_next)
 
-        if ball is not None and not ball.on_plate:
+        if log.on_plate[t] == 0.0:  # NaN without an environment
             ball_lost = True
             break
 
-    if not records:
-        # terminated on the very first step; log the initial state so the
-        # report has something to aggregate
-        zero = np.zeros(limits.n_joints)
-        records.append(StepRecord(
-            t=0, time=0.0, p=state.p, v=state.v, accel=zero, jerk=zero,
-            action_raw=zero, action_clipped=zero, deviation=0.0,
-            reward=None, ball=None))
-        report = episode_metrics(records, total_steps, limits,
-                                 env.task if env else None, params.dt,
-                                 terminated=terminated, ball_lost=ball_lost)
-        report.steps_executed = 0
-        report.fraction = 0.0
-        return report, []
-
-    report = episode_metrics(records, total_steps, limits,
+    log = log.head(executed)
+    report = episode_metrics(log, total_steps, limits,
                              env.task if env else None, params.dt,
                              terminated=terminated, ball_lost=ball_lost)
-    return report, records
+    return report, log
 
 
 # ---------------------------------------------------------------------------

@@ -20,15 +20,18 @@ from . import adaptation as ad
 from . import environment as envm
 from . import policy as pol
 from . import trajectory as tr
-from .config import RunConfig, load_config
-from .errors import ConfigurationError, LimitConsistencyError
+from .config import RunConfig, check_keys, load_config
+from .errors import ConfigurationError, LimitConsistencyError, NonFiniteStateError
 from .trajectory import load_dataset, save_dataset
 
 LOG_SCHEMA_VERSION = 1
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
+# The ``policy`` keys ``build_policy`` reads, per policy kind.
+POLICY_KEYS = {"random": {"kind"}, "greedy_max": {"kind"},
+               "tracking": {"kind", "kp", "kd"},
+               "pd_balance": {"kind", "mask", "ball_kp", "ball_kd"},
+               "linear": {"kind", "weights_file"}}
 
 
 def build_policy(cfg: RunConfig, reference: tr.ReferenceTrajectory):
@@ -70,14 +73,18 @@ def build_policy(cfg: RunConfig, reference: tr.ReferenceTrajectory):
 
 
 def _references_for_run(cfg: RunConfig):
-    for path in (cfg.dataset_file, cfg.out_dir / "dataset.csv"):
-        if path is not None and path.exists():
-            refs = load_dataset(path)
-            if not refs:
-                raise ConfigurationError(f"dataset {path} is empty")
-            return refs
-    if cfg.dataset_file is not None:
-        raise ConfigurationError(f"dataset file {cfg.dataset_file} does not exist")
+    """A configured ``dataset_file`` must exist; without one, the run uses
+    ``<out_dir>/dataset.csv`` if present, else a stationary reference."""
+    path = cfg.dataset_file
+    if path is None and (cfg.out_dir / "dataset.csv").exists():
+        path = cfg.out_dir / "dataset.csv"
+    if path is not None:
+        if not path.exists():
+            raise ConfigurationError(f"dataset file {path} does not exist")
+        refs = load_dataset(path)
+        if not refs:
+            raise ConfigurationError(f"dataset {path} is empty")
+        return refs
     # stationary reference at the home posture (balancing demo default)
     steps = int(cfg.raw.get("stationary_steps", 201))
     rows = np.tile(np.asarray(cfg.model.q_home), (steps, 1))
@@ -94,9 +101,8 @@ def run_episode(cfg: RunConfig, reference, episode_idx: int):
                                 randomize=cfg.randomize_ball,
                                 start_offset=cfg.start_offset)
     seed = [int(cfg.seed), int(episode_idx)]
-    report, records = ad.rollout(reference, policy, cfg.limits, cfg.step,
-                                 cfg.reward, env=env, seed=seed)
-    return report, records
+    return ad.rollout(reference, policy, cfg.limits, cfg.step, cfg.reward,
+                      env=env, seed=seed)
 
 
 def log_header(n_joints: int) -> str:
@@ -108,22 +114,15 @@ def log_header(n_joints: int) -> str:
     return ",".join(cols)
 
 
-def write_step_log(path, records, n_joints: int) -> None:
-    lines = [f"# trajadapt step log v{LOG_SCHEMA_VERSION}", log_header(n_joints)]
-    for r in records:
-        vals = [r.time]
-        for arr in (r.p, r.v, r.accel, r.jerk, r.action_raw, r.action_clipped):
-            vals.extend(arr)
-        rw = r.reward
-        vals += [rw.r_task, rw.p_accel, rw.p_jerk, rw.p_smooth, rw.p_deviation,
-                 rw.total, r.deviation]
-        if r.ball is not None:
-            vals += [r.ball.position[0], r.ball.position[1],
-                     1.0 if r.ball.on_plate else 0.0]
-        else:
-            vals += [float("nan"), float("nan"), float("nan")]
-        lines.append(",".join(_fmt(v) for v in vals))
-    Path(path).write_text("\n".join(lines) + "\n")
+def write_step_log(path, log: ad.StepLog, n_joints: int) -> None:
+    """The version line, ``log_header(n_joints)`` and one row per step."""
+    columns = np.column_stack((
+        log.time, log.p, log.v, log.accel, log.jerk, log.raw, log.act,
+        log.r_task, log.p_accel, log.p_jerk, log.p_smooth, log.p_deviation,
+        log.reward, log.deviation, log.ball_x, log.ball_y, log.on_plate))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# trajadapt step log v{LOG_SCHEMA_VERSION}\n{log_header(n_joints)}\n")
+        np.savetxt(fh, columns, fmt="%.17g", delimiter=",")
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +131,7 @@ def write_step_log(path, records, n_joints: int) -> None:
 def cmd_generate(cfg: RunConfig) -> int:
     if cfg.areas is None:
         raise ConfigurationError("generate needs a sampling section in the config")
-    count = int(cfg.raw.get("generate", {}).get("count", cfg.episodes))
+    count = int((cfg.raw.get("generate") or {}).get("count", cfg.episodes))
     trajs, rejections = tr.generate_dataset(cfg.model, cfg.limits, cfg.areas,
                                             cfg.pipeline, count=count,
                                             seed=cfg.seed)
@@ -213,12 +212,16 @@ def cmd_validate_limits(cfg: RunConfig) -> int:
 
 def _episode(cfg: RunConfig, refs, idx: int):
     reference = refs[idx % len(refs)]
-    report, records = run_episode(cfg, reference, idx)
-    return idx, reference.traj_id, report.row(), records
+    report, log = run_episode(cfg, reference, idx)
+    return idx, reference.traj_id, report.row(), log
 
 
 def _run_episodes(cfg: RunConfig):
     """Results of ``cfg.episodes`` episodes, in order, on references loaded once."""
+    spec = cfg.policy_spec
+    kind = spec.get("kind", "tracking")
+    if kind in POLICY_KEYS:  # build_policy reports an unknown kind
+        check_keys(spec, POLICY_KEYS[kind], f"{kind!r} policy")
     episode = functools.partial(_episode, cfg, _references_for_run(cfg))
     indices = range(cfg.episodes)
     if cfg.workers == 1:
@@ -231,9 +234,9 @@ def cmd_rollout(cfg: RunConfig) -> int:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     results = _run_episodes(cfg)
     n = cfg.limits.n_joints
-    for idx, traj_id, row, records in results:
+    for idx, traj_id, row, log in results:
         path = cfg.out_dir / f"episode_{idx:04d}.csv"
-        write_step_log(path, records, n)
+        write_step_log(path, log, n)
         print(f"episode {idx:04d} [{traj_id}]: success={row['success']} "
               f"fraction={row['fraction']:.3f} -> {path}")
     return 0
@@ -299,7 +302,7 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except LimitConsistencyError as exc:
+    except (LimitConsistencyError, NonFiniteStateError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 1
 

@@ -13,8 +13,6 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from . import environment as envm
 from .adaptation import RewardWeights
 from .errors import ConfigurationError
@@ -23,6 +21,54 @@ from .limits import JointLimits, StepParams, check_limit_regime
 from .trajectory import PipelineConfig, SamplingAreas
 
 ENV_PREFIX = "TRAJADAPT_"
+
+# Every key of each config section, mapped to the constructor argument it
+# sets (an absent key leaves that argument's default).  Keys mapped to None
+# are read by ``load_config`` itself or by the commands in ``cli``.  The
+# ``policy`` keys depend on the policy kind and are checked by ``cli``.
+SECTION_KEYS = {
+    "step": {"dt_s": "dt", "control_dt_s": "control_dt",
+             "correction_enabled": "correction_enabled"},
+    "task": {"kind": "kind", "target_xy_m": "initial_position",
+             "success_bound_m": "success_bound", "noise_std_m": "noise_std",
+             "reward_exponent": "reward_exponent", "start_offset_xy_m": None},
+    "plate": {"half_x_m": "half_x", "half_y_m": "half_y"},
+    "ball": {"radius_m": "radius", "rolling_friction": "rolling_friction",
+             "radius_range_m": "radius_range", "friction_range": "friction_range",
+             "randomize": None},
+    "reward": {"accel_threshold_norm": "accel_threshold", "jerk_weight": "jerk_weight",
+               "deviation_low_rad": "deviation_low",
+               "deviation_high_rad": "deviation_high",
+               "termination_rad": "termination", "future_positions": "n_future"},
+    "sampling": dict.fromkeys(("boxes_m", "height_band_m")),
+    "generate": {"count": None, "headroom": "headroom", "ik_samples": "ik_samples",
+                 "grid": "grid", "test_fraction": "test_fraction",
+                 "max_attempts": "max_attempts"},
+    "validate": dict.fromkeys(("episodes", "steps", "v_max_range", "a_max_range",
+                               "jerk_fill_range")),
+}
+TOP_LEVEL_KEYS = set(SECTION_KEYS) | {
+    "chain_file", "policy", "seed", "episodes", "workers", "out_dir",
+    "dataset_file", "use_environment", "stationary_steps"}
+
+
+def check_keys(mapping: dict, known, where: str) -> None:
+    """Reject keys of ``mapping`` outside ``known``, naming them."""
+    unknown = sorted(set(mapping) - set(known))
+    if unknown:
+        raise ConfigurationError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+
+
+def _section(raw: dict, name: str):
+    """(section, constructor keyword arguments) of config section ``name``;
+    JSON lists become tuples."""
+    section = raw.get(name) or {}
+    if not isinstance(section, dict):
+        raise ConfigurationError(f"config section {name!r} must be an object")
+    keys = SECTION_KEYS[name]
+    check_keys(section, keys, f"config section {name!r}")
+    return section, {keys[k]: tuple(v) if isinstance(v, list) else v
+                     for k, v in section.items() if keys[k]}
 
 
 def _env_override(name: str, cast, fallback):
@@ -73,6 +119,9 @@ def load_config(path, seed=None, episodes=None, workers=None, out=None) -> RunCo
         raw = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"config {path} must be a JSON object")
+    check_keys(raw, TOP_LEVEL_KEYS, f"config {path}")
     base = path.parent
 
     chain_file = raw.get("chain_file")
@@ -84,62 +133,24 @@ def load_config(path, seed=None, episodes=None, workers=None, out=None) -> RunCo
         raise ConfigurationError(f"chain file {chain_path} does not exist")
     model, limits = load_chain(chain_path)
 
-    step_raw = raw.get("step", {})
-    step = StepParams(dt=step_raw.get("dt_s", 0.05),
-                      control_dt=step_raw.get("control_dt_s", 0.005),
-                      correction_enabled=step_raw.get("correction_enabled", True))
+    step = StepParams(**_section(raw, "step")[1])
     check_limit_regime(limits, step.dt)
-
-    task_raw = raw.get("task", {})
-    task = envm.TaskSpec(
-        kind=task_raw.get("kind", "in_place"),
-        initial_position=tuple(task_raw.get("target_xy_m", (0.0, 0.0))),
-        success_bound=task_raw.get("success_bound_m", 0.06),
-        noise_std=task_raw.get("noise_std_m", 0.001),
-        reward_exponent=task_raw.get("reward_exponent", 2.0),
-    )
-    start_offset = tuple(task_raw.get("start_offset_xy_m", (0.0, 0.0)))
-
-    plate_raw = raw.get("plate", {})
-    geometry = envm.PlateGeometry(half_x=plate_raw.get("half_x_m", 0.17),
-                                  half_y=plate_raw.get("half_y_m", 0.135))
-
-    ball_raw = raw.get("ball", {})
-    ball = envm.BallParams(
-        radius=ball_raw.get("radius_m", 0.02),
-        rolling_friction=ball_raw.get("rolling_friction", 0.005),
-        radius_range=tuple(ball_raw.get("radius_range_m", (0.012, 0.030))),
-        friction_range=tuple(ball_raw.get("friction_range", (0.001, 0.010))),
-    )
-
-    reward_raw = raw.get("reward", {})
-    reward = RewardWeights(
-        accel_threshold=reward_raw.get("accel_threshold_norm", 0.8),
-        jerk_weight=reward_raw.get("jerk_weight", 4.0),
-        deviation_low=reward_raw.get("deviation_low_rad", np.deg2rad(2.0)),
-        deviation_high=reward_raw.get("deviation_high_rad", np.deg2rad(10.0)),
-        termination=reward_raw.get("termination_rad", np.deg2rad(10.0)),
-        n_future=reward_raw.get("future_positions", 1),
-    )
+    task_raw, task_args = _section(raw, "task")
+    task = envm.TaskSpec(**task_args)
+    geometry = envm.PlateGeometry(**_section(raw, "plate")[1])
+    ball_raw, ball_args = _section(raw, "ball")
+    ball = envm.BallParams(**ball_args)
+    reward = RewardWeights(**_section(raw, "reward")[1])
+    pipeline = PipelineConfig(dt=step.dt, **_section(raw, "generate")[1])
 
     areas = None
-    sampling_raw = raw.get("sampling")
+    sampling_raw = _section(raw, "sampling")[0]
     if sampling_raw:
         band = sampling_raw.get("height_band_m")
         areas = SamplingAreas(
             boxes=tuple((b[0], b[1]) for b in sampling_raw["boxes_m"]),
             height_band=tuple(band) if band else None,
         )
-
-    gen_raw = raw.get("generate", {})
-    pipeline = PipelineConfig(
-        dt=step.dt,
-        headroom=gen_raw.get("headroom", 0.05),
-        ik_samples=gen_raw.get("ik_samples", 100),
-        grid=gen_raw.get("grid", 600),
-        test_fraction=gen_raw.get("test_fraction", 0.2),
-        max_attempts=gen_raw.get("max_attempts", 5),
-    )
 
     seed_val = seed if seed is not None else _env_override(
         "seed", int, raw.get("seed", 0))
@@ -175,6 +186,6 @@ def load_config(path, seed=None, episodes=None, workers=None, out=None) -> RunCo
         dataset_file=dataset_file,
         use_environment=raw.get("use_environment", True),
         randomize_ball=ball_raw.get("randomize", True),
-        start_offset=start_offset,
-        validate=raw.get("validate", {}),
+        start_offset=tuple(task_raw.get("start_offset_xy_m", (0.0, 0.0))),
+        validate=_section(raw, "validate")[0],
     )

@@ -21,7 +21,7 @@ one of the vector before it (right after reset, the same reading twice).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -83,9 +83,6 @@ class BallState:
     def __post_init__(self):
         self.position = np.asarray(self.position, dtype=float)
         self.velocity = np.asarray(self.velocity, dtype=float)
-
-    def copy(self) -> "BallState":
-        return BallState(self.position.copy(), self.velocity.copy(), self.on_plate)
 
 
 @dataclass(frozen=True)
@@ -154,24 +151,23 @@ def step_ball(state: BallState, rotations, lin_acc, params: BallParams, dt: floa
     ``lin_acc`` (k, 3) the world-frame accelerations of its origin, one row
     per tick.  Stops integrating once the ball leaves the plate (that is a
     state, not an error).  Semi-implicit: velocity first, then position.
+    Returns a new state; ``state`` is not modified.
     """
-    out = state.copy()
-    if not out.on_plate:
-        return out
+    position, velocity, on_plate = state.position, state.velocity, state.on_plate
     bounds = effective_bounds(geometry, params)
     for rotation, acc_plate in zip(rotations, lin_acc, strict=True):
-        acc = ball_acceleration(rotation, acc_plate, out.velocity, params)
-        # Coulomb resistance must not reverse the velocity within a substep
-        new_v = out.velocity + acc * dt
-        if params.rolling_friction > 0 and np.dot(new_v, out.velocity) < 0 \
-                and np.linalg.norm(out.velocity) < params.rolling_friction * GRAVITY * dt:
-            new_v = np.zeros(2)
-        out.velocity = new_v
-        out.position = out.position + out.velocity * dt
-        if np.any(np.abs(out.position) > bounds):
-            out.on_plate = False
+        if not on_plate:
             break
-    return out
+        acc = ball_acceleration(rotation, acc_plate, velocity, params)
+        # Coulomb resistance must not reverse the velocity within a substep
+        new_v = velocity + acc * dt
+        if params.rolling_friction > 0 and np.dot(new_v, velocity) < 0 \
+                and np.linalg.norm(velocity) < params.rolling_friction * GRAVITY * dt:
+            new_v = np.zeros(2)
+        velocity = new_v
+        position = position + velocity * dt
+        on_plate = not np.any(np.abs(position) > bounds)
+    return BallState(position, velocity, on_plate)
 
 
 def task_reward(state: BallState, spec: TaskSpec, geometry: PlateGeometry,
@@ -241,67 +237,42 @@ class EpisodeReport:
         }
 
 
-def episode_metrics(records, total_steps: int, limits, spec: TaskSpec | None,
+def episode_metrics(log, total_steps: int, limits, spec: TaskSpec | None,
                     dt: float, terminated: bool = False,
                     ball_lost: bool = False) -> EpisodeReport:
-    """Aggregate a step log into the summary metrics.
+    """Aggregate an episode's step log (``adaptation.StepLog``) into the
+    summary metrics.
 
     success: the episode ran to the end of the reference with the ball inside
     its task bound throughout; fraction: executed decision steps over the
-    reference's total.
+    reference's total.  The ball columns are read only with a ``spec``.  A
+    log without rows gives zero means and no success.
     """
-    if len(records) == 0:
-        raise ConfigurationError("episode metrics need a non-empty step log")
-    executed = len(records)
+    executed = len(log)
     fraction = executed / max(total_steps, 1)
 
-    accs = np.array([r.accel for r in records])
-    jerks = np.array([r.jerk for r in records])
-    mean_a = float(np.mean(np.abs(accs) / limits.a_max))
-    mean_j = float(np.mean(np.abs(jerks) / limits.j_max))
-
-    err = 0.0
+    mean_a = mean_j = mean_r = err = 0.0
     in_bound = True
-    if spec is not None:
-        balls = [r.ball for r in records if r.ball is not None]
-        if balls:
+    if executed:
+        mean_a = float(np.mean(np.abs(log.accel) / limits.a_max))
+        mean_j = float(np.mean(np.abs(log.jerk) / limits.j_max))
+        mean_r = float(np.mean(log.reward))
+        if spec is not None:
+            on_plate = bool(np.all(log.on_plate == 1.0))
             if spec.kind == "in_place":
-                dists = np.array([np.linalg.norm(b.position - spec.target) for b in balls])
+                offsets = np.column_stack((log.ball_x, log.ball_y)) - spec.target
+                dists = np.linalg.norm(offsets, axis=1)
                 err = float(np.mean(dists))
-                in_bound = bool(np.all(dists <= spec.success_bound)
-                                and all(b.on_plate for b in balls))
+                in_bound = bool(np.all(dists <= spec.success_bound)) and on_plate
             else:
-                in_bound = all(b.on_plate for b in balls)
+                in_bound = on_plate
 
     success = in_bound and not terminated and not ball_lost and executed >= total_steps
-    mean_r = float(np.mean([r.reward.total for r in records if r.reward is not None])) \
-        if any(r.reward is not None for r in records) else 0.0
     return EpisodeReport(success=success, fraction=min(fraction, 1.0),
                          error_distance=err, mean_norm_accel=mean_a,
                          mean_norm_jerk=mean_j, steps_executed=executed,
                          total_steps=total_steps, terminated=terminated,
                          ball_lost=ball_lost, mean_reward=mean_r)
-
-
-def write_ball_trace(path, records) -> None:
-    """Comma-separated ball trace: t, ball x/y, on_plate, task reward, then
-    the task feedback fields.  Rows without ball data are skipped."""
-    with_ball = [r for r in records if r.ball is not None]
-    if not with_ball:
-        raise ConfigurationError("no ball data in the step log")
-    n_f = len(with_ball[0].feedback) if with_ball[0].feedback is not None else 0
-    header = "t_s,ball_x_m,ball_y_m,on_plate,r_task" + \
-        "".join(f",f{i}" for i in range(n_f))
-    lines = [header]
-    for r in with_ball:
-        vals = [r.time, r.ball.position[0], r.ball.position[1],
-                1.0 if r.ball.on_plate else 0.0,
-                r.reward.r_task if r.reward is not None else 0.0]
-        if r.feedback is not None:
-            vals.extend(r.feedback)
-        lines.append(",".join(format(float(v), ".17g") for v in vals))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -355,4 +326,4 @@ class BallPlateEnv:
         self.state = step_ball(self.state, rotations, lin_acc, self.ball,
                                self.control_dt, self.geometry)
         reward = task_reward(self.state, self.task, self.geometry, self.ball)
-        return self.state.copy(), reward, self._sense()
+        return self.state, reward, self._sense()

@@ -26,6 +26,11 @@ class LimitConsistencyError(RuntimeError):
         return type(self), (self.joint, self.lo, self.hi)
 
 
+class NonFiniteStateError(RuntimeError):
+    """A joint state handed to the valid-range kernel has a NaN or infinite
+    velocity or acceleration, so no range can be guaranteed for it."""
+
+
 class IKConvergenceError(RuntimeError):
     """Inverse kinematics failed to reach the target within max iterations."""
 

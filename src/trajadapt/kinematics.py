@@ -262,34 +262,6 @@ def chain_from_dict(raw: dict) -> tuple[ChainModel, JointLimits]:
     return model, limits
 
 
-def chain_to_dict(model: ChainModel, limits: JointLimits) -> dict:
-    joints = []
-    for i, row in enumerate(model.joints):
-        joints.append({
-            "axis": list(row.axis),
-            "origin_xyz_m": list(row.origin_xyz),
-            "origin_rpy_rad": list(row.origin_rpy),
-            "p_min_rad": float(limits.p_min[i]),
-            "p_max_rad": float(limits.p_max[i]),
-            "v_max_rad_per_s": float(limits.v_max[i]),
-            "a_max_rad_per_s2": float(limits.a_max[i]),
-            "j_max_rad_per_s3": float(limits.j_max[i]),
-        })
-    return {
-        "name": model.name,
-        "joints": joints,
-        "plate_offset_xyz_m": list(model.plate_xyz),
-        "plate_offset_rpy_rad": list(model.plate_rpy),
-        "q_home_rad": list(model.q_home),
-    }
-
-
-def save_chain(path, model: ChainModel, limits: JointLimits) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(chain_to_dict(model, limits), fh, indent=2)
-        fh.write("\n")
-
-
 # ---------------------------------------------------------------------------
 # stock chains
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, LimitConsistencyError
+from .errors import ConfigurationError, LimitConsistencyError, NonFiniteStateError
 
 # Absolute tolerance for all limit assertions (double precision throughout).
 LIMIT_EPS = 1e-9
@@ -63,9 +63,11 @@ class JointLimits:
         for name in ("p_min", "p_max", "v_max", "a_max", "j_max"):
             object.__setattr__(self, name, np.atleast_1d(_as_float_array(getattr(self, name))))
         n = self.p_min.shape[0]
-        for name in ("p_max", "v_max", "a_max", "j_max"):
+        for name in ("p_min", "p_max", "v_max", "a_max", "j_max"):
             if getattr(self, name).shape[0] != n:
                 raise ConfigurationError(f"JointLimits field {name} has wrong length")
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ConfigurationError(f"JointLimits field {name} must be finite")
         if not np.all(self.p_min < self.p_max):
             raise ConfigurationError("JointLimits requires p_min < p_max per joint")
         for name in ("v_max", "a_max", "j_max"):
@@ -94,10 +96,10 @@ class StepParams:
     correction_enabled: bool = True
 
     def __post_init__(self):
-        if not self.dt > 0.0:
-            raise ConfigurationError("dt must be > 0")
-        if not self.control_dt > 0.0:
-            raise ConfigurationError("control_dt must be > 0")
+        if not 0.0 < self.dt < np.inf:
+            raise ConfigurationError("dt must be finite and > 0")
+        if not 0.0 < self.control_dt < np.inf:
+            raise ConfigurationError("control_dt must be finite and > 0")
         ratio = self.dt / self.control_dt
         if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
             raise ConfigurationError(
@@ -259,6 +261,8 @@ def valid_accel_bounds(v0, a0, v_max, a_max, j_max, dt, correction_enabled=False
     hi = min(jerk bound, acceleration limit, velocity bound); lo symmetric.
     With the correction enabled, a velocity bound that is the binding
     constraint is shifted so that saturation lands exactly on the limit.
+    A NaN or infinite ``v0`` or ``a0`` raises ``NonFiniteStateError``; the
+    limits are not checked here, ``JointLimits`` rejects non-finite ones.
     """
     v0 = _as_float_array(v0)
     a0 = _as_float_array(a0)
@@ -266,6 +270,9 @@ def valid_accel_bounds(v0, a0, v_max, a_max, j_max, dt, correction_enabled=False
     a_max = _as_float_array(a_max)
     j_max = _as_float_array(j_max)
     shape = np.broadcast(v0, a0, v_max, a_max, j_max).shape
+    if not (np.isfinite(v0).all() and np.isfinite(a0).all()):
+        raise NonFiniteStateError("valid acceleration range needs a finite "
+                                  "joint velocity and acceleration")
 
     # Row 0 is the upper velocity bound, row 1 the upper bound of the
     # sign-reflected state, i.e. minus the lower bound.

@@ -253,10 +253,10 @@ def test_criterion_09_balancing_demonstration():
                                 start_offset=(0.02, 0.0))
         policy = pol.PDBalancePolicy(layout, limits, 0.05, model, geometry,
                                      task, anchor_q=np.zeros(2), mask=(0, 1))
-        report, recs = ad.rollout(ref, policy, limits, params, weights,
-                                  env=env, seed=seed)
-        dists = [np.linalg.norm(r.ball.position - task.target)
-                 for r in recs if r.ball is not None]
+        report, log = ad.rollout(ref, policy, limits, params, weights,
+                                 env=env, seed=seed)
+        dists = np.linalg.norm(
+            np.column_stack((log.ball_x, log.ball_y)) - task.target, axis=1)
         worst_dev = max(worst_dev, max(dists))
         successes += bool(report.success and max(dists) < 0.06
                           and report.fraction == 1.0)

@@ -176,13 +176,12 @@ class HugePolicy:
 def test_rollout_zero_policy_stationary_reference():
     limits = _limits(2)
     ref = ReferenceTrajectory(dt=0.05, positions=np.zeros((30, 2)))
-    report, recs = ad.rollout(ref, ZeroPolicy(2), limits,
-                              StepParams(), ad.RewardWeights())
+    report, log = ad.rollout(ref, ZeroPolicy(2), limits,
+                             StepParams(), ad.RewardWeights())
     assert report.fraction == 1.0
     assert report.steps_executed == 29
     assert not report.terminated
-    for r in recs:
-        np.testing.assert_allclose(r.p, 0.0, atol=1e-15)
+    np.testing.assert_allclose(log.p, 0.0, atol=1e-15)
 
 
 def test_rollout_huge_policy_equals_greedy():
@@ -190,12 +189,11 @@ def test_rollout_huge_policy_equals_greedy():
     ref = ReferenceTrajectory(dt=0.05, positions=np.zeros((20, 2)))
     weights = ad.RewardWeights(termination=10.0, deviation_high=9.0,
                                deviation_low=0.1)  # keep episodes alive
-    _, recs_huge = ad.rollout(ref, HugePolicy(2), limits, StepParams(),
-                              weights, seed=3)
-    _, recs_one = ad.rollout(ref, pol.GreedyMaxPolicy(2), limits, StepParams(),
+    _, log_huge = ad.rollout(ref, HugePolicy(2), limits, StepParams(),
                              weights, seed=3)
-    for a, b in zip(recs_huge, recs_one):
-        np.testing.assert_array_equal(a.accel, b.accel)
+    _, log_one = ad.rollout(ref, pol.GreedyMaxPolicy(2), limits, StepParams(),
+                            weights, seed=3)
+    np.testing.assert_array_equal(log_huge.accel, log_one.accel)
 
 
 def test_rollout_untrained_motion_independent_of_reference():
@@ -209,24 +207,23 @@ def test_rollout_untrained_motion_independent_of_reference():
         dt=0.05, positions=np.vstack([np.zeros(3), wander]))
     weights = ad.RewardWeights(termination=10.0, deviation_high=9.0,
                                deviation_low=0.1)
-    _, recs_a = ad.rollout(ref_a, pol.RandomPolicy(3), limits, StepParams(),
-                           weights, seed=11)
-    _, recs_b = ad.rollout(ref_b, pol.RandomPolicy(3), limits, StepParams(),
-                           weights, seed=11)
-    assert len(recs_a) == len(recs_b)
-    for a, b in zip(recs_a, recs_b):
-        np.testing.assert_array_equal(a.p, b.p)
-        np.testing.assert_array_equal(a.v, b.v)
-        np.testing.assert_array_equal(a.accel, b.accel)
+    _, log_a = ad.rollout(ref_a, pol.RandomPolicy(3), limits, StepParams(),
+                          weights, seed=11)
+    _, log_b = ad.rollout(ref_b, pol.RandomPolicy(3), limits, StepParams(),
+                          weights, seed=11)
+    assert len(log_a) == len(log_b)
+    np.testing.assert_array_equal(log_a.p, log_b.p)
+    np.testing.assert_array_equal(log_a.v, log_b.v)
+    np.testing.assert_array_equal(log_a.accel, log_b.accel)
 
 
 def test_rollout_execution_time_identity():
     # step count equals reference steps when not terminated
     limits = _limits(2)
     ref = ReferenceTrajectory(dt=0.05, positions=np.zeros((41, 2)))
-    report, recs = ad.rollout(ref, ZeroPolicy(2), limits, StepParams(),
-                              ad.RewardWeights())
-    assert len(recs) == 40 == report.total_steps
+    report, log = ad.rollout(ref, ZeroPolicy(2), limits, StepParams(),
+                             ad.RewardWeights())
+    assert len(log) == 40 == report.total_steps
 
 
 def test_rollout_terminates_on_reference_jump():
@@ -234,8 +231,8 @@ def test_rollout_terminates_on_reference_jump():
     rows = np.zeros((30, 2))
     rows[10:] = 1.0  # 1 rad jump no policy can follow within 10 degrees
     ref = ReferenceTrajectory(dt=0.05, positions=rows)
-    report, recs = ad.rollout(ref, ZeroPolicy(2), limits, StepParams(),
-                              ad.RewardWeights())
+    report, log = ad.rollout(ref, ZeroPolicy(2), limits, StepParams(),
+                             ad.RewardWeights())
     assert report.terminated
     assert report.fraction == pytest.approx(9 / 29)
     assert report.steps_executed == 9
@@ -266,14 +263,13 @@ def test_rollout_terminates_on_non_finite_policy_output(start, bad):
     e = env.BallPlateEnv(model, env.PlateGeometry(), task, env.BallParams(),
                          control_dt=0.005)
     ref = ReferenceTrajectory(dt=0.05, positions=np.zeros((41, 2)))
-    report, recs = ad.rollout(ref, BadAfterPolicy(start, bad), limits,
-                              StepParams(), ad.RewardWeights(), env=e, seed=0)
+    report, log = ad.rollout(ref, BadAfterPolicy(start, bad), limits,
+                             StepParams(), ad.RewardWeights(), env=e, seed=0)
     assert report.terminated
     assert not report.success
-    assert report.steps_executed == len(recs) == start
-    for r in recs:
-        assert np.all(np.isfinite(r.p))
-        assert np.all((r.p >= limits.p_min) & (r.p <= limits.p_max))
+    assert report.steps_executed == len(log) == start
+    assert np.all(np.isfinite(log.p))
+    assert np.all((log.p >= limits.p_min) & (log.p <= limits.p_max))
 
 
 def test_rollout_deterministic():
@@ -281,14 +277,13 @@ def test_rollout_deterministic():
     ref = ReferenceTrajectory(dt=0.05, positions=np.zeros((20, 3)))
     weights = ad.RewardWeights(termination=10.0, deviation_high=9.0,
                                deviation_low=0.1)
-    r1, recs1 = ad.rollout(ref, pol.RandomPolicy(3), limits, StepParams(),
-                           weights, seed=5)
-    r2, recs2 = ad.rollout(ref, pol.RandomPolicy(3), limits, StepParams(),
-                           weights, seed=5)
+    r1, log1 = ad.rollout(ref, pol.RandomPolicy(3), limits, StepParams(),
+                          weights, seed=5)
+    r2, log2 = ad.rollout(ref, pol.RandomPolicy(3), limits, StepParams(),
+                          weights, seed=5)
     assert r1.row() == r2.row()
-    for a, b in zip(recs1, recs2):
-        np.testing.assert_array_equal(a.accel, b.accel)
-        np.testing.assert_array_equal(a.action_raw, b.action_raw)
+    np.testing.assert_array_equal(log1.accel, log2.accel)
+    np.testing.assert_array_equal(log1.raw, log2.raw)
 
 
 def test_rollout_random_policy_respects_limits_at_substeps():
@@ -299,19 +294,19 @@ def test_rollout_random_policy_respects_limits_at_substeps():
                                deviation_low=0.1)
     params = StepParams()
     for seed in range(5):
-        _, recs = ad.rollout(ref, pol.RandomPolicy(3), limits, params,
-                             weights, seed=seed)
+        _, log = ad.rollout(ref, pol.RandomPolicy(3), limits, params,
+                            weights, seed=seed)
         prev_a = np.zeros(3)
         prev_v = np.zeros(3)
         prev_p = np.zeros(3)
-        for r in recs:
-            assert np.all(np.abs(r.accel) <= limits.a_max + 1e-9)
-            assert np.all(np.abs(r.jerk) <= limits.j_max + 1e-9)
-            _, vv, aa = substep_profile(prev_p, prev_v, prev_a, r.accel,
+        for p, v, accel, jerk in zip(log.p, log.v, log.accel, log.jerk):
+            assert np.all(np.abs(accel) <= limits.a_max + 1e-9)
+            assert np.all(np.abs(jerk) <= limits.j_max + 1e-9)
+            _, vv, aa = substep_profile(prev_p, prev_v, prev_a, accel,
                                         params.dt, params.substeps)
             assert np.all(np.abs(vv) <= limits.v_max[None, :] + 1e-9)
             assert np.all(np.abs(aa) <= limits.a_max[None, :] + 1e-9)
-            prev_p, prev_v, prev_a = r.p, r.v, r.accel
+            prev_p, prev_v, prev_a = p, v, accel
 
 
 def test_rollout_with_ball_environment_runs():
@@ -320,11 +315,11 @@ def test_rollout_with_ball_environment_runs():
     e = env.BallPlateEnv(model, env.PlateGeometry(), task, env.BallParams(),
                          control_dt=0.005)
     ref = ReferenceTrajectory(dt=0.05, positions=np.zeros((10, 2)))
-    report, recs = ad.rollout(ref, ZeroPolicy(2), limits, StepParams(),
-                              ad.RewardWeights(), env=e, seed=0)
+    report, log = ad.rollout(ref, ZeroPolicy(2), limits, StepParams(),
+                             ad.RewardWeights(), env=e, seed=0)
     assert report.success
-    assert all(r.ball is not None for r in recs)
-    assert all(r.reward.r_task == 1.0 for r in recs)
+    assert np.all(np.isfinite(log.ball_x) & np.isfinite(log.ball_y))
+    assert np.all(log.r_task == 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,12 @@ import numpy as np
 import pytest
 
 import trajadapt
+from trajadapt import adaptation as ad
 from trajadapt import cli
+from trajadapt import environment as envm
 from trajadapt import kinematics as kin
-from trajadapt.errors import LimitConsistencyError
+from trajadapt import trajectory as tr
+from trajadapt.errors import LimitConsistencyError, NonFiniteStateError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -175,6 +178,87 @@ def test_rollout_random_policy_bounded(tmp_path):
         assert np.all(np.abs(rows[f"jerk{j}"]) <= j_max + 1e-9)
 
 
+class _ConstantPolicy:
+    def __init__(self, command):
+        self.command = np.asarray(command, dtype=float)
+
+    def reset(self, seed=None):
+        pass
+
+    def act(self, obs, rng):
+        return self.command
+
+
+def _log_column(log, name):
+    """The ``StepLog`` column under step-log header ``name``."""
+    scalars = {"t_s": log.time, "r_task": log.r_task, "p_accel": log.p_accel,
+               "p_jerk": log.p_jerk, "p_smooth": log.p_smooth,
+               "p_deviation": log.p_deviation, "reward": log.reward,
+               "deviation_rad": log.deviation, "ball_x_m": log.ball_x,
+               "ball_y_m": log.ball_y, "ball_on_plate": log.on_plate}
+    if name in scalars:
+        return scalars[name]
+    per_joint = {"p": log.p, "v": log.v, "a": log.accel, "jerk": log.jerk,
+                 "raw": log.raw, "act": log.act}
+    tag = name.rstrip("0123456789")
+    return per_joint[tag][:, int(name[len(tag):])]
+
+
+def _assert_log_round_trip(tmp_path, log, n_joints):
+    path = tmp_path / "episode.csv"
+    cli.write_step_log(path, log, n_joints)
+    lines = path.read_text().splitlines()
+    assert lines[0] == f"# trajadapt step log v{cli.LOG_SCHEMA_VERSION}"
+    header = cli.log_header(n_joints).split(",")
+    assert lines[1].split(",") == header
+    assert len(lines) == 2 + len(log)
+    parsed = np.array([[float(x) for x in line.split(",")] for line in lines[2:]])
+    expected = np.column_stack([_log_column(log, name) for name in header])
+    parsed = parsed.reshape(expected.shape)
+    np.testing.assert_array_equal(parsed, expected)  # NaN equal to NaN
+    np.testing.assert_array_equal(np.signbit(parsed), np.signbit(expected))
+    return parsed, header
+
+
+def test_step_log_round_trip_without_environment_keeps_nan_and_signed_zero(tmp_path):
+    # a -0.0 command stays -0.0 through the clip, so raw, a and act hold it
+    _, limits = kin.gimbal_chain()
+    ref = tr.ReferenceTrajectory(dt=0.05, positions=np.zeros((6, 2)))
+    _, log = ad.rollout(ref, _ConstantPolicy([-0.0, 0.5]), limits,
+                        ad.StepParams(), ad.RewardWeights(termination=1.0))
+    assert len(log) == 5
+    parsed, header = _assert_log_round_trip(tmp_path, log, 2)
+    raw0 = parsed[:, header.index("raw0")]
+    assert np.all(raw0 == 0.0) and np.all(np.signbit(raw0))
+    ball = parsed[:, header.index("ball_x_m"):]
+    assert ball.shape[1] == 3 and np.all(np.isnan(ball))
+
+
+def test_step_log_round_trip_with_environment(tmp_path):
+    model, limits = kin.gimbal_chain()
+    task = envm.TaskSpec(kind="in_place", noise_std=0.0)
+    env = envm.BallPlateEnv(model, envm.PlateGeometry(), task, envm.BallParams(),
+                            control_dt=0.005, start_offset=(0.01, 0.0))
+    ref = tr.ReferenceTrajectory(dt=0.05, positions=np.zeros((8, 2)))
+    _, log = ad.rollout(ref, _ConstantPolicy([0.01, -0.02]), limits,
+                        ad.StepParams(), ad.RewardWeights(), env=env, seed=0)
+    assert len(log) == 7
+    parsed, header = _assert_log_round_trip(tmp_path, log, 2)
+    assert np.all(parsed[:, header.index("ball_on_plate")] == 1.0)
+
+
+def test_step_log_of_zero_step_episode_is_header_only(tmp_path):
+    _, limits = kin.gimbal_chain()
+    rows = np.zeros((10, 2))
+    rows[1:] = 1.0  # a jump no policy can follow: the first step terminates
+    ref = tr.ReferenceTrajectory(dt=0.05, positions=rows)
+    report, log = ad.rollout(ref, _ConstantPolicy([0.0, 0.0]), limits,
+                             ad.StepParams(), ad.RewardWeights())
+    assert report.terminated and report.steps_executed == 0 == len(log)
+    _assert_log_round_trip(tmp_path, log, 2)
+    assert len((tmp_path / "episode.csv").read_text().splitlines()) == 2
+
+
 # ---------------------------------------------------------------------------
 # eval
 
@@ -299,6 +383,29 @@ def test_pooled_eval_reports_empty_range_instead_of_hanging(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_non_finite_state_error_pickles():
+    err = pickle.loads(pickle.dumps(NonFiniteStateError("bad state")))
+    assert isinstance(err, NonFiniteStateError) and str(err) == "bad state"
+
+
+def test_rollout_reports_non_finite_state_as_failure(tmp_path, capsys, monkeypatch):
+    # a NaN velocity reaching the valid-range kernel ends the run, rc 1
+    cfg = _write_balance_config(tmp_path, policy={"kind": "random"},
+                                use_environment=False)
+    integrate = ad.integrate_step
+
+    def nan_velocity(*args):
+        p, v = integrate(*args)
+        return p, np.full_like(v, np.nan)
+
+    monkeypatch.setattr(ad, "integrate_step", nan_velocity)
+    rc = cli.main(["rollout", "--config", str(cfg), "--episodes", "1"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("rollout: valid acceleration range needs a finite")
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # config handling
 
@@ -310,6 +417,39 @@ def test_missing_dataset_file_is_configuration_error(tmp_path, capsys):
     cfg = _write_arm_config(tmp_path, dataset_file="nope.csv")
     assert cli.main(["eval", "--config", str(cfg), "--episodes", "1"]) == 2
     assert str(tmp_path / "nope.csv") in capsys.readouterr().err
+
+
+def test_configured_dataset_file_never_falls_back_to_out_dir(tmp_path, capsys):
+    # a dataset.csv left in the output directory by an earlier run
+    stale = tr.ReferenceTrajectory(dt=0.05, positions=np.zeros((3, 7)),
+                                   traj_id="stale", split="test")
+    (tmp_path / "out").mkdir()
+    tr.save_dataset(tmp_path / "out" / "dataset.csv", [stale])
+    cfg = _write_arm_config(tmp_path, dataset_file="nope.csv")
+    assert cli.main(["eval", "--config", str(cfg), "--episodes", "1"]) == 2
+    assert str(tmp_path / "nope.csv") in capsys.readouterr().err
+    # without a configured dataset_file the run uses it
+    raw = json.loads(cfg.read_text())
+    del raw["dataset_file"]
+    cfg.write_text(json.dumps(raw))
+    assert cli.main(["rollout", "--config", str(cfg), "--episodes", "1"]) == 0
+    assert "[stale]" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("edit, key", [
+    (lambda raw: raw.update(stepp=raw.pop("step")), "stepp"),
+    (lambda raw: raw["reward"].update(termination_radd=0.2), "termination_radd"),
+    (lambda raw: raw.update(policy={"kind": "pd_balance", "mask": [0, 1], "kp": 3.0}),
+     "kp"),
+], ids=["top-level", "section", "policy"])
+def test_unknown_config_key_is_configuration_error(tmp_path, capsys, edit, key):
+    cfg = _write_balance_config(tmp_path)
+    raw = json.loads(cfg.read_text())
+    edit(raw)
+    cfg.write_text(json.dumps(raw))
+    assert cli.main(["eval", "--config", str(cfg), "--episodes", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: unknown key") and key in err
 
 
 def test_linear_weights_missing_or_misshapen_is_configuration_error(tmp_path, capsys):

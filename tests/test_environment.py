@@ -3,6 +3,7 @@ import pytest
 from scipy.spatial.transform import Rotation
 
 from trajadapt import environment as env
+from trajadapt.adaptation import StepLog
 from trajadapt.errors import ConfigurationError
 from trajadapt.kinematics import gimbal_chain
 from trajadapt.limits import JointLimits
@@ -206,12 +207,17 @@ def test_randomize_ball_degenerate_ranges():
 # ---------------------------------------------------------------------------
 # metrics
 
-class _Rec:
-    def __init__(self, accel, jerk, ball=None, reward=None):
-        self.accel = np.asarray(accel, float)
-        self.jerk = np.asarray(jerk, float)
-        self.ball = ball
-        self.reward = reward
+def _log(accel, jerk, ball=None):
+    """A step log with these accel and jerk rows and, given a ball state, its
+    position and on-plate flag on every row."""
+    accel = np.asarray(accel, float)
+    log = StepLog.allocate(*accel.shape)
+    log.accel[:] = accel
+    log.jerk[:] = jerk
+    if ball is not None:
+        log.ball_x[:], log.ball_y[:] = ball.position
+        log.on_plate[:] = 1.0 if ball.on_plate else 0.0
+    return log
 
 
 def _limits():
@@ -220,8 +226,8 @@ def _limits():
 
 
 def test_metrics_fraction_on_early_stop():
-    recs = [_Rec([0, 0], [0, 0]) for _ in range(50)]
-    rep = env.episode_metrics(recs, total_steps=100, limits=_limits(), spec=None,
+    log = _log(np.zeros((50, 2)), np.zeros((50, 2)))
+    rep = env.episode_metrics(log, total_steps=100, limits=_limits(), spec=None,
                               dt=0.05, ball_lost=True)
     assert rep.fraction == pytest.approx(0.5)
     assert not rep.success
@@ -230,8 +236,8 @@ def test_metrics_fraction_on_early_stop():
 def test_metrics_perfect_episode():
     spec = env.TaskSpec(kind="in_place")
     ball = env.BallState(position=[0.0, 0.0], velocity=[0, 0])
-    recs = [_Rec([0, 0], [0, 0], ball=ball) for _ in range(100)]
-    rep = env.episode_metrics(recs, total_steps=100, limits=_limits(), spec=spec,
+    log = _log(np.zeros((100, 2)), np.zeros((100, 2)), ball=ball)
+    rep = env.episode_metrics(log, total_steps=100, limits=_limits(), spec=spec,
                               dt=0.05)
     assert rep.success
     assert rep.fraction == 1.0
@@ -239,25 +245,35 @@ def test_metrics_perfect_episode():
 
 
 def test_metrics_mean_normalized_accel():
-    recs = [_Rec([0.7, 0.7], [0, 0]) for _ in range(10)]  # a_max = 10
-    rep = env.episode_metrics(recs, total_steps=10, limits=_limits(), spec=None,
+    log = _log(np.full((10, 2), 0.7), np.zeros((10, 2)))  # a_max = 10
+    rep = env.episode_metrics(log, total_steps=10, limits=_limits(), spec=None,
                               dt=0.05)
     assert rep.mean_norm_accel == pytest.approx(0.07)
 
 
 def test_metrics_invariant_under_log_split():
     rng = np.random.default_rng(0)
-    recs = [_Rec(rng.uniform(-5, 5, 2), rng.uniform(-50, 50, 2)) for _ in range(60)]
-    full = env.episode_metrics(recs, total_steps=60, limits=_limits(), spec=None, dt=0.05)
-    first = env.episode_metrics(recs[:30], total_steps=30, limits=_limits(), spec=None, dt=0.05)
-    second = env.episode_metrics(recs[30:], total_steps=30, limits=_limits(), spec=None, dt=0.05)
+    rows = [(rng.uniform(-5, 5, 2), rng.uniform(-50, 50, 2)) for _ in range(60)]
+    accel, jerk = (np.array(col) for col in zip(*rows))
+    full = env.episode_metrics(_log(accel, jerk), total_steps=60, limits=_limits(),
+                               spec=None, dt=0.05)
+    first = env.episode_metrics(_log(accel[:30], jerk[:30]), total_steps=30,
+                                limits=_limits(), spec=None, dt=0.05)
+    second = env.episode_metrics(_log(accel[30:], jerk[30:]), total_steps=30,
+                                 limits=_limits(), spec=None, dt=0.05)
     recombined = 0.5 * (first.mean_norm_accel + second.mean_norm_accel)
     assert full.mean_norm_accel == pytest.approx(recombined, abs=1e-12)
 
 
-def test_metrics_empty_log_rejected():
-    with pytest.raises(ConfigurationError):
-        env.episode_metrics([], total_steps=10, limits=_limits(), spec=None, dt=0.05)
+def test_metrics_zero_rows_give_no_steps_and_no_success():
+    for spec in (None, env.TaskSpec(kind="in_place"), env.TaskSpec(kind="on_plate")):
+        rep = env.episode_metrics(StepLog.allocate(0, 2), total_steps=10,
+                                  limits=_limits(), spec=spec, dt=0.05)
+        assert rep.steps_executed == 0
+        assert rep.fraction == 0.0
+        assert not rep.success
+        assert (rep.error_distance, rep.mean_norm_accel, rep.mean_norm_jerk,
+                rep.mean_reward) == (0.0, 0.0, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -272,36 +288,6 @@ def test_env_reset_and_step():
     ball, reward, f2 = e.step(*still_plate(np.eye(3), ticks=10))
     assert reward == 1.0
     assert ball.on_plate
-
-
-def test_ball_trace_export(tmp_path):
-    from trajadapt import adaptation as ad
-    from trajadapt.limits import StepParams
-    from trajadapt.trajectory import ReferenceTrajectory
-
-    model, limits = gimbal_chain()
-    task = env.TaskSpec(kind="in_place", noise_std=0.0)
-    e = env.BallPlateEnv(model, env.PlateGeometry(), task, env.BallParams(),
-                         control_dt=0.005, start_offset=(0.01, 0.0))
-
-    class Zero:
-        def reset(self, seed=None):
-            pass
-
-        def act(self, obs, rng):
-            return np.zeros(2)
-
-    ref = ReferenceTrajectory(dt=0.05, positions=np.zeros((8, 2)))
-    _, recs = ad.rollout(ref, Zero(), limits, StepParams(), ad.RewardWeights(),
-                         env=e, seed=0)
-    path = tmp_path / "trace.csv"
-    env.write_ball_trace(path, recs)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t_s,ball_x_m,ball_y_m,on_plate,r_task,f0,f1,f2,f3,f4,f5"
-    assert len(lines) == 8  # header + 7 steps
-    first = [float(x) for x in lines[1].split(",")]
-    assert first[1] == pytest.approx(0.01, abs=1e-6)
-    assert first[3] == 1.0
 
 
 def test_env_rejects_start_off_plate():

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
@@ -5,6 +7,8 @@ from scipy.spatial.transform import Rotation
 from trajadapt import kinematics as kin
 from trajadapt.errors import ConfigurationError, IKConvergenceError
 from trajadapt.limits import JointLimits
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_planar_fk_hand_values():
@@ -237,19 +241,20 @@ def test_plate_motion_ang_vel_matches_scipy_rotvec():
     assert min(angles) < 1e-9 and max(angles) > 1.0
 
 
-def test_chain_file_round_trip(tmp_path):
-    model, limits = kin.seven_dof_chain()
-    path = tmp_path / "chain.json"
-    kin.save_chain(path, model, limits)
-    model2, limits2 = kin.load_chain(path)
-    assert model2.n_joints == 7
-    rng = np.random.default_rng(1)
-    q = rng.uniform(-0.5, 0.5, 7)
-    p1, r1 = kin.fk_transform(model, q)
-    p2, r2 = kin.fk_transform(model2, q)
-    np.testing.assert_allclose(p1, p2, atol=1e-15)
-    np.testing.assert_allclose(r1, r2, atol=1e-15)
-    np.testing.assert_allclose(limits.v_max, limits2.v_max)
+def test_config_chain_files_equal_stock_chains():
+    for name, stock in (("chain_gimbal.json", kin.gimbal_chain),
+                        ("chain_7dof.json", kin.seven_dof_chain)):
+        model, limits = kin.load_chain(CONFIG_DIR / name)
+        model2, limits2 = stock()
+        assert model.name == model2.name
+        assert len(model.joints) == len(model2.joints)
+        for row, row2 in zip(model.joints, model2.joints):
+            for attr in ("axis", "origin_xyz", "origin_rpy"):
+                np.testing.assert_array_equal(getattr(row, attr), getattr(row2, attr))
+        for attr in ("plate_xyz", "plate_rpy", "q_home"):
+            np.testing.assert_array_equal(getattr(model, attr), getattr(model2, attr))
+        for attr in ("p_min", "p_max", "v_max", "a_max", "j_max"):
+            np.testing.assert_array_equal(getattr(limits, attr), getattr(limits2, attr))
 
 
 def test_chain_file_missing_field(tmp_path):

@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import simpson
 
 from trajadapt import limits as lim
-from trajadapt.errors import ConfigurationError, LimitConsistencyError
+from trajadapt.errors import (ConfigurationError, LimitConsistencyError,
+                              NonFiniteStateError)
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +335,38 @@ def test_joint_limits_validation():
         lim.JointLimits(p_min=[-1], p_max=[1], v_max=[1], a_max=[0.0], j_max=[1])
     with pytest.raises(ConfigurationError):
         lim.check_limit_regime(_simple_limits(v=1.0, a=0.5, j=20.0), 0.05)
+
+
+@pytest.mark.parametrize("field", ["p_min", "p_max", "v_max", "a_max", "j_max"])
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_joint_limits_reject_non_finite_values(field, bad):
+    values = dict(p_min=[-1.0, -1.0], p_max=[1.0, 1.0], v_max=[1.0, 1.0],
+                  a_max=[10.0, 10.0], j_max=[100.0, 100.0])
+    values[field] = [values[field][0], -bad if field == "p_min" else bad]
+    with pytest.raises(ConfigurationError, match=field):
+        lim.JointLimits(**values)
+
+
+@pytest.mark.parametrize("kwargs", [dict(dt=np.inf), dict(dt=np.nan),
+                                    dict(control_dt=np.inf),
+                                    dict(dt=np.inf, control_dt=np.inf)],
+                         ids=["dt-inf", "dt-nan", "control_dt-inf", "both-inf"])
+def test_step_params_reject_non_finite_periods(kwargs):
+    with pytest.raises(ConfigurationError, match="finite"):
+        lim.StepParams(**kwargs)
+
+
+@pytest.mark.parametrize("v0, a0", [(np.nan, 0.0), (np.inf, 0.0), (-np.inf, 0.0),
+                                    (0.0, np.nan), (0.0, np.inf)])
+def test_valid_accel_bounds_rejects_non_finite_state(v0, a0):
+    with pytest.raises(NonFiniteStateError):
+        lim.valid_accel_bounds(v0, a0, 1.0, 10.0, 100.0, 0.05, True)
+    # one bad entry in a batch is enough
+    v = np.zeros((3, 4))
+    a = np.zeros((3, 4))
+    v[2, 1], a[2, 1] = v0, a0
+    with pytest.raises(NonFiniteStateError):
+        lim.valid_accel_bounds(v, a, 1.0, 10.0, 100.0, 0.05, False)
 
 
 # ---------------------------------------------------------------------------

@@ -77,10 +77,10 @@ def test_tracking_follows_limit_respecting_reference_within_two_degrees():
     ref = ReferenceTrajectory(dt=0.05, positions=rows)
     layout = pol.ObservationLayout(7, 0, 1)
     policy = pol.TrackingPolicy(layout, limits, 0.05)
-    report, recs = ad.rollout(ref, policy, limits, StepParams(),
-                              ad.RewardWeights())
+    report, log = ad.rollout(ref, policy, limits, StepParams(),
+                             ad.RewardWeights())
     assert not report.terminated
-    worst = max(r.deviation for r in recs)
+    worst = max(log.deviation)
     assert worst < np.deg2rad(2.0)
 
 
@@ -113,11 +113,11 @@ def test_balance_zero_gains_degenerates_to_tracking():
     ref = ReferenceTrajectory(dt=0.05, positions=np.zeros((60, 2)))
     e = env.BallPlateEnv(model, env.PlateGeometry(), task, env.BallParams(),
                          control_dt=0.005, start_offset=(0.02, 0.0))
-    report, recs = ad.rollout(ref, p, limits, StepParams(), ad.RewardWeights(),
-                              env=e, seed=0)
+    report, log = ad.rollout(ref, p, limits, StepParams(), ad.RewardWeights(),
+                             env=e, seed=0)
     # tracks the reference tightly and never reacts to the ball
-    assert max(r.deviation for r in recs) < np.deg2rad(0.01)
-    ball_moved = abs(recs[-1].ball.position[0] - 0.02)
+    assert max(log.deviation) < np.deg2rad(0.01)
+    ball_moved = abs(log.ball_x[-1] - 0.02)
     assert ball_moved < 1e-6
 
 
@@ -129,10 +129,11 @@ def test_balance_recovers_two_centimetre_offset():
     p = pol.PDBalancePolicy(layout, limits, 0.05, model, env.PlateGeometry(),
                             task, anchor_q=np.zeros(2), mask=(0, 1))
     ref = ReferenceTrajectory(dt=0.05, positions=np.zeros((201, 2)))
-    report, recs = ad.rollout(ref, p, limits, StepParams(), ad.RewardWeights(),
-                              env=e, seed=3)
+    report, log = ad.rollout(ref, p, limits, StepParams(), ad.RewardWeights(),
+                             env=e, seed=3)
     assert report.success
-    dists = [np.linalg.norm(r.ball.position - task.target) for r in recs]
+    dists = np.linalg.norm(
+        np.column_stack((log.ball_x, log.ball_y)) - task.target, axis=1)
     assert max(dists) < 0.06
     assert dists[-1] < dists[0]
 
