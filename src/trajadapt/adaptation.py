@@ -243,8 +243,8 @@ def rollout(reference: ReferenceTrajectory, policy, limits: JointLimits,
         if env is not None:
             q_sub, _, _ = substep_profile(state.p, state.v, state.a, a_next,
                                           params.dt, params.substeps)
-            _, rotations, lin_acc, _ = plate_motion(env.model, q_sub,
-                                                    params.control_dt)
+            _, rotations, lin_acc = plate_motion(env.model, q_sub,
+                                                 params.control_dt)
             ball, r_task, feedback = env.step(rotations[1:], lin_acc[1:])
             log.ball_x[t], log.ball_y[t] = ball.position
             log.on_plate[t] = 1.0 if ball.on_plate else 0.0

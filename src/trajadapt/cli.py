@@ -48,6 +48,10 @@ def build_policy(cfg: RunConfig, reference: tr.ReferenceTrajectory):
         return pol.TrackingPolicy(layout, cfg.limits, cfg.step.dt,
                                   kp=spec.get("kp", 60.0), kd=spec.get("kd", 14.0))
     if kind == "pd_balance":
+        if not cfg.use_environment:
+            raise ConfigurationError(
+                '"kind": "pd_balance" balances on ball feedback and cannot run '
+                'with "use_environment": false')
         return pol.PDBalancePolicy(
             layout, cfg.limits, cfg.step.dt, cfg.model, cfg.geometry, cfg.task,
             anchor_q=reference.positions[0], mask=tuple(spec.get("mask", (-2, -1))),
@@ -210,19 +214,27 @@ def cmd_validate_limits(cfg: RunConfig) -> int:
     return 1
 
 
-def _episode(cfg: RunConfig, refs, idx: int):
+def _step_log_path(log_dir: Path, idx: int) -> Path:
+    return log_dir / f"episode_{idx:04d}.csv"
+
+
+def _episode(cfg: RunConfig, refs, log_dir, idx: int):
+    """Run episode ``idx``; with a ``log_dir``, write its step log there."""
     reference = refs[idx % len(refs)]
     report, log = run_episode(cfg, reference, idx)
-    return idx, reference.traj_id, report.row(), log
+    if log_dir is not None:
+        write_step_log(_step_log_path(log_dir, idx), log, cfg.limits.n_joints)
+    return idx, reference.traj_id, report.row()
 
 
-def _run_episodes(cfg: RunConfig):
-    """Results of ``cfg.episodes`` episodes, in order, on references loaded once."""
+def _run_episodes(cfg: RunConfig, log_dir=None):
+    """(index, trajectory id, metrics row) of ``cfg.episodes`` episodes, in
+    order, on references loaded once; each step log goes to ``log_dir``."""
     spec = cfg.policy_spec
     kind = spec.get("kind", "tracking")
     if kind in POLICY_KEYS:  # build_policy reports an unknown kind
         check_keys(spec, POLICY_KEYS[kind], f"{kind!r} policy")
-    episode = functools.partial(_episode, cfg, _references_for_run(cfg))
+    episode = functools.partial(_episode, cfg, _references_for_run(cfg), log_dir)
     indices = range(cfg.episodes)
     if cfg.workers == 1:
         return [episode(i) for i in indices]
@@ -232,19 +244,14 @@ def _run_episodes(cfg: RunConfig):
 
 def cmd_rollout(cfg: RunConfig) -> int:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    results = _run_episodes(cfg)
-    n = cfg.limits.n_joints
-    for idx, traj_id, row, log in results:
-        path = cfg.out_dir / f"episode_{idx:04d}.csv"
-        write_step_log(path, log, n)
+    for idx, traj_id, row in _run_episodes(cfg, cfg.out_dir):
         print(f"episode {idx:04d} [{traj_id}]: success={row['success']} "
-              f"fraction={row['fraction']:.3f} -> {path}")
+              f"fraction={row['fraction']:.3f} -> {_step_log_path(cfg.out_dir, idx)}")
     return 0
 
 
 def cmd_eval(cfg: RunConfig) -> int:
-    results = _run_episodes(cfg)
-    rows = [row for _, _, row, _ in results]
+    rows = [row for _, _, row in _run_episodes(cfg)]
     summary = {
         "episodes": len(rows),
         "success_rate": float(np.mean([r["success"] for r in rows])),

@@ -3,9 +3,18 @@
 The ball is a solid sphere rolling without slip, reduced to a point model in
 the plate frame: driving acceleration is 5/7 of the tangential specific
 force (gravity plus the pseudo-force from plate-origin acceleration), with
-Coulomb-style rolling resistance.  Plate rotation rates stay small for
-balancing, so Coriolis/Euler terms from plate angular velocity are
-neglected.  Integration is semi-implicit Euler at the control substep.
+Coulomb-style rolling resistance.  Integration is semi-implicit Euler at
+the control substep.
+
+The rotating-frame terms of plate angular velocity are neglected, so no
+angular velocity is computed.  Over 10 episodes of the README balancing
+baseline (``configs/balance_demo.json``, seed 2024, 20 000 ticks, ball
+within 2.0 cm of the centre) the plate turned at |w| <= 0.082 rad/s (p99
+0.066) with |dw/dt| <= 0.97 rad/s^2 within a decision step (1.23 across
+step boundaries).  That bounds the centrifugal term by 1.3e-4 m/s^2,
+Coriolis by 3.5e-3 m/s^2 and Euler by 0.019 m/s^2 (0.025 across
+boundaries), about 1 % of the 1.73 m/s^2 drive at the balancer's 0.25 rad
+tilt limit.
 
 Plate poses reach the ball model as arrays, one row per control tick: the
 rollout evaluates ``kinematics.plate_motion`` once per decision step on the
@@ -21,6 +30,7 @@ one of the vector before it (right after reset, the same reading twice).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,6 +39,7 @@ from .errors import ConfigurationError
 
 GRAVITY = 9.81
 ROLLING_FACTOR = 5.0 / 7.0
+G_WORLD = np.array([0.0, 0.0, -GRAVITY])
 
 
 @dataclass(frozen=True)
@@ -116,23 +127,27 @@ class TaskSpec:
         return 6 if self.kind == "in_place" else 4
 
 
-def ball_acceleration(rotation: np.ndarray, plate_lin_acc, velocity,
-                      params: BallParams) -> np.ndarray:
-    """Plate-frame ball acceleration for one substep.
+def plate_drive(rotations, lin_acc) -> np.ndarray:
+    """Plate-frame driving accelerations (k, 2), one row per plate tick.
 
-    ``rotation`` is the plate frame's world rotation matrix; ``plate_lin_acc``
-    the world-frame acceleration of the plate origin.
+    ``rotations`` (k, 3, 3) are the plate frame's world rotation matrices,
+    ``lin_acc`` (k, 3) the world-frame accelerations of the plate origin.
+    Row i is 5/7 of the tangential part of ``rotations[i].T @ (g - lin_acc[i])``.
     """
-    g_world = np.array([0.0, 0.0, -GRAVITY])
-    specific_force = rotation.T @ (g_world - np.asarray(plate_lin_acc, dtype=float))
-    drive = ROLLING_FACTOR * specific_force[:2]
+    return ROLLING_FACTOR * ((G_WORLD - lin_acc)[:, None, :] @ rotations)[:, 0, :2]
 
-    velocity = np.asarray(velocity, dtype=float)
-    speed = np.linalg.norm(velocity)
+
+def ball_acceleration(drive: np.ndarray, velocity: np.ndarray,
+                      params: BallParams) -> np.ndarray:
+    """Plate-frame ball acceleration for one tick: the tick's ``plate_drive``
+    row less rolling resistance against the velocity (2,)."""
+    # sqrt of the dot product is bit for bit np.linalg.norm; math.hypot or
+    # x*x + y*y round differently on some vectors
+    speed = math.sqrt(velocity.dot(velocity))
     resist = params.rolling_friction * GRAVITY
     if speed < 1e-12:
         # static: rolling resistance holds the ball if it can
-        if np.linalg.norm(drive) <= resist:
+        if math.sqrt(drive.dot(drive)) <= resist:
             return np.zeros(2)
         return drive
     return drive - resist * velocity / speed
@@ -149,24 +164,29 @@ def step_ball(state: BallState, rotations, lin_acc, params: BallParams, dt: floa
 
     ``rotations`` (k, 3, 3) are the plate's world rotation matrices and
     ``lin_acc`` (k, 3) the world-frame accelerations of its origin, one row
-    per tick.  Stops integrating once the ball leaves the plate (that is a
-    state, not an error).  Semi-implicit: velocity first, then position.
-    Returns a new state; ``state`` is not modified.
+    per tick.  One ``plate_drive`` call gives every tick's drive; only the
+    rolling resistance, which depends on the velocity, runs per tick.  Stops
+    integrating once the ball leaves the plate (that is a state, not an
+    error).  Semi-implicit: velocity first, then position.  Returns a new
+    state; ``state`` is not modified.
     """
+    if len(rotations) != len(lin_acc):
+        raise ValueError(f"{len(rotations)} plate rotations but "
+                         f"{len(lin_acc)} origin accelerations")
     position, velocity, on_plate = state.position, state.velocity, state.on_plate
-    bounds = effective_bounds(geometry, params)
-    for rotation, acc_plate in zip(rotations, lin_acc, strict=True):
+    bound_x, bound_y = effective_bounds(geometry, params)
+    stop_speed = params.rolling_friction * GRAVITY * dt
+    for drive in plate_drive(rotations, lin_acc):
         if not on_plate:
             break
-        acc = ball_acceleration(rotation, acc_plate, velocity, params)
+        new_v = velocity + ball_acceleration(drive, velocity, params) * dt
         # Coulomb resistance must not reverse the velocity within a substep
-        new_v = velocity + acc * dt
-        if params.rolling_friction > 0 and np.dot(new_v, velocity) < 0 \
-                and np.linalg.norm(velocity) < params.rolling_friction * GRAVITY * dt:
+        if new_v.dot(velocity) < 0 and math.sqrt(velocity.dot(velocity)) < stop_speed:
             new_v = np.zeros(2)
         velocity = new_v
         position = position + velocity * dt
-        on_plate = not np.any(np.abs(position) > bounds)
+        x, y = position
+        on_plate = not (abs(x) > bound_x or abs(y) > bound_y)
     return BallState(position, velocity, on_plate)
 
 

@@ -140,23 +140,6 @@ def orientation_error(rot_current: np.ndarray, rot_target: np.ndarray) -> np.nda
     return Rotation.from_matrix(rot_target @ rot_current.T).as_rotvec()
 
 
-def _rotation_log(rot: np.ndarray) -> np.ndarray:
-    """Rotation vectors (k, 3) of rotation matrices (k, 3, 3) turning by
-    less than pi.
-
-    The angle is atan2 of the skew and trace parts, which keeps full
-    relative precision for small angles; the axis comes from the skew part,
-    so it loses precision as the angle approaches pi.
-    """
-    skew = 0.5 * np.stack([rot[:, 2, 1] - rot[:, 1, 2],
-                           rot[:, 0, 2] - rot[:, 2, 0],
-                           rot[:, 1, 0] - rot[:, 0, 1]], axis=1)
-    sin = np.linalg.norm(skew, axis=1)
-    angle = np.arctan2(sin, 0.5 * (np.trace(rot, axis1=1, axis2=2) - 1.0))
-    scale = np.divide(angle, sin, out=np.ones_like(sin), where=sin > 0.0)
-    return skew * scale[:, None]
-
-
 def inverse_kinematics(model: ChainModel, target_pos, q_seed, target_rot=None,
                        pos_tol=1e-6, rot_tol=1e-6, max_iters=200,
                        damping=1e-3, step_clamp=0.2, limits: JointLimits | None = None):
@@ -201,8 +184,8 @@ def plate_motion(model: ChainModel, q_series, dt: float):
     """Plate motion over joint vectors at consecutive control ticks.
 
     ``q_series`` (k, n) holds joint vectors spaced ``dt`` apart.  Returns
-    arrays: plate positions (k, 3), rotations (k, 3, 3), finite-difference
-    linear acceleration (k, 3) and angular velocity (k, 3), both in the
+    arrays: plate positions (k, 3), rotations (k, 3, 3) and the
+    finite-difference linear acceleration (k, 3) of the plate origin, in the
     world frame.  Interior samples use central differences, the two
     endpoints reuse their neighbours' one-sided stencils.
     """
@@ -217,12 +200,7 @@ def plate_motion(model: ChainModel, q_series, dt: float):
     acc[0] = (positions[2] - 2.0 * positions[1] + positions[0]) / dt**2
     acc[-1] = (positions[-1] - 2.0 * positions[-2] + positions[-3]) / dt**2
 
-    ticks = np.arange(k)
-    before = np.clip(ticks - 1, 0, k - 2)
-    after = np.clip(ticks + 1, 1, k - 1)
-    rel = rots[after] @ rots[before].transpose(0, 2, 1)
-    omega = _rotation_log(rel) / ((after - before) * dt)[:, None]
-    return positions, rots, acc, omega
+    return positions, rots, acc
 
 
 # ---------------------------------------------------------------------------

@@ -171,11 +171,7 @@ def max_accel_velocity(v0, a0, v_max, j_max, dt):
     limit); v0 == v_max with a0 != 0 falls back to the braking-phase formula,
     whose denominator never vanishes.
     """
-    v0 = _as_float_array(v0)
-    a0, v_max, j_max = np.broadcast_arrays(
-        _as_float_array(a0), _as_float_array(v_max), _as_float_array(j_max)
-    )
-    v0 = np.broadcast_to(v0, a0.shape)
+    v0, a0, v_max, j_max = (_as_float_array(x) for x in (v0, a0, v_max, j_max))
 
     # Braking-phase solution: quadratic in a1, root chosen so smaller a1 is safer.
     with np.errstate(invalid="ignore", divide="ignore"):

@@ -275,6 +275,16 @@ def test_eval_reports_metrics_table(tmp_path, capsys):
     assert len(metrics["per_episode"]) == 3
 
 
+def test_eval_reproduces_readme_baseline_row(tmp_path, capsys):
+    row = "      100.0% |              100.0% |         0.90cm |         0.1% |  0.1%"
+    readme = (CONFIG_DIR.parent / "README.md").read_text().splitlines()
+    assert row in readme
+    rc = cli.main(["eval", "--config", str(CONFIG_DIR / "balance_demo.json"),
+                   "--episodes", "50", "--seed", "2024", "--out", str(tmp_path)])
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines()[1] == row
+
+
 def test_eval_fraction_is_mean_of_per_episode(tmp_path):
     cfg = _write_arm_config(tmp_path, policy={"kind": "random"},
                             use_environment=False, episodes=3)
@@ -319,6 +329,25 @@ def test_rollout_workers_match_serial_on_generated_dataset(tmp_path):
     assert len(serial) == 6
     for path in serial:
         assert path.read_bytes() == (tmp_path / "w2" / path.name).read_bytes()
+
+
+def test_rollout_writes_one_step_log_per_episode_and_eval_none(tmp_path, monkeypatch):
+    cfg = _write_balance_config(tmp_path, policy={"kind": "random"},
+                                use_environment=False)
+    written = []
+    original = cli.write_step_log
+
+    def counting(path, log, n_joints):
+        written.append(Path(path).name)
+        return original(path, log, n_joints)
+
+    monkeypatch.setattr(cli, "write_step_log", counting)
+    assert cli.main(["rollout", "--config", str(cfg), "--episodes", "3",
+                     "--workers", "1"]) == 0
+    assert written == [f"episode_{i:04d}.csv" for i in range(3)]
+    assert cli.main(["eval", "--config", str(cfg), "--episodes", "3",
+                     "--workers", "1"]) == 0
+    assert len(written) == 3
 
 
 def test_eval_loads_config_and_dataset_once(tmp_path, monkeypatch):
@@ -450,6 +479,14 @@ def test_unknown_config_key_is_configuration_error(tmp_path, capsys, edit, key):
     assert cli.main(["eval", "--config", str(cfg), "--episodes", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: unknown key") and key in err
+
+
+def test_pd_balance_without_environment_is_configuration_error(tmp_path, capsys):
+    cfg = _write_balance_config(tmp_path, use_environment=False)
+    assert cli.main(["eval", "--config", str(cfg), "--episodes", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert '"kind": "pd_balance"' in err and '"use_environment": false' in err
 
 
 def test_linear_weights_missing_or_misshapen_is_configuration_error(tmp_path, capsys):

@@ -30,7 +30,8 @@ def test_flat_plate_equilibrium():
 def test_static_tilt_acceleration_value():
     params = env.BallParams(rolling_friction=0.0)
     rot = Rotation.from_euler("y", np.deg2rad(5)).as_matrix()
-    acc = env.ball_acceleration(rot, [0, 0, 0], [0, 0], params)
+    acc = env.ball_acceleration(env.plate_drive(rot[None], np.zeros((1, 3)))[0],
+                                np.zeros(2), params)
     expected = (5.0 / 7.0) * env.GRAVITY * np.sin(np.deg2rad(5))
     assert np.linalg.norm(acc) == pytest.approx(expected, abs=1e-6)
     assert expected == pytest.approx(0.6107, abs=1e-4)
@@ -39,16 +40,18 @@ def test_static_tilt_acceleration_value():
 def test_accelerating_plate_pseudo_force():
     params = env.BallParams(rolling_friction=0.0)
     a_p = 1.3
-    acc = env.ball_acceleration(np.eye(3), [a_p, 0.0, 0.0], [0, 0], params)
+    drive = env.plate_drive(np.eye(3)[None], np.array([[a_p, 0.0, 0.0]]))[0]
+    acc = env.ball_acceleration(drive, np.zeros(2), params)
     np.testing.assert_allclose(acc, [-(5.0 / 7.0) * a_p, 0.0], atol=1e-12)
 
 
 def test_rolling_friction_opposes_motion_and_sticks():
     params = env.BallParams(rolling_friction=0.02)
-    acc = env.ball_acceleration(np.eye(3), [0, 0, 0], [0.1, 0.0], params)
+    flat = env.plate_drive(np.eye(3)[None], np.zeros((1, 3)))[0]
+    acc = env.ball_acceleration(flat, np.array([0.1, 0.0]), params)
     assert acc[0] == pytest.approx(-0.02 * env.GRAVITY)
     # at rest on a flat plate friction produces no motion
-    acc0 = env.ball_acceleration(np.eye(3), [0, 0, 0], [0.0, 0.0], params)
+    acc0 = env.ball_acceleration(flat, np.array([0.0, 0.0]), params)
     np.testing.assert_array_equal(acc0, [0.0, 0.0])
 
 
@@ -82,6 +85,116 @@ def test_ball_leaves_plate():
         if not state.on_plate:
             break
     assert not state.on_plate
+
+
+# ---------------------------------------------------------------------------
+# the batched step against the per-tick loop it replaced
+
+def oracle_ball_acceleration(rotation, acc_plate, velocity, params, hits):
+    """Per-tick ball acceleration: ``rotation.T @ (g - a)`` and
+    ``np.linalg.norm`` on 2-vectors.  Adds the branch it takes to ``hits``."""
+    g_world = np.array([0.0, 0.0, -env.GRAVITY])
+    drive = env.ROLLING_FACTOR * (rotation.T @ (g_world - acc_plate))[:2]
+    speed = np.linalg.norm(velocity)
+    resist = params.rolling_friction * env.GRAVITY
+    if speed < 1e-12:
+        if np.linalg.norm(drive) <= resist:
+            hits.add("static hold")
+            return np.zeros(2)
+        hits.add("static push")
+        return drive
+    return drive - resist * velocity / speed
+
+
+def oracle_step_ball(state, rotations, lin_acc, params, dt, geometry, hits):
+    """Per-tick ball step, one ``oracle_ball_acceleration`` per tick.  Adds
+    the name of each branch it takes to ``hits``."""
+    position, velocity, on_plate = state.position, state.velocity, state.on_plate
+    bounds = env.effective_bounds(geometry, params)
+    for rotation, acc_plate in zip(rotations, lin_acc, strict=True):
+        if not on_plate:
+            break
+        acc = oracle_ball_acceleration(rotation, acc_plate, velocity, params, hits)
+        new_v = velocity + acc * dt
+        if params.rolling_friction > 0 and np.dot(new_v, velocity) < 0 \
+                and np.linalg.norm(velocity) < params.rolling_friction * env.GRAVITY * dt:
+            hits.add("reversal")
+            new_v = np.zeros(2)
+        velocity = new_v
+        position = position + velocity * dt
+        on_plate = not np.any(np.abs(position) > bounds)
+        if not on_plate:
+            hits.add("left")
+    return env.BallState(position, velocity, on_plate)
+
+
+def random_ball_step(rng, case):
+    """A 10-tick step aimed at one branch: a resting ball on a near-flat
+    plate, one creeping slower than friction stops in a tick, one near the
+    rim moving out, or a free ball on a tilting, accelerating plate."""
+    geometry = env.PlateGeometry()
+    friction = rng.choice([0.0, rng.uniform(0.001, 0.01)])
+    params = env.BallParams(radius=rng.uniform(0.012, 0.03), rolling_friction=friction)
+    tilt = {"rest": 1e-3, "creep": 1e-4}.get(case, 0.2)
+    rotations = Rotation.from_rotvec(rng.normal(0.0, tilt, (10, 3))).as_matrix()
+    lin_acc = rng.normal(0.0, tilt, (10, 3))
+    bounds = env.effective_bounds(geometry, params)
+    position = rng.uniform(-0.5, 0.5, 2) * bounds
+    velocity = rng.normal(0.0, 0.2, 2)
+    if case == "rest":
+        velocity = np.zeros(2)
+    elif case == "creep":
+        velocity = rng.normal(0.0, 1e-4, 2)
+    elif case == "rim":
+        position = rng.choice([-1.0, 1.0], 2) * rng.uniform(0.98, 1.0, 2) * bounds
+        velocity = np.sign(position) * rng.uniform(0.05, 0.5, 2)
+    return env.BallState(position, velocity), rotations, lin_acc, params, geometry
+
+
+def test_step_ball_matches_per_tick_oracle_exactly():
+    rng = np.random.default_rng(41)
+    hits = set()
+    for i in range(200):
+        case = ("rest", "creep", "rim", "free")[i % 4]
+        state, rotations, lin_acc, params, geometry = random_ball_step(rng, case)
+        want = oracle_step_ball(state, rotations, lin_acc, params, 0.005, geometry, hits)
+        got = env.step_ball(state, rotations, lin_acc, params, 0.005, geometry)
+        assert np.array_equal(got.position, want.position)
+        assert np.array_equal(got.velocity, want.velocity)
+        assert got.on_plate == want.on_plate
+    assert hits == {"static hold", "static push", "reversal", "left"}
+
+
+def test_ball_acceleration_matches_per_tick_oracle_exactly():
+    # the speed is sqrt(v.dot(v)), as np.linalg.norm computes it; hypot or a
+    # hand-written sum of squares round differently on a share of vectors
+    rng = np.random.default_rng(47)
+    params = env.BallParams(rolling_friction=0.007)
+    rotations = Rotation.from_rotvec(rng.normal(0.0, 0.2, (2000, 3))).as_matrix()
+    lin_acc = rng.normal(0.0, 1.0, (2000, 3))
+    drives = env.plate_drive(rotations, lin_acc)
+    for rot, acc, drive, velocity in zip(rotations, lin_acc, drives,
+                                         rng.normal(0.0, 0.3, (2000, 2))):
+        want = oracle_ball_acceleration(rot, acc, velocity, params, set())
+        assert np.array_equal(env.ball_acceleration(drive, velocity, params), want)
+
+
+def test_plate_drive_equals_per_tick_specific_force():
+    rng = np.random.default_rng(43)
+    rotations = Rotation.random(2000, random_state=rng).as_matrix()
+    lin_acc = rng.normal(0.0, 5.0, (2000, 3))
+    got = env.plate_drive(rotations, lin_acc)
+    g_world = np.array([0.0, 0.0, -env.GRAVITY])
+    want = np.array([env.ROLLING_FACTOR * (rot.T @ (g_world - acc))[:2]
+                     for rot, acc in zip(rotations, lin_acc)])
+    assert np.array_equal(got, want)
+
+
+def test_step_ball_rejects_mismatched_tick_counts():
+    rots, acc = still_plate(np.eye(3), ticks=10)
+    state = env.BallState(position=[0.0, 0.0], velocity=[0.0, 0.0])
+    with pytest.raises(ValueError):
+        env.step_ball(state, rots, acc[:1], env.BallParams(), 0.005, env.PlateGeometry())
 
 
 # ---------------------------------------------------------------------------
