@@ -1,12 +1,15 @@
 """Per-decision-step engine: observation, clipping, integration, termination,
 environment stepping and the composed reward.
 
-The decision loop per step: build the normalized observation, query the
-policy, denormalize and clip the commanded acceleration into the valid
-range, integrate to the next joint setpoints, end the episode if the
-deviation from the reference exceeds the termination threshold, otherwise
-execute the substeps (driving the ball environment when present), score
-the step and write it as one row of the episode's ``StepLog``.
+The decision loop keeps only what must run in order: build the normalized
+observation, query the policy, denormalize and clip the commanded
+acceleration into the valid range, integrate to the next joint setpoints,
+end the episode if the deviation from the reference exceeds the termination
+threshold, otherwise execute the substeps (driving the ball environment when
+present) and write the step's state, deviation and task reward into the
+episode's ``StepLog``.  The reward penalties depend on the executed
+trajectory alone, so ``score_log`` computes them once per episode over the
+log's columns.
 """
 
 from __future__ import annotations
@@ -18,9 +21,9 @@ import numpy as np
 from .environment import BallPlateEnv, EpisodeReport, episode_metrics
 from .errors import ConfigurationError
 from .kinematics import plate_motion
-from .limits import (JointLimits, JointState, StepParams, clip_action,
-                     integrate_step, substep_profile, valid_accel_bounds,
-                     valid_accel_range)
+from .limits import (JointLimits, JointState, StepParams, check_limit_regime,
+                     clip_action, integrate_step, substep_profile,
+                     valid_accel_bounds, valid_accel_range)
 from .trajectory import ReferenceTrajectory
 
 
@@ -54,60 +57,34 @@ class RewardWeights:
             raise ConfigurationError("n_future must be >= 1")
 
 
-@dataclass(frozen=True)
-class RewardBreakdown:
-    r_task: float
-    p_accel: float
-    p_jerk: float
-    p_smooth: float
-    p_deviation: float
-    total: float
+def accel_penalty(act, threshold: float):
+    """Quadratic ramp from 0 at the threshold to 1 at full normalized accel,
+    on the worst joint of each row of normalized commands."""
+    a_abs = np.clip(np.max(np.abs(np.asarray(act, dtype=float)), axis=-1),
+                    threshold, 1.0)
+    return (1.0 - (1.0 - a_abs) / (1.0 - threshold)) ** 2
 
 
-def accel_penalty(a_next_norm, threshold: float) -> float:
-    """Quadratic ramp from 0 at the threshold to 1 at full normalized accel."""
-    a_abs = float(np.max(np.abs(a_next_norm)))
-    if a_abs < threshold:
-        return 0.0
-    a_abs = min(a_abs, 1.0)
-    return ((1.0 - (1.0 - a_abs) / (1.0 - threshold)) ** 2)
+def jerk_penalty(jerk, j_max, weight: float):
+    """Sum-of-squares jerk measure of each row against a saturation level
+    set by ``weight`` (larger weight saturates earlier)."""
+    j_p = np.sum(np.asarray(jerk, dtype=float) ** 2, axis=-1)
+    j_sat = np.sum(np.asarray(j_max, dtype=float) ** 2) / weight
+    return np.minimum(j_p / j_sat, 1.0) ** 2
 
 
-def jerk_penalty(jerk, j_max, weight: float) -> float:
-    """Sum-of-squares jerk measure against a saturation level set by
-    ``weight`` (larger weight saturates earlier)."""
-    jerk = np.asarray(jerk, dtype=float)
-    j_p = float(np.sum(jerk**2))
-    j_sat = float(np.sum(np.asarray(j_max, dtype=float) ** 2)) / weight
-    if j_p > j_sat:
-        return 1.0
-    return (j_p / j_sat) ** 2
-
-
-def deviation_penalty(p_next, p_ref_next, low: float, high: float) -> float:
+def deviation_penalty(deviation, low: float, high: float):
     """Quadratic ramp on the worst joint deviation, 0 below ``low``, 1 above
     ``high``."""
-    dev = float(np.max(np.abs(np.asarray(p_next) - np.asarray(p_ref_next))))
-    if dev < low:
-        return 0.0
-    if dev > high:
-        return 1.0
+    dev = np.clip(np.asarray(deviation, dtype=float), low, high)
     return ((dev - low) / (high - low)) ** 2
 
 
-def compose_reward(r_task: float, p_accel: float, p_jerk: float,
-                   p_deviation: float) -> RewardBreakdown:
+def compose_reward(r_task, p_accel, p_jerk, p_deviation):
+    """(p_smooth, reward): the task reward scaled by the smoothness and
+    deviation penalties."""
     p_smooth = 0.5 * (p_accel + p_jerk)
-    total = r_task * (1.0 - p_smooth) * (1.0 - p_deviation)
-    return RewardBreakdown(r_task=r_task, p_accel=p_accel, p_jerk=p_jerk,
-                           p_smooth=p_smooth, p_deviation=p_deviation,
-                           total=total)
-
-
-def check_termination(p_next, p_ref_next, threshold: float) -> bool:
-    """True when the worst joint deviation strictly exceeds the threshold."""
-    dev = float(np.max(np.abs(np.asarray(p_next) - np.asarray(p_ref_next))))
-    return dev > threshold
+    return p_smooth, r_task * (1.0 - p_smooth) * (1.0 - p_deviation)
 
 
 def build_observation(state: JointState, limits: JointLimits, feedback,
@@ -189,6 +166,25 @@ class StepLog:
         return StepLog(**{f.name: getattr(self, f.name)[:rows] for f in fields(self)})
 
 
+def score_log(log: StepLog, limits: JointLimits, weights: RewardWeights,
+              dt: float) -> None:
+    """Fill the columns that follow from the executed trajectory: ``time``,
+    ``jerk``, ``act``, the penalties and ``reward``.
+
+    Reads ``accel``, ``deviation`` and ``r_task``; the first row's jerk is
+    taken from rest, where every rollout starts.
+    """
+    log.time[:] = np.arange(1, len(log) + 1) * dt
+    log.jerk[:] = np.diff(log.accel, axis=0, prepend=0.0) / dt
+    log.act[:] = log.accel / limits.a_max
+    log.p_accel[:] = accel_penalty(log.act, weights.accel_threshold)
+    log.p_jerk[:] = jerk_penalty(log.jerk, limits.j_max, weights.jerk_weight)
+    log.p_deviation[:] = deviation_penalty(log.deviation, weights.deviation_low,
+                                           weights.deviation_high)
+    log.p_smooth[:], log.reward[:] = compose_reward(
+        log.r_task, log.p_accel, log.p_jerk, log.p_deviation)
+
+
 def rollout(reference: ReferenceTrajectory, policy, limits: JointLimits,
             params: StepParams, weights: RewardWeights,
             env: BallPlateEnv | None = None, seed: int = 0):
@@ -217,7 +213,6 @@ def rollout(reference: ReferenceTrajectory, policy, limits: JointLimits,
     executed = 0
     terminated = False
     ball_lost = False
-    a_max = limits.a_max
 
     for t in range(total_steps):
         obs = build_observation(state, limits, feedback, reference, t,
@@ -227,15 +222,12 @@ def rollout(reference: ReferenceTrajectory, policy, limits: JointLimits,
             terminated = True
             break
         raw = np.clip(raw, -1.0, 1.0)
-        desired = raw * a_max
         rng = valid_accel_range(state, limits, params)
-        a_next = clip_action(desired, rng)
+        a_next = clip_action(raw * limits.a_max, rng)
 
         p_next, v_next = integrate_step(state.p, state.v, state.a, a_next, params.dt)
-        p_ref_next = reference.positions[t + 1]
-        deviation = float(np.max(np.abs(p_next - p_ref_next)))
-
-        if check_termination(p_next, p_ref_next, weights.termination):
+        deviation = np.max(np.abs(p_next - reference.positions[t + 1]))
+        if deviation > weights.termination:
             terminated = True
             break
 
@@ -249,28 +241,12 @@ def rollout(reference: ReferenceTrajectory, policy, limits: JointLimits,
             log.ball_x[t], log.ball_y[t] = ball.position
             log.on_plate[t] = 1.0 if ball.on_plate else 0.0
 
-        jerk = (a_next - state.a) / params.dt
-        reward = compose_reward(
-            r_task,
-            accel_penalty(a_next / a_max, weights.accel_threshold),
-            jerk_penalty(jerk, limits.j_max, weights.jerk_weight),
-            deviation_penalty(p_next, p_ref_next, weights.deviation_low,
-                              weights.deviation_high),
-        )
-        log.time[t] = (t + 1) * params.dt
         log.p[t] = p_next
         log.v[t] = v_next
         log.accel[t] = a_next
-        log.jerk[t] = jerk
         log.raw[t] = raw
-        log.act[t] = a_next / a_max
-        log.r_task[t] = reward.r_task
-        log.p_accel[t] = reward.p_accel
-        log.p_jerk[t] = reward.p_jerk
-        log.p_smooth[t] = reward.p_smooth
-        log.p_deviation[t] = reward.p_deviation
-        log.reward[t] = reward.total
         log.deviation[t] = deviation
+        log.r_task[t] = r_task
         executed = t + 1
         state = JointState(p=p_next, v=v_next, a=a_next)
 
@@ -279,6 +255,7 @@ def rollout(reference: ReferenceTrajectory, policy, limits: JointLimits,
             break
 
     log = log.head(executed)
+    score_log(log, limits, weights, params.dt)
     report = episode_metrics(log, total_steps, limits,
                              env.task if env else None, params.dt,
                              terminated=terminated, ball_lost=ball_lost)
@@ -325,7 +302,6 @@ def run_limit_campaign(episodes: int, steps: int, n_joints: int = 7,
         raise ConfigurationError("campaign needs episodes >= 1 and steps >= 1")
     rng = np.random.default_rng(seed)
     if fixed_limits is not None:
-        from .limits import check_limit_regime
         check_limit_regime(fixed_limits, dt)
         n_joints = fixed_limits.n_joints
         shape = (episodes, n_joints)

@@ -78,7 +78,8 @@ def build_policy(cfg: RunConfig, reference: tr.ReferenceTrajectory):
 
 def _references_for_run(cfg: RunConfig):
     """A configured ``dataset_file`` must exist; without one, the run uses
-    ``<out_dir>/dataset.csv`` if present, else a stationary reference."""
+    ``<out_dir>/dataset.csv`` if present, else a stationary reference.  Every
+    record must match the run's decision period and joint count."""
     path = cfg.dataset_file
     if path is None and (cfg.out_dir / "dataset.csv").exists():
         path = cfg.out_dir / "dataset.csv"
@@ -88,6 +89,12 @@ def _references_for_run(cfg: RunConfig):
         refs = load_dataset(path)
         if not refs:
             raise ConfigurationError(f"dataset {path} is empty")
+        for ref in refs:
+            if ref.dt != cfg.step.dt or ref.n_joints != cfg.limits.n_joints:
+                raise ConfigurationError(
+                    f"dataset {path} record {ref.traj_id} has dt {ref.dt} s and "
+                    f"{ref.n_joints} joints; the run needs dt {cfg.step.dt} s "
+                    f"and {cfg.limits.n_joints} joints")
         return refs
     # stationary reference at the home posture (balancing demo default)
     steps = int(cfg.raw.get("stationary_steps", 201))
@@ -252,11 +259,14 @@ def cmd_rollout(cfg: RunConfig) -> int:
 
 def cmd_eval(cfg: RunConfig) -> int:
     rows = [row for _, _, row in _run_episodes(cfg)]
+    # an episode measures no error distance without an in_place task or steps
+    errors = [r["error_distance_m"] for r in rows if r["error_distance_m"] is not None]
+    error = float(np.mean(errors)) if errors else None
     summary = {
         "episodes": len(rows),
         "success_rate": float(np.mean([r["success"] for r in rows])),
         "trajectory_fraction": float(np.mean([r["fraction"] for r in rows])),
-        "error_distance_m": float(np.mean([r["error_distance_m"] for r in rows])),
+        "error_distance_m": error,
         "mean_norm_accel": float(np.mean([r["mean_norm_accel"] for r in rows])),
         "mean_norm_jerk": float(np.mean([r["mean_norm_jerk"] for r in rows])),
         "config_sha256": cfg.config_hash(),
@@ -271,7 +281,7 @@ def cmd_eval(cfg: RunConfig) -> int:
         "Success rate | Trajectory fraction | Error distance | Acceleration | Jerk\n"
         f"{summary['success_rate'] * 100:11.1f}% | "
         f"{summary['trajectory_fraction'] * 100:18.1f}% | "
-        f"{summary['error_distance_m'] * 100:12.2f}cm | "
+        f"{'n/a' if error is None else f'{error * 100:12.2f}cm':>14} | "
         f"{summary['mean_norm_accel'] * 100:11.1f}% | "
         f"{summary['mean_norm_jerk'] * 100:4.1f}%\n"
     )

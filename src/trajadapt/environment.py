@@ -233,7 +233,7 @@ def sensor_feedback(measured, previous, spec: TaskSpec,
 class EpisodeReport:
     success: bool
     fraction: float
-    error_distance: float          # mean 2-d distance to the target (in_place)
+    error_distance: float | None   # mean 2-d distance to the target (in_place)
     mean_norm_accel: float         # mean over joints and steps of |a|/a_max
     mean_norm_jerk: float          # mean over joints and steps of |j|/j_max
     steps_executed: int
@@ -246,7 +246,8 @@ class EpisodeReport:
         return {
             "success": bool(self.success),
             "fraction": float(self.fraction),
-            "error_distance_m": float(self.error_distance),
+            "error_distance_m": (None if self.error_distance is None
+                                 else float(self.error_distance)),
             "mean_norm_accel": float(self.mean_norm_accel),
             "mean_norm_jerk": float(self.mean_norm_jerk),
             "steps_executed": int(self.steps_executed),
@@ -266,12 +267,14 @@ def episode_metrics(log, total_steps: int, limits, spec: TaskSpec | None,
     success: the episode ran to the end of the reference with the ball inside
     its task bound throughout; fraction: executed decision steps over the
     reference's total.  The ball columns are read only with a ``spec``.  A
-    log without rows gives zero means and no success.
+    log without rows gives zero means and no success.  The error distance is
+    None unless an ``in_place`` spec measured it on at least one row.
     """
     executed = len(log)
     fraction = executed / max(total_steps, 1)
 
-    mean_a = mean_j = mean_r = err = 0.0
+    mean_a = mean_j = mean_r = 0.0
+    err = None
     in_bound = True
     if executed:
         mean_a = float(np.mean(np.abs(log.accel) / limits.a_max))

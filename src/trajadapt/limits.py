@@ -129,9 +129,6 @@ class JointState:
         p = np.atleast_1d(_as_float_array(p))
         return cls(p=p.copy(), v=np.zeros_like(p), a=np.zeros_like(p))
 
-    def copy(self) -> "JointState":
-        return JointState(self.p.copy(), self.v.copy(), self.a.copy())
-
 
 @dataclass(frozen=True)
 class AccelRange:

@@ -19,6 +19,7 @@ from .limits import JointLimits
 
 GRAVITY = 9.81
 BALL_DRIVE = 5.0 / 7.0 * GRAVITY   # ball acceleration per radian of tilt
+TILT_LIMIT = 0.25                  # largest plate tilt the balancer asks for, rad
 
 
 @dataclass(frozen=True)
@@ -38,9 +39,6 @@ class ObservationLayout:
 
     def joint_vel(self, obs):
         return obs[self.n_joints:2 * self.n_joints]
-
-    def joint_acc(self, obs):
-        return obs[2 * self.n_joints:3 * self.n_joints]
 
     def feedback(self, obs):
         base = 3 * self.n_joints
@@ -89,8 +87,7 @@ class TrackingPolicy:
     """
 
     def __init__(self, layout: ObservationLayout, limits: JointLimits,
-                 dt: float, kp: float = 60.0, kd: float = 14.0,
-                 feedforward: bool = True):
+                 dt: float, kp: float = 60.0, kd: float = 14.0):
         if kp <= 0 or kd <= 0:
             raise ConfigurationError("tracking gains must be positive")
         self.layout = layout
@@ -98,7 +95,6 @@ class TrackingPolicy:
         self.dt = dt
         self.kp = kp
         self.kd = kd
-        self.feedforward = feedforward
         self._prev_ref = None
         self._prev_vref = None
 
@@ -116,7 +112,7 @@ class TrackingPolicy:
         a_ff = np.zeros_like(p_ref)
         if self._prev_ref is not None:
             v_ref = (p_ref - self._prev_ref) / self.dt
-            if self.feedforward and self._prev_vref is not None:
+            if self._prev_vref is not None:
                 a_ff = (v_ref - self._prev_vref) / self.dt
         self._prev_ref = p_ref
         self._prev_vref = v_ref
@@ -143,7 +139,7 @@ class PDBalancePolicy(TrackingPolicy):
     def __init__(self, layout: ObservationLayout, limits: JointLimits, dt: float,
                  model: ChainModel, geometry: PlateGeometry, task: TaskSpec,
                  anchor_q, mask=(-2, -1), ball_kp: float = 6.0,
-                 ball_kd: float = 4.5, tilt_limit: float = 0.25, **gains):
+                 ball_kd: float = 4.5, **gains):
         super().__init__(layout, limits, dt, **gains)
         if ball_kp < 0 or ball_kd < 0:
             raise ConfigurationError("ball gains must be >= 0")
@@ -158,7 +154,6 @@ class PDBalancePolicy(TrackingPolicy):
         self.anchor_q = np.asarray(anchor_q, dtype=float)
         self.ball_kp = ball_kp
         self.ball_kd = ball_kd
-        self.tilt_limit = tilt_limit
 
         jac = jacobian(model, self.anchor_q)
         tilt_jac = jac[3:5][:, self.mask]           # world x/y tilt rates
@@ -181,8 +176,8 @@ class PDBalancePolicy(TrackingPolicy):
         u = -(self.ball_kp * err + self.ball_kd * vel)
         tilt = np.array([-u[1], u[0]]) / BALL_DRIVE
         norm = np.linalg.norm(tilt)
-        if norm > self.tilt_limit:
-            tilt *= self.tilt_limit / norm
+        if norm > TILT_LIMIT:
+            tilt *= TILT_LIMIT / norm
 
         shift = np.zeros(lim.n_joints)
         shift[self.mask] = self.tilt_to_joints @ tilt

@@ -8,6 +8,7 @@ references that ride the limits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,10 +70,6 @@ class ReferenceTrajectory:
     @property
     def n_joints(self) -> int:
         return self.positions.shape[1]
-
-    @property
-    def duration(self) -> float:
-        return (self.n_steps - 1) * self.dt
 
 
 @dataclass
@@ -397,32 +394,65 @@ def save_dataset(path, trajs) -> None:
 
 
 def load_dataset(path):
+    """The records of a ``save_dataset`` file.  Blank lines are skipped; any
+    other line that does not fit the format raises ``ConfigurationError``
+    naming the file and the line."""
     trajs = []
     header = None
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             parts = line.strip().split(",")
-            if not parts or parts[0] not in ("H", "P"):
-                continue
+            where = f"dataset {path} line {number}"
             if parts[0] == "H":
                 if header is not None:
                     trajs.append(_finish_record(header, rows))
-                header = parts
+                header = _read_header(parts, where)
                 rows = []
-            else:
-                rows.append([float(v) for v in parts[1:]])
+            elif parts[0] == "P":
+                if header is None:
+                    raise ConfigurationError(f"{where}: P row before the first H line")
+                rows.append(_finite_floats(parts[1:], where))
+            elif parts != [""]:
+                raise ConfigurationError(f"{where}: line is tagged neither H nor P")
     if header is not None:
         trajs.append(_finish_record(header, rows))
     return trajs
 
 
+def _finite_floats(fields, where: str) -> list:
+    try:
+        values = [float(v) for v in fields]
+    except ValueError as exc:
+        raise ConfigurationError(f"{where}: {exc}") from None
+    if not all(map(math.isfinite, values)):
+        raise ConfigurationError(f"{where}: value is not finite")
+    return values
+
+
+def _read_header(parts, where: str) -> tuple:
+    """(id, split, dt, n_joints, n_rows, where) of an H line."""
+    if len(parts) != 6:
+        raise ConfigurationError(f"{where}: H line needs 6 fields "
+                                 f"(H,id,split,dt,n_joints,n_rows), got {len(parts)}")
+    _, traj_id, split, dt, n_joints, n_rows = parts
+    try:
+        n_joints, n_rows = int(n_joints), int(n_rows)
+    except ValueError as exc:
+        raise ConfigurationError(f"{where}: {exc}") from None
+    if n_joints < 1 or n_rows < 0:
+        raise ConfigurationError(f"{where}: needs n_joints >= 1 and n_rows >= 0")
+    return traj_id, split, _finite_floats([dt], where)[0], n_joints, n_rows, where
+
+
 def _finish_record(header, rows) -> ReferenceTrajectory:
-    _, traj_id, split, dt, n_joints, n_rows = header
-    positions = np.asarray(rows, dtype=float)
-    if positions.shape != (int(n_rows), int(n_joints)):
-        raise ConfigurationError(
-            f"dataset record {traj_id} has shape {positions.shape}, "
-            f"header says ({n_rows}, {n_joints})")
-    return ReferenceTrajectory(dt=float(dt), positions=positions,
-                               traj_id=traj_id, split=split)
+    traj_id, split, dt, n_joints, n_rows, where = header
+    if len(rows) != n_rows or any(len(row) != n_joints for row in rows):
+        raise ConfigurationError(f"{where}: record {traj_id} does not hold the "
+                                 f"{n_rows} rows of {n_joints} positions it declares")
+    positions = np.asarray(rows, dtype=float).reshape(n_rows, n_joints)
+    try:
+        return ReferenceTrajectory(dt=dt, positions=positions, traj_id=traj_id,
+                                   split=split)
+    except ConfigurationError as exc:  # the split
+        raise ConfigurationError(f"{where}: {exc}") from None

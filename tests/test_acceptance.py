@@ -122,13 +122,13 @@ def test_criterion_05_reward_algebra():
     checks.append(ad.accel_penalty([1.0], 0.8) == 1.0)
     checks.append(ad.jerk_penalty([0.5], [1.0], 4.0) == 1.0)   # j_p == j_sat
     low, high = np.deg2rad(2.0), np.deg2rad(10.0)
-    checks.append(ad.deviation_penalty([low], [0.0], low, high) == 0.0)
-    checks.append(ad.deviation_penalty([high], [0.0], low, high)
+    checks.append(ad.deviation_penalty(low, low, high) == 0.0)
+    checks.append(ad.deviation_penalty(high, low, high)
                   == pytest.approx(1.0, abs=1e-12))
     # continuity at each threshold to 1e-12
     for edge, f in ((0.8, lambda x: ad.accel_penalty([x], 0.8)),
-                    (low, lambda x: ad.deviation_penalty([x], [0.0], low, high)),
-                    (high, lambda x: ad.deviation_penalty([x], [0.0], low, high)),
+                    (low, lambda x: ad.deviation_penalty(x, low, high)),
+                    (high, lambda x: ad.deviation_penalty(x, low, high)),
                     (0.5, lambda x: ad.jerk_penalty([x], [1.0], 4.0))):
         gap = abs(f(np.nextafter(edge, 0.0)) - f(np.nextafter(edge, edge + 1.0)))
         checks.append(gap < 1e-12)

@@ -50,43 +50,52 @@ def test_jerk_penalty_continuous_at_saturation():
 
 def test_deviation_penalty_values():
     low, high = 0.0349, 0.1745
-    assert ad.deviation_penalty([low], [0.0], low, high) == 0.0
-    assert ad.deviation_penalty([high], [0.0], low, high) == pytest.approx(1.0)
+    assert ad.deviation_penalty(low, low, high) == 0.0
+    assert ad.deviation_penalty(high, low, high) == pytest.approx(1.0)
     mid = 0.5 * (low + high)
-    assert ad.deviation_penalty([mid], [0.0], low, high) == pytest.approx(0.25)
-    assert ad.deviation_penalty([high + 0.1], [0.0], low, high) == 1.0
+    assert ad.deviation_penalty(mid, low, high) == pytest.approx(0.25)
+    assert ad.deviation_penalty(high + 0.1, low, high) == 1.0
 
 
 def test_deviation_penalty_continuous_at_thresholds():
     low, high = 0.02, 0.1
     for edge in (low, high):
-        left = ad.deviation_penalty([np.nextafter(edge, 0.0)], [0.0], low, high)
-        right = ad.deviation_penalty([np.nextafter(edge, 1.0)], [0.0], low, high)
+        left = ad.deviation_penalty(np.nextafter(edge, 0.0), low, high)
+        right = ad.deviation_penalty(np.nextafter(edge, 1.0), low, high)
         assert abs(left - right) < 1e-12
 
 
 def test_compose_reward_cases():
-    assert ad.compose_reward(1.0, 0.0, 0.0, 0.0).total == 1.0
-    assert ad.compose_reward(0.37, 0.1, 0.3, 1.0).total == 0.0
-    r = ad.compose_reward(0.8, 0.2, 0.0, 0.5)
-    assert r.p_smooth == pytest.approx(0.1)
-    assert r.total == pytest.approx(0.36)
+    assert ad.compose_reward(1.0, 0.0, 0.0, 0.0)[1] == 1.0
+    assert ad.compose_reward(0.37, 0.1, 0.3, 1.0)[1] == 0.0
+    p_smooth, total = ad.compose_reward(0.8, 0.2, 0.0, 0.5)
+    assert p_smooth == pytest.approx(0.1)
+    assert total == pytest.approx(0.36)
 
 
 def test_reward_in_unit_interval_randomized():
     rng = np.random.default_rng(0)
-    for _ in range(100_000):
-        r = ad.compose_reward(rng.uniform(), rng.uniform(), rng.uniform(),
-                              rng.uniform())
-        assert 0.0 <= r.total <= 1.0
-        assert r.p_smooth == pytest.approx(0.5 * (r.p_accel + r.p_jerk))
+    r_task, p_accel, p_jerk, p_dev = rng.uniform(size=(4, 100_000))
+    p_smooth, total = ad.compose_reward(r_task, p_accel, p_jerk, p_dev)
+    assert np.all((0.0 <= total) & (total <= 1.0))
+    assert p_smooth == pytest.approx(0.5 * (p_accel + p_jerk))
 
 
 def test_check_termination_boundary():
-    # boundary stays in the episode (strict inequality)
-    assert not ad.check_termination([0.1], [0.0], 0.1)
-    assert ad.check_termination([0.1 + 1e-6], [0.0], 0.1)
-    assert not ad.check_termination([0.0], [0.0], 0.1)
+    # boundary stays in the episode (strict inequality): a joint held at 0
+    # against a reference that steps to the given offset
+    weights = ad.RewardWeights(deviation_low=0.01, deviation_high=0.1,
+                               termination=0.1)
+
+    def terminated(offset):
+        ref = ReferenceTrajectory(dt=0.05, positions=[[0.0], [offset]])
+        report, _ = ad.rollout(ref, ZeroPolicy(1), _limits(1), StepParams(),
+                               weights)
+        return report.terminated
+
+    assert not terminated(0.1)
+    assert terminated(0.1 + 1e-6)
+    assert not terminated(0.0)
 
 
 def test_reward_weights_validation():
@@ -392,3 +401,95 @@ def test_campaign_reports_velocity_peak_between_ticks(monkeypatch):
     assert rep.first_violation == (len(schedule) - 1, 0, 0)
     assert rep.max_velocity_norm > 1.0 + 1e-9
     assert rep.max_accel_norm <= 1.0 and rep.max_jerk_norm <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# scoring the step log
+
+def _scalar_scores(log, reference, limits, weights, dt):
+    """Per-row copy of the scalar formulas the decision loop used to score
+    each step: (time, jerk, act, p_accel, p_jerk, p_smooth, p_deviation,
+    reward, deviation) per row."""
+    thr = weights.accel_threshold
+    low, high = weights.deviation_low, weights.deviation_high
+    j_sat = float(np.sum(limits.j_max ** 2)) / weights.jerk_weight
+    a_prev = np.zeros(limits.n_joints)
+    rows = []
+    for t in range(len(log)):
+        act = log.accel[t] / limits.a_max
+        jerk = (log.accel[t] - a_prev) / dt
+        a_prev = log.accel[t]
+        a_abs = float(np.max(np.abs(act)))
+        p_accel = 0.0 if a_abs < thr else (
+            (1.0 - (1.0 - min(a_abs, 1.0)) / (1.0 - thr)) ** 2)
+        j_p = float(np.sum(jerk ** 2))
+        p_jerk = 1.0 if j_p > j_sat else (j_p / j_sat) ** 2
+        dev = float(np.max(np.abs(log.p[t] - reference.positions[t + 1])))
+        p_dev = 0.0 if dev < low else 1.0 if dev > high else (
+            ((dev - low) / (high - low)) ** 2)
+        p_smooth = 0.5 * (p_accel + p_jerk)
+        reward = log.r_task[t] * (1.0 - p_smooth) * (1.0 - p_dev)
+        rows.append([(t + 1) * dt, *jerk, *act, p_accel, p_jerk, p_smooth,
+                     p_dev, reward, dev])
+    return np.array(rows).reshape(len(log), 2 * limits.n_joints + 7)
+
+
+def _scored_columns(log):
+    return np.column_stack((log.time, log.jerk, log.act, log.p_accel, log.p_jerk,
+                            log.p_smooth, log.p_deviation, log.reward,
+                            log.deviation))
+
+
+def test_scored_columns_match_scalar_formulas():
+    params = StepParams()
+    episodes = []  # (reference, limits, weights, report, log)
+
+    limits = _limits(3)
+    t = np.arange(80)[:, None] * params.dt
+    wave = ReferenceTrajectory(dt=0.05, positions=0.3 * np.sin(t + np.arange(3)))
+    weights = ad.RewardWeights(deviation_low=0.01, deviation_high=0.2,
+                               termination=1.0)
+    for policy, seed in ((pol.RandomPolicy(3), 0), (pol.RandomPolicy(3), 1),
+                         (pol.GreedyMaxPolicy(3), 0)):
+        episodes.append((wave, limits, weights, *ad.rollout(
+            wave, policy, limits, params, weights, seed=seed)))
+
+    for jump_at in (10, 1):  # terminates after 9 rows, and before the first
+        rows = np.zeros((30, 2))
+        rows[jump_at:] = 1.0
+        ref = ReferenceTrajectory(dt=0.05, positions=rows)
+        episodes.append((ref, _limits(2), ad.RewardWeights(), *ad.rollout(
+            ref, ZeroPolicy(2), _limits(2), params, ad.RewardWeights())))
+
+    model, limits = kin.gimbal_chain()
+    e = env.BallPlateEnv(model, env.PlateGeometry(),
+                         env.TaskSpec(kind="in_place", noise_std=0.0),
+                         env.BallParams(), control_dt=0.005, start_offset=(0.02, 0.0))
+    still = ReferenceTrajectory(dt=0.05, positions=np.zeros((61, 2)))
+    layout = pol.ObservationLayout(2, e.task.feedback_size, 1)
+    balancer = pol.PDBalancePolicy(layout, limits, params.dt, model, e.geometry,
+                                   e.task, anchor_q=np.zeros(2), mask=(0, 1))
+    weights = ad.RewardWeights(deviation_low=0.001, deviation_high=0.01,
+                               termination=0.5)
+    for policy, seed in ((balancer, 0), (pol.RandomPolicy(2), 4)):
+        episodes.append((still, limits, weights, *ad.rollout(
+            still, policy, limits, params, weights, env=e, seed=seed)))
+
+    for ref, lim, w, report, log in episodes:
+        np.testing.assert_allclose(_scored_columns(log),
+                                   _scalar_scores(log, ref, lim, w, params.dt),
+                                   rtol=0.0, atol=1e-12)
+        assert report.mean_reward == (np.mean(log.reward) if len(log) else 0.0)
+
+    reports = [ep[3] for ep in episodes]
+    assert [r.steps_executed for r in reports[3:5]] == [9, 0]
+    assert all(r.terminated for r in reports[3:5])
+    assert [r.terminated for r in reports[5:]] == [False, True]  # with the ball
+    logs = [ep[4] for ep in episodes]
+    p_accel, p_jerk, p_dev, r_task = (np.concatenate([getattr(log, c) for log in logs])
+                                      for c in ("p_accel", "p_jerk", "p_deviation",
+                                                "r_task"))
+    for column in (p_accel, p_jerk, p_dev):  # every branch of every penalty
+        assert np.any(column == 0.0) and np.any(column == 1.0)
+        assert np.any((column > 0.0) & (column < 1.0))
+    assert np.any((r_task > 0.0) & (r_task < 1.0))

@@ -285,6 +285,21 @@ def test_eval_reproduces_readme_baseline_row(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[1] == row
 
 
+@pytest.mark.parametrize("extra", [
+    {"use_environment": False, "policy": {"kind": "tracking"}},
+    {"task": {"kind": "on_plate", "noise_std_m": 0.0}},
+], ids=["no-environment", "on-plate"])
+def test_eval_error_distance_is_null_when_not_measured(tmp_path, capsys, extra):
+    cfg = _write_balance_config(tmp_path, **extra)
+    assert cli.main(["eval", "--config", str(cfg), "--episodes", "2"]) == 0
+    metrics = json.loads((tmp_path / "out" / "metrics.json").read_text())
+    assert metrics["error_distance_m"] is None
+    assert [r["error_distance_m"] for r in metrics["per_episode"]] == [None, None]
+    row = capsys.readouterr().out.splitlines()[1]
+    assert row.split(" | ")[2] == "           n/a"
+    assert (tmp_path / "out" / "metrics.txt").read_text().splitlines()[1] == row
+
+
 def test_eval_fraction_is_mean_of_per_episode(tmp_path):
     cfg = _write_arm_config(tmp_path, policy={"kind": "random"},
                             use_environment=False, episodes=3)
@@ -463,6 +478,36 @@ def test_configured_dataset_file_never_falls_back_to_out_dir(tmp_path, capsys):
     cfg.write_text(json.dumps(raw))
     assert cli.main(["rollout", "--config", str(cfg), "--episodes", "1"]) == 0
     assert "[stale]" in capsys.readouterr().out
+
+
+_RECORD = "H,r0,test,0.05,2,3\nP,0,0\n\nP,0,0\nP,0,0\n"
+
+
+@pytest.mark.parametrize("text, where", [
+    ("H,r0,test,0.05,2\nP,0,0\nP,0,0\nP,0,0\n", "line 1"),
+    ("H,r0,test,0.05,2,3\nP,0,abc\nP,0,0\nP,0,0\n", "line 2"),
+    ("H,r0,test,0.05,2,3\nP,0,nan\nP,0,0\nP,0,0\n", "line 2"),
+    (_RECORD + "junk\n", "line 6"),
+    ("P,0,0\n" + _RECORD, "line 1"),
+    (_RECORD.replace("P,0,0\nP,0,0\n", "P,0\nP,0,0\n"), "line 1"),
+    (_RECORD.replace("test", "bogus"), "line 1"),
+    (_RECORD.replace("0.05", "0.1"), "record r0"),
+    (_RECORD.replace(",2,3", ",3,3").replace("P,0,0", "P,0,0,0"), "record r0"),
+], ids=["h-fields", "not-a-float", "non-finite", "untagged-line", "p-before-h",
+        "row-width", "split", "dt", "joint-count"])
+def test_malformed_dataset_is_configuration_error(tmp_path, capsys, text, where):
+    (tmp_path / "refs.csv").write_text(text)
+    cfg = _write_balance_config(tmp_path, dataset_file="refs.csv")
+    assert cli.main(["eval", "--config", str(cfg), "--episodes", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert f"{tmp_path / 'refs.csv'} {where}" in err
+
+
+def test_dataset_blank_lines_are_skipped(tmp_path):
+    (tmp_path / "refs.csv").write_text("\n" + _RECORD + "\n")
+    cfg = _write_balance_config(tmp_path, dataset_file="refs.csv")
+    assert cli.main(["eval", "--config", str(cfg), "--episodes", "1"]) == 0
 
 
 @pytest.mark.parametrize("edit, key", [

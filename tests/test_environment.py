@@ -386,7 +386,7 @@ def test_metrics_zero_rows_give_no_steps_and_no_success():
         assert rep.fraction == 0.0
         assert not rep.success
         assert (rep.error_distance, rep.mean_norm_accel, rep.mean_norm_jerk,
-                rep.mean_reward) == (0.0, 0.0, 0.0, 0.0)
+                rep.mean_reward) == (None, 0.0, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
