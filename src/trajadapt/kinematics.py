@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
 from .errors import ConfigurationError, IKConvergenceError
 from .limits import JointLimits
@@ -131,13 +130,48 @@ def fk_transform(model: ChainModel, q):
 def jacobian(model: ChainModel, q) -> np.ndarray:
     """Geometric Jacobian (6 x n): rows 0-2 linear, 3-5 angular."""
     origins, axes, plate_pos, _ = _frames(model, np.asarray(q, dtype=float)[None])
-    jv = np.cross(axes[0], plate_pos[0] - origins[0])
-    return np.concatenate([jv.T, axes[0].T], axis=0)
+    return _jacobian_from_frames(origins[0], axes[0], plate_pos[0])
+
+
+def _jacobian_from_frames(origins, axes, plate_pos) -> np.ndarray:
+    """Jacobian from one pose's joint origins (n, 3), axes (n, 3) and plate
+    position (3,), as ``_frames`` returns them."""
+    jv = np.cross(axes, plate_pos - origins)
+    return np.concatenate([jv.T, axes.T], axis=0)
 
 
 def orientation_error(rot_current: np.ndarray, rot_target: np.ndarray) -> np.ndarray:
-    """World-frame rotation vector taking the current frame onto the target."""
-    return Rotation.from_matrix(rot_target @ rot_current.T).as_rotvec()
+    """World-frame rotation vector taking the current frame onto the target.
+
+    The log map of R = rot_target @ rot_current.T through its quaternion,
+    built from the largest of the trace and the diagonal (Shepperd's method)
+    so that no branch divides by a small number, near pi included.  With
+    the sign fixed so that w >= 0 the angle 2 atan2(|v|, w) lies in [0, pi];
+    below 1e-3 rad the factor angle / |v| comes from its series.
+    """
+    r = (rot_target @ rot_current.T).tolist()
+    trace = r[0][0] + r[1][1] + r[2][2]
+    i = max(range(3), key=lambda d: r[d][d])
+    if trace > r[i][i]:
+        v = [r[2][1] - r[1][2], r[0][2] - r[2][0], r[1][0] - r[0][1]]
+        w = 1.0 + trace
+    else:
+        j, k = (i + 1) % 3, (i + 2) % 3
+        v = [0.0] * 3
+        v[i] = 1.0 - trace + 2.0 * r[i][i]
+        v[j] = r[j][i] + r[i][j]
+        v[k] = r[k][i] + r[i][k]
+        w = r[k][j] - r[j][k]
+    if w < 0.0:
+        v, w = [-x for x in v], -w
+    norm_v = math.hypot(*v)
+    angle = 2.0 * math.atan2(norm_v, w)
+    if angle < 1e-3:
+        # angle / sin(angle / 2) for the unit quaternion, then unscaled
+        scale = (2.0 + angle**2 / 12.0 + 7.0 * angle**4 / 2880.0) / math.hypot(norm_v, w)
+    else:
+        scale = angle / norm_v
+    return np.array(v) * scale
 
 
 def inverse_kinematics(model: ChainModel, target_pos, q_seed, target_rot=None,
@@ -147,14 +181,15 @@ def inverse_kinematics(model: ChainModel, target_pos, q_seed, target_rot=None,
 
     With ``target_rot`` (3x3) the full pose is solved, otherwise position
     only.  With ``limits`` the iterate is clamped into the joint position
-    range each step.  Raises IKConvergenceError when the residual does not
-    fall below tolerance within ``max_iters``.
+    range each step.  Each iteration evaluates the chain once, for both the
+    pose and the Jacobian.  Raises IKConvergenceError when the residual does
+    not fall below tolerance within ``max_iters``.
     """
     target_pos = np.asarray(target_pos, dtype=float)
     q = np.asarray(q_seed, dtype=float).copy()
     rows = 3 if target_rot is None else 6
     for _ in range(max_iters):
-        pos, rot = fk_transform(model, q)
+        origins, axes, pos, rot = (a[0] for a in _frames(model, q[None]))
         err_p = target_pos - pos
         if target_rot is None:
             err = err_p
@@ -166,7 +201,7 @@ def inverse_kinematics(model: ChainModel, target_pos, q_seed, target_rot=None,
                          and np.linalg.norm(err_r) < rot_tol)
         if converged:
             return q
-        jac = jacobian(model, q)[:rows]
+        jac = _jacobian_from_frames(origins, axes, pos)[:rows]
         jjt = jac @ jac.T + damping**2 * np.eye(rows)
         dq = jac.T @ np.linalg.solve(jjt, err)
         biggest = np.max(np.abs(dq))
@@ -242,20 +277,6 @@ def chain_from_dict(raw: dict) -> tuple[ChainModel, JointLimits]:
 
 # ---------------------------------------------------------------------------
 # stock chains
-
-def planar_chain(lengths, v_max=2.0, a_max=10.0, j_max=100.0) -> tuple[ChainModel, JointLimits]:
-    """n-link planar arm in the x-y plane (all joints about z); for tests."""
-    joints = []
-    offset = [0.0, 0.0, 0.0]
-    for length in lengths:
-        joints.append(JointRow(axis=[0, 0, 1], origin_xyz=offset, origin_rpy=[0, 0, 0]))
-        offset = [float(length), 0.0, 0.0]
-    model = ChainModel(joints=tuple(joints), plate_xyz=offset, name="planar")
-    n = len(lengths)
-    limits = JointLimits(p_min=[-np.pi] * n, p_max=[np.pi] * n,
-                         v_max=[v_max] * n, a_max=[a_max] * n, j_max=[j_max] * n)
-    return model, limits
-
 
 def gimbal_chain(height=0.5) -> tuple[ChainModel, JointLimits]:
     """Two-joint tilt unit (x then y axis) under the plate centre.

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import ConfigurationError, IKConvergenceError, PathRejectedError
 from .kinematics import ChainModel, fk_transform, inverse_kinematics
@@ -93,6 +92,44 @@ def sample_waypoints(areas: SamplingAreas, rng) -> np.ndarray:
     return pts
 
 
+class NaturalSpline:
+    """C2 cubic spline through knots ``x`` (m,), strictly increasing, and
+    values ``y`` (m, k), with zero second derivative at both ends.
+
+    The interior second derivatives solve the spline's tridiagonal system.
+    Interval i keeps the coefficients of y_i + b t + c t^2 + d t^3 in
+    t = x - x_i; a point outside the knots uses the nearest end interval.
+    """
+
+    def __init__(self, x, y):
+        self.x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        h = np.diff(self.x)
+        slope = np.diff(y, axis=0) / h[:, None]
+        m2 = np.zeros_like(y)
+        if len(self.x) > 2:
+            system = (np.diag(2.0 * (h[:-1] + h[1:]))
+                      + np.diag(h[1:-1], 1) + np.diag(h[1:-1], -1))
+            m2[1:-1] = np.linalg.solve(system, 6.0 * np.diff(slope, axis=0))
+        h = h[:, None]
+        self.coef = np.stack([y[:-1], slope - h * (2.0 * m2[:-1] + m2[1:]) / 6.0,
+                              m2[:-1] / 2.0, np.diff(m2, axis=0) / (6.0 * h)])
+
+    def __call__(self, x, nu=0):
+        """Value (``nu`` 0), first or second derivative (1, 2) at ``x``."""
+        x = np.asarray(x, dtype=float)
+        i = np.clip(np.searchsorted(self.x, x, side="right") - 1, 0, len(self.x) - 2)
+        t = (x - self.x[i])[..., None]
+        a, b, c, d = self.coef[:, i]
+        if nu == 0:
+            return a + t * (b + t * (c + t * d))
+        if nu == 1:
+            return b + t * (2.0 * c + t * (3.0 * d))
+        if nu == 2:
+            return 2.0 * c + t * (6.0 * d)
+        raise ValueError(f"derivative order must be 0, 1 or 2, got {nu}")
+
+
 class CartesianPath:
     """C2 cubic spline through waypoints, natural end conditions, chord-length
     parameter normalized to [0, 1]."""
@@ -108,7 +145,7 @@ class CartesianPath:
         u /= u[-1]
         self.waypoints = waypoints
         self.u_knots = u
-        self._spline = CubicSpline(u, waypoints, axis=0, bc_type="natural")
+        self._spline = NaturalSpline(u, waypoints)
 
     def __call__(self, u):
         return self._spline(np.clip(u, 0.0, 1.0))
@@ -175,7 +212,7 @@ def time_parameterize(q_path, limits: JointLimits, headroom: float = 0.05,
     a_lim = limits.a_max * (1.0 - headroom)
 
     s_in = np.linspace(0.0, 1.0, m)
-    spl = CubicSpline(s_in, q_path, axis=0, bc_type="natural")
+    spl = NaturalSpline(s_in, q_path)
     s = np.linspace(0.0, 1.0, grid)
     ds = s[1] - s[0]
     q = spl(s)

@@ -1,9 +1,25 @@
 """Shared oracles: forward-simulation of bound profiles and the greedy-max
-closed loop.  Kept independent of the closed-form code paths they check."""
+closed loop, kept independent of the closed-form code paths they check;
+and a planar test chain."""
 
 import numpy as np
 
 from trajadapt import limits as lim
+from trajadapt.kinematics import ChainModel, JointRow
+
+
+def planar_chain(lengths, v_max=2.0, a_max=10.0, j_max=100.0):
+    """n-link planar arm in the x-y plane (all joints about z) and its limits."""
+    joints = []
+    offset = [0.0, 0.0, 0.0]
+    for length in lengths:
+        joints.append(JointRow(axis=[0, 0, 1], origin_xyz=offset, origin_rpy=[0, 0, 0]))
+        offset = [float(length), 0.0, 0.0]
+    model = ChainModel(joints=tuple(joints), plate_xyz=offset, name="planar")
+    n = len(lengths)
+    limits = lim.JointLimits(p_min=[-np.pi] * n, p_max=[np.pi] * n,
+                             v_max=[v_max] * n, a_max=[a_max] * n, j_max=[j_max] * n)
+    return model, limits
 
 
 def profile_peak_velocity(v0, a0, a1, j_max, dt, n=512):

@@ -73,6 +73,22 @@ def test_generate_byte_identical_under_same_seed(tmp_path):
     assert a == b
 
 
+def test_generate_runs_without_scipy(tmp_path):
+    # the runtime needs numpy alone; scipy serves only the tests
+    cfg = _write_arm_config(tmp_path)
+    raw = json.loads(cfg.read_text())
+    raw["generate"]["count"] = 2
+    cfg.write_text(json.dumps(raw))
+    script = ("import sys, trajadapt.cli\n"
+              f"rc = trajadapt.cli.main(['generate', '--config', {str(cfg)!r}])\n"
+              "print(rc, 'scipy' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(trajadapt.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.stdout.endswith("\n0 False\n"), proc.stderr
+    assert json.loads((tmp_path / "out" / "manifest.json").read_text())["generated"] == 2
+
+
 def test_generate_unreachable_boxes_fails_with_report(tmp_path):
     cfg = _write_arm_config(tmp_path)
     raw = json.loads(cfg.read_text())

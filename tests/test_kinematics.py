@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
+from conftest import planar_chain
 from trajadapt import kinematics as kin
 from trajadapt.errors import ConfigurationError, IKConvergenceError
 from trajadapt.limits import JointLimits
@@ -12,7 +13,7 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_planar_fk_hand_values():
-    model, _ = kin.planar_chain([1.0, 1.0])
+    model, _ = planar_chain([1.0, 1.0])
     p, _ = kin.fk_transform(model, [0.0, 0.0])
     np.testing.assert_allclose(p, [2.0, 0.0, 0.0], atol=1e-12)
     p, _ = kin.fk_transform(model, [np.pi / 2, 0.0])
@@ -62,6 +63,31 @@ def test_jacobian_matches_finite_differences():
         np.testing.assert_allclose(jac[3:, i], w, atol=1e-5)
 
 
+def test_orientation_error_matches_scipy():
+    rng = np.random.default_rng(11)
+    angles = np.concatenate([np.logspace(-9, 0, 40), [1e-3, 2.0, 3.0],
+                             np.pi - np.logspace(-1, -9, 30)])
+    for angle in angles:
+        for current in Rotation.random(10, random_state=rng).as_matrix():
+            axis = rng.normal(size=3)
+            delta = Rotation.from_rotvec(angle * axis / np.linalg.norm(axis))
+            target = delta.as_matrix() @ current
+            want = Rotation.from_matrix(target @ current.T).as_rotvec()
+            got = kin.orientation_error(current, target)
+            if np.pi - angle < 1e-6:
+                # the sign of a rotation by pi is arbitrary
+                got = got if np.dot(got, want) >= 0 else -got
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
+def test_orientation_error_of_identity_is_exactly_zero():
+    # rotations whose product with their transpose is the identity exactly
+    turns = [np.eye(3), np.diag([1.0, -1.0, -1.0]),
+             np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])]
+    for rot in turns:
+        assert np.all(kin.orientation_error(rot, rot) == 0.0)
+
+
 def test_ik_fixed_point():
     model, _ = kin.seven_dof_chain()
     q_seed = np.asarray(model.q_home)
@@ -95,7 +121,7 @@ def test_ik_round_trip_random_poses():
 
 
 def test_ik_unreachable_target_raises():
-    model, _ = kin.planar_chain([1.0, 1.0])
+    model, _ = planar_chain([1.0, 1.0])
     with pytest.raises(IKConvergenceError):
         kin.inverse_kinematics(model, [5.0, 0.0, 0.0], [0.1, 0.1])
 
@@ -111,7 +137,7 @@ def test_plate_motion_stationary():
 
 def test_plate_motion_acceleration_matches_analytic():
     # sinusoidal joint profile on a 1-link chain: second derivative known
-    model, _ = kin.planar_chain([1.0])
+    model, _ = planar_chain([1.0])
     dt = 0.005
     amp, w = 0.3, 4.0
     t = dt * np.arange(21)

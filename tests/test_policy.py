@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import planar_chain
 from trajadapt import adaptation as ad
 from trajadapt import environment as env
 from trajadapt import kinematics as kin
@@ -97,7 +98,7 @@ def test_balance_zero_action_at_target_rest():
 
 def test_balance_mask_without_authority_rejected():
     # planar chain about z never tilts the plate normal
-    model, limits = kin.planar_chain([1.0, 1.0])
+    model, limits = planar_chain([1.0, 1.0])
     task = env.TaskSpec(kind="in_place")
     layout = pol.ObservationLayout(2, task.feedback_size, 1)
     with pytest.raises(ConfigurationError):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
+from conftest import planar_chain
 from trajadapt import kinematics as kin
 from trajadapt import trajectory as tr
 from trajadapt.errors import ConfigurationError, PathRejectedError
@@ -97,6 +99,25 @@ def test_spline_duplicate_waypoints_rejected():
         tr.spline_path([[0, 0, 0], [0, 0, 0], [1, 0, 0]])
 
 
+@pytest.mark.parametrize("m", [2, 3, 4, 10, 100])
+def test_natural_spline_matches_scipy(m):
+    # tolerance 1e-12 relative to the size of the nu-th derivative: the
+    # largest |y| over the shortest interval to the power nu
+    rng = np.random.default_rng(m)
+    x = np.cumsum(rng.uniform(0.05, 1.0, m))
+    y = rng.normal(size=(m, 5))
+    ours = tr.NaturalSpline(x, y)
+    oracle = CubicSpline(x, y, axis=0, bc_type="natural")
+    points = np.concatenate([x, rng.uniform(x[0], x[-1], 200)])
+    for nu in (0, 1, 2):
+        scale = np.max(np.abs(y)) / np.min(np.diff(x)) ** nu
+        np.testing.assert_allclose(ours(points, nu), oracle(points, nu),
+                                   rtol=0, atol=1e-12 * scale)
+        for end in (x[0], x[-1]):  # scalar points, as CartesianPath passes them
+            np.testing.assert_allclose(ours(end, nu), oracle(end, nu),
+                                       rtol=0, atol=1e-12 * scale)
+
+
 # ---------------------------------------------------------------------------
 # joint-space conversion
 
@@ -121,7 +142,7 @@ def test_path_to_joint_space_fk_round_trip(arm):
 
 
 def test_path_to_joint_space_unreachable_rejected():
-    model, limits = kin.planar_chain([0.5, 0.5])
+    model, limits = planar_chain([0.5, 0.5])
     path = tr.spline_path([[0.2, 0.2, 0.0], [5.0, 0.0, 0.0]])
     with pytest.raises(PathRejectedError):
         tr.path_to_joint_space(path, model, 10, target_rot=None, limits=limits)
