@@ -8,6 +8,7 @@ Subpackages/modules:
 - ``environment`` ball-on-plate physics, task rewards, sensors, metrics
 - ``adaptation``  per-step engine: observation, clipping, reward, rollout
 - ``policy``      policy interface, scripted baselines, CEM trainer
+- ``config``      run-config schema, resolved and checked once per command
 - ``cli``         generate / validate-limits / rollout / eval commands
 """
 

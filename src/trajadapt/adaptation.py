@@ -282,7 +282,7 @@ class CampaignReport:
         ) <= 1.0 + tol
 
 
-def run_limit_campaign(episodes: int, steps: int, n_joints: int = 7,
+def run_limit_campaign(episodes: int, steps: int = 200, n_joints: int = 7,
                        dt: float = 0.05, seed: int = 0,
                        correction_enabled: bool = True,
                        v_max_range=(0.5, 3.0), a_max_range=(2.0, 15.0),

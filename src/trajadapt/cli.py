@@ -20,60 +20,28 @@ from . import adaptation as ad
 from . import environment as envm
 from . import policy as pol
 from . import trajectory as tr
-from .config import RunConfig, check_keys, load_config
+from .config import RunConfig, load_config
 from .errors import ConfigurationError, LimitConsistencyError, NonFiniteStateError
 from .trajectory import load_dataset, save_dataset
 
 LOG_SCHEMA_VERSION = 1
 
 
-# The ``policy`` keys ``build_policy`` reads, per policy kind.
-POLICY_KEYS = {"random": {"kind"}, "greedy_max": {"kind"},
-               "tracking": {"kind", "kp", "kd"},
-               "pd_balance": {"kind", "mask", "ball_kp", "ball_kd"},
-               "linear": {"kind", "weights_file"}}
-
-
 def build_policy(cfg: RunConfig, reference: tr.ReferenceTrajectory):
-    spec = dict(cfg.policy_spec)
-    kind = spec.get("kind", "tracking")
-    n = cfg.limits.n_joints
-    feedback_size = cfg.task.feedback_size if cfg.use_environment else 0
-    layout = pol.ObservationLayout(n, feedback_size, cfg.reward.n_future)
+    """A fresh policy of the configured kind and arguments for an episode
+    on ``reference``."""
+    kind, args = cfg.policy_kind, cfg.policy_args
     if kind == "random":
-        return pol.RandomPolicy(n)
+        return pol.RandomPolicy(cfg.limits.n_joints)
     if kind == "greedy_max":
-        return pol.GreedyMaxPolicy(n)
-    if kind == "tracking":
-        return pol.TrackingPolicy(layout, cfg.limits, cfg.step.dt,
-                                  kp=spec.get("kp", 60.0), kd=spec.get("kd", 14.0))
-    if kind == "pd_balance":
-        if not cfg.use_environment:
-            raise ConfigurationError(
-                '"kind": "pd_balance" balances on ball feedback and cannot run '
-                'with "use_environment": false')
-        return pol.PDBalancePolicy(
-            layout, cfg.limits, cfg.step.dt, cfg.model, cfg.geometry, cfg.task,
-            anchor_q=reference.positions[0], mask=tuple(spec.get("mask", (-2, -1))),
-            ball_kp=spec.get("ball_kp", 6.0), ball_kd=spec.get("ball_kd", 4.5))
+        return pol.GreedyMaxPolicy(cfg.limits.n_joints)
     if kind == "linear":
-        weights_file = spec.get("weights_file")
-        if not weights_file:
-            raise ConfigurationError("linear policy needs a weights_file entry")
-        path = Path(weights_file)
-        if not path.is_absolute():
-            path = cfg.base_dir / path
-        expected = (n, layout.size + 1)
-        try:
-            policy = pol.LinearPolicy.load(path)
-        except (OSError, ValueError) as exc:
-            raise ConfigurationError(f"cannot read linear policy weights {path} "
-                                     f"(expected shape {expected}): {exc}") from exc
-        if policy.weights.shape != expected:
-            raise ConfigurationError(f"linear policy weights {path} have shape "
-                                     f"{policy.weights.shape}, expected {expected}")
-        return policy
-    raise ConfigurationError(f"unknown policy kind {kind!r}")
+        return pol.LinearPolicy(**args)
+    tracking = (cfg.layout, cfg.limits, cfg.step.dt)
+    if kind == "tracking":
+        return pol.TrackingPolicy(*tracking, **args)
+    return pol.PDBalancePolicy(*tracking, cfg.model, cfg.geometry, cfg.task,
+                               anchor_q=reference.positions[0], **args)
 
 
 def _references_for_run(cfg: RunConfig):
@@ -97,8 +65,7 @@ def _references_for_run(cfg: RunConfig):
                     f"and {cfg.limits.n_joints} joints")
         return refs
     # stationary reference at the home posture (balancing demo default)
-    steps = int(cfg.raw.get("stationary_steps", 201))
-    rows = np.tile(np.asarray(cfg.model.q_home), (steps, 1))
+    rows = np.tile(np.asarray(cfg.model.q_home), (cfg.stationary_steps, 1))
     return [tr.ReferenceTrajectory(dt=cfg.step.dt, positions=rows,
                                    traj_id="stationary", split="test")]
 
@@ -108,9 +75,7 @@ def run_episode(cfg: RunConfig, reference, episode_idx: int):
     env = None
     if cfg.use_environment:
         env = envm.BallPlateEnv(cfg.model, cfg.geometry, cfg.task, cfg.ball,
-                                control_dt=cfg.step.control_dt,
-                                randomize=cfg.randomize_ball,
-                                start_offset=cfg.start_offset)
+                                control_dt=cfg.step.control_dt, **cfg.env_args)
     seed = [int(cfg.seed), int(episode_idx)]
     return ad.rollout(reference, policy, cfg.limits, cfg.step, cfg.reward,
                       env=env, seed=seed)
@@ -142,7 +107,7 @@ def write_step_log(path, log: ad.StepLog, n_joints: int) -> None:
 def cmd_generate(cfg: RunConfig) -> int:
     if cfg.areas is None:
         raise ConfigurationError("generate needs a sampling section in the config")
-    count = int((cfg.raw.get("generate") or {}).get("count", cfg.episodes))
+    count = cfg.generate_count
     trajs, rejections = tr.generate_dataset(cfg.model, cfg.limits, cfg.areas,
                                             cfg.pipeline, count=count,
                                             seed=cfg.seed)
@@ -178,29 +143,19 @@ def cmd_generate(cfg: RunConfig) -> int:
 
 
 def cmd_validate_limits(cfg: RunConfig) -> int:
+    # the configured-limits campaign ignores the limit ranges
     v = cfg.validate
-    if cfg.episodes_overridden:
-        episodes = cfg.episodes
-    else:
-        episodes = int(v.get("episodes", cfg.episodes))
-    steps = int(v.get("steps", 200))
     campaigns = (
-        ("randomized-limits", dict(
-            episodes=episodes, n_joints=cfg.limits.n_joints, seed=cfg.seed,
-            v_max_range=tuple(v.get("v_max_range", (0.5, 3.0))),
-            a_max_range=tuple(v.get("a_max_range", (2.0, 15.0))),
-            jerk_fill_range=tuple(v.get("jerk_fill_range", (0.3, 1.0))))),
-        ("configured-limits", dict(
-            episodes=min(episodes, 1000), seed=cfg.seed + 1,
-            fixed_limits=cfg.limits)),
+        ("randomized-limits", dict(v, n_joints=cfg.limits.n_joints, seed=cfg.seed)),
+        ("configured-limits", dict(v, episodes=min(v["episodes"], 1000),
+                                   seed=cfg.seed + 1, fixed_limits=cfg.limits)),
     )
 
     passed = True
     for name, kwargs in campaigns:
         try:
             rep = ad.run_limit_campaign(
-                steps=steps, dt=cfg.step.dt,
-                correction_enabled=cfg.step.correction_enabled, **kwargs)
+                dt=cfg.step.dt, correction_enabled=cfg.step.correction_enabled, **kwargs)
         except LimitConsistencyError as exc:
             print(f"{name}: {exc}", file=sys.stderr)
             passed = False
@@ -237,10 +192,6 @@ def _episode(cfg: RunConfig, refs, log_dir, idx: int):
 def _run_episodes(cfg: RunConfig, log_dir=None):
     """(index, trajectory id, metrics row) of ``cfg.episodes`` episodes, in
     order, on references loaded once; each step log goes to ``log_dir``."""
-    spec = cfg.policy_spec
-    kind = spec.get("kind", "tracking")
-    if kind in POLICY_KEYS:  # build_policy reports an unknown kind
-        check_keys(spec, POLICY_KEYS[kind], f"{kind!r} policy")
     episode = functools.partial(_episode, cfg, _references_for_run(cfg), log_dir)
     indices = range(cfg.episodes)
     if cfg.workers == 1:

@@ -1,8 +1,12 @@
-"""Run configuration: a single JSON file with units in the key names.
+"""Run configuration: one JSON file with units in the key names.
 
-Resolution order for the scalar overrides (seed, episodes, workers, output
-directory): command-line flag, then TRAJADAPT_* environment variable, then
-the config file value.
+``load_config`` resolves and checks the whole file once, for every command,
+and the commands in ``cli`` read only the typed ``RunConfig``.
+``SECTION_KEYS`` and ``POLICY_KEYS`` map each key onto the argument it
+sets, so an absent key leaves that argument's default, written only where
+the argument is declared; the keys mapped to None are resolved here.  The
+scalar overrides (seed, episodes, workers, output directory) resolve as
+command-line flag, then TRAJADAPT_* environment variable, then config value.
 """
 
 from __future__ import annotations
@@ -10,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import environment as envm
@@ -18,38 +22,47 @@ from .adaptation import RewardWeights
 from .errors import ConfigurationError
 from .kinematics import ChainModel, load_chain
 from .limits import JointLimits, StepParams, check_limit_regime
+from .policy import LinearPolicy, ObservationLayout
 from .trajectory import PipelineConfig, SamplingAreas
 
 ENV_PREFIX = "TRAJADAPT_"
 
-# Every key of each config section, mapped to the constructor argument it
-# sets (an absent key leaves that argument's default).  Keys mapped to None
-# are read by ``load_config`` itself or by the commands in ``cli``.  The
-# ``policy`` keys depend on the policy kind and are checked by ``cli``.
+# Every key of each config section, mapped to the argument it sets: of the
+# section's constructor, of ``BallPlateEnv`` (``start_offset_xy_m``,
+# ``randomize``) or of ``adaptation.run_limit_campaign`` (``validate``).
+# Keys mapped to None are resolved by ``load_config`` itself.
 SECTION_KEYS = {
     "step": {"dt_s": "dt", "control_dt_s": "control_dt",
              "correction_enabled": "correction_enabled"},
     "task": {"kind": "kind", "target_xy_m": "initial_position",
              "success_bound_m": "success_bound", "noise_std_m": "noise_std",
-             "reward_exponent": "reward_exponent", "start_offset_xy_m": None},
+             "reward_exponent": "reward_exponent", "start_offset_xy_m": "start_offset"},
     "plate": {"half_x_m": "half_x", "half_y_m": "half_y"},
     "ball": {"radius_m": "radius", "rolling_friction": "rolling_friction",
              "radius_range_m": "radius_range", "friction_range": "friction_range",
-             "randomize": None},
+             "randomize": "randomize"},
     "reward": {"accel_threshold_norm": "accel_threshold", "jerk_weight": "jerk_weight",
                "deviation_low_rad": "deviation_low",
                "deviation_high_rad": "deviation_high",
                "termination_rad": "termination", "future_positions": "n_future"},
-    "sampling": dict.fromkeys(("boxes_m", "height_band_m")),
+    "sampling": {"boxes_m": "boxes", "height_band_m": "height_band"},
     "generate": {"count": None, "headroom": "headroom", "ik_samples": "ik_samples",
                  "grid": "grid", "test_fraction": "test_fraction",
                  "max_attempts": "max_attempts"},
-    "validate": dict.fromkeys(("episodes", "steps", "v_max_range", "a_max_range",
-                               "jerk_fill_range")),
+    "validate": {"episodes": None, "steps": "steps", "v_max_range": "v_max_range",
+                 "a_max_range": "a_max_range", "jerk_fill_range": "jerk_fill_range"},
 }
 TOP_LEVEL_KEYS = set(SECTION_KEYS) | {
     "chain_file", "policy", "seed", "episodes", "workers", "out_dir",
     "dataset_file", "use_environment", "stationary_steps"}
+
+# The ``policy`` keys of each kind, mapped like ``SECTION_KEYS`` onto the
+# kind's constructor; ``weights_file`` becomes the ``weights`` read from it.
+POLICY_KEYS = {"random": {"kind": None}, "greedy_max": {"kind": None},
+               "tracking": {"kind": None, "kp": "kp", "kd": "kd"},
+               "pd_balance": {"kind": None, "mask": "mask", "ball_kp": "ball_kp",
+                              "ball_kd": "ball_kd"},
+               "linear": {"kind": None, "weights_file": None}}
 
 
 def check_keys(mapping: dict, known, where: str) -> None:
@@ -59,19 +72,49 @@ def check_keys(mapping: dict, known, where: str) -> None:
         raise ConfigurationError(f"unknown key(s) in {where}: {', '.join(unknown)}")
 
 
-def _section(raw: dict, name: str):
-    """(section, constructor keyword arguments) of config section ``name``;
-    JSON lists become tuples."""
+def _section(raw: dict, name: str, keys=None, where=None):
+    """(section, keyword arguments) of config section ``name`` under
+    ``keys``, by default its ``SECTION_KEYS``; JSON lists become tuples."""
     section = raw.get(name) or {}
     if not isinstance(section, dict):
         raise ConfigurationError(f"config section {name!r} must be an object")
-    keys = SECTION_KEYS[name]
-    check_keys(section, keys, f"config section {name!r}")
+    keys = keys or SECTION_KEYS[name]
+    check_keys(section, keys, where or f"config section {name!r}")
     return section, {keys[k]: tuple(v) if isinstance(v, list) else v
                      for k, v in section.items() if keys[k]}
 
 
-def _env_override(name: str, cast, fallback):
+def _policy(raw: dict, base: Path, layout: ObservationLayout, use_environment: bool):
+    """(kind, constructor keyword arguments) of the ``policy`` section."""
+    section = raw.get("policy") or {}
+    kind = (section if isinstance(section, dict) else {}).get("kind", "tracking")
+    if not isinstance(kind, str) or kind not in POLICY_KEYS:
+        raise ConfigurationError(f"unknown policy kind {kind!r}")
+    section, args = _section(raw, "policy", POLICY_KEYS[kind], f"{kind!r} policy")
+    if kind == "pd_balance" and not use_environment:
+        raise ConfigurationError(
+            '"kind": "pd_balance" balances on ball feedback and cannot run '
+            'with "use_environment": false')
+    if kind == "linear":
+        if not section.get("weights_file"):
+            raise ConfigurationError("linear policy needs a weights_file entry")
+        path = base / section["weights_file"]
+        expected = (layout.n_joints, layout.size + 1)
+        try:
+            args["weights"] = LinearPolicy.load(path).weights
+        except (OSError, ValueError) as exc:
+            raise ConfigurationError(f"cannot read linear policy weights {path} "
+                                     f"(expected shape {expected}): {exc}") from exc
+        if args["weights"].shape != expected:
+            raise ConfigurationError(f"linear policy weights {path} have shape "
+                                     f"{args['weights'].shape}, expected {expected}")
+    return kind, args
+
+
+def _override(name: str, flag, cast, fallback):
+    """``flag`` if given, else the TRAJADAPT_<NAME> variable, else ``fallback``."""
+    if flag is not None:
+        return flag
     raw = os.environ.get(ENV_PREFIX + name.upper())
     if raw is None:
         return fallback
@@ -85,28 +128,29 @@ def _env_override(name: str, cast, fallback):
 @dataclass
 class RunConfig:
     raw: dict
-    base_dir: Path
     model: ChainModel
     limits: JointLimits
     step: StepParams
     task: envm.TaskSpec
     geometry: envm.PlateGeometry
     ball: envm.BallParams
+    env_args: dict          # further ``BallPlateEnv`` keyword arguments
     reward: RewardWeights
+    layout: ObservationLayout
+    policy_kind: str
+    policy_args: dict       # keyword arguments of the kind's constructor
     areas: SamplingAreas | None
     pipeline: PipelineConfig
-    policy_spec: dict
+    generate_count: int
+    validate: dict          # ``adaptation.run_limit_campaign`` keyword arguments
     seed: int
     episodes: int
-    episodes_overridden: bool
     workers: int
     out_dir: Path
     out_overridden: bool
     dataset_file: Path | None
     use_environment: bool
-    randomize_ball: bool
-    start_offset: tuple
-    validate: dict = field(default_factory=dict)
+    stationary_steps: int
 
     def config_hash(self) -> str:
         return hashlib.sha256(
@@ -135,57 +179,52 @@ def load_config(path, seed=None, episodes=None, workers=None, out=None) -> RunCo
 
     step = StepParams(**_section(raw, "step")[1])
     check_limit_regime(limits, step.dt)
-    task_raw, task_args = _section(raw, "task")
+    task_args = _section(raw, "task")[1]
+    ball_args = _section(raw, "ball")[1]
+    env_args = {"randomize": ball_args.pop("randomize", True)}
+    if "start_offset" in task_args:
+        env_args["start_offset"] = task_args.pop("start_offset")
     task = envm.TaskSpec(**task_args)
-    geometry = envm.PlateGeometry(**_section(raw, "plate")[1])
-    ball_raw, ball_args = _section(raw, "ball")
-    ball = envm.BallParams(**ball_args)
     reward = RewardWeights(**_section(raw, "reward")[1])
-    pipeline = PipelineConfig(dt=step.dt, **_section(raw, "generate")[1])
+    use_environment = raw.get("use_environment", True)
+    layout = ObservationLayout(limits.n_joints,
+                               task.feedback_size if use_environment else 0,
+                               reward.n_future)
+    policy_kind, policy_args = _policy(raw, base, layout, use_environment)
 
-    areas = None
-    sampling_raw = _section(raw, "sampling")[0]
-    if sampling_raw:
-        band = sampling_raw.get("height_band_m")
-        areas = SamplingAreas(
-            boxes=tuple((b[0], b[1]) for b in sampling_raw["boxes_m"]),
-            height_band=tuple(band) if band else None,
-        )
+    sampling_args = _section(raw, "sampling")[1]
+    if sampling_args and "boxes" not in sampling_args:
+        raise ConfigurationError("config section 'sampling' needs boxes_m")
+    generate_raw, generate_args = _section(raw, "generate")
 
-    seed_val = seed if seed is not None else _env_override(
-        "seed", int, raw.get("seed", 0))
-    episodes_overridden = episodes is not None \
-        or (ENV_PREFIX + "EPISODES") in os.environ
-    episodes_val = episodes if episodes is not None else _env_override(
-        "episodes", int, raw.get("episodes", 10))
-    workers_val = workers if workers is not None else _env_override(
-        "workers", int, raw.get("workers", 1))
-    out_raw = out if out is not None else os.environ.get(ENV_PREFIX + "OUT")
-    out_overridden = out_raw is not None
-    out_val = Path(out_raw) if out_overridden else Path(raw.get("out_dir", "out"))
-    if not out_val.is_absolute():
-        out_val = base / out_val
+    seed_val = _override("seed", seed, int, raw.get("seed", 0))
+    episodes_set = _override("episodes", episodes, int, None)
+    episodes_val = raw.get("episodes", 10) if episodes_set is None else episodes_set
+    validate_raw, validate = _section(raw, "validate")
+    if "steps" in validate:
+        validate["steps"] = int(validate["steps"])
+    validate["episodes"] = int(validate_raw.get("episodes", episodes_val)
+                               if episodes_set is None else episodes_set)
+    workers_val = _override("workers", workers, int, raw.get("workers", 1))
+    out_raw = _override("out", out, str, None)
+    out_val = base / (raw.get("out_dir", "out") if out_raw is None else out_raw)
     if episodes_val < 1:
         raise ConfigurationError("episodes must be >= 1")
     if workers_val < 1:
         raise ConfigurationError("workers must be >= 1")
 
     dataset_file = raw.get("dataset_file")
-    if dataset_file is not None:
-        dataset_file = Path(dataset_file)
-        if not dataset_file.is_absolute():
-            dataset_file = base / dataset_file
-
     return RunConfig(
-        raw=raw, base_dir=base, model=model, limits=limits, step=step,
-        task=task, geometry=geometry, ball=ball, reward=reward, areas=areas,
-        pipeline=pipeline, policy_spec=raw.get("policy", {"kind": "tracking"}),
-        seed=seed_val, episodes=episodes_val,
-        episodes_overridden=episodes_overridden, workers=workers_val,
-        out_dir=out_val, out_overridden=out_overridden,
-        dataset_file=dataset_file,
-        use_environment=raw.get("use_environment", True),
-        randomize_ball=ball_raw.get("randomize", True),
-        start_offset=tuple(task_raw.get("start_offset_xy_m", (0.0, 0.0))),
-        validate=_section(raw, "validate")[0],
+        raw=raw, model=model, limits=limits, step=step, task=task,
+        geometry=envm.PlateGeometry(**_section(raw, "plate")[1]),
+        ball=envm.BallParams(**ball_args), env_args=env_args, reward=reward,
+        layout=layout, policy_kind=policy_kind, policy_args=policy_args,
+        areas=SamplingAreas(**sampling_args) if sampling_args else None,
+        pipeline=PipelineConfig(dt=step.dt, **generate_args),
+        generate_count=int(generate_raw.get("count", episodes_val)),
+        validate=validate, seed=seed_val, episodes=episodes_val,
+        workers=workers_val, out_dir=out_val, out_overridden=out_raw is not None,
+        dataset_file=None if dataset_file is None else base / dataset_file,
+        use_environment=use_environment,
+        stationary_steps=int(raw.get("stationary_steps", 201)),
     )

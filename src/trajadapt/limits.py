@@ -26,6 +26,24 @@ per joint (``check_limit_regime``).  Outside this envelope a state adjacent
 to the velocity boundary can have an empty valid range, which raises
 :class:`~trajadapt.errors.LimitConsistencyError` instead of silently
 violating a limit.
+
+Boundary states
+---------------
+A joint that rode its velocity bound sits on the boundary of the viable set:
+it must now brake at full jerk.  There the velocity bound is very sensitive
+to v0 (d(bound)/dv0 = -a0**2 * dt / (2 * (v_max - v0)**2), about -1e7 for
+a0 = 0.012 near v_max = 2.44), so the one ulp of v0 that integration leaves
+can put the bound more than ``LIMIT_EPS`` below the jerk floor, an empty
+range.  ``valid_accel_bounds`` then evaluates the velocity bound again at
+v0 moved ``BOUNDARY_ULPS`` ulp toward safety, delta = BOUNDARY_ULPS *
+ulp(v0).  If that range is non-empty, the joint brakes at full jerk: the
+range is the floor max(a0 - j_max*dt, -a_max) alone (its mirror image on the
+lower side).  The velocity profile of a command is v0 plus terms free of
+v0, and the floor is safe from v0 - delta, so the peak velocity exceeds
+v_max by at most delta <= 128 * 2**-52 * |v0| < 2.9e-14 * |v0|, about 7e-14
+at v_max = 2.44: four orders below ``LIMIT_EPS``.  The jerk and
+acceleration bounds hold exactly.  If the range stays empty, the state is
+further out than rounding can carry it, and the call raises as before.
 """
 
 from __future__ import annotations
@@ -38,6 +56,10 @@ from .errors import ConfigurationError, LimitConsistencyError, NonFiniteStateErr
 
 # Absolute tolerance for all limit assertions (double precision throughout).
 LIMIT_EPS = 1e-9
+# How far toward safety ``valid_accel_bounds`` moves a velocity, in ulp, to
+# tell a state left just past the viable boundary by rounding from one
+# outside the supported regime (see "Boundary states" above).
+BOUNDARY_ULPS = 128
 
 
 def _as_float_array(x) -> np.ndarray:
@@ -293,9 +315,23 @@ def valid_accel_bounds(v0, a0, v_max, a_max, j_max, dt, correction_enabled=False
 
     bad = lo - hi > LIMIT_EPS
     if np.any(bad):
-        idx = np.argwhere(bad)[0]
-        joint = idx[-1] if idx.size else 0
-        raise LimitConsistencyError(joint, lo[tuple(idx)], hi[tuple(idx)])
+        # Boundary states (module docstring): brake at full jerk on the
+        # binding side if the state moved toward safety has a range.
+        ceil = np.minimum(hi_jerk, a_max)
+        floor = np.maximum(lo_jerk, -a_max)
+        v_b = v_refl[:, bad]
+        vel_b = max_accel_velocity(
+            v_b - BOUNDARY_ULPS * np.abs(np.spacing(v_b)), a_refl[:, bad],
+            *(np.broadcast_to(x, shape)[bad] for x in (v_max, j_max)), dt)
+        ceil_b, floor_b = ceil[bad], floor[bad]
+        empty = np.maximum(floor_b, -vel_b[1]) > np.minimum(ceil_b, vel_b[0])
+        if np.any(empty):
+            idx = np.argwhere(bad)[np.argmax(empty)]
+            joint = idx[-1] if idx.size else 0
+            raise LimitConsistencyError(joint, lo[tuple(idx)], hi[tuple(idx)])
+        brake = np.where(vel[0] < ceil, floor, ceil)
+        lo = np.where(bad, brake, lo)
+        hi = np.where(bad, brake, hi)[()]
     lo = np.minimum(lo, hi)
     return lo, hi
 

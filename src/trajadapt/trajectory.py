@@ -151,10 +151,6 @@ class CartesianPath:
         return self._spline(np.clip(u, 0.0, 1.0))
 
 
-def spline_path(waypoints) -> CartesianPath:
-    return CartesianPath(waypoints)
-
-
 def path_to_joint_space(path: CartesianPath, model: ChainModel, samples: int,
                         q_seed=None, target_rot=None, limits: JointLimits | None = None,
                         max_jump=0.2) -> np.ndarray:
@@ -375,7 +371,7 @@ def generate_reference(model: ChainModel, limits: JointLimits, areas: SamplingAr
     """Run the full pipeline once; raises PathRejectedError on a bad draw."""
     rng = np.random.default_rng(seed)
     wps = sample_waypoints(areas, rng)
-    path = spline_path(wps)
+    path = CartesianPath(wps)
     q_path = path_to_joint_space(path, model, cfg.ik_samples, limits=limits)
     timed = time_parameterize(q_path, limits, headroom=cfg.headroom, grid=cfg.grid)
     traj = resample_uniform(timed, cfg.dt, traj_id=traj_id, split=split, waypoints=wps)

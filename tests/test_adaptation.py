@@ -348,6 +348,14 @@ def test_campaign_deterministic():
     assert a == b
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_campaign_without_correction_keeps_a_nonempty_range(seed):
+    # each seed used to end in an empty range (lo - hi of 1e-9 to 3e-9) on a
+    # joint braking from its velocity bound; see limits "Boundary states"
+    rep = ad.run_limit_campaign(50, 40, correction_enabled=False, seed=seed)
+    assert rep.ok()
+
+
 def test_campaign_single_step():
     rep = ad.run_limit_campaign(episodes=10, steps=1, seed=0)
     assert rep.ok()

@@ -14,8 +14,9 @@ from trajadapt import adaptation as ad
 from trajadapt import cli
 from trajadapt import environment as envm
 from trajadapt import kinematics as kin
+from trajadapt import policy as pol
 from trajadapt import trajectory as tr
-from trajadapt.errors import LimitConsistencyError, NonFiniteStateError
+from trajadapt.errors import ConfigurationError, LimitConsistencyError, NonFiniteStateError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -128,18 +129,27 @@ def test_validate_limits_rejects_corrupt_limits(tmp_path):
     assert rc == 2
 
 
-def test_validate_limits_reports_empty_range_as_failure(tmp_path, capsys):
-    # without the ripple correction a joint riding the velocity bound can
-    # reach lo > hi by ~1e-8; that is a failed validation, not a traceback
+def test_validate_limits_reports_empty_range_as_failure(tmp_path, capsys, monkeypatch):
+    # an in-regime state always has a valid range, so the range is emptied
+    # where the campaign looks it up: that is a failed validation, not a
+    # traceback
     cfg = _write_arm_config(tmp_path)
-    raw = json.loads(cfg.read_text())
-    raw["step"]["correction_enabled"] = False
-    cfg.write_text(json.dumps(raw))
+    monkeypatch.setattr(ad, "valid_accel_bounds", _empty_range)
     rc = cli.main(["validate-limits", "--config", str(cfg)])
     err = capsys.readouterr().err
     assert rc == 1
     assert "randomized-limits: empty acceleration range" in err
     assert "limit validation: FAIL" in err
+
+
+def test_validate_limits_passes_at_the_viable_boundary(capsys):
+    # the configured-limits campaign of this seed used to end in an empty
+    # range on joint 4 of episode 445, braking from its velocity bound
+    rc = cli.main(["validate-limits", "--config", str(CONFIG_DIR / "arm_dataset.json"),
+                   "--episodes", "1000", "--seed", "637028892"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "configured-limits: episodes=1000 steps=200 joints=7 violations=0" in out
 
 
 # ---------------------------------------------------------------------------
@@ -402,15 +412,10 @@ def test_eval_loads_config_and_dataset_once(tmp_path, monkeypatch):
     assert calls == {"load_config": 1, "load_dataset": 1}
 
 
-def _empty_range_config(tmp_path):
-    # without the ripple correction the random policy drives joint 0 of the
-    # gimbal into an empty valid range in episode 0 of seed 5
-    return _write_balance_config(
-        tmp_path, policy={"kind": "random"}, use_environment=False,
-        stationary_steps=201, step={"dt_s": 0.05, "control_dt_s": 0.005,
-                                    "correction_enabled": False},
-        reward={"deviation_low_rad": 5.0, "deviation_high_rad": 9.0,
-                "termination_rad": 10.0})
+def _empty_range(*args, **kwargs):
+    # an in-regime state always has a valid range (limits "Boundary states"),
+    # so the tests of how an empty one is reported put this in its place
+    raise LimitConsistencyError(0, 1.5, 1.25)
 
 
 def test_limit_consistency_error_pickles():
@@ -420,8 +425,9 @@ def test_limit_consistency_error_pickles():
     assert str(err) == str(LimitConsistencyError(3, 1.5, 1.25))
 
 
-def test_rollout_reports_empty_range_as_failure(tmp_path, capsys):
-    cfg = _empty_range_config(tmp_path)
+def test_rollout_reports_empty_range_as_failure(tmp_path, capsys, monkeypatch):
+    cfg = _write_balance_config(tmp_path)
+    monkeypatch.setattr(ad, "valid_accel_range", _empty_range)
     rc = cli.main(["rollout", "--config", str(cfg), "--seed", "5",
                    "--episodes", "1"])
     err = capsys.readouterr().err
@@ -431,11 +437,19 @@ def test_rollout_reports_empty_range_as_failure(tmp_path, capsys):
 
 def test_pooled_eval_reports_empty_range_instead_of_hanging(tmp_path):
     # a worker's error must come back through the pool; run in a subprocess
-    # so that a hang fails the test instead of blocking the suite
-    cfg = _empty_range_config(tmp_path)
+    # so that a hang fails the test instead of blocking the suite.  The
+    # forked workers inherit the emptied range.
+    cfg = _write_balance_config(tmp_path)
     env = dict(os.environ, PYTHONPATH=str(Path(trajadapt.__file__).parent.parent))
+    script = ("import sys\n"
+              "from trajadapt import adaptation, cli\n"
+              "from trajadapt.errors import LimitConsistencyError\n"
+              "def empty(*args, **kwargs):\n"
+              "    raise LimitConsistencyError(0, 1.5, 1.25)\n"
+              "adaptation.valid_accel_range = empty\n"
+              "sys.exit(cli.main(sys.argv[1:]))\n")
     proc = subprocess.run(
-        [sys.executable, "-m", "trajadapt.cli", "eval", "--config", str(cfg),
+        [sys.executable, "-c", script, "eval", "--config", str(cfg),
          "--seed", "5", "--episodes", "2", "--workers", "2"],
         capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 1
@@ -542,6 +556,12 @@ def test_unknown_config_key_is_configuration_error(tmp_path, capsys, edit, key):
     assert err.startswith("configuration error: unknown key") and key in err
 
 
+def test_sampling_without_boxes_is_configuration_error(tmp_path, capsys):
+    cfg = _write_arm_config(tmp_path, sampling={"height_band_m": [0.82, 0.92]})
+    assert cli.main(["generate", "--config", str(cfg)]) == 2
+    assert "'sampling' needs boxes_m" in capsys.readouterr().err
+
+
 def test_pd_balance_without_environment_is_configuration_error(tmp_path, capsys):
     cfg = _write_balance_config(tmp_path, use_environment=False)
     assert cli.main(["eval", "--config", str(cfg), "--episodes", "1"]) == 2
@@ -583,14 +603,31 @@ def test_cli_flag_beats_env_var(tmp_path, monkeypatch):
 def test_policy_kinds_constructible(tmp_path):
     from trajadapt.config import load_config
     from trajadapt.trajectory import ReferenceTrajectory
-    cfg_path = _write_balance_config(tmp_path)
-    cfg = load_config(cfg_path)
     ref = ReferenceTrajectory(dt=0.05, positions=np.zeros((5, 2)))
-    for kind in ("random", "greedy_max", "tracking", "pd_balance"):
-        cfg2 = load_config(cfg_path)
-        cfg2.policy_spec = {"kind": kind, "mask": [0, 1]}
-        policy = cli.build_policy(cfg2, ref)
+    specs = {"random": {}, "greedy_max": {}, "tracking": {"kp": 50.0},
+             "pd_balance": {"mask": [0, 1]}}
+    for kind, keys in specs.items():
+        cfg = load_config(_write_balance_config(tmp_path, policy={"kind": kind, **keys}))
+        policy = cli.build_policy(cfg, ref)
         assert hasattr(policy, "act")
-    cfg.policy_spec = {"kind": "unknown"}
-    with pytest.raises(Exception):
-        cli.build_policy(cfg, ref)
+    with pytest.raises(ConfigurationError):
+        load_config(_write_balance_config(tmp_path, policy={"kind": "unknown"}))
+
+
+def test_linear_weights_read_once_per_run(tmp_path, monkeypatch):
+    cfg = _write_balance_config(
+        tmp_path, policy={"kind": "linear", "weights_file": "weights.txt"})
+    np.savetxt(tmp_path / "weights.txt", np.zeros((2, 15)))
+    reads = []
+    load = pol.LinearPolicy.load
+    monkeypatch.setattr(pol.LinearPolicy, "load",
+                        lambda path: reads.append(path) or load(path))
+    assert cli.main(["eval", "--config", str(cfg), "--episodes", "3",
+                     "--workers", "1"]) == 0
+    assert len(reads) == 1
+
+
+def test_generate_rejects_unknown_policy_kind(tmp_path, capsys):
+    cfg = _write_arm_config(tmp_path, policy={"kind": "unknown"})
+    assert cli.main(["generate", "--config", str(cfg)]) == 2
+    assert "unknown policy kind 'unknown'" in capsys.readouterr().err

@@ -1,0 +1,140 @@
+"""The run-config schema: each key lands on the object or call it sets."""
+
+import inspect
+import json
+import shutil
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from trajadapt import adaptation as ad
+from trajadapt import cli
+from trajadapt import environment as envm
+from trajadapt import policy as pol
+from trajadapt.adaptation import RewardWeights
+from trajadapt.config import POLICY_KEYS, SECTION_KEYS, load_config
+from trajadapt.limits import StepParams
+from trajadapt.trajectory import PipelineConfig, ReferenceTrajectory
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+# A value for every key of SECTION_KEYS, none of them its default.
+SECTIONS = {
+    "step": {"dt_s": 0.04, "control_dt_s": 0.004, "correction_enabled": False},
+    "task": {"kind": "on_plate", "target_xy_m": [0.01, -0.02], "success_bound_m": 0.05,
+             "noise_std_m": 0.002, "reward_exponent": 3.0,
+             "start_offset_xy_m": [0.03, 0.01]},
+    "plate": {"half_x_m": 0.2, "half_y_m": 0.15},
+    "ball": {"radius_m": 0.025, "rolling_friction": 0.004,
+             "radius_range_m": [0.015, 0.028], "friction_range": [0.002, 0.008],
+             "randomize": False},
+    "reward": {"accel_threshold_norm": 0.7, "jerk_weight": 3.0,
+               "deviation_low_rad": 0.03, "deviation_high_rad": 0.2,
+               "termination_rad": 0.25, "future_positions": 2},
+    "sampling": {"boxes_m": [[[0.1, 0.1, 0.1], [0.2, 0.2, 0.2]],
+                             [[0.3, 0.3, 0.3], [0.4, 0.4, 0.4]]],
+                 "height_band_m": [0.1, 0.2]},
+    "generate": {"count": 3, "headroom": 0.1, "ik_samples": 50, "grid": 300,
+                 "test_fraction": 0.5, "max_attempts": 2},
+    "validate": {"episodes": 7, "steps": 9, "v_max_range": [1.0, 2.0],
+                 "a_max_range": [3.0, 4.0], "jerk_fill_range": [0.5, 0.6]},
+}
+
+# The observation of SECTIONS: 3 * 2 joints, 4 on_plate feedback values and
+# 2 future rows of 2, plus the bias column.
+WEIGHTS = np.arange(2 * 15, dtype=float).reshape(2, 15) / 100.0
+# A value for every key of each policy kind, none of them its default; the
+# gimbal's default mask (-2, -1) selects joints [0, 1].
+POLICIES = {
+    "random": {},
+    "greedy_max": {},
+    "tracking": {"kp": 50.0, "kd": 12.0},
+    "pd_balance": {"mask": [1, 0], "ball_kp": 5.0, "ball_kd": 3.5},
+    "linear": {"weights_file": "weights.txt"},
+}
+POLICY_CLASSES = {"random": pol.RandomPolicy, "greedy_max": pol.GreedyMaxPolicy,
+                  "tracking": pol.TrackingPolicy, "pd_balance": pol.PDBalancePolicy,
+                  "linear": pol.LinearPolicy}
+
+
+def _write_config(tmp_path, policy, sections=SECTIONS):
+    shutil.copy(CONFIG_DIR / "chain_gimbal.json", tmp_path / "chain_gimbal.json")
+    np.savetxt(tmp_path / "weights.txt", WEIGHTS)
+    raw = {"chain_file": "chain_gimbal.json", "policy": policy, "episodes": 4,
+           "out_dir": "out", **sections}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    return path
+
+
+def _defaults(func):
+    return {name: p.default for name, p in inspect.signature(func).parameters.items()}
+
+
+def _assert_lands(got, value, default):
+    assert np.array_equal(np.asarray(got), np.asarray(value)), (got, value)
+    assert not np.array_equal(np.asarray(default), np.asarray(value)), (default, value)
+
+
+def test_every_section_key_lands_on_its_object(tmp_path, monkeypatch):
+    assert {name: set(keys) for name, keys in SECTIONS.items()} \
+        == {name: set(keys) for name, keys in SECTION_KEYS.items()}
+    cfg = load_config(_write_config(tmp_path, {"kind": "random"}))
+    env = envm.BallPlateEnv(cfg.model, cfg.geometry, cfg.task, cfg.ball,
+                            control_dt=cfg.step.control_dt, **cfg.env_args)
+    landed = {"step": (cfg.step, StepParams()), "task": (cfg.task, envm.TaskSpec()),
+              "plate": (cfg.geometry, envm.PlateGeometry()),
+              "ball": (cfg.ball, envm.BallParams()),
+              "reward": (cfg.reward, RewardWeights()),
+              "generate": (cfg.pipeline, PipelineConfig())}
+    for name, (obj, default) in landed.items():
+        for key, arg in SECTION_KEYS[name].items():
+            if hasattr(obj, arg or ""):
+                _assert_lands(getattr(obj, arg), SECTIONS[name][key], getattr(default, arg))
+    # the task and ball keys that configure the environment
+    env_defaults = _defaults(envm.BallPlateEnv)
+    _assert_lands(env.start_offset, SECTIONS["task"]["start_offset_xy_m"],
+                  env_defaults["start_offset"])
+    assert env.randomize is False and cfg.task.kind == "on_plate"
+    assert load_config(_write_config(tmp_path, {}, {})).env_args == {"randomize": True}
+    # sampling and the generate count
+    for (lo, hi), box in zip(cfg.areas.boxes, SECTIONS["sampling"]["boxes_m"]):
+        np.testing.assert_array_equal([lo, hi], box)
+    assert cfg.areas.height_band == (0.1, 0.2)
+    assert cfg.generate_count == 3 != cfg.episodes
+    # validate: the keyword arguments of both campaigns
+    campaign_defaults = _defaults(ad.run_limit_campaign)
+    calls = []
+    monkeypatch.setattr(ad, "run_limit_campaign",
+                        lambda **kwargs: calls.append(kwargs) or ad.CampaignReport(
+                            kwargs["episodes"], kwargs["steps"], 2, 0, 0.0, 0.0, 0.0))
+    assert cli.cmd_validate_limits(cfg) == 0
+    assert len(calls) == 2
+    for kwargs in calls:
+        assert kwargs["episodes"] == 7 and kwargs["dt"] == 0.04
+        assert kwargs["correction_enabled"] is False
+        for key in ("steps", "v_max_range", "a_max_range", "jerk_fill_range"):
+            _assert_lands(kwargs[key], SECTIONS["validate"][key], campaign_defaults[key])
+
+
+@pytest.mark.parametrize("kind", sorted(POLICY_KEYS))
+def test_every_policy_key_lands_on_its_policy(tmp_path, kind):
+    assert set(POLICIES) == set(POLICY_KEYS)
+    assert set(POLICIES[kind]) | {"kind"} == set(POLICY_KEYS[kind])
+    cfg = load_config(_write_config(tmp_path, {"kind": kind, **POLICIES[kind]}))
+    policy = cli.build_policy(cfg, ReferenceTrajectory(dt=0.04, positions=np.zeros((5, 2))))
+    assert type(policy) is POLICY_CLASSES[kind]
+    defaults = _defaults(POLICY_CLASSES[kind])
+    for key, value in POLICIES[kind].items():
+        if key == "mask":
+            assert policy.mask == [1, 0] != [int(i) % 2 for i in defaults["mask"]]
+        elif key == "weights_file":
+            np.testing.assert_array_equal(policy.weights, WEIGHTS)
+        else:
+            _assert_lands(getattr(policy, key), value, defaults[key])
+
+
+def test_default_policy_kind_is_tracking(tmp_path):
+    cfg = load_config(_write_config(tmp_path, {}))
+    assert cfg.policy_kind == "tracking" and cfg.policy_args == {}

@@ -211,6 +211,71 @@ def test_valid_accel_range_inconsistent_state_raises():
         lim.valid_accel_range(state, limits, params)
 
 
+def test_boundary_state_brakes_at_full_jerk():
+    # joint 4 of the arm in episode 445 of the configured-limits campaign of
+    # `validate-limits --seed 637028892`: v0 is 1 ulp past the viable
+    # boundary and the velocity bound lies 1.9e-9 below the jerk floor
+    v0, a0, v_max, a_max, j_max, dt = (2.4399993766775756, 0.012231000853947238,
+                                       2.44, 12.0, 120.0, 0.05)
+    for correction in (False, True):
+        lo, hi = lim.valid_accel_bounds(v0, a0, v_max, a_max, j_max, dt,
+                                        correction_enabled=correction)
+        assert lo == hi == a0 - j_max * dt
+        assert profile_peak_velocity(v0, a0, hi, j_max, dt)[0] - v_max < 1e-13
+        # its mirror image brakes on the lower side
+        assert lim.valid_accel_bounds(-v0, -a0, v_max, a_max, j_max, dt,
+                                      correction_enabled=correction) == (-hi, -lo)
+
+
+@pytest.mark.parametrize("correction", [False, True])
+def test_boundary_fuzz_keeps_a_nonempty_range(correction):
+    """States one step after a command equal to a binding velocity bound,
+    moved 1-64 ulp in v0 and in a0, on the upper or (mirrored) lower side:
+    the range stays non-empty, and riding the bound for 20 more steps
+    exceeds no limit by more than LIMIT_EPS anywhere in the profile.  The
+    jerk excess is measured as the step's acceleration change over
+    j_max * dt, the quantity the range bounds to LIMIT_EPS."""
+    dt = 0.05
+    rng = np.random.default_rng(20)
+    n = 160_000
+    v_max = rng.uniform(0.5, 3.0, n)
+    a_max = rng.uniform(2.0, 15.0, n)
+    j_max = rng.uniform(0.3, 1.0, n) * np.minimum(a_max / dt, v_max / dt**2)
+    a_p = rng.uniform(-1.0, 1.0, n) * np.minimum(a_max, np.sqrt(2.0 * j_max * v_max))
+    room = v_max - np.maximum(a_p, 0.0) ** 2 / (2.0 * j_max)
+    v_p = room * (1.0 - 10.0 ** rng.uniform(-12.0, 0.0, n))
+    _, a = lim.valid_accel_bounds(v_p, a_p, v_max, a_max, j_max, dt,
+                                  correction_enabled=correction)
+    binding = lim.max_accel_velocity(v_p, a_p, v_max, j_max, dt) \
+        < np.minimum(a_p + j_max * dt, a_max)
+    assert binding.sum() >= 100_000
+    v = v_p + 0.5 * (a_p + a) * dt
+
+    def ulps(x):
+        k = rng.integers(1, 65, n) * rng.choice([-1.0, 1.0], n)
+        return x + k * np.abs(np.spacing(x))
+
+    side = rng.choice([-1.0, 1.0], n)
+    v, a, v_max, a_max, j_max, side = (x[binding] for x in (
+        side * ulps(v), side * ulps(a), v_max, a_max, j_max, side))
+    for _ in range(20):
+        lo, hi = lim.valid_accel_bounds(v, a, v_max, a_max, j_max, dt,
+                                        correction_enabled=correction)
+        assert np.all(lo <= hi)
+        a1 = np.where(side > 0, hi, lo)
+        slope = (a1 - a) / dt
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_star = np.where(slope != 0.0, -a / slope, -1.0)
+        inside = (t_star > 0.0) & (t_star < dt)
+        v_end = v + 0.5 * (a + a1) * dt
+        v_peak = np.maximum(np.abs(v_end),
+                            np.where(inside, np.abs(v + 0.5 * a * t_star), 0.0))
+        assert np.max(v_peak - v_max) <= lim.LIMIT_EPS
+        assert np.max(np.abs(a1) - a_max) <= lim.LIMIT_EPS
+        assert np.max(np.abs(a1 - a) - j_max * dt) <= lim.LIMIT_EPS
+        v, a = v_end, a1
+
+
 def test_valid_accel_bounds_batch_equals_per_joint_calls():
     rng = np.random.default_rng(11)
     dt, shape = 0.05, (40, 7)

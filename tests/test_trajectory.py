@@ -72,21 +72,21 @@ def test_sample_waypoints_height_band():
 # spline
 
 def test_spline_two_waypoints_is_straight():
-    path = tr.spline_path([[0.0, 0.0, 0.0], [1.0, 2.0, 0.0]])
+    path = tr.CartesianPath([[0.0, 0.0, 0.0], [1.0, 2.0, 0.0]])
     for u in np.linspace(0, 1, 11):
         np.testing.assert_allclose(path(u), [u, 2 * u, 0.0], atol=1e-12)
 
 
 def test_spline_interpolates_waypoints():
     wps = np.array([[0, 0, 0], [0.5, 0.2, 0.1], [1.0, -0.3, 0.4], [1.5, 0, 0]], float)
-    path = tr.spline_path(wps)
+    path = tr.CartesianPath(wps)
     for u, wp in zip(path.u_knots, wps):
         assert np.linalg.norm(path(u) - wp) < 1e-9
 
 
 def test_spline_collinear_waypoints_stay_on_line():
     wps = np.array([[0, 0, 0], [1, 1, 1], [2, 2, 2], [3.5, 3.5, 3.5]], float)
-    path = tr.spline_path(wps)
+    path = tr.CartesianPath(wps)
     direction = np.array([1.0, 1.0, 1.0]) / np.sqrt(3)
     for u in np.linspace(0, 1, 50):
         p = path(u)
@@ -96,7 +96,7 @@ def test_spline_collinear_waypoints_stay_on_line():
 
 def test_spline_duplicate_waypoints_rejected():
     with pytest.raises(ConfigurationError):
-        tr.spline_path([[0, 0, 0], [0, 0, 0], [1, 0, 0]])
+        tr.CartesianPath([[0, 0, 0], [0, 0, 0], [1, 0, 0]])
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 10, 100])
@@ -124,7 +124,7 @@ def test_natural_spline_matches_scipy(m):
 def test_path_to_joint_space_stationary(arm):
     model, limits = arm
     pos, _ = kin.fk_transform(model, model.q_home)
-    path = tr.spline_path([pos, pos + [1e-9, 0, 0]])
+    path = tr.CartesianPath([pos, pos + [1e-9, 0, 0]])
     qs = tr.path_to_joint_space(path, model, 5, limits=limits)
     assert np.max(np.abs(np.diff(qs, axis=0))) < 1e-5
 
@@ -132,7 +132,7 @@ def test_path_to_joint_space_stationary(arm):
 def test_path_to_joint_space_fk_round_trip(arm):
     model, limits = arm
     wps = tr.sample_waypoints(DEMO_AREAS, np.random.default_rng(2))
-    path = tr.spline_path(wps)
+    path = tr.CartesianPath(wps)
     qs = tr.path_to_joint_space(path, model, 40, limits=limits)
     us = np.linspace(0, 1, 40)
     for q, u in zip(qs[::5], us[::5]):
@@ -143,7 +143,7 @@ def test_path_to_joint_space_fk_round_trip(arm):
 
 def test_path_to_joint_space_unreachable_rejected():
     model, limits = planar_chain([0.5, 0.5])
-    path = tr.spline_path([[0.2, 0.2, 0.0], [5.0, 0.0, 0.0]])
+    path = tr.CartesianPath([[0.2, 0.2, 0.0], [5.0, 0.0, 0.0]])
     with pytest.raises(PathRejectedError):
         tr.path_to_joint_space(path, model, 10, target_rot=None, limits=limits)
 
@@ -181,7 +181,7 @@ def test_time_parameterize_monotone_time(demo_reference, arm):
     assert np.all(np.diff(demo_reference.positions, axis=0).shape[0] > 0)
     # re-derive from a fresh path to inspect timestamps directly
     wps = tr.sample_waypoints(DEMO_AREAS, np.random.default_rng(3))
-    qs = tr.path_to_joint_space(tr.spline_path(wps), model, 60, limits=limits)
+    qs = tr.path_to_joint_space(tr.CartesianPath(wps), model, 60, limits=limits)
     timed = tr.time_parameterize(qs, limits)
     assert np.all(np.diff(timed.t) > 0)
 
