@@ -322,6 +322,7 @@ def run_limit_campaign(episodes: int, steps: int = 200, n_joints: int = 7,
     first = None
     max_v = max_a = max_j = 0.0
     dt2 = dt * dt
+    jd = dt * j_max
 
     for step in range(steps):
         lo, hi = valid_accel_bounds(v, a, v_max, a_max, j_max, dt,
@@ -329,15 +330,15 @@ def run_limit_campaign(episodes: int, steps: int = 200, n_joints: int = 7,
         raw = rng.uniform(-1.0, 1.0, shape) * a_max
         a1 = np.clip(raw, lo, hi)
 
-        jerk_norm = np.abs(a1 - a) / (dt * j_max)
-        slope = (a1 - a) / dt
+        da = a1 - a
+        jerk_norm = np.abs(da) / jd
+        slope = da / dt
         # The acceleration is linear and the velocity quadratic in time, so
         # both peak at a step end or, for the velocity, where the
         # acceleration crosses zero inside the step.
         a_end = a + slope * dt
         v_end = v + a * dt + 0.5 * slope * dt2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_star = np.where(np.abs(slope) > 0, -a / np.where(slope != 0, slope, 1.0), -1.0)
+        t_star = np.divide(-a, slope, out=np.full(shape, -1.0), where=slope != 0)
         inside = (t_star > 0) & (t_star < dt)
         v_star = v + a * t_star + 0.5 * slope * t_star**2
 

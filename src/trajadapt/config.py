@@ -22,7 +22,7 @@ from .adaptation import RewardWeights
 from .errors import ConfigurationError
 from .kinematics import ChainModel, load_chain
 from .limits import JointLimits, StepParams, check_limit_regime
-from .policy import LinearPolicy, ObservationLayout
+from .policy import BALANCE_MASK, LinearPolicy, ObservationLayout, balance_mask, check_gains
 from .trajectory import PipelineConfig, SamplingAreas
 
 ENV_PREFIX = "TRAJADAPT_"
@@ -95,6 +95,10 @@ def _policy(raw: dict, base: Path, layout: ObservationLayout, use_environment: b
         raise ConfigurationError(
             '"kind": "pd_balance" balances on ball feedback and cannot run '
             'with "use_environment": false')
+    # the values the constructors check; tilt authority needs the reference
+    check_gains(**args)
+    if kind == "pd_balance":
+        balance_mask(args.get("mask", BALANCE_MASK), layout.n_joints)
     if kind == "linear":
         if not section.get("weights_file"):
             raise ConfigurationError("linear policy needs a weights_file entry")

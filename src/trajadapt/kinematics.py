@@ -21,6 +21,8 @@ import numpy as np
 from .errors import ConfigurationError, IKConvergenceError
 from .limits import JointLimits
 
+_EYE3 = np.eye(3)
+
 
 def rpy_matrix(rpy) -> np.ndarray:
     """Rz(yaw) @ Ry(pitch) @ Rx(roll) for rpy = (roll, pitch, yaw)."""
@@ -106,10 +108,10 @@ def _frames(model: ChainModel, q):
     sin = np.sin(q)[:, :, None, None]
     vers = (1.0 - np.cos(q))[:, :, None, None]
     skews = model.axis_skews
-    local = model.mounts @ (np.eye(3) + sin * skews + vers * (skews @ skews))
+    local = model.mounts @ (_EYE3 + sin * skews + vers * (skews @ skews))
     k = q.shape[0]
     pos = np.zeros((k, 3))
-    rot = np.broadcast_to(np.eye(3), (k, 3, 3))
+    rot = np.broadcast_to(_EYE3, (k, 3, 3))
     origins = np.empty((k, model.n_joints, 3))
     axes = np.empty((k, model.n_joints, 3))
     for i, row in enumerate(model.joints):
@@ -135,9 +137,13 @@ def jacobian(model: ChainModel, q) -> np.ndarray:
 
 def _jacobian_from_frames(origins, axes, plate_pos) -> np.ndarray:
     """Jacobian from one pose's joint origins (n, 3), axes (n, 3) and plate
-    position (3,), as ``_frames`` returns them."""
-    jv = np.cross(axes, plate_pos - origins)
-    return np.concatenate([jv.T, axes.T], axis=0)
+    position (3,), as ``_frames`` returns them.  The linear rows are
+    axis x (plate - origin), written out as ``np.cross`` computes them; the
+    result is column-major, the layout the IK solve's BLAS calls round for."""
+    a0, a1, a2 = axes.T
+    b0, b1, b2 = (plate_pos - origins).T
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0,
+                     a0, a1, a2], axis=1).T
 
 
 def orientation_error(rot_current: np.ndarray, rot_target: np.ndarray) -> np.ndarray:
@@ -188,6 +194,7 @@ def inverse_kinematics(model: ChainModel, target_pos, q_seed, target_rot=None,
     target_pos = np.asarray(target_pos, dtype=float)
     q = np.asarray(q_seed, dtype=float).copy()
     rows = 3 if target_rot is None else 6
+    damping_eye = damping**2 * np.eye(rows)
     for _ in range(max_iters):
         origins, axes, pos, rot = (a[0] for a in _frames(model, q[None]))
         err_p = target_pos - pos
@@ -202,7 +209,7 @@ def inverse_kinematics(model: ChainModel, target_pos, q_seed, target_rot=None,
         if converged:
             return q
         jac = _jacobian_from_frames(origins, axes, pos)[:rows]
-        jjt = jac @ jac.T + damping**2 * np.eye(rows)
+        jjt = jac @ jac.T + damping_eye
         dq = jac.T @ np.linalg.solve(jjt, err)
         biggest = np.max(np.abs(dq))
         if biggest > step_clamp:

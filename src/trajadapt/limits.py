@@ -14,7 +14,12 @@ The lower velocity bound is the sign reflection of the upper one, so
 ``valid_accel_bounds`` evaluates both sides in one ``max_accel_velocity`` call
 on the stacked states (v0, a0) and (-v0, -a0).  The ripple correction is
 evaluated only on the entries where the velocity bound binds, and not at all
-when none does.
+when none does: one ``np.flatnonzero`` of the binding test gives their flat
+indices into the stacked (2, ...) arrays, ``take`` gathers the k states and
+limits and ``put`` writes the shifted bounds back.  ``_correction_shift``
+lays its six candidate interval counts out as (6, k) rows, so every element
+pass runs over k contiguous entries.  Likewise ``max_accel_velocity``
+evaluates its in-step root only on the entries past the in-step threshold.
 
 Supported limit regime
 ----------------------
@@ -184,32 +189,41 @@ def max_accel_velocity(v0, a0, v_max, j_max, dt):
     Case split on v0 + a0*dt/2 (the end-of-step velocity if the acceleration
     were ramped straight to zero): below v_max the peak lies in the braking
     phase; at or above it the peak must occur inside the current step, which
-    forces a sign change of the acceleration within the step.
+    forces a sign change of the acceleration within the step.  The in-step
+    root is evaluated only on the entries past that threshold.
 
     Degenerate inputs: a0 == 0 with v0 >= v_max returns 0 (the analytic
     limit); v0 == v_max with a0 != 0 falls back to the braking-phase formula,
     whose denominator never vanishes.
     """
     v0, a0, v_max, j_max = (_as_float_array(x) for x in (v0, a0, v_max, j_max))
+    neg_jd = -j_max * dt
 
     # Braking-phase solution: quadratic in a1, root chosen so smaller a1 is safer.
     with np.errstate(invalid="ignore", divide="ignore"):
-        disc = 1.0 + (8.0 * (v0 - v_max) + 4.0 * a0 * dt) / (-j_max * dt * dt)
+        disc = 1.0 + (8.0 * (v0 - v_max) + 4.0 * a0 * dt) / (neg_jd * dt)
         disc = np.maximum(disc, 0.0)
-        brake = (-j_max * dt / 2.0) * (1.0 - np.sqrt(disc))
+        out = (neg_jd / 2.0) * (1.0 - np.sqrt(disc))
 
-        # In-step-peak solution; denominator guarded, selection below avoids it.
-        gap = v_max - v0
-        safe_gap = np.where(gap != 0.0, gap, 1.0)
-        instep = a0 * (1.0 - (a0 * dt) / (2.0 * safe_gap))
-
-    past_threshold = v0 + 0.5 * a0 * dt >= v_max
-    use_instep = past_threshold & (a0 != 0.0) & (gap > 0.0)
-    rest_at_limit = past_threshold & (a0 == 0.0)
-
-    out = np.where(use_instep, instep, brake)
-    out = np.where(rest_at_limit, 0.0, out)
+    past = np.flatnonzero(np.broadcast_to(v0 + 0.5 * a0 * dt >= v_max, out.shape))
+    if past.size:
+        # In-step-peak solution on the entries past the threshold alone; a
+        # zero gap divides by zero but is never selected.  (A 0-d ``out``
+        # is a numpy scalar until made an array.)
+        out = np.asarray(out)
+        v0_p, a0_p, v_max_p = (np.broadcast_to(x, out.shape).ravel().take(past)
+                               for x in (v0, a0, v_max))
+        gap = v_max_p - v0_p
+        with np.errstate(invalid="ignore", divide="ignore"):
+            instep = a0_p * (1.0 - (a0_p * dt) / (2.0 * gap))
+        out.put(past, np.where(a0_p == 0.0, 0.0,
+                               np.where(gap > 0.0, instep, out.take(past))))
     return out if out.ndim else float(out)
+
+
+# Candidate interval counts around the plain bound's zero-crossing step, one
+# row each; the settle chain steps n down by exactly one.
+_CANDIDATE_OFFSETS = np.array([-2.0, -1.0, 0.0, 1.0, 2.0, 3.0])[:, None]
 
 
 def _correction_shift(v0, a0, a_unc, v_max, a_max, j_max, dt):
@@ -228,38 +242,36 @@ def _correction_shift(v0, a0, a_unc, v_max, a_max, j_max, dt):
     returned.  Where no candidate is admissible the plain bound is returned
     unchanged (it is always safe).
 
-    All array arguments have the same shape: ``valid_accel_bounds`` passes
-    only the entries where the velocity bound binds.
+    All array arguments are (k,) vectors: ``valid_accel_bounds`` gathers
+    only the entries where the velocity bound binds.  The candidates are
+    laid out (6, k), one row per interval-count offset.
     """
     jd = j_max * dt
-    dv = v_max - v0
 
     with np.errstate(invalid="ignore", divide="ignore"):
         n0 = np.ceil(np.maximum(a_unc, 0.0) / jd)
-    n0 = np.clip(np.nan_to_num(n0, nan=1.0), 1.0, 1e6)
+    # clip to [1, 1e6], NaN to 1
+    n0 = np.fmin(np.fmax(n0, 1.0), 1e6)
+    n = np.maximum(n0 + _CANDIDATE_OFFSETS, 1.0)
 
-    # Candidate interval counts; the settle chain steps n down by exactly one.
-    offsets = np.array([-2.0, -1.0, 0.0, 1.0, 2.0, 3.0])
-    n = np.maximum(n0[..., None] + offsets, 1.0)
-
-    c = (dv / dt - 0.5 * a0)[..., None]
-    a_star = c / n + 0.5 * jd[..., None] * (n - 1.0)
-    a_tail = a_star - jd[..., None] * (n - 1.0)
+    # n - 1 intervals on the -j_max line: a_tail = a* - m, and the
+    # trapezoid sum gives a* = c / n + m / 2.
+    c = (v_max - v0) / dt - 0.5 * a0
+    m = jd * (n - 1.0)
+    a_star = c / n + 0.5 * m
+    a_tail = a_star - m
 
     tol = 1e-9
-    lower = np.maximum(a0 - jd, -a_max)[..., None]
+    floor = np.maximum(np.maximum(a0 - jd, -a_max) - tol, -tol)
     admissible = (
-        (a_star >= -tol)
-        & (a_star <= a_unc[..., None] + tol)
-        & (a_star >= lower - tol)
+        (a_star >= floor)
+        & (a_star <= a_unc + tol)
         & (a_tail >= -tol)
-        & (a_tail <= jd[..., None] + tol)
+        & (a_tail <= jd + tol)
     )
 
-    a_star = np.where(admissible, a_star, -np.inf)
-    best = np.max(a_star, axis=-1)
-    shifted = np.where(np.isfinite(best), np.minimum(np.maximum(best, 0.0), a_unc), a_unc)
-    return shifted
+    best = np.max(np.where(admissible, a_star, -np.inf), axis=0)
+    return np.where(np.isfinite(best), np.minimum(np.maximum(best, 0.0), a_unc), a_unc)
 
 
 def _reflected(x, shape):
@@ -295,30 +307,29 @@ def valid_accel_bounds(v0, a0, v_max, a_max, j_max, dt, correction_enabled=False
     a_refl = _reflected(a0, shape)
     vel = max_accel_velocity(v_refl, a_refl, v_max, j_max, dt)
 
-    hi_jerk = a0 + j_max * dt
-    lo_jerk = a0 - j_max * dt
+    ceil = np.minimum(a0 + j_max * dt, a_max)
+    floor = np.maximum(a0 - j_max * dt, -a_max)
 
     if correction_enabled:
-        binding = np.stack((
-            vel[0] <= np.minimum(hi_jerk, a_max) + LIMIT_EPS,
-            -vel[1] >= np.maximum(lo_jerk, -a_max) - LIMIT_EPS,
-        ))
-        if binding.any():
-            vel[binding] = _correction_shift(
-                v_refl[binding], a_refl[binding], vel[binding],
-                *(np.broadcast_to(x, vel.shape)[binding] for x in (v_max, a_max, j_max)),
+        binding = np.stack((vel[0] <= ceil + LIMIT_EPS, -vel[1] >= floor - LIMIT_EPS))
+        at = np.flatnonzero(binding)
+        if at.size:
+            # flat indices into (2, *shape); modulo its row size, into shape
+            joint = at % vel[0].size
+            vel.put(at, _correction_shift(
+                v_refl.take(at), a_refl.take(at), vel.take(at),
+                *(np.broadcast_to(x, shape).ravel().take(joint)
+                  for x in (v_max, a_max, j_max)),
                 dt,
-            )
+            ))
 
-    hi = np.minimum(np.minimum(hi_jerk, a_max), vel[0])
-    lo = np.maximum(np.maximum(lo_jerk, -a_max), -vel[1])
+    hi = np.minimum(ceil, vel[0])
+    lo = np.maximum(floor, -vel[1])
 
     bad = lo - hi > LIMIT_EPS
     if np.any(bad):
         # Boundary states (module docstring): brake at full jerk on the
         # binding side if the state moved toward safety has a range.
-        ceil = np.minimum(hi_jerk, a_max)
-        floor = np.maximum(lo_jerk, -a_max)
         v_b = v_refl[:, bad]
         vel_b = max_accel_velocity(
             v_b - BOUNDARY_ULPS * np.abs(np.spacing(v_b)), a_refl[:, bad],

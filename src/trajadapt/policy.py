@@ -20,6 +20,26 @@ from .limits import JointLimits
 GRAVITY = 9.81
 BALL_DRIVE = 5.0 / 7.0 * GRAVITY   # ball acceleration per radian of tilt
 TILT_LIMIT = 0.25                  # largest plate tilt the balancer asks for, rad
+BALANCE_MASK = (-2, -1)            # the balancer's default tilt joints
+
+
+def check_gains(**gains) -> None:
+    """Reject policy gains outside their domain: ``kp`` and ``kd`` must be
+    > 0, ``ball_kp`` and ``ball_kd`` >= 0.  Absent gains are not checked,
+    other keywords are ignored."""
+    if any(gains[k] <= 0 for k in ("kp", "kd") if k in gains):
+        raise ConfigurationError("tracking gains must be positive")
+    if any(gains[k] < 0 for k in ("ball_kp", "ball_kd") if k in gains):
+        raise ConfigurationError("ball gains must be >= 0")
+
+
+def balance_mask(mask, n_joints: int) -> tuple:
+    """The balancer's joint indices, negative ones counted from the end;
+    at least 2 distinct joints."""
+    mask = tuple(int(i) % n_joints for i in mask)
+    if len(set(mask)) < 2:
+        raise ConfigurationError("balance mask must select at least 2 joints")
+    return mask
 
 
 @dataclass(frozen=True)
@@ -88,8 +108,7 @@ class TrackingPolicy:
 
     def __init__(self, layout: ObservationLayout, limits: JointLimits,
                  dt: float, kp: float = 60.0, kd: float = 14.0):
-        if kp <= 0 or kd <= 0:
-            raise ConfigurationError("tracking gains must be positive")
+        check_gains(kp=kp, kd=kd)
         self.layout = layout
         self.limits = limits
         self.dt = dt
@@ -138,16 +157,11 @@ class PDBalancePolicy(TrackingPolicy):
 
     def __init__(self, layout: ObservationLayout, limits: JointLimits, dt: float,
                  model: ChainModel, geometry: PlateGeometry, task: TaskSpec,
-                 anchor_q, mask=(-2, -1), ball_kp: float = 6.0,
+                 anchor_q, mask=BALANCE_MASK, ball_kp: float = 6.0,
                  ball_kd: float = 4.5, **gains):
         super().__init__(layout, limits, dt, **gains)
-        if ball_kp < 0 or ball_kd < 0:
-            raise ConfigurationError("ball gains must be >= 0")
-        n = limits.n_joints
-        mask = tuple(int(i) % n for i in mask)
-        if len(set(mask)) < 2:
-            raise ConfigurationError("balance mask must select at least 2 joints")
-        self.mask = list(mask)
+        check_gains(ball_kp=ball_kp, ball_kd=ball_kd)
+        self.mask = list(balance_mask(mask, limits.n_joints))
         self.model = model
         self.geometry = geometry
         self.task = task

@@ -1,10 +1,11 @@
 """Shared oracles: forward-simulation of bound profiles and the greedy-max
-closed loop, kept independent of the closed-form code paths they check;
-and a planar test chain."""
+closed loop, kept independent of the closed-form code paths they check; a
+frozen reference copy of the valid-range kernels; and a planar test chain."""
 
 import numpy as np
 
 from trajadapt import limits as lim
+from trajadapt.errors import LimitConsistencyError, NonFiniteStateError
 from trajadapt.kinematics import ChainModel, JointRow
 
 
@@ -107,3 +108,103 @@ def greedy_rollout(v0, a0, v_max, a_max, j_max, dt, steps, correction):
         vs.append(v)
         accs.append(a)
     return np.asarray(vs), np.asarray(accs), peak
+
+
+# ---------------------------------------------------------------------------
+# Frozen reference kernels: the valid-range arithmetic as first written
+# (element passes over (k, 6) candidates, boolean-mask gathers, the in-step
+# root always evaluated).  ``limits`` must stay bit-identical to them.
+
+def ref_max_accel_velocity(v0, a0, v_max, j_max, dt):
+    v0, a0, v_max, j_max = (np.asarray(x, dtype=float) for x in (v0, a0, v_max, j_max))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        disc = 1.0 + (8.0 * (v0 - v_max) + 4.0 * a0 * dt) / (-j_max * dt * dt)
+        disc = np.maximum(disc, 0.0)
+        brake = (-j_max * dt / 2.0) * (1.0 - np.sqrt(disc))
+        gap = v_max - v0
+        safe_gap = np.where(gap != 0.0, gap, 1.0)
+        instep = a0 * (1.0 - (a0 * dt) / (2.0 * safe_gap))
+    past_threshold = v0 + 0.5 * a0 * dt >= v_max
+    use_instep = past_threshold & (a0 != 0.0) & (gap > 0.0)
+    rest_at_limit = past_threshold & (a0 == 0.0)
+    out = np.where(use_instep, instep, brake)
+    out = np.where(rest_at_limit, 0.0, out)
+    return out if out.ndim else float(out)
+
+
+def ref_correction_shift(v0, a0, a_unc, v_max, a_max, j_max, dt):
+    jd = j_max * dt
+    dv = v_max - v0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        n0 = np.ceil(np.maximum(a_unc, 0.0) / jd)
+    n0 = np.clip(np.nan_to_num(n0, nan=1.0), 1.0, 1e6)
+    offsets = np.array([-2.0, -1.0, 0.0, 1.0, 2.0, 3.0])
+    n = np.maximum(n0[..., None] + offsets, 1.0)
+    c = (dv / dt - 0.5 * a0)[..., None]
+    a_star = c / n + 0.5 * jd[..., None] * (n - 1.0)
+    a_tail = a_star - jd[..., None] * (n - 1.0)
+    tol = 1e-9
+    lower = np.maximum(a0 - jd, -a_max)[..., None]
+    admissible = (
+        (a_star >= -tol)
+        & (a_star <= a_unc[..., None] + tol)
+        & (a_star >= lower - tol)
+        & (a_tail >= -tol)
+        & (a_tail <= jd[..., None] + tol)
+    )
+    a_star = np.where(admissible, a_star, -np.inf)
+    best = np.max(a_star, axis=-1)
+    return np.where(np.isfinite(best), np.minimum(np.maximum(best, 0.0), a_unc), a_unc)
+
+
+def _ref_reflected(x, shape):
+    out = np.empty((2,) + shape)
+    out[0] = x
+    out[1] = -x
+    return out
+
+
+def ref_valid_accel_bounds(v0, a0, v_max, a_max, j_max, dt, correction_enabled=False):
+    v0, a0, v_max, a_max, j_max = (np.asarray(x, dtype=float)
+                                   for x in (v0, a0, v_max, a_max, j_max))
+    shape = np.broadcast(v0, a0, v_max, a_max, j_max).shape
+    if not (np.isfinite(v0).all() and np.isfinite(a0).all()):
+        raise NonFiniteStateError("valid acceleration range needs a finite "
+                                  "joint velocity and acceleration")
+    v_refl = _ref_reflected(v0, shape)
+    a_refl = _ref_reflected(a0, shape)
+    vel = ref_max_accel_velocity(v_refl, a_refl, v_max, j_max, dt)
+    hi_jerk = a0 + j_max * dt
+    lo_jerk = a0 - j_max * dt
+    if correction_enabled:
+        binding = np.stack((
+            vel[0] <= np.minimum(hi_jerk, a_max) + lim.LIMIT_EPS,
+            -vel[1] >= np.maximum(lo_jerk, -a_max) - lim.LIMIT_EPS,
+        ))
+        if binding.any():
+            vel[binding] = ref_correction_shift(
+                v_refl[binding], a_refl[binding], vel[binding],
+                *(np.broadcast_to(x, vel.shape)[binding] for x in (v_max, a_max, j_max)),
+                dt,
+            )
+    hi = np.minimum(np.minimum(hi_jerk, a_max), vel[0])
+    lo = np.maximum(np.maximum(lo_jerk, -a_max), -vel[1])
+    bad = lo - hi > lim.LIMIT_EPS
+    if np.any(bad):
+        ceil = np.minimum(hi_jerk, a_max)
+        floor = np.maximum(lo_jerk, -a_max)
+        v_b = v_refl[:, bad]
+        vel_b = ref_max_accel_velocity(
+            v_b - lim.BOUNDARY_ULPS * np.abs(np.spacing(v_b)), a_refl[:, bad],
+            *(np.broadcast_to(x, shape)[bad] for x in (v_max, j_max)), dt)
+        ceil_b, floor_b = ceil[bad], floor[bad]
+        empty = np.maximum(floor_b, -vel_b[1]) > np.minimum(ceil_b, vel_b[0])
+        if np.any(empty):
+            idx = np.argwhere(bad)[np.argmax(empty)]
+            joint = idx[-1] if idx.size else 0
+            raise LimitConsistencyError(joint, lo[tuple(idx)], hi[tuple(idx)])
+        brake = np.where(vel[0] < ceil, floor, ceil)
+        lo = np.where(bad, brake, lo)
+        hi = np.where(bad, brake, hi)[()]
+    lo = np.minimum(lo, hi)
+    return lo, hi

@@ -356,6 +356,33 @@ def test_campaign_without_correction_keeps_a_nonempty_range(seed):
     assert rep.ok()
 
 
+# (seed, correction, fixed arm limits): violations and the three normalized
+# peaks of a 300 x 100 campaign, recorded before the valid-range kernels
+# were rewritten for speed; they must stay bit-identical.
+CAMPAIGN_PINS = {
+    (3, True, False): (0, 1.0000000000000002, 0.9999975570517113, 1.0000000000000229),
+    (3, True, True): (0, 1.0000000000000002, 0.9999594621862367, 1.0000000000000178),
+    (3, False, False): (0, 1.0000000000000007, 0.9999975570517113, 1.0000000002419112),
+    (3, False, True): (0, 1.0000000000000002, 0.9999594621862367, 1.0000000001839568),
+    (11, True, False): (0, 1.0000000000000002, 0.9999470835143298, 1.0000000000000187),
+    (11, True, True): (0, 1.0000000000000002, 0.9999750998363431, 1.0000000000000213),
+    (11, False, False): (0, 1.0000000000000004, 0.9999470835143298, 1.0000000001762441),
+    (11, False, True): (0, 1.0000000000000002, 0.9999750998363431, 1.0000000001589906),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CAMPAIGN_PINS))
+def test_campaign_report_pinned(case):
+    seed, correction, fixed = case
+    limits = kin.seven_dof_chain()[1] if fixed else None
+    rep = ad.run_limit_campaign(300, 100, seed=seed, correction_enabled=correction,
+                                fixed_limits=limits)
+    violations, v, a, j = CAMPAIGN_PINS[case]
+    assert rep == ad.CampaignReport(episodes=300, steps=100, n_joints=7,
+                                    violations=violations, max_velocity_norm=v,
+                                    max_accel_norm=a, max_jerk_norm=j)
+
+
 def test_campaign_single_step():
     rep = ad.run_limit_campaign(episodes=10, steps=1, seed=0)
     assert rep.ok()

@@ -631,3 +631,24 @@ def test_generate_rejects_unknown_policy_kind(tmp_path, capsys):
     cfg = _write_arm_config(tmp_path, policy={"kind": "unknown"})
     assert cli.main(["generate", "--config", str(cfg)]) == 2
     assert "unknown policy kind 'unknown'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate-limits", "generate"])
+def test_bad_tracking_gain_rejected_at_load(tmp_path, capsys, command):
+    cfg = _write_arm_config(tmp_path, policy={"kind": "tracking", "kp": -1.0})
+    assert cli.main([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == "configuration error: tracking gains must be positive\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("policy, message", [
+    ({"kind": "tracking", "kd": 0.0}, "tracking gains must be positive"),
+    ({"kind": "pd_balance", "mask": [0, 1], "ball_kd": -0.5}, "ball gains must be >= 0"),
+    ({"kind": "pd_balance", "mask": [1, -1]}, "balance mask must select at least 2 joints"),
+], ids=["kd", "ball_kd", "mask"])
+def test_bad_policy_values_rejected_for_every_command(tmp_path, capsys, policy, message):
+    cfg = _write_balance_config(tmp_path, policy=policy)
+    for command in ("validate-limits", "eval"):
+        assert cli.main([command, "--config", str(cfg), "--episodes", "1"]) == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"

@@ -63,6 +63,19 @@ def test_jacobian_matches_finite_differences():
         np.testing.assert_allclose(jac[3:, i], w, atol=1e-5)
 
 
+def test_jacobian_equals_numpy_cross_bit_for_bit():
+    # same values and the same column-major layout, so the IK's BLAS calls
+    # round exactly as with np.cross
+    model, _ = kin.seven_dof_chain()
+    rng = np.random.default_rng(5)
+    for q in rng.uniform(-3.0, 3.0, (200, 7)):
+        origins, axes, plate_pos, _ = (a[0] for a in kin._frames(model, q[None]))
+        got = kin._jacobian_from_frames(origins, axes, plate_pos)
+        want = np.concatenate([np.cross(axes, plate_pos - origins).T, axes.T], axis=0)
+        assert np.array_equal(got, want) and got.strides == want.strides
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_orientation_error_matches_scipy():
     rng = np.random.default_rng(11)
     angles = np.concatenate([np.logspace(-9, 0, 40), [1e-3, 2.0, 3.0],

@@ -12,7 +12,9 @@ from trajadapt.errors import (ConfigurationError, LimitConsistencyError,
 # oracles shared with the acceptance suite
 
 from conftest import (bisect_max_accel_velocity, greedy_rollout,
-                      profile_peak_velocity, random_limit_tuples)
+                      profile_peak_velocity, random_limit_tuples,
+                      ref_correction_shift, ref_max_accel_velocity,
+                      ref_valid_accel_bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -474,3 +476,159 @@ def test_safety_fuzz_random_actions_never_violate(case):
             assert abs(v_star) <= v_max + 1e-9
         _, v1 = lim.integrate_step(0.0, v, a, a1, dt)
         v, a = float(v1), a1
+
+
+# ---------------------------------------------------------------------------
+# kernel oracle: bit-identical to the frozen reference kernels
+
+def _outcome(bounds, *args, **kwargs):
+    """(lo, hi) of a valid-range call, or what it raised."""
+    try:
+        return bounds(*args, **kwargs)
+    except LimitConsistencyError as exc:
+        return type(exc), exc.joint, exc.lo, exc.hi
+    except NonFiniteStateError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_outcome(*args, correction):
+    want = _outcome(ref_valid_accel_bounds, *args, correction_enabled=correction)
+    got = _outcome(lim.valid_accel_bounds, *args, correction_enabled=correction)
+    if isinstance(want[0], type):
+        assert got == want
+        return want
+    for g, w in zip(got, want):
+        assert type(g) is type(w) and np.shape(g) == np.shape(w)
+        assert np.array_equal(g, w)
+        assert np.array_equal(np.signbit(g), np.signbit(w))
+    return want
+
+
+def _oracle_states(rng, v_max, a_max, j_max, dt):
+    """One state per limit entry: interior, at rest, on +-v_max, riding the
+    velocity bound, past the in-step threshold (inside the viable set), the
+    boundary fuzz's ulp-moved states and ulp-moved states on the viable
+    boundary, in about equal shares, on both sides, in random order; a0 is
+    exactly 0 in the rest states and in some of the v_max ones."""
+    n = v_max.size
+    jd = j_max * dt
+    kind = rng.integers(0, 7, n)
+    side = rng.choice([-1.0, 1.0], n)
+    # interior of the safe set
+    a0 = rng.uniform(-1, 1, n) * np.minimum(a_max, np.sqrt(1.9 * j_max * v_max))
+    v0 = rng.uniform(-1, 1, n) * np.maximum(v_max - a0**2 / (2 * j_max), 0.0) * 0.999
+    # at rest, and resting on or braking off +-v_max
+    rest = kind == 1
+    v0[rest], a0[rest] = 0.0, side[rest] * 0.0
+    on_limit = kind == 2
+    brake = rng.choice([0.0, 1.0], n) * rng.uniform(0, 1, n) * jd
+    v0[on_limit] = (side * v_max)[on_limit]
+    a0[on_limit] = (-side * brake)[on_limit]
+    # close to the velocity bound, where it binds
+    a_p = rng.uniform(-1, 1, n) * np.minimum(a_max, np.sqrt(2 * j_max * v_max))
+    room = v_max - np.maximum(a_p, 0.0) ** 2 / (2 * j_max)
+    v_p = room * (1 - 10.0 ** rng.uniform(-12, 0, n))
+    riding = kind == 3
+    v0[riding], a0[riding] = (side * v_p)[riding], (side * a_p)[riding]
+    # past v0 + a0*dt/2 >= v_max with the in-step root still above the
+    # jerk floor: a0 <= j_max*dt and v_max - v0 >= a0**2 / (2 j_max)
+    a_t = rng.uniform(0, 1, n) * np.minimum(jd, a_max)
+    gap = a_t**2 / (2 * j_max)
+    gap = gap + rng.uniform(0.01, 1, n) * (0.5 * a_t * dt - gap)
+    past = kind == 4
+    v0[past], a0[past] = (side * (v_max - gap))[past], (side * a_t)[past]
+    # one step after a command equal to a binding bound, from closer to
+    # the bound, moved 1-64 ulp
+    v_p = room * (1 - 10.0 ** rng.uniform(-14, -6, n))
+    _, a1 = ref_valid_accel_bounds(v_p, a_p, v_max, a_max, j_max, dt, True)
+    v1 = v_p + 0.5 * (a_p + a1) * dt
+
+    def ulps(x):
+        return x + rng.integers(1, 65, n) * rng.choice([-1.0, 1.0], n) * np.abs(np.spacing(x))
+
+    moved = (kind == 5) & (ref_max_accel_velocity(v_p, a_p, v_max, j_max, dt)
+                           < np.minimum(a_p + jd, a_max))
+    v0[moved], a0[moved] = (side * ulps(v1))[moved], (side * ulps(a1))[moved]
+    # on the viable boundary, where the in-step root meets the jerk floor
+    # and one ulp of v0 moves it by up to 1e-7, moved 1-64 ulp
+    a_b = jd * 10.0 ** rng.uniform(-4, -1, n)
+    edge = kind == 6
+    v0[edge] = (side * ulps(v_max - a_b**2 / (2 * j_max)))[edge]
+    a0[edge] = (side * a_b)[edge]
+    return v0, a0
+
+
+def _regime_limits(rng, n, dt):
+    v_max = rng.uniform(0.5, 3.0, n)
+    a_max = rng.uniform(2.0, 15.0, n)
+    j_max = rng.uniform(0.3, 1.0, n) * np.minimum(a_max / dt, v_max / dt**2)
+    return v_max, a_max, j_max
+
+
+@pytest.mark.parametrize("correction", [False, True])
+def test_kernels_match_frozen_reference(correction):
+    dt, shape = 0.05, (20_000, 7)
+    rng = np.random.default_rng(31)
+    v_max, a_max, j_max = (x.reshape(shape) for x in _regime_limits(rng, 140_000, dt))
+    v0, a0 = (x.reshape(shape) for x in _oracle_states(rng, v_max.ravel(), a_max.ravel(),
+                                                       j_max.ravel(), dt))
+    # (E, n) states and limits, then per-entry kernels on the same states
+    _assert_same_outcome(v0, a0, v_max, a_max, j_max, dt, correction=correction)
+    vel = np.stack((v0, -v0)), np.stack((a0, -a0))
+    want = ref_max_accel_velocity(*vel, v_max, j_max, dt)
+    # in-step roots and boundary states (velocity bound below the jerk floor)
+    assert (np.abs(v0) + 0.5 * np.abs(a0) * dt >= v_max).sum() > 20_000
+    floor = np.maximum(a0 - j_max * dt, -a_max)
+    ceil = np.minimum(a0 + j_max * dt, a_max)
+    assert (want[0] < floor - lim.LIMIT_EPS).sum() > 1_000
+    assert (-want[1] > ceil + lim.LIMIT_EPS).sum() > 1_000
+    got = lim.max_accel_velocity(*vel, v_max, j_max, dt)
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+    args = tuple(x.ravel() for x in (v0, a0, want[0], v_max, a_max, j_max))
+    got, want = lim._correction_shift(*args, dt), ref_correction_shift(*args, dt)
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+    # (n,) and scalar states
+    for e in range(0, 300):
+        _assert_same_outcome(v0[e], a0[e], v_max[e], a_max[e], j_max[e], dt,
+                             correction=correction)
+    for e, j in zip(range(300, 1300), rng.integers(0, 7, 1000)):
+        idx = (e, j)
+        _assert_same_outcome(v0[idx], a0[idx], v_max[idx], a_max[idx], j_max[idx], dt,
+                             correction=correction)
+        assert np.isscalar(lim.max_accel_velocity(v0[idx], a0[idx], v_max[idx],
+                                                  j_max[idx], dt))
+
+    # (n,) limits with (E, n) states
+    limits = _regime_limits(rng, 7, dt)
+    tiled = (np.tile(x, 5_000) for x in limits)
+    states = (x.reshape(5_000, 7) for x in _oracle_states(rng, *tiled, dt))
+    _assert_same_outcome(*states, *limits, dt, correction=correction)
+
+
+@pytest.mark.parametrize("correction", [False, True])
+def test_kernels_raise_like_frozen_reference(correction):
+    """States outside the viable set, alone or planted in a batch, raise the
+    same error with the same joint, lo and hi."""
+    dt = 0.05
+    rng = np.random.default_rng(32)
+    v_max, a_max, j_max = _regime_limits(rng, 400, dt)
+    v0 = v_max * rng.uniform(0.999, 1.2, 400) * rng.choice([-1.0, 1.0], 400)
+    v0[::4] = np.sign(v0[::4]) * v_max[::4]      # on the bound, accelerating
+    a0 = np.sign(v0) * rng.uniform(0.0, 1.0, 400) * a_max
+    raised = 0
+    for i in range(400):
+        out = _assert_same_outcome(v0[i], a0[i], v_max[i], a_max[i], j_max[i], dt,
+                                   correction=correction)
+        raised += out[0] is LimitConsistencyError
+    assert 200 < raised < 400
+    for k in range(20):
+        vb, ab, jb = (x.reshape(8, 7) for x in _regime_limits(rng, 56, dt))
+        vs, as_ = (x.reshape(8, 7) for x in _oracle_states(rng, vb.ravel(), ab.ravel(),
+                                                           jb.ravel(), dt))
+        for _ in range(k % 3 + 1):
+            e, j = rng.integers(0, 8), rng.integers(0, 7)
+            vs[e, j], as_[e, j] = 1.1 * vb[e, j], ab[e, j]
+        _assert_same_outcome(vs, as_, vb, ab, jb, dt, correction=correction)
+        as_[3, 2] = np.nan
+        _assert_same_outcome(vs, as_, vb, ab, jb, dt, correction=correction)
