@@ -18,10 +18,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .environment import BallPlateEnv, EpisodeReport, episode_metrics
+from .environment import BallPlateEnv, episode_metrics
 from .errors import ConfigurationError
 from .kinematics import plate_motion
-from .limits import (JointLimits, JointState, StepParams, check_limit_regime,
+from .limits import (JointLimits, StepParams, check_limit_regime,
                      clip_action, integrate_step, substep_profile,
                      valid_accel_bounds, valid_accel_range)
 from .trajectory import ReferenceTrajectory
@@ -87,10 +87,11 @@ def compose_reward(r_task, p_accel, p_jerk, p_deviation):
     return p_smooth, r_task * (1.0 - p_smooth) * (1.0 - p_deviation)
 
 
-def build_observation(state: JointState, limits: JointLimits, feedback,
+def build_observation(p, v, a, limits: JointLimits, feedback,
                       reference: ReferenceTrajectory, t: int,
                       n_future: int) -> np.ndarray:
-    """Normalized observation: joint state, task feedback, future reference rows.
+    """Normalized observation: joint positions ``p``, velocities ``v`` and
+    accelerations ``a``, task feedback, future reference rows.
 
     Positions map through the joint range to [-1, 1] (mid-range is 0),
     velocities/accelerations through v_max/a_max.  Reference rows t+1..t+N
@@ -98,7 +99,7 @@ def build_observation(state: JointState, limits: JointLimits, feedback,
     Everything is clamped into [-1, 1].
     """
     feedback = np.asarray(feedback, dtype=float)
-    if state.p.shape[0] != limits.n_joints:
+    if p.shape[0] != limits.n_joints:
         raise ConfigurationError("state and limits disagree on joint count")
     if reference.n_joints != limits.n_joints:
         raise ConfigurationError("reference and limits disagree on joint count")
@@ -111,9 +112,9 @@ def build_observation(state: JointState, limits: JointLimits, feedback,
     for k in range(1, n_future + 1):
         rows.append(norm_pos(reference.positions[min(t + k, last)]))
     obs = np.concatenate([
-        norm_pos(state.p),
-        state.v / limits.v_max,
-        state.a / limits.a_max,
+        norm_pos(p),
+        v / limits.v_max,
+        a / limits.a_max,
         feedback,
         np.concatenate(rows),
     ])
@@ -187,7 +188,7 @@ def score_log(log: StepLog, limits: JointLimits, weights: RewardWeights,
 
 def rollout(reference: ReferenceTrajectory, policy, limits: JointLimits,
             params: StepParams, weights: RewardWeights,
-            env: BallPlateEnv | None = None, seed: int = 0):
+            env: BallPlateEnv | None = None, seed=(0,)):
     """Run one episode along a reference; returns (EpisodeReport, StepLog).
 
     The joint state starts at rest on the first reference row.  A deviation
@@ -195,13 +196,16 @@ def rollout(reference: ReferenceTrajectory, policy, limits: JointLimits,
     entry, ends the episode before the offending step executes; the ball
     leaving the plate ends it after the step that lost it.  The log holds
     the executed steps only, so it is empty when the first step ends the
-    episode.
+    episode.  ``seed`` is a sequence of ints; the policy and the environment
+    draw from streams derived from it.
     """
     if reference.n_steps < 2:
         raise ConfigurationError("reference needs at least 2 rows")
     total_steps = reference.n_steps - 1
-    state = JointState.at_rest(reference.positions[0])
-    seed_key = [int(s) for s in (seed if isinstance(seed, (list, tuple)) else [seed])]
+    p = reference.positions[0].copy()
+    v = np.zeros_like(p)
+    a = np.zeros_like(p)
+    seed_key = [int(s) for s in seed]
     policy_rng = np.random.default_rng(seed_key + [1])
     policy.reset(tuple(seed_key))
 
@@ -215,17 +219,17 @@ def rollout(reference: ReferenceTrajectory, policy, limits: JointLimits,
     ball_lost = False
 
     for t in range(total_steps):
-        obs = build_observation(state, limits, feedback, reference, t,
+        obs = build_observation(p, v, a, limits, feedback, reference, t,
                                 weights.n_future)
         raw = np.asarray(policy.act(obs, policy_rng), dtype=float)
         if not np.all(np.isfinite(raw)):
             terminated = True
             break
         raw = np.clip(raw, -1.0, 1.0)
-        rng = valid_accel_range(state, limits, params)
-        a_next = clip_action(raw * limits.a_max, rng)
+        lo, hi = valid_accel_range(v, a, limits, params)
+        a_next = clip_action(raw * limits.a_max, lo, hi)
 
-        p_next, v_next = integrate_step(state.p, state.v, state.a, a_next, params.dt)
+        p_next, v_next = integrate_step(p, v, a, a_next, params.dt)
         deviation = np.max(np.abs(p_next - reference.positions[t + 1]))
         if deviation > weights.termination:
             terminated = True
@@ -233,7 +237,7 @@ def rollout(reference: ReferenceTrajectory, policy, limits: JointLimits,
 
         r_task = 1.0
         if env is not None:
-            q_sub, _, _ = substep_profile(state.p, state.v, state.a, a_next,
+            q_sub, _, _ = substep_profile(p, v, a, a_next,
                                           params.dt, params.substeps)
             _, rotations, lin_acc = plate_motion(env.model, q_sub,
                                                  params.control_dt)
@@ -248,7 +252,7 @@ def rollout(reference: ReferenceTrajectory, policy, limits: JointLimits,
         log.deviation[t] = deviation
         log.r_task[t] = r_task
         executed = t + 1
-        state = JointState(p=p_next, v=v_next, a=a_next)
+        p, v, a = p_next, v_next, a_next
 
         if log.on_plate[t] == 0.0:  # NaN without an environment
             ball_lost = True

@@ -12,6 +12,7 @@ import functools
 import json
 import multiprocessing
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -91,11 +92,9 @@ def log_header(n_joints: int) -> str:
 
 
 def write_step_log(path, log: ad.StepLog, n_joints: int) -> None:
-    """The version line, ``log_header(n_joints)`` and one row per step."""
-    columns = np.column_stack((
-        log.time, log.p, log.v, log.accel, log.jerk, log.raw, log.act,
-        log.r_task, log.p_accel, log.p_jerk, log.p_smooth, log.p_deviation,
-        log.reward, log.deviation, log.ball_x, log.ball_y, log.on_plate))
+    """The version line, ``log_header(n_joints)`` and one row per step,
+    the columns in the field order of ``StepLog``."""
+    columns = np.column_stack([getattr(log, f.name) for f in fields(log)])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# trajadapt step log v{LOG_SCHEMA_VERSION}\n{log_header(n_joints)}\n")
         np.savetxt(fh, columns, fmt="%.17g", delimiter=",")

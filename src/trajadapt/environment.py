@@ -74,10 +74,8 @@ class BallParams:
                 raise ConfigurationError(f"{name} must satisfy lo <= hi")
 
 
-def randomize_ball(params: BallParams, rng) -> BallParams:
+def randomize_ball(params: BallParams, rng: np.random.Generator) -> BallParams:
     """Uniform draw of radius/friction within the configured ranges."""
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
     return replace(
         params,
         radius=float(rng.uniform(*params.radius_range)),
@@ -191,20 +189,19 @@ def step_ball(state: BallState, rotations, lin_acc, params: BallParams, dt: floa
 
 
 def task_reward(state: BallState, spec: TaskSpec, geometry: PlateGeometry,
-                params: BallParams | None = None) -> float:
+                params: BallParams) -> float:
     """Task reward in [0, 1]: 1 at the target, decaying to 0 at the boundary.
 
-    on_plate: decay with the max-normalized distance to the plate rim;
-    in_place: decay with distance to the target, reaching 0 at the success
-    bound.  Off the plate the reward is 0.  The decay exponent is
-    configurable (2 = quadratic).
+    on_plate: decay with the max-normalized distance to the bounds where
+    the ball's edge passes the rim; in_place: decay with distance to the
+    target, reaching 0 at the success bound.  Off the plate the reward is 0.
+    The decay exponent is configurable (2 = quadratic).
     """
     if not state.on_plate:
         return 0.0
     k = spec.reward_exponent
     if spec.kind == "on_plate":
-        half = geometry.half_extents if params is None else effective_bounds(geometry, params)
-        frac = float(np.max(np.abs(state.position) / half))
+        frac = float(np.max(np.abs(state.position) / effective_bounds(geometry, params)))
     else:
         d = float(np.linalg.norm(state.position - spec.target))
         frac = d / spec.success_bound

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -22,6 +21,14 @@ from .errors import ConfigurationError, IKConvergenceError
 from .limits import JointLimits
 
 _EYE3 = np.eye(3)
+
+# Damped-least-squares IK: residual tolerance (m for the position, rad for
+# the orientation), iteration cap, damping and largest joint step per
+# iteration (rad).
+IK_TOL = 1e-6
+IK_MAX_ITERS = 200
+IK_DAMPING = 1e-3
+IK_STEP_CLAMP = 0.2
 
 
 def rpy_matrix(rpy) -> np.ndarray:
@@ -181,39 +188,38 @@ def orientation_error(rot_current: np.ndarray, rot_target: np.ndarray) -> np.nda
 
 
 def inverse_kinematics(model: ChainModel, target_pos, q_seed, target_rot=None,
-                       pos_tol=1e-6, rot_tol=1e-6, max_iters=200,
-                       damping=1e-3, step_clamp=0.2, limits: JointLimits | None = None):
+                       limits: JointLimits | None = None):
     """Damped-least-squares IK, continuous in the seed.
 
     With ``target_rot`` (3x3) the full pose is solved, otherwise position
     only.  With ``limits`` the iterate is clamped into the joint position
     range each step.  Each iteration evaluates the chain once, for both the
     pose and the Jacobian.  Raises IKConvergenceError when the residual does
-    not fall below tolerance within ``max_iters``.
+    not fall below ``IK_TOL`` within ``IK_MAX_ITERS`` iterations.
     """
     target_pos = np.asarray(target_pos, dtype=float)
     q = np.asarray(q_seed, dtype=float).copy()
     rows = 3 if target_rot is None else 6
-    damping_eye = damping**2 * np.eye(rows)
-    for _ in range(max_iters):
+    damping_eye = IK_DAMPING**2 * np.eye(rows)
+    for _ in range(IK_MAX_ITERS):
         origins, axes, pos, rot = (a[0] for a in _frames(model, q[None]))
         err_p = target_pos - pos
         if target_rot is None:
             err = err_p
-            converged = np.linalg.norm(err_p) < pos_tol
+            converged = np.linalg.norm(err_p) < IK_TOL
         else:
             err_r = orientation_error(rot, target_rot)
             err = np.concatenate([err_p, err_r])
-            converged = (np.linalg.norm(err_p) < pos_tol
-                         and np.linalg.norm(err_r) < rot_tol)
+            converged = (np.linalg.norm(err_p) < IK_TOL
+                         and np.linalg.norm(err_r) < IK_TOL)
         if converged:
             return q
         jac = _jacobian_from_frames(origins, axes, pos)[:rows]
         jjt = jac @ jac.T + damping_eye
         dq = jac.T @ np.linalg.solve(jjt, err)
         biggest = np.max(np.abs(dq))
-        if biggest > step_clamp:
-            dq *= step_clamp / biggest
+        if biggest > IK_STEP_CLAMP:
+            dq *= IK_STEP_CLAMP / biggest
         q = q + dq
         if limits is not None:
             q = np.clip(q, limits.p_min, limits.p_max)
@@ -252,10 +258,6 @@ def load_chain(path) -> tuple[ChainModel, JointLimits]:
     """Read a chain description file (JSON, schema in the README)."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
-    return chain_from_dict(raw)
-
-
-def chain_from_dict(raw: dict) -> tuple[ChainModel, JointLimits]:
     try:
         joint_rows = raw["joints"]
         joints = tuple(
@@ -298,31 +300,4 @@ def gimbal_chain(height=0.5) -> tuple[ChainModel, JointLimits]:
     model = ChainModel(joints=joints, plate_xyz=[0, 0, 0.02], name="gimbal")
     limits = JointLimits(p_min=[-0.6, -0.6], p_max=[0.6, 0.6],
                          v_max=[2.0, 2.0], a_max=[20.0, 20.0], j_max=[200.0, 200.0])
-    return model, limits
-
-
-def seven_dof_chain() -> tuple[ChainModel, JointLimits]:
-    """7-joint arm with alternating z/y axes and link offsets in the 0.1-0.4 m
-    range, in the style of common collaborative arms."""
-    rows = [
-        ([0, 0, 1], [0.0, 0.0, 0.340]),
-        ([0, 1, 0], [0.0, 0.0, 0.0]),
-        ([0, 0, 1], [0.0, 0.0, 0.400]),
-        ([0, -1, 0], [0.0, 0.0, 0.0]),
-        ([0, 0, 1], [0.0, 0.0, 0.400]),
-        ([0, 1, 0], [0.0, 0.0, 0.0]),
-        ([0, 0, 1], [0.0, 0.0, 0.126]),
-    ]
-    joints = tuple(JointRow(axis=a, origin_xyz=o, origin_rpy=[0, 0, 0]) for a, o in rows)
-    q_home = [0.0, 1.1, 0.0, 1.6, 0.0, 0.5, 0.0]
-    model = ChainModel(joints=joints, plate_xyz=[0, 0, 0.05], q_home=q_home,
-                       name="arm7")
-    deg = np.pi / 180.0
-    limits = JointLimits(
-        p_min=-np.array([170, 120, 170, 120, 170, 120, 175]) * deg,
-        p_max=np.array([170, 120, 170, 120, 170, 120, 175]) * deg,
-        v_max=[1.71, 1.71, 1.75, 2.27, 2.44, 3.14, 3.14],
-        a_max=[10.0, 10.0, 10.0, 10.0, 12.0, 15.0, 15.0],
-        j_max=[100.0, 100.0, 100.0, 100.0, 120.0, 150.0, 150.0],
-    )
     return model, limits

@@ -49,6 +49,18 @@ v_max by at most delta <= 128 * 2**-52 * |v0| < 2.9e-14 * |v0|, about 7e-14
 at v_max = 2.44: four orders below ``LIMIT_EPS``.  The jerk and
 acceleration bounds hold exactly.  If the range stays empty, the state is
 further out than rounding can carry it, and the call raises as before.
+
+Thin ranges
+-----------
+Rounding can also leave a range empty by less than ``LIMIT_EPS``: the
+velocity bound lies up to LIMIT_EPS beyond the jerk floor (or ceiling on
+the lower side).  Such a joint brakes at full jerk too, so every state with
+lo > hi gets the brake value of the boundary branch and the jerk and
+acceleration bounds hold exactly.  The peak velocity of a command rises
+with it at the rate dt/2 + max(a1, 0)/j_max, so the floor overshoots v_max
+by at most LIMIT_EPS * (dt/2 + a_max/j_max).  Collapsing the range onto the
+velocity bound instead would exceed the jerk bound by up to LIMIT_EPS, a
+normalized jerk of 1 + LIMIT_EPS / (j_max * dt).
 """
 
 from __future__ import annotations
@@ -136,33 +148,6 @@ class StepParams:
     @property
     def substeps(self) -> int:
         return int(round(self.dt / self.control_dt))
-
-
-@dataclass
-class JointState:
-    """Setpoint position/velocity/acceleration vectors at one decision step."""
-
-    p: np.ndarray
-    v: np.ndarray
-    a: np.ndarray
-
-    def __post_init__(self):
-        self.p = np.atleast_1d(_as_float_array(self.p))
-        self.v = np.atleast_1d(_as_float_array(self.v))
-        self.a = np.atleast_1d(_as_float_array(self.a))
-
-    @classmethod
-    def at_rest(cls, p) -> "JointState":
-        p = np.atleast_1d(_as_float_array(p))
-        return cls(p=p.copy(), v=np.zeros_like(p), a=np.zeros_like(p))
-
-
-@dataclass(frozen=True)
-class AccelRange:
-    """Per-joint closed interval of admissible next-step accelerations."""
-
-    lo: np.ndarray
-    hi: np.ndarray
 
 
 def check_limit_regime(limits: JointLimits, dt: float) -> None:
@@ -340,26 +325,25 @@ def valid_accel_bounds(v0, a0, v_max, a_max, j_max, dt, correction_enabled=False
             idx = np.argwhere(bad)[np.argmax(empty)]
             joint = idx[-1] if idx.size else 0
             raise LimitConsistencyError(joint, lo[tuple(idx)], hi[tuple(idx)])
+    over = lo > hi
+    if np.any(over):
+        # boundary states and thin ranges (module docstring)
         brake = np.where(vel[0] < ceil, floor, ceil)
-        lo = np.where(bad, brake, lo)
-        hi = np.where(bad, brake, hi)[()]
-    lo = np.minimum(lo, hi)
+        lo = np.where(over, brake, lo)[()]
+        hi = np.where(over, brake, hi)[()]
     return lo, hi
 
 
-def valid_accel_range(state: JointState, limits: JointLimits,
-                      params: StepParams) -> AccelRange:
-    """Valid next-step acceleration interval for every joint of ``state``."""
-    lo, hi = valid_accel_bounds(
-        state.v, state.a, limits.v_max, limits.a_max, limits.j_max,
-        params.dt, correction_enabled=params.correction_enabled,
-    )
-    return AccelRange(lo=np.atleast_1d(lo), hi=np.atleast_1d(hi))
+def valid_accel_range(v, a, limits: JointLimits, params: StepParams):
+    """(lo, hi) valid next-step accelerations of every joint at velocity
+    ``v`` and acceleration ``a``."""
+    return valid_accel_bounds(v, a, limits.v_max, limits.a_max, limits.j_max,
+                              params.dt, correction_enabled=params.correction_enabled)
 
 
-def clip_action(raw, accel_range: AccelRange) -> np.ndarray:
-    """Componentwise clamp of a raw acceleration command into the valid range."""
-    return np.clip(_as_float_array(raw), accel_range.lo, accel_range.hi)
+def clip_action(raw, lo, hi) -> np.ndarray:
+    """Componentwise clamp of a raw acceleration command into [lo, hi]."""
+    return np.clip(raw, lo, hi)
 
 
 def integrate_step(p0, v0, a0, a1, dt):

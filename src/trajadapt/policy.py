@@ -21,6 +21,7 @@ GRAVITY = 9.81
 BALL_DRIVE = 5.0 / 7.0 * GRAVITY   # ball acceleration per radian of tilt
 TILT_LIMIT = 0.25                  # largest plate tilt the balancer asks for, rad
 BALANCE_MASK = (-2, -1)            # the balancer's default tilt joints
+CEM_MIN_STD = 1e-3                 # floor of the CEM sampling std per parameter
 
 
 def check_gains(**gains) -> None:
@@ -64,8 +65,9 @@ class ObservationLayout:
         base = 3 * self.n_joints
         return obs[base:base + self.feedback_size]
 
-    def ref_row(self, obs, k: int = 0):
-        base = 3 * self.n_joints + self.feedback_size + k * self.n_joints
+    def ref_row(self, obs):
+        """The first future reference row."""
+        base = 3 * self.n_joints + self.feedback_size
         return obs[base:base + self.n_joints]
 
 
@@ -125,7 +127,7 @@ class TrackingPolicy:
         lay, lim = self.layout, self.limits
         p = lay.joint_pos(obs) * lim.p_half_range + lim.p_mid
         v = lay.joint_vel(obs) * lim.v_max
-        p_ref = lay.ref_row(obs, 0) * lim.p_half_range + lim.p_mid
+        p_ref = lay.ref_row(obs) * lim.p_half_range + lim.p_mid
 
         v_ref = np.zeros_like(p_ref)
         a_ff = np.zeros_like(p_ref)
@@ -232,19 +234,19 @@ class LinearPolicy:
 
 
 def cem_optimize(objective, dim: int, generations: int, population: int = 32,
-                 elite_frac: float = 0.25, seed: int = 0, init_mean=None,
-                 init_std: float = 0.5, min_std: float = 1e-3):
+                 elite_frac: float = 0.25, seed: int = 0, init_std: float = 0.5):
     """Cross-entropy method over a flat parameter vector.
 
-    ``objective(params) -> float`` is maximized.  Returns (best_params,
-    history); history holds per-generation mean/best/elite-mean returns.
+    ``objective(params) -> float`` is maximized, starting from a zero mean.
+    Returns (best_params, history); history holds per-generation
+    mean/best/elite-mean returns.
     An elite fraction of 1.0 selects everything, which leaves the sampling
     distribution unchanged (degenerate but well defined).
     """
     if generations < 1:
         raise ConfigurationError("need at least one generation")
     rng = np.random.default_rng(seed)
-    mean = np.zeros(dim) if init_mean is None else np.asarray(init_mean, float).copy()
+    mean = np.zeros(dim)
     std = np.full(dim, init_std)
     n_elite = max(1, int(round(population * elite_frac)))
 
@@ -262,7 +264,7 @@ def cem_optimize(objective, dim: int, generations: int, population: int = 32,
             best_params = samples[order[0]].copy()
         if n_elite < population:
             mean = elite.mean(axis=0)
-            std = np.maximum(elite.std(axis=0), min_std)
+            std = np.maximum(elite.std(axis=0), CEM_MIN_STD)
         history.append({
             "generation": gen,
             "mean_return": float(returns.mean()),

@@ -9,7 +9,7 @@ references that ride the limits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +21,9 @@ MIRROR_PLANES = {
     "xz": np.array([1.0, -1.0, 1.0]),   # flips y
     "yz": np.array([-1.0, 1.0, 1.0]),   # flips x
 }
+# Largest joint change between consecutive IK samples of a path (rad); a
+# larger one is a branch flip.
+MAX_JOINT_JUMP = 0.2
 
 
 @dataclass(frozen=True)
@@ -81,10 +84,8 @@ class TimedTrajectory:
         return float(self.t[-1]) if self.t.size else 0.0
 
 
-def sample_waypoints(areas: SamplingAreas, rng) -> np.ndarray:
+def sample_waypoints(areas: SamplingAreas, rng: np.random.Generator) -> np.ndarray:
     """One uniform draw per box, ordered; deterministic for a seeded rng."""
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
     pts = np.array([rng.uniform(lo, hi) for lo, hi in areas.boxes])
     if areas.height_band is not None:
         z0, z1 = areas.height_band
@@ -151,31 +152,32 @@ class CartesianPath:
         return self._spline(np.clip(u, 0.0, 1.0))
 
 
-def path_to_joint_space(path: CartesianPath, model: ChainModel, samples: int,
-                        q_seed=None, target_rot=None, limits: JointLimits | None = None,
-                        max_jump=0.2) -> np.ndarray:
-    """Dense IK along the path with seed continuation.
+def _walk_to(model: ChainModel, q, target_pos, target_rot, limits) -> np.ndarray:
+    """IK from ``q`` to ``target_pos`` along the straight line from the
+    plate position at ``q``, in five substeps, so that a distant seed
+    posture cannot derail the solve; raises IKConvergenceError."""
+    from_pos, _ = fk_transform(model, q)
+    for alpha in np.linspace(0.2, 1.0, 5):
+        q = inverse_kinematics(model, from_pos + alpha * (target_pos - from_pos), q,
+                               target_rot=target_rot, limits=limits)
+    return q
 
-    The plate is held at ``target_rot`` (identity by default, i.e. horizontal).
-    Rejects the path on IK failure or on an inter-sample joint jump above
-    ``max_jump`` (a branch flip).
+
+def path_to_joint_space(path: CartesianPath, model: ChainModel, samples: int,
+                        limits: JointLimits | None = None) -> np.ndarray:
+    """Dense IK along the path with seed continuation from the home posture.
+
+    The plate is held horizontal.  Rejects the path on IK failure or on an
+    inter-sample joint jump above ``MAX_JOINT_JUMP`` (a branch flip).
     """
     if samples < 2:
         raise ConfigurationError("need at least 2 path samples")
-    if target_rot is None:
-        target_rot = np.eye(3)
-    q = np.asarray(model.q_home if q_seed is None else q_seed, dtype=float)
-
-    # walk the seed to the path start in a few straight-line substeps so a
-    # distant home posture cannot derail the first solve
-    start = path(0.0)
-    from_pos, _ = fk_transform(model, q)
-    for alpha in np.linspace(0.2, 1.0, 5):
-        try:
-            q = inverse_kinematics(model, from_pos + alpha * (start - from_pos), q,
-                                   target_rot=target_rot, limits=limits)
-        except IKConvergenceError as exc:
-            raise PathRejectedError(f"cannot reach path start: {exc}") from exc
+    target_rot = np.eye(3)
+    try:
+        q = _walk_to(model, np.asarray(model.q_home, dtype=float), path(0.0),
+                     target_rot, limits)
+    except IKConvergenceError as exc:
+        raise PathRejectedError(f"cannot reach path start: {exc}") from exc
 
     us = np.linspace(0.0, 1.0, samples)
     out = np.empty((samples, model.n_joints))
@@ -185,7 +187,7 @@ def path_to_joint_space(path: CartesianPath, model: ChainModel, samples: int,
                                     limits=limits)
         except IKConvergenceError as exc:
             raise PathRejectedError(f"IK failed at sample {k}: {exc}") from exc
-        if k > 0 and np.max(np.abs(qk - out[k - 1])) > max_jump:
+        if k > 0 and np.max(np.abs(qk - out[k - 1])) > MAX_JOINT_JUMP:
             raise PathRejectedError(f"joint-space discontinuity at sample {k}")
         out[k] = qk
         q = qk
@@ -332,14 +334,11 @@ def mirror_trajectory(traj: ReferenceTrajectory, plane: str, model: ChainModel,
         target_pos = mirror * pos
         target_rot = m_mat @ rot @ m_mat
         if q is None:
-            q = _mirror_start_seed(model, limits, rows[0], target_pos)
-            from_pos, _ = fk_transform(model, q)
-            for alpha in np.linspace(0.2, 1.0, 5):
-                try:
-                    q = inverse_kinematics(model, from_pos + alpha * (target_pos - from_pos),
-                                           q, target_rot=target_rot, limits=limits)
-                except IKConvergenceError as exc:
-                    raise PathRejectedError(f"mirror start unreachable: {exc}") from exc
+            try:
+                q = _walk_to(model, _mirror_start_seed(model, limits, rows[0], target_pos),
+                             target_pos, target_rot, limits)
+            except IKConvergenceError as exc:
+                raise PathRejectedError(f"mirror start unreachable: {exc}") from exc
         try:
             q = inverse_kinematics(model, target_pos, q, target_rot=target_rot,
                                    limits=limits)

@@ -1,12 +1,22 @@
 """Shared oracles: forward-simulation of bound profiles and the greedy-max
 closed loop, kept independent of the closed-form code paths they check; a
-frozen reference copy of the valid-range kernels; and a planar test chain."""
+frozen reference copy of the valid-range kernels; a planar test chain and
+the stock 7-joint arm."""
+
+from pathlib import Path
 
 import numpy as np
 
 from trajadapt import limits as lim
 from trajadapt.errors import LimitConsistencyError, NonFiniteStateError
-from trajadapt.kinematics import ChainModel, JointRow
+from trajadapt.kinematics import ChainModel, JointRow, load_chain
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+def arm_chain():
+    """The 7-joint arm of ``configs/chain_7dof.json`` and its limits."""
+    return load_chain(CONFIG_DIR / "chain_7dof.json")
 
 
 def planar_chain(lengths, v_max=2.0, a_max=10.0, j_max=100.0):
@@ -113,7 +123,8 @@ def greedy_rollout(v0, a0, v_max, a_max, j_max, dt, steps, correction):
 # ---------------------------------------------------------------------------
 # Frozen reference kernels: the valid-range arithmetic as first written
 # (element passes over (k, 6) candidates, boolean-mask gathers, the in-step
-# root always evaluated).  ``limits`` must stay bit-identical to them.
+# root always evaluated), with thin ranges braking at full jerk.  ``limits``
+# must stay bit-identical to them.
 
 def ref_max_accel_velocity(v0, a0, v_max, j_max, dt):
     v0, a0, v_max, j_max = (np.asarray(x, dtype=float) for x in (v0, a0, v_max, j_max))
@@ -189,10 +200,10 @@ def ref_valid_accel_bounds(v0, a0, v_max, a_max, j_max, dt, correction_enabled=F
             )
     hi = np.minimum(np.minimum(hi_jerk, a_max), vel[0])
     lo = np.maximum(np.maximum(lo_jerk, -a_max), -vel[1])
+    ceil = np.minimum(hi_jerk, a_max)
+    floor = np.maximum(lo_jerk, -a_max)
     bad = lo - hi > lim.LIMIT_EPS
     if np.any(bad):
-        ceil = np.minimum(hi_jerk, a_max)
-        floor = np.maximum(lo_jerk, -a_max)
         v_b = v_refl[:, bad]
         vel_b = ref_max_accel_velocity(
             v_b - lim.BOUNDARY_ULPS * np.abs(np.spacing(v_b)), a_refl[:, bad],
@@ -203,8 +214,9 @@ def ref_valid_accel_bounds(v0, a0, v_max, a_max, j_max, dt, correction_enabled=F
             idx = np.argwhere(bad)[np.argmax(empty)]
             joint = idx[-1] if idx.size else 0
             raise LimitConsistencyError(joint, lo[tuple(idx)], hi[tuple(idx)])
-        brake = np.where(vel[0] < ceil, floor, ceil)
-        lo = np.where(bad, brake, lo)
-        hi = np.where(bad, brake, hi)[()]
-    lo = np.minimum(lo, hi)
+    # boundary states, and thin ranges (0 < lo - hi <= LIMIT_EPS)
+    over = lo > hi
+    brake = np.where(vel[0] < ceil, floor, ceil)
+    lo = np.where(over, brake, lo)[()]
+    hi = np.where(over, brake, hi)[()]
     return lo, hi

@@ -14,7 +14,7 @@ import pytest
 from scipy.integrate import simpson
 from scipy.spatial.transform import Rotation
 
-from conftest import bisect_max_accel_velocity, greedy_rollout, \
+from conftest import arm_chain, bisect_max_accel_velocity, greedy_rollout, \
     profile_peak_velocity, random_limit_tuples
 from trajadapt import adaptation as ad
 from trajadapt import cli
@@ -23,7 +23,7 @@ from trajadapt import kinematics as kin
 from trajadapt import limits as lim
 from trajadapt import policy as pol
 from trajadapt import trajectory as tr
-from trajadapt.limits import JointState, StepParams
+from trajadapt.limits import StepParams
 from trajadapt.trajectory import ReferenceTrajectory
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -204,7 +204,7 @@ def test_criterion_07_ball_physics():
 
 
 def test_criterion_08_pipeline_integrity():
-    model, limits = kin.seven_dof_chain()
+    model, limits = arm_chain()
     areas = tr.SamplingAreas(boxes=(
         ((0.35, -0.28, 0.82), (0.50, -0.15, 0.92)),
         ((0.42, -0.06, 0.82), (0.58, 0.06, 0.92)),
@@ -256,7 +256,7 @@ def test_criterion_09_balancing_demonstration():
         policy = pol.PDBalancePolicy(layout, limits, 0.05, model, geometry,
                                      task, anchor_q=np.zeros(2), mask=(0, 1))
         report, log = ad.rollout(ref, policy, limits, params, weights,
-                                 env=env, seed=seed)
+                                 env=env, seed=[seed])
         dists = np.linalg.norm(
             np.column_stack((log.ball_x, log.ball_y)) - task.target, axis=1)
         worst_dev = max(worst_dev, max(dists))
@@ -274,23 +274,23 @@ def test_criterion_10_realtime_budget():
     params = StepParams()
     # far from the velocity limit, and close to it on every joint (upper
     # bound on even joints, lower bound on odd ones) so the ripple
-    # correction runs for all seven
+    # correction runs for all seven; (v, a) of each state
     states = {
-        "free": JointState(p=np.zeros(7), v=np.full(7, 0.5), a=np.full(7, 2.0)),
-        "velocity-bound": JointState(p=np.zeros(7), v=np.resize([1.6, -1.6], 7),
-                                     a=np.zeros(7)),
+        "free": (np.full(7, 0.5), np.full(7, 2.0)),
+        "velocity-bound": (np.resize([1.6, -1.6], 7), np.zeros(7)),
     }
-    shifted = lim.valid_accel_range(states["velocity-bound"], limits, params)
-    plain = lim.valid_accel_range(states["velocity-bound"], limits,
-                                  StepParams(correction_enabled=False))
-    assert np.all((shifted.hi != plain.hi) | (shifted.lo != plain.lo))
+    shifted_lo, shifted_hi = lim.valid_accel_range(*states["velocity-bound"],
+                                                   limits, params)
+    plain_lo, plain_hi = lim.valid_accel_range(*states["velocity-bound"], limits,
+                                               StepParams(correction_enabled=False))
+    assert np.all((shifted_hi != plain_hi) | (shifted_lo != plain_lo))
     medians = {}
-    for name, state in states.items():
-        lim.valid_accel_range(state, limits, params)  # warm-up
+    for name, (v, a) in states.items():
+        lim.valid_accel_range(v, a, limits, params)  # warm-up
         times = []
         for _ in range(2000):
             t0 = time.perf_counter()
-            lim.valid_accel_range(state, limits, params)
+            lim.valid_accel_range(v, a, limits, params)
             times.append(time.perf_counter() - t0)
         medians[name] = float(np.median(times)) * 1e3
     # reported, not CI-gated at the 1 ms target; the sanity bound is loose

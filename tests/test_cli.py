@@ -267,7 +267,7 @@ def test_step_log_round_trip_with_environment(tmp_path):
                             control_dt=0.005, start_offset=(0.01, 0.0))
     ref = tr.ReferenceTrajectory(dt=0.05, positions=np.zeros((8, 2)))
     _, log = ad.rollout(ref, _ConstantPolicy([0.01, -0.02]), limits,
-                        ad.StepParams(), ad.RewardWeights(), env=env, seed=0)
+                        ad.StepParams(), ad.RewardWeights(), env=env, seed=[0])
     assert len(log) == 7
     parsed, header = _assert_log_round_trip(tmp_path, log, 2)
     assert np.all(parsed[:, header.index("ball_on_plate")] == 1.0)

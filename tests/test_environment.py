@@ -203,37 +203,42 @@ def test_step_ball_rejects_mismatched_tick_counts():
 def test_task_reward_at_target_is_one():
     spec = env.TaskSpec(kind="in_place")
     state = env.BallState(position=[0.0, 0.0], velocity=[0, 0])
-    assert env.task_reward(state, spec, env.PlateGeometry()) == 1.0
+    assert env.task_reward(state, spec, env.PlateGeometry(), env.BallParams()) == 1.0
 
 
 def test_task_reward_off_plate_is_zero():
     spec = env.TaskSpec(kind="on_plate")
     state = env.BallState(position=[0.3, 0.0], velocity=[0, 0], on_plate=False)
-    assert env.task_reward(state, spec, env.PlateGeometry()) == 0.0
+    assert env.task_reward(state, spec, env.PlateGeometry(), env.BallParams()) == 0.0
 
 
 def test_task_reward_quadratic_decay_value():
     spec = env.TaskSpec(kind="in_place", success_bound=0.06)
     state = env.BallState(position=[0.03, 0.0], velocity=[0, 0])
-    assert env.task_reward(state, spec, env.PlateGeometry()) == pytest.approx(0.75)
+    assert env.task_reward(state, spec, env.PlateGeometry(),
+                           env.BallParams()) == pytest.approx(0.75)
 
 
 def test_task_reward_continuous_at_bound():
     spec = env.TaskSpec(kind="in_place", success_bound=0.06)
-    geometry = env.PlateGeometry()
+    geometry, ball = env.PlateGeometry(), env.BallParams()
     just_in = env.BallState(position=[0.06 - 1e-9, 0.0], velocity=[0, 0])
     at = env.BallState(position=[0.06, 0.0], velocity=[0, 0])
-    assert env.task_reward(just_in, spec, geometry) == pytest.approx(0.0, abs=1e-7)
-    assert env.task_reward(at, spec, geometry) == 0.0
+    assert env.task_reward(just_in, spec, geometry, ball) == pytest.approx(0.0, abs=1e-7)
+    assert env.task_reward(at, spec, geometry, ball) == 0.0
 
 
 def test_on_plate_reward_decays_to_zero_at_rim():
     spec = env.TaskSpec(kind="on_plate")
-    geometry = env.PlateGeometry()
+    geometry, ball = env.PlateGeometry(), env.BallParams()
+    # the ball's edge reaches the rim when its centre is a radius inside
     centre = env.BallState(position=[0.0, 0.0], velocity=[0, 0])
-    rim = env.BallState(position=[geometry.half_x, 0.0], velocity=[0, 0])
-    assert env.task_reward(centre, spec, geometry) == 1.0
-    assert env.task_reward(rim, spec, geometry) == pytest.approx(0.0, abs=1e-12)
+    rim = env.BallState(position=[geometry.half_x - ball.radius, 0.0], velocity=[0, 0])
+    half_way = env.BallState(position=[0.5 * (geometry.half_x - ball.radius), 0.0],
+                             velocity=[0, 0])
+    assert env.task_reward(centre, spec, geometry, ball) == 1.0
+    assert env.task_reward(half_way, spec, geometry, ball) == pytest.approx(0.75)
+    assert env.task_reward(rim, spec, geometry, ball) == pytest.approx(0.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +318,7 @@ def test_randomize_ball_within_ranges_and_deterministic():
 
 def test_randomize_ball_degenerate_ranges():
     base = env.BallParams(radius_range=(0.02, 0.02), friction_range=(0.01, 0.01))
-    d = env.randomize_ball(base, 3)
+    d = env.randomize_ball(base, np.random.default_rng(3))
     assert (d.radius, d.rolling_friction) == (0.02, 0.01)
 
 

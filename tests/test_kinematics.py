@@ -1,15 +1,11 @@
-from pathlib import Path
-
 import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
-from conftest import planar_chain
+from conftest import CONFIG_DIR, arm_chain, planar_chain
 from trajadapt import kinematics as kin
 from trajadapt.errors import ConfigurationError, IKConvergenceError
 from trajadapt.limits import JointLimits
-
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_planar_fk_hand_values():
@@ -24,7 +20,7 @@ def test_planar_fk_hand_values():
 
 def test_fk_is_exact_composition():
     # splitting the chain anywhere and composing partial transforms matches
-    model, _ = kin.seven_dof_chain()
+    model, _ = arm_chain()
     rng = np.random.default_rng(11)
     q = rng.uniform(-1.0, 1.0, 7)
     full_p, full_r = kin.fk_transform(model, q)
@@ -42,13 +38,13 @@ def test_fk_is_exact_composition():
 
 
 def test_seven_dof_home_is_horizontal():
-    model, _ = kin.seven_dof_chain()
+    model, _ = arm_chain()
     _, rot = kin.fk_transform(model, model.q_home)
     np.testing.assert_allclose(rot, np.eye(3), atol=1e-12)
 
 
 def test_jacobian_matches_finite_differences():
-    model, _ = kin.seven_dof_chain()
+    model, _ = arm_chain()
     rng = np.random.default_rng(5)
     q = rng.uniform(-1.0, 1.0, 7)
     jac = kin.jacobian(model, q)
@@ -66,7 +62,7 @@ def test_jacobian_matches_finite_differences():
 def test_jacobian_equals_numpy_cross_bit_for_bit():
     # same values and the same column-major layout, so the IK's BLAS calls
     # round exactly as with np.cross
-    model, _ = kin.seven_dof_chain()
+    model, _ = arm_chain()
     rng = np.random.default_rng(5)
     for q in rng.uniform(-3.0, 3.0, (200, 7)):
         origins, axes, plate_pos, _ = (a[0] for a in kin._frames(model, q[None]))
@@ -102,7 +98,7 @@ def test_orientation_error_of_identity_is_exactly_zero():
 
 
 def test_ik_fixed_point():
-    model, _ = kin.seven_dof_chain()
+    model, _ = arm_chain()
     q_seed = np.asarray(model.q_home)
     pos, rot = kin.fk_transform(model, q_seed)
     q = kin.inverse_kinematics(model, pos, q_seed, target_rot=rot)
@@ -110,7 +106,7 @@ def test_ik_fixed_point():
 
 
 def test_ik_reaches_perturbed_target():
-    model, limits = kin.seven_dof_chain()
+    model, limits = arm_chain()
     pos, rot = kin.fk_transform(model, model.q_home)
     target = pos + np.array([0.15, -0.1, -0.2])
     q = kin.inverse_kinematics(model, target, model.q_home, target_rot=rot,
@@ -122,7 +118,7 @@ def test_ik_reaches_perturbed_target():
 
 
 def test_ik_round_trip_random_poses():
-    model, _ = kin.seven_dof_chain()
+    model, _ = arm_chain()
     rng = np.random.default_rng(42)
     for _ in range(5):
         q_true = np.asarray(model.q_home) + rng.uniform(-0.3, 0.3, 7)
@@ -218,7 +214,7 @@ def mounted_chain():
 
 FK_CHAINS = {
     "gimbal": lambda: kin.gimbal_chain()[0],
-    "arm7": lambda: kin.seven_dof_chain()[0],
+    "arm7": lambda: arm_chain()[0],
     "mounted": mounted_chain,
 }
 
@@ -249,19 +245,17 @@ def test_plate_motion_poses_match_oracle(chain):
 
 
 def test_config_chain_files_equal_stock_chains():
-    for name, stock in (("chain_gimbal.json", kin.gimbal_chain),
-                        ("chain_7dof.json", kin.seven_dof_chain)):
-        model, limits = kin.load_chain(CONFIG_DIR / name)
-        model2, limits2 = stock()
-        assert model.name == model2.name
-        assert len(model.joints) == len(model2.joints)
-        for row, row2 in zip(model.joints, model2.joints):
-            for attr in ("axis", "origin_xyz", "origin_rpy"):
-                np.testing.assert_array_equal(getattr(row, attr), getattr(row2, attr))
-        for attr in ("plate_xyz", "plate_rpy", "q_home"):
-            np.testing.assert_array_equal(getattr(model, attr), getattr(model2, attr))
-        for attr in ("p_min", "p_max", "v_max", "a_max", "j_max"):
-            np.testing.assert_array_equal(getattr(limits, attr), getattr(limits2, attr))
+    model, limits = kin.load_chain(CONFIG_DIR / "chain_gimbal.json")
+    model2, limits2 = kin.gimbal_chain()
+    assert model.name == model2.name
+    assert len(model.joints) == len(model2.joints)
+    for row, row2 in zip(model.joints, model2.joints):
+        for attr in ("axis", "origin_xyz", "origin_rpy"):
+            np.testing.assert_array_equal(getattr(row, attr), getattr(row2, attr))
+    for attr in ("plate_xyz", "plate_rpy", "q_home"):
+        np.testing.assert_array_equal(getattr(model, attr), getattr(model2, attr))
+    for attr in ("p_min", "p_max", "v_max", "a_max", "j_max"):
+        np.testing.assert_array_equal(getattr(limits, attr), getattr(limits2, attr))
 
 
 def test_chain_file_missing_field(tmp_path):
@@ -272,6 +266,6 @@ def test_chain_file_missing_field(tmp_path):
 
 
 def test_joint_limits_from_chain_respect_invariants():
-    _, limits = kin.seven_dof_chain()
+    _, limits = arm_chain()
     assert isinstance(limits, JointLimits)
     assert np.all(limits.v_max > 0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import planar_chain
+from conftest import arm_chain, planar_chain
 from trajadapt import adaptation as ad
 from trajadapt import environment as env
 from trajadapt import kinematics as kin
@@ -71,7 +71,7 @@ def test_tracking_gain_validation():
 
 def test_tracking_follows_limit_respecting_reference_within_two_degrees():
     # smooth reference staying below 30 % of every limit, jerk included
-    model, limits = kin.seven_dof_chain()
+    model, limits = arm_chain()
     t = 0.05 * np.arange(80)
     amp = np.linspace(0.15, 0.3, 7)
     rows = np.asarray(model.q_home) + 0.5 * amp * (1.0 - np.cos(2.0 * t))[:, None]
@@ -115,7 +115,7 @@ def test_balance_zero_gains_degenerates_to_tracking():
     e = env.BallPlateEnv(model, env.PlateGeometry(), task, env.BallParams(),
                          control_dt=0.005, start_offset=(0.02, 0.0))
     report, log = ad.rollout(ref, p, limits, StepParams(), ad.RewardWeights(),
-                             env=e, seed=0)
+                             env=e, seed=[0])
     # tracks the reference tightly and never reacts to the ball
     assert max(log.deviation) < np.deg2rad(0.01)
     ball_moved = abs(log.ball_x[-1] - 0.02)
@@ -131,7 +131,7 @@ def test_balance_recovers_two_centimetre_offset():
                             task, anchor_q=np.zeros(2), mask=(0, 1))
     ref = ReferenceTrajectory(dt=0.05, positions=np.zeros((201, 2)))
     report, log = ad.rollout(ref, p, limits, StepParams(), ad.RewardWeights(),
-                             env=e, seed=3)
+                             env=e, seed=[3])
     assert report.success
     dists = np.linalg.norm(
         np.column_stack((log.ball_x, log.ball_y)) - task.target, axis=1)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from conftest import planar_chain
+from conftest import arm_chain, planar_chain
 from trajadapt import kinematics as kin
 from trajadapt import trajectory as tr
 from trajadapt.errors import ConfigurationError, PathRejectedError
@@ -18,7 +18,7 @@ DEMO_AREAS = tr.SamplingAreas(boxes=(
 
 @pytest.fixture(scope="module")
 def arm():
-    return kin.seven_dof_chain()
+    return arm_chain()
 
 
 @pytest.fixture(scope="module")
@@ -145,7 +145,7 @@ def test_path_to_joint_space_unreachable_rejected():
     model, limits = planar_chain([0.5, 0.5])
     path = tr.CartesianPath([[0.2, 0.2, 0.0], [5.0, 0.0, 0.0]])
     with pytest.raises(PathRejectedError):
-        tr.path_to_joint_space(path, model, 10, target_rot=None, limits=limits)
+        tr.path_to_joint_space(path, model, 10, limits=limits)
 
 
 # ---------------------------------------------------------------------------
