@@ -19,12 +19,15 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .environment import BallPlateEnv, episode_metrics
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_count
 from .kinematics import plate_motion
 from .limits import (JointLimits, StepParams, check_limit_regime,
                      clip_action, integrate_step, substep_profile,
                      valid_accel_bounds, valid_accel_range)
 from .trajectory import ReferenceTrajectory
+
+# Slack of the campaign's normalized |v|, |a| and |j| over 1.
+CAMPAIGN_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -53,8 +56,7 @@ class RewardWeights:
         if not self.deviation_low < self.deviation_high <= self.termination:
             raise ConfigurationError(
                 "need deviation_low < deviation_high <= termination threshold")
-        if self.n_future < 1:
-            raise ConfigurationError("n_future must be >= 1")
+        check_count(self.n_future, "reward future_positions (n_future)", 1)
 
 
 def accel_penalty(act, threshold: float):
@@ -121,23 +123,25 @@ def build_observation(p, v, a, limits: JointLimits, feedback,
     return np.clip(obs, -1.0, 1.0)
 
 
-_JOINT_COLUMNS = ("p", "v", "accel", "jerk", "raw", "act")  # (T, n_joints)
+JOINT_COLUMNS = ("p", "v", "a", "jerk", "raw", "act")  # (T, n_joints)
 
 
 @dataclass
 class StepLog:
     """Columns of an episode's executed decision steps, one row per step.
 
-    ``accel`` is the physical a_{t+1} applied, ``jerk`` (a_{t+1} - a_t) / dt,
-    ``raw`` the normalized policy output and ``act`` the normalized clipped
-    command.  The ball columns are NaN without an environment; ``on_plate``
-    is 1.0 or 0.0 with one.
+    The field names are the step-log header names; a field in
+    ``JOINT_COLUMNS`` has one column per joint, suffixed with the joint
+    index.  ``a`` is the physical a_{t+1} applied, ``jerk``
+    (a_{t+1} - a_t) / dt, ``raw`` the normalized policy output and ``act``
+    the normalized clipped command.  The ball columns are NaN without an
+    environment; ``ball_on_plate`` is 1.0 or 0.0 with one.
     """
 
-    time: np.ndarray
+    t_s: np.ndarray
     p: np.ndarray
     v: np.ndarray
-    accel: np.ndarray
+    a: np.ndarray
     jerk: np.ndarray
     raw: np.ndarray
     act: np.ndarray
@@ -147,20 +151,20 @@ class StepLog:
     p_smooth: np.ndarray
     p_deviation: np.ndarray
     reward: np.ndarray
-    deviation: np.ndarray
-    ball_x: np.ndarray
-    ball_y: np.ndarray
-    on_plate: np.ndarray
+    deviation_rad: np.ndarray
+    ball_x_m: np.ndarray
+    ball_y_m: np.ndarray
+    ball_on_plate: np.ndarray
 
     @classmethod
     def allocate(cls, steps: int, n_joints: int) -> "StepLog":
         """A NaN-filled log of ``steps`` rows."""
-        return cls(**{f.name: np.full((steps, n_joints) if f.name in _JOINT_COLUMNS
+        return cls(**{f.name: np.full((steps, n_joints) if f.name in JOINT_COLUMNS
                                       else steps, np.nan)
                       for f in fields(cls)})
 
     def __len__(self) -> int:
-        return self.time.shape[0]
+        return self.t_s.shape[0]
 
     def head(self, rows: int) -> "StepLog":
         """The first ``rows`` rows."""
@@ -169,18 +173,18 @@ class StepLog:
 
 def score_log(log: StepLog, limits: JointLimits, weights: RewardWeights,
               dt: float) -> None:
-    """Fill the columns that follow from the executed trajectory: ``time``,
+    """Fill the columns that follow from the executed trajectory: ``t_s``,
     ``jerk``, ``act``, the penalties and ``reward``.
 
-    Reads ``accel``, ``deviation`` and ``r_task``; the first row's jerk is
+    Reads ``a``, ``deviation_rad`` and ``r_task``; the first row's jerk is
     taken from rest, where every rollout starts.
     """
-    log.time[:] = np.arange(1, len(log) + 1) * dt
-    log.jerk[:] = np.diff(log.accel, axis=0, prepend=0.0) / dt
-    log.act[:] = log.accel / limits.a_max
+    log.t_s[:] = np.arange(1, len(log) + 1) * dt
+    log.jerk[:] = np.diff(log.a, axis=0, prepend=0.0) / dt
+    log.act[:] = log.a / limits.a_max
     log.p_accel[:] = accel_penalty(log.act, weights.accel_threshold)
     log.p_jerk[:] = jerk_penalty(log.jerk, limits.j_max, weights.jerk_weight)
-    log.p_deviation[:] = deviation_penalty(log.deviation, weights.deviation_low,
+    log.p_deviation[:] = deviation_penalty(log.deviation_rad, weights.deviation_low,
                                            weights.deviation_high)
     log.p_smooth[:], log.reward[:] = compose_reward(
         log.r_task, log.p_accel, log.p_jerk, log.p_deviation)
@@ -207,7 +211,7 @@ def rollout(reference: ReferenceTrajectory, policy, limits: JointLimits,
     a = np.zeros_like(p)
     seed_key = [int(s) for s in seed]
     policy_rng = np.random.default_rng(seed_key + [1])
-    policy.reset(tuple(seed_key))
+    policy.reset()
 
     feedback = np.zeros(0)
     if env is not None:
@@ -242,26 +246,25 @@ def rollout(reference: ReferenceTrajectory, policy, limits: JointLimits,
             _, rotations, lin_acc = plate_motion(env.model, q_sub,
                                                  params.control_dt)
             ball, r_task, feedback = env.step(rotations[1:], lin_acc[1:])
-            log.ball_x[t], log.ball_y[t] = ball.position
-            log.on_plate[t] = 1.0 if ball.on_plate else 0.0
+            log.ball_x_m[t], log.ball_y_m[t] = ball.position
+            log.ball_on_plate[t] = 1.0 if ball.on_plate else 0.0
 
         log.p[t] = p_next
         log.v[t] = v_next
-        log.accel[t] = a_next
+        log.a[t] = a_next
         log.raw[t] = raw
-        log.deviation[t] = deviation
+        log.deviation_rad[t] = deviation
         log.r_task[t] = r_task
         executed = t + 1
         p, v, a = p_next, v_next, a_next
 
-        if log.on_plate[t] == 0.0:  # NaN without an environment
+        if log.ball_on_plate[t] == 0.0:  # NaN without an environment
             ball_lost = True
             break
 
     log = log.head(executed)
     score_log(log, limits, weights, params.dt)
-    report = episode_metrics(log, total_steps, limits,
-                             env.task if env else None, params.dt,
+    report = episode_metrics(log, total_steps, limits, env.task if env else None,
                              terminated=terminated, ball_lost=ball_lost)
     return report, log
 
@@ -280,10 +283,10 @@ class CampaignReport:
     max_jerk_norm: float
     first_violation: tuple | None = None
 
-    def ok(self, tol: float = 1e-9) -> bool:
+    def ok(self) -> bool:
         return self.violations == 0 and max(
             self.max_velocity_norm, self.max_accel_norm, self.max_jerk_norm
-        ) <= 1.0 + tol
+        ) <= 1.0 + CAMPAIGN_TOL
 
 
 def run_limit_campaign(episodes: int, steps: int = 200, n_joints: int = 7,
@@ -321,7 +324,6 @@ def run_limit_campaign(episodes: int, steps: int = 200, n_joints: int = 7,
 
     v = np.zeros(shape)
     a = np.zeros(shape)
-    tol = 1e-9
     violations = 0
     first = None
     max_v = max_a = max_j = 0.0
@@ -355,11 +357,11 @@ def run_limit_campaign(episodes: int, steps: int = 200, n_joints: int = 7,
         max_v = max(max_v, step_v)
         max_a = max(max_a, step_a)
         max_j = max(max_j, step_j)
-        if max(step_v, step_a, step_j) > 1.0 + tol:
+        if max(step_v, step_a, step_j) > 1.0 + CAMPAIGN_TOL:
             violations += 1
             if first is None:
-                bad = np.argwhere((v_norm > 1 + tol) | (a_norm > 1 + tol)
-                                  | (jerk_norm > 1 + tol))
+                bad = np.argwhere((v_norm > 1 + CAMPAIGN_TOL) | (a_norm > 1 + CAMPAIGN_TOL)
+                                  | (jerk_norm > 1 + CAMPAIGN_TOL))
                 ep, joint = (int(bad[0][0]), int(bad[0][1])) if bad.size else (-1, -1)
                 first = (step, ep, joint)
 

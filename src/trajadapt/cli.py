@@ -12,7 +12,7 @@ import functools
 import json
 import multiprocessing
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -83,17 +83,19 @@ def run_episode(cfg: RunConfig, reference, episode_idx: int):
 
 
 def log_header(n_joints: int) -> str:
-    cols = ["t_s"]
-    for tag in ("p", "v", "a", "jerk", "raw", "act"):
-        cols += [f"{tag}{j}" for j in range(n_joints)]
-    cols += ["r_task", "p_accel", "p_jerk", "p_smooth", "p_deviation",
-             "reward", "deviation_rad", "ball_x_m", "ball_y_m", "ball_on_plate"]
+    """The ``StepLog`` field names in order, a per-joint field as one name
+    per joint (``p0``, ``p1``, ...)."""
+    cols = []
+    for f in fields(ad.StepLog):
+        if f.name in ad.JOINT_COLUMNS:
+            cols += [f"{f.name}{j}" for j in range(n_joints)]
+        else:
+            cols.append(f.name)
     return ",".join(cols)
 
 
 def write_step_log(path, log: ad.StepLog, n_joints: int) -> None:
-    """The version line, ``log_header(n_joints)`` and one row per step,
-    the columns in the field order of ``StepLog``."""
+    """The version line, ``log_header(n_joints)`` and one row per step."""
     columns = np.column_stack([getattr(log, f.name) for f in fields(log)])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# trajadapt step log v{LOG_SCHEMA_VERSION}\n{log_header(n_joints)}\n")
@@ -185,7 +187,7 @@ def _episode(cfg: RunConfig, refs, log_dir, idx: int):
     report, log = run_episode(cfg, reference, idx)
     if log_dir is not None:
         write_step_log(_step_log_path(log_dir, idx), log, cfg.limits.n_joints)
-    return idx, reference.traj_id, report.row()
+    return idx, reference.traj_id, asdict(report)
 
 
 def _run_episodes(cfg: RunConfig, log_dir=None):

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import environment as envm
 from .adaptation import RewardWeights
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_count
 from .kinematics import ChainModel, load_chain
 from .limits import JointLimits, StepParams, check_limit_regime
 from .policy import BALANCE_MASK, LinearPolicy, ObservationLayout, balance_mask, check_gains
@@ -191,6 +191,8 @@ def load_config(path, seed=None, episodes=None, workers=None, out=None) -> RunCo
     task = envm.TaskSpec(**task_args)
     reward = RewardWeights(**_section(raw, "reward")[1])
     use_environment = raw.get("use_environment", True)
+    if not isinstance(use_environment, bool):
+        raise ConfigurationError(f"use_environment must be true or false, got {use_environment!r}")
     layout = ObservationLayout(limits.n_joints,
                                task.feedback_size if use_environment else 0,
                                reward.n_future)
@@ -205,17 +207,21 @@ def load_config(path, seed=None, episodes=None, workers=None, out=None) -> RunCo
     episodes_set = _override("episodes", episodes, int, None)
     episodes_val = raw.get("episodes", 10) if episodes_set is None else episodes_set
     validate_raw, validate = _section(raw, "validate")
-    if "steps" in validate:
-        validate["steps"] = int(validate["steps"])
-    validate["episodes"] = int(validate_raw.get("episodes", episodes_val)
-                               if episodes_set is None else episodes_set)
+    validate["episodes"] = (validate_raw.get("episodes", episodes_val)
+                            if episodes_set is None else episodes_set)
     workers_val = _override("workers", workers, int, raw.get("workers", 1))
+    generate_count = generate_raw.get("count", episodes_val)
+    stationary_steps = raw.get("stationary_steps", 201)
+    for value, key, least in ((seed_val, "seed", 0), (episodes_val, "episodes", 1),
+                              (workers_val, "workers", 1),
+                              (generate_count, "generate count", 1),
+                              (validate["episodes"], "validate episodes", 1),
+                              (stationary_steps, "stationary_steps", 2)):
+        check_count(value, key, least)
+    if "steps" in validate:
+        check_count(validate["steps"], "validate steps", 1)
     out_raw = _override("out", out, str, None)
     out_val = base / (raw.get("out_dir", "out") if out_raw is None else out_raw)
-    if episodes_val < 1:
-        raise ConfigurationError("episodes must be >= 1")
-    if workers_val < 1:
-        raise ConfigurationError("workers must be >= 1")
 
     dataset_file = raw.get("dataset_file")
     return RunConfig(
@@ -225,10 +231,10 @@ def load_config(path, seed=None, episodes=None, workers=None, out=None) -> RunCo
         layout=layout, policy_kind=policy_kind, policy_args=policy_args,
         areas=SamplingAreas(**sampling_args) if sampling_args else None,
         pipeline=PipelineConfig(dt=step.dt, **generate_args),
-        generate_count=int(generate_raw.get("count", episodes_val)),
+        generate_count=generate_count,
         validate=validate, seed=seed_val, episodes=episodes_val,
         workers=workers_val, out_dir=out_val, out_overridden=out_raw is not None,
         dataset_file=None if dataset_file is None else base / dataset_file,
         use_environment=use_environment,
-        stationary_steps=int(raw.get("stationary_steps", 201)),
+        stationary_steps=stationary_steps,
     )

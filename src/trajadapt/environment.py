@@ -228,36 +228,23 @@ def sensor_feedback(measured, previous, spec: TaskSpec,
 
 @dataclass
 class EpisodeReport:
+    """One episode's metrics row.  Every field holds a plain Python bool,
+    int, float or None, so ``dataclasses.asdict`` gives the JSON row."""
+
     success: bool
     fraction: float
-    error_distance: float | None   # mean 2-d distance to the target (in_place)
-    mean_norm_accel: float         # mean over joints and steps of |a|/a_max
-    mean_norm_jerk: float          # mean over joints and steps of |j|/j_max
+    error_distance_m: float | None  # mean 2-d distance to the target (in_place)
+    mean_norm_accel: float          # mean over joints and steps of |a|/a_max
+    mean_norm_jerk: float           # mean over joints and steps of |j|/j_max
     steps_executed: int
     total_steps: int
     terminated: bool = False
     ball_lost: bool = False
     mean_reward: float = 0.0
 
-    def row(self) -> dict:
-        return {
-            "success": bool(self.success),
-            "fraction": float(self.fraction),
-            "error_distance_m": (None if self.error_distance is None
-                                 else float(self.error_distance)),
-            "mean_norm_accel": float(self.mean_norm_accel),
-            "mean_norm_jerk": float(self.mean_norm_jerk),
-            "steps_executed": int(self.steps_executed),
-            "total_steps": int(self.total_steps),
-            "terminated": bool(self.terminated),
-            "ball_lost": bool(self.ball_lost),
-            "mean_reward": float(self.mean_reward),
-        }
-
 
 def episode_metrics(log, total_steps: int, limits, spec: TaskSpec | None,
-                    dt: float, terminated: bool = False,
-                    ball_lost: bool = False) -> EpisodeReport:
+                    terminated: bool = False, ball_lost: bool = False) -> EpisodeReport:
     """Aggregate an episode's step log (``adaptation.StepLog``) into the
     summary metrics.
 
@@ -274,13 +261,13 @@ def episode_metrics(log, total_steps: int, limits, spec: TaskSpec | None,
     err = None
     in_bound = True
     if executed:
-        mean_a = float(np.mean(np.abs(log.accel) / limits.a_max))
+        mean_a = float(np.mean(np.abs(log.a) / limits.a_max))
         mean_j = float(np.mean(np.abs(log.jerk) / limits.j_max))
         mean_r = float(np.mean(log.reward))
         if spec is not None:
-            on_plate = bool(np.all(log.on_plate == 1.0))
+            on_plate = bool(np.all(log.ball_on_plate == 1.0))
             if spec.kind == "in_place":
-                offsets = np.column_stack((log.ball_x, log.ball_y)) - spec.target
+                offsets = np.column_stack((log.ball_x_m, log.ball_y_m)) - spec.target
                 dists = np.linalg.norm(offsets, axis=1)
                 err = float(np.mean(dists))
                 in_bound = bool(np.all(dists <= spec.success_bound)) and on_plate
@@ -289,7 +276,7 @@ def episode_metrics(log, total_steps: int, limits, spec: TaskSpec | None,
 
     success = in_bound and not terminated and not ball_lost and executed >= total_steps
     return EpisodeReport(success=success, fraction=min(fraction, 1.0),
-                         error_distance=err, mean_norm_accel=mean_a,
+                         error_distance_m=err, mean_norm_accel=mean_a,
                          mean_norm_jerk=mean_j, steps_executed=executed,
                          total_steps=total_steps, terminated=terminated,
                          ball_lost=ball_lost, mean_reward=mean_r)

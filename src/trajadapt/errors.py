@@ -1,8 +1,15 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the check of a count."""
 
 
 class ConfigurationError(ValueError):
     """A config value or file is inconsistent or out of its valid domain."""
+
+
+def check_count(value, key: str, least: int) -> None:
+    """Reject a ``value`` that is not an integer (a bool is not one) of at
+    least ``least``, naming ``key``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ConfigurationError(f"{key} must be an integer >= {least}, got {value!r}")
 
 
 class LimitConsistencyError(RuntimeError):

@@ -187,42 +187,33 @@ def orientation_error(rot_current: np.ndarray, rot_target: np.ndarray) -> np.nda
     return np.array(v) * scale
 
 
-def inverse_kinematics(model: ChainModel, target_pos, q_seed, target_rot=None,
-                       limits: JointLimits | None = None):
-    """Damped-least-squares IK, continuous in the seed.
+def inverse_kinematics(model: ChainModel, target_pos, q_seed, target_rot,
+                       limits: JointLimits):
+    """Damped-least-squares IK on the full pose, continuous in the seed.
 
-    With ``target_rot`` (3x3) the full pose is solved, otherwise position
-    only.  With ``limits`` the iterate is clamped into the joint position
-    range each step.  Each iteration evaluates the chain once, for both the
-    pose and the Jacobian.  Raises IKConvergenceError when the residual does
-    not fall below ``IK_TOL`` within ``IK_MAX_ITERS`` iterations.
+    Solves for the plate position ``target_pos`` and rotation ``target_rot``
+    (3x3), clamping the iterate into the joint position range each step.
+    Each iteration evaluates the chain once, for both the pose and the
+    Jacobian.  Raises IKConvergenceError when the residual does not fall
+    below ``IK_TOL`` within ``IK_MAX_ITERS`` iterations.
     """
     target_pos = np.asarray(target_pos, dtype=float)
     q = np.asarray(q_seed, dtype=float).copy()
-    rows = 3 if target_rot is None else 6
-    damping_eye = IK_DAMPING**2 * np.eye(rows)
+    damping_eye = IK_DAMPING**2 * np.eye(6)
     for _ in range(IK_MAX_ITERS):
         origins, axes, pos, rot = (a[0] for a in _frames(model, q[None]))
         err_p = target_pos - pos
-        if target_rot is None:
-            err = err_p
-            converged = np.linalg.norm(err_p) < IK_TOL
-        else:
-            err_r = orientation_error(rot, target_rot)
-            err = np.concatenate([err_p, err_r])
-            converged = (np.linalg.norm(err_p) < IK_TOL
-                         and np.linalg.norm(err_r) < IK_TOL)
-        if converged:
+        err_r = orientation_error(rot, target_rot)
+        if np.linalg.norm(err_p) < IK_TOL and np.linalg.norm(err_r) < IK_TOL:
             return q
-        jac = _jacobian_from_frames(origins, axes, pos)[:rows]
+        err = np.concatenate([err_p, err_r])
+        jac = _jacobian_from_frames(origins, axes, pos)
         jjt = jac @ jac.T + damping_eye
         dq = jac.T @ np.linalg.solve(jjt, err)
         biggest = np.max(np.abs(dq))
         if biggest > IK_STEP_CLAMP:
             dq *= IK_STEP_CLAMP / biggest
-        q = q + dq
-        if limits is not None:
-            q = np.clip(q, limits.p_min, limits.p_max)
+        q = np.clip(q + dq, limits.p_min, limits.p_max)
     raise IKConvergenceError(
         f"IK did not converge on target {np.array2string(target_pos, precision=4)} "
         f"(residual {np.linalg.norm(err):.3e})")

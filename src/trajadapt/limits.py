@@ -246,13 +246,12 @@ def _correction_shift(v0, a0, a_unc, v_max, a_max, j_max, dt):
     a_star = c / n + 0.5 * m
     a_tail = a_star - m
 
-    tol = 1e-9
-    floor = np.maximum(np.maximum(a0 - jd, -a_max) - tol, -tol)
+    floor = np.maximum(np.maximum(a0 - jd, -a_max) - LIMIT_EPS, -LIMIT_EPS)
     admissible = (
         (a_star >= floor)
-        & (a_star <= a_unc + tol)
-        & (a_tail >= -tol)
-        & (a_tail <= jd + tol)
+        & (a_star <= a_unc + LIMIT_EPS)
+        & (a_tail >= -LIMIT_EPS)
+        & (a_tail <= jd + LIMIT_EPS)
     )
 
     best = np.max(np.where(admissible, a_star, -np.inf), axis=0)
@@ -267,7 +266,7 @@ def _reflected(x, shape):
     return out
 
 
-def valid_accel_bounds(v0, a0, v_max, a_max, j_max, dt, correction_enabled=False):
+def valid_accel_bounds(v0, a0, v_max, a_max, j_max, dt, *, correction_enabled):
     """(lo, hi) arrays of the per-joint valid acceleration range.
 
     hi = min(jerk bound, acceleration limit, velocity bound); lo symmetric.

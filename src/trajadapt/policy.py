@@ -2,7 +2,7 @@
 a scripted ball balancer and a small cross-entropy-method trainer.
 
 A policy maps a normalized observation to a normalized acceleration command
-in [-1, 1] per joint via ``act(obs, rng)``; ``reset(seed)`` restarts any
+in [-1, 1] per joint via ``act(obs, rng)``; ``reset()`` restarts any
 internal state.  Policies are deterministic given (observation, rng state).
 """
 
@@ -12,16 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .environment import PlateGeometry, TaskSpec
+from .environment import GRAVITY, ROLLING_FACTOR, PlateGeometry, TaskSpec
 from .errors import ConfigurationError
 from .kinematics import ChainModel, jacobian
 from .limits import JointLimits
 
-GRAVITY = 9.81
-BALL_DRIVE = 5.0 / 7.0 * GRAVITY   # ball acceleration per radian of tilt
-TILT_LIMIT = 0.25                  # largest plate tilt the balancer asks for, rad
-BALANCE_MASK = (-2, -1)            # the balancer's default tilt joints
-CEM_MIN_STD = 1e-3                 # floor of the CEM sampling std per parameter
+BALL_DRIVE = ROLLING_FACTOR * GRAVITY  # ball acceleration per radian of tilt
+TILT_LIMIT = 0.25                      # largest plate tilt the balancer asks for, rad
+BALANCE_MASK = (-2, -1)                # the balancer's default tilt joints
+CEM_MIN_STD = 1e-3                     # floor of the CEM sampling std per parameter
 
 
 def check_gains(**gains) -> None:
@@ -77,7 +76,7 @@ class RandomPolicy:
     def __init__(self, n_joints: int):
         self.n_joints = n_joints
 
-    def reset(self, seed=None):
+    def reset(self):
         pass
 
     def act(self, obs, rng) -> np.ndarray:
@@ -90,7 +89,7 @@ class GreedyMaxPolicy:
     def __init__(self, n_joints: int):
         self.n_joints = n_joints
 
-    def reset(self, seed=None):
+    def reset(self):
         pass
 
     def act(self, obs, rng) -> np.ndarray:
@@ -119,7 +118,7 @@ class TrackingPolicy:
         self._prev_ref = None
         self._prev_vref = None
 
-    def reset(self, seed=None):
+    def reset(self):
         self._prev_ref = None
         self._prev_vref = None
 
@@ -164,7 +163,6 @@ class PDBalancePolicy(TrackingPolicy):
         super().__init__(layout, limits, dt, **gains)
         check_gains(ball_kp=ball_kp, ball_kd=ball_kd)
         self.mask = list(balance_mask(mask, limits.n_joints))
-        self.model = model
         self.geometry = geometry
         self.task = task
         self.anchor_q = np.asarray(anchor_q, dtype=float)
@@ -217,7 +215,7 @@ class LinearPolicy:
     def with_params(self, flat) -> "LinearPolicy":
         return LinearPolicy(np.asarray(flat, dtype=float).reshape(self.weights.shape))
 
-    def reset(self, seed=None):
+    def reset(self):
         pass
 
     def act(self, obs, rng) -> np.ndarray:

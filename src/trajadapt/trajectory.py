@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, IKConvergenceError, PathRejectedError
+from .errors import ConfigurationError, IKConvergenceError, PathRejectedError, check_count
 from .kinematics import ChainModel, fk_transform, inverse_kinematics
 from .limits import JointLimits
 
@@ -58,7 +58,6 @@ class ReferenceTrajectory:
     positions: np.ndarray           # (T, n_joints)
     traj_id: str = "traj"
     split: str = "train"
-    waypoints: np.ndarray | None = None
 
     def __post_init__(self):
         self.positions = np.atleast_2d(np.asarray(self.positions, dtype=float))
@@ -81,7 +80,7 @@ class TimedTrajectory:
 
     @property
     def duration(self) -> float:
-        return float(self.t[-1]) if self.t.size else 0.0
+        return float(self.t[-1])
 
 
 def sample_waypoints(areas: SamplingAreas, rng: np.random.Generator) -> np.ndarray:
@@ -144,7 +143,6 @@ class CartesianPath:
             raise ConfigurationError("duplicate consecutive waypoints make a degenerate segment")
         u = np.concatenate([[0.0], np.cumsum(seglen)])
         u /= u[-1]
-        self.waypoints = waypoints
         self.u_knots = u
         self._spline = NaturalSpline(u, waypoints)
 
@@ -159,12 +157,12 @@ def _walk_to(model: ChainModel, q, target_pos, target_rot, limits) -> np.ndarray
     from_pos, _ = fk_transform(model, q)
     for alpha in np.linspace(0.2, 1.0, 5):
         q = inverse_kinematics(model, from_pos + alpha * (target_pos - from_pos), q,
-                               target_rot=target_rot, limits=limits)
+                               target_rot, limits)
     return q
 
 
 def path_to_joint_space(path: CartesianPath, model: ChainModel, samples: int,
-                        limits: JointLimits | None = None) -> np.ndarray:
+                        limits: JointLimits) -> np.ndarray:
     """Dense IK along the path with seed continuation from the home posture.
 
     The plate is held horizontal.  Rejects the path on IK failure or on an
@@ -183,8 +181,7 @@ def path_to_joint_space(path: CartesianPath, model: ChainModel, samples: int,
     out = np.empty((samples, model.n_joints))
     for k, u in enumerate(us):
         try:
-            qk = inverse_kinematics(model, path(u), q, target_rot=target_rot,
-                                    limits=limits)
+            qk = inverse_kinematics(model, path(u), q, target_rot, limits)
         except IKConvergenceError as exc:
             raise PathRejectedError(f"IK failed at sample {k}: {exc}") from exc
         if k > 0 and np.max(np.abs(qk - out[k - 1])) > MAX_JOINT_JUMP:
@@ -268,7 +265,7 @@ def time_parameterize(q_path, limits: JointLimits, headroom: float = 0.05,
 
 
 def resample_uniform(timed: TimedTrajectory, dt: float, traj_id="traj",
-                     split="train", waypoints=None) -> ReferenceTrajectory:
+                     split="train") -> ReferenceTrajectory:
     """Rows at t = 0, dt, ..., floor(T/dt)*dt (final instant clamped into range)."""
     if dt <= 0:
         raise ConfigurationError("dt must be > 0")
@@ -281,8 +278,7 @@ def resample_uniform(timed: TimedTrajectory, dt: float, traj_id="traj",
         rows = np.column_stack([
             np.interp(ts, timed.t, timed.q[:, j]) for j in range(timed.q.shape[1])
         ])
-    return ReferenceTrajectory(dt=dt, positions=rows, traj_id=traj_id,
-                               split=split, waypoints=waypoints)
+    return ReferenceTrajectory(dt=dt, positions=rows, traj_id=traj_id, split=split)
 
 
 def check_reference_limits(traj: ReferenceTrajectory, limits: JointLimits) -> dict:
@@ -302,19 +298,19 @@ def check_reference_limits(traj: ReferenceTrajectory, limits: JointLimits) -> di
     }
 
 
-def _mirror_start_seed(model: ChainModel, limits, source_row, target_pos) -> np.ndarray:
+def _mirror_start_seed(model: ChainModel, limits: JointLimits, source_row,
+                       target_pos) -> np.ndarray:
     """Seed candidate closest (in plate position) to the mirrored start."""
-    candidates = [np.asarray(model.q_home, dtype=float),
-                  -np.asarray(model.q_home, dtype=float),
-                  -np.asarray(source_row, dtype=float)]
-    if limits is not None:
-        candidates = [np.clip(c, limits.p_min, limits.p_max) for c in candidates]
+    candidates = [np.clip(c, limits.p_min, limits.p_max)
+                  for c in (np.asarray(model.q_home, dtype=float),
+                            -np.asarray(model.q_home, dtype=float),
+                            -np.asarray(source_row, dtype=float))]
     dists = [np.linalg.norm(fk_transform(model, c)[0] - target_pos) for c in candidates]
     return candidates[int(np.argmin(dists))]
 
 
 def mirror_trajectory(traj: ReferenceTrajectory, plane: str, model: ChainModel,
-                      limits: JointLimits | None = None) -> ReferenceTrajectory:
+                      limits: JointLimits) -> ReferenceTrajectory:
     """Mirror a reference across a workspace symmetry plane, re-solved via IK.
 
     The Cartesian plate path of the reference is reflected and converted back
@@ -340,15 +336,12 @@ def mirror_trajectory(traj: ReferenceTrajectory, plane: str, model: ChainModel,
             except IKConvergenceError as exc:
                 raise PathRejectedError(f"mirror start unreachable: {exc}") from exc
         try:
-            q = inverse_kinematics(model, target_pos, q, target_rot=target_rot,
-                                   limits=limits)
+            q = inverse_kinematics(model, target_pos, q, target_rot, limits)
         except IKConvergenceError as exc:
             raise PathRejectedError(f"mirror IK failed at row {k}: {exc}") from exc
         out[k] = q
-    wps = None if traj.waypoints is None else traj.waypoints * mirror
     return ReferenceTrajectory(dt=traj.dt, positions=out,
-                               traj_id=f"{traj.traj_id}-m{plane}",
-                               split=traj.split, waypoints=wps)
+                               traj_id=f"{traj.traj_id}-m{plane}", split=traj.split)
 
 
 # ---------------------------------------------------------------------------
@@ -363,17 +356,25 @@ class PipelineConfig:
     test_fraction: float = 0.2
     max_attempts: int = 5
 
+    def __post_init__(self):
+        for key, least in (("ik_samples", 2), ("grid", 2), ("max_attempts", 1)):
+            check_count(getattr(self, key), f"generate {key}", least)
+        if not 0.0 <= self.headroom < 1.0:
+            raise ConfigurationError(f"generate headroom must be in [0, 1), got {self.headroom!r}")
+        if not 0.0 <= self.test_fraction <= 1.0:
+            raise ConfigurationError(
+                f"generate test_fraction must be in [0, 1], got {self.test_fraction!r}")
+
 
 def generate_reference(model: ChainModel, limits: JointLimits, areas: SamplingAreas,
                        cfg: PipelineConfig, seed, traj_id="traj",
                        split="train") -> ReferenceTrajectory:
     """Run the full pipeline once; raises PathRejectedError on a bad draw."""
     rng = np.random.default_rng(seed)
-    wps = sample_waypoints(areas, rng)
-    path = CartesianPath(wps)
-    q_path = path_to_joint_space(path, model, cfg.ik_samples, limits=limits)
+    path = CartesianPath(sample_waypoints(areas, rng))
+    q_path = path_to_joint_space(path, model, cfg.ik_samples, limits)
     timed = time_parameterize(q_path, limits, headroom=cfg.headroom, grid=cfg.grid)
-    traj = resample_uniform(timed, cfg.dt, traj_id=traj_id, split=split, waypoints=wps)
+    traj = resample_uniform(timed, cfg.dt, traj_id=traj_id, split=split)
     ratios = check_reference_limits(traj, limits)
     if ratios["vel_ratio"] > 1.0 or ratios["acc_ratio"] > 1.0:
         raise PathRejectedError(

@@ -258,7 +258,7 @@ def test_criterion_09_balancing_demonstration():
         report, log = ad.rollout(ref, policy, limits, params, weights,
                                  env=env, seed=[seed])
         dists = np.linalg.norm(
-            np.column_stack((log.ball_x, log.ball_y)) - task.target, axis=1)
+            np.column_stack((log.ball_x_m, log.ball_y_m)) - task.target, axis=1)
         worst_dev = max(worst_dev, max(dists))
         successes += bool(report.success and max(dists) < 0.06
                           and report.fraction == 1.0)

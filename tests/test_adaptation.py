@@ -166,7 +166,7 @@ class ZeroPolicy:
     def __init__(self, n):
         self.n = n
 
-    def reset(self, seed=None):
+    def reset(self):
         pass
 
     def act(self, obs, rng):
@@ -177,7 +177,7 @@ class HugePolicy:
     def __init__(self, n):
         self.n = n
 
-    def reset(self, seed=None):
+    def reset(self):
         pass
 
     def act(self, obs, rng):
@@ -204,7 +204,7 @@ def test_rollout_huge_policy_equals_greedy():
                              weights, seed=[3])
     _, log_one = ad.rollout(ref, pol.GreedyMaxPolicy(2), limits, StepParams(),
                             weights, seed=[3])
-    np.testing.assert_array_equal(log_huge.accel, log_one.accel)
+    np.testing.assert_array_equal(log_huge.a, log_one.a)
 
 
 def test_rollout_untrained_motion_independent_of_reference():
@@ -225,7 +225,7 @@ def test_rollout_untrained_motion_independent_of_reference():
     assert len(log_a) == len(log_b)
     np.testing.assert_array_equal(log_a.p, log_b.p)
     np.testing.assert_array_equal(log_a.v, log_b.v)
-    np.testing.assert_array_equal(log_a.accel, log_b.accel)
+    np.testing.assert_array_equal(log_a.a, log_b.a)
 
 
 def test_rollout_execution_time_identity():
@@ -258,7 +258,7 @@ class BadAfterPolicy:
         self.bad = bad
         self.calls = 0
 
-    def reset(self, seed=None):
+    def reset(self):
         self.calls = 0
 
     def act(self, obs, rng):
@@ -292,8 +292,8 @@ def test_rollout_deterministic():
                           weights, seed=[5])
     r2, log2 = ad.rollout(ref, pol.RandomPolicy(3), limits, StepParams(),
                           weights, seed=[5])
-    assert r1.row() == r2.row()
-    np.testing.assert_array_equal(log1.accel, log2.accel)
+    assert r1 == r2
+    np.testing.assert_array_equal(log1.a, log2.a)
     np.testing.assert_array_equal(log1.raw, log2.raw)
 
 
@@ -310,7 +310,7 @@ def test_rollout_random_policy_respects_limits_at_substeps():
         prev_a = np.zeros(3)
         prev_v = np.zeros(3)
         prev_p = np.zeros(3)
-        for p, v, accel, jerk in zip(log.p, log.v, log.accel, log.jerk):
+        for p, v, accel, jerk in zip(log.p, log.v, log.a, log.jerk):
             assert np.all(np.abs(accel) <= limits.a_max + 1e-9)
             assert np.all(np.abs(jerk) <= limits.j_max + 1e-9)
             _, vv, aa = substep_profile(prev_p, prev_v, prev_a, accel,
@@ -329,7 +329,7 @@ def test_rollout_with_ball_environment_runs():
     report, log = ad.rollout(ref, ZeroPolicy(2), limits, StepParams(),
                              ad.RewardWeights(), env=e, seed=[0])
     assert report.success
-    assert np.all(np.isfinite(log.ball_x) & np.isfinite(log.ball_y))
+    assert np.all(np.isfinite(log.ball_x_m) & np.isfinite(log.ball_y_m))
     assert np.all(log.r_task == 1.0)
 
 
@@ -455,9 +455,9 @@ def _scalar_scores(log, reference, limits, weights, dt):
     a_prev = np.zeros(limits.n_joints)
     rows = []
     for t in range(len(log)):
-        act = log.accel[t] / limits.a_max
-        jerk = (log.accel[t] - a_prev) / dt
-        a_prev = log.accel[t]
+        act = log.a[t] / limits.a_max
+        jerk = (log.a[t] - a_prev) / dt
+        a_prev = log.a[t]
         a_abs = float(np.max(np.abs(act)))
         p_accel = 0.0 if a_abs < thr else (
             (1.0 - (1.0 - min(a_abs, 1.0)) / (1.0 - thr)) ** 2)
@@ -474,9 +474,9 @@ def _scalar_scores(log, reference, limits, weights, dt):
 
 
 def _scored_columns(log):
-    return np.column_stack((log.time, log.jerk, log.act, log.p_accel, log.p_jerk,
+    return np.column_stack((log.t_s, log.jerk, log.act, log.p_accel, log.p_jerk,
                             log.p_smooth, log.p_deviation, log.reward,
-                            log.deviation))
+                            log.deviation_rad))
 
 
 def test_scored_columns_match_scalar_formulas():

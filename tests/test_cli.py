@@ -208,26 +208,30 @@ class _ConstantPolicy:
     def __init__(self, command):
         self.command = np.asarray(command, dtype=float)
 
-    def reset(self, seed=None):
+    def reset(self):
         pass
 
     def act(self, obs, rng):
         return self.command
 
 
+STEP_LOG_HEADER_2 = (
+    "t_s,p0,p1,v0,v1,a0,a1,jerk0,jerk1,raw0,raw1,act0,act1,r_task,p_accel,"
+    "p_jerk,p_smooth,p_deviation,reward,deviation_rad,ball_x_m,ball_y_m,"
+    "ball_on_plate")
+
+
+def test_log_header_names_every_column_once():
+    assert cli.log_header(2) == STEP_LOG_HEADER_2
+
+
 def _log_column(log, name):
-    """The ``StepLog`` column under step-log header ``name``."""
-    scalars = {"t_s": log.time, "r_task": log.r_task, "p_accel": log.p_accel,
-               "p_jerk": log.p_jerk, "p_smooth": log.p_smooth,
-               "p_deviation": log.p_deviation, "reward": log.reward,
-               "deviation_rad": log.deviation, "ball_x_m": log.ball_x,
-               "ball_y_m": log.ball_y, "ball_on_plate": log.on_plate}
-    if name in scalars:
-        return scalars[name]
-    per_joint = {"p": log.p, "v": log.v, "a": log.accel, "jerk": log.jerk,
-                 "raw": log.raw, "act": log.act}
+    """The ``StepLog`` column under step-log header ``name``: the field of
+    that name, or column j of a per-joint field for ``<field><j>``."""
+    if hasattr(log, name):
+        return getattr(log, name)
     tag = name.rstrip("0123456789")
-    return per_joint[tag][:, int(name[len(tag):])]
+    return getattr(log, tag)[:, int(name[len(tag):])]
 
 
 def _assert_log_round_trip(tmp_path, log, n_joints):

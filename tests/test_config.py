@@ -14,6 +14,7 @@ from trajadapt import environment as envm
 from trajadapt import policy as pol
 from trajadapt.adaptation import RewardWeights
 from trajadapt.config import POLICY_KEYS, SECTION_KEYS, load_config
+from trajadapt.errors import ConfigurationError
 from trajadapt.limits import StepParams
 from trajadapt.trajectory import PipelineConfig, ReferenceTrajectory
 
@@ -138,3 +139,39 @@ def test_every_policy_key_lands_on_its_policy(tmp_path, kind):
 def test_default_policy_kind_is_tracking(tmp_path):
     cfg = load_config(_write_config(tmp_path, {}))
     assert cfg.policy_kind == "tracking" and cfg.policy_args == {}
+
+
+# Values the loader rejects: (change to SECTIONS or the top level, load_config
+# keyword arguments, the key the message names).  Each of them used to load,
+# then ended in a traceback, ran with a truncated or misread value, or (the
+# headroom) asked numpy for a huge array when generating.
+BAD_VALUES = [
+    ({"stationary_steps": 0}, {}, "stationary_steps"),
+    ({"stationary_steps": -5}, {}, "stationary_steps"),
+    ({"stationary_steps": 20.5}, {}, "stationary_steps"),
+    ({"reward": {"future_positions": 1.5}}, {}, "future_positions"),
+    ({"reward": {"future_positions": True}}, {}, "future_positions"),
+    ({"seed": -1}, {}, "seed"),
+    ({}, {"seed": -1}, "seed"),
+    ({"episodes": 2.5}, {}, "episodes"),
+    ({"workers": 1.5}, {}, "workers"),
+    ({"generate": {"count": -3}}, {}, "generate count"),
+    ({"generate": {"grid": 1}}, {}, "generate grid"),
+    ({"generate": {"ik_samples": 1}}, {}, "generate ik_samples"),
+    ({"generate": {"max_attempts": 0}}, {}, "generate max_attempts"),
+    ({"generate": {"test_fraction": 2.0}}, {}, "generate test_fraction"),
+    ({"generate": {"headroom": 1.5}}, {}, "generate headroom"),
+    ({"validate": {"steps": 2.5}}, {}, "validate steps"),
+    ({"validate": {"episodes": 0}}, {}, "validate episodes"),
+    ({"use_environment": "no"}, {}, "use_environment"),
+]
+
+
+@pytest.mark.parametrize("change, overrides, key", BAD_VALUES,
+                         ids=[json.dumps(c or {"load_config": o}) for c, o, _ in BAD_VALUES])
+def test_bad_count_or_fraction_is_configuration_error(tmp_path, change, overrides, key):
+    sections = {**SECTIONS, **{name: {**SECTIONS[name], **value} if name in SECTIONS
+                               else value for name, value in change.items()}}
+    path = _write_config(tmp_path, {"kind": "random"}, sections)
+    with pytest.raises(ConfigurationError, match=key):
+        load_config(path, **overrides)

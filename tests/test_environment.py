@@ -330,11 +330,11 @@ def _log(accel, jerk, ball=None):
     position and on-plate flag on every row."""
     accel = np.asarray(accel, float)
     log = StepLog.allocate(*accel.shape)
-    log.accel[:] = accel
+    log.a[:] = accel
     log.jerk[:] = jerk
     if ball is not None:
-        log.ball_x[:], log.ball_y[:] = ball.position
-        log.on_plate[:] = 1.0 if ball.on_plate else 0.0
+        log.ball_x_m[:], log.ball_y_m[:] = ball.position
+        log.ball_on_plate[:] = 1.0 if ball.on_plate else 0.0
     return log
 
 
@@ -346,7 +346,7 @@ def _limits():
 def test_metrics_fraction_on_early_stop():
     log = _log(np.zeros((50, 2)), np.zeros((50, 2)))
     rep = env.episode_metrics(log, total_steps=100, limits=_limits(), spec=None,
-                              dt=0.05, ball_lost=True)
+                              ball_lost=True)
     assert rep.fraction == pytest.approx(0.5)
     assert not rep.success
 
@@ -355,17 +355,15 @@ def test_metrics_perfect_episode():
     spec = env.TaskSpec(kind="in_place")
     ball = env.BallState(position=[0.0, 0.0], velocity=[0, 0])
     log = _log(np.zeros((100, 2)), np.zeros((100, 2)), ball=ball)
-    rep = env.episode_metrics(log, total_steps=100, limits=_limits(), spec=spec,
-                              dt=0.05)
+    rep = env.episode_metrics(log, total_steps=100, limits=_limits(), spec=spec)
     assert rep.success
     assert rep.fraction == 1.0
-    assert rep.error_distance == 0.0
+    assert rep.error_distance_m == 0.0
 
 
 def test_metrics_mean_normalized_accel():
     log = _log(np.full((10, 2), 0.7), np.zeros((10, 2)))  # a_max = 10
-    rep = env.episode_metrics(log, total_steps=10, limits=_limits(), spec=None,
-                              dt=0.05)
+    rep = env.episode_metrics(log, total_steps=10, limits=_limits(), spec=None)
     assert rep.mean_norm_accel == pytest.approx(0.07)
 
 
@@ -374,11 +372,11 @@ def test_metrics_invariant_under_log_split():
     rows = [(rng.uniform(-5, 5, 2), rng.uniform(-50, 50, 2)) for _ in range(60)]
     accel, jerk = (np.array(col) for col in zip(*rows))
     full = env.episode_metrics(_log(accel, jerk), total_steps=60, limits=_limits(),
-                               spec=None, dt=0.05)
+                               spec=None)
     first = env.episode_metrics(_log(accel[:30], jerk[:30]), total_steps=30,
-                                limits=_limits(), spec=None, dt=0.05)
+                                limits=_limits(), spec=None)
     second = env.episode_metrics(_log(accel[30:], jerk[30:]), total_steps=30,
-                                 limits=_limits(), spec=None, dt=0.05)
+                                 limits=_limits(), spec=None)
     recombined = 0.5 * (first.mean_norm_accel + second.mean_norm_accel)
     assert full.mean_norm_accel == pytest.approx(recombined, abs=1e-12)
 
@@ -386,11 +384,11 @@ def test_metrics_invariant_under_log_split():
 def test_metrics_zero_rows_give_no_steps_and_no_success():
     for spec in (None, env.TaskSpec(kind="in_place"), env.TaskSpec(kind="on_plate")):
         rep = env.episode_metrics(StepLog.allocate(0, 2), total_steps=10,
-                                  limits=_limits(), spec=spec, dt=0.05)
+                                  limits=_limits(), spec=spec)
         assert rep.steps_executed == 0
         assert rep.fraction == 0.0
         assert not rep.success
-        assert (rep.error_distance, rep.mean_norm_accel, rep.mean_norm_jerk,
+        assert (rep.error_distance_m, rep.mean_norm_accel, rep.mean_norm_jerk,
                 rep.mean_reward) == (None, 0.0, 0.0, 0.0)
 
 

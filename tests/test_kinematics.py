@@ -98,10 +98,10 @@ def test_orientation_error_of_identity_is_exactly_zero():
 
 
 def test_ik_fixed_point():
-    model, _ = arm_chain()
+    model, limits = arm_chain()
     q_seed = np.asarray(model.q_home)
     pos, rot = kin.fk_transform(model, q_seed)
-    q = kin.inverse_kinematics(model, pos, q_seed, target_rot=rot)
+    q = kin.inverse_kinematics(model, pos, q_seed, rot, limits)
     np.testing.assert_allclose(q, q_seed, atol=1e-9)
 
 
@@ -109,8 +109,7 @@ def test_ik_reaches_perturbed_target():
     model, limits = arm_chain()
     pos, rot = kin.fk_transform(model, model.q_home)
     target = pos + np.array([0.15, -0.1, -0.2])
-    q = kin.inverse_kinematics(model, target, model.q_home, target_rot=rot,
-                               limits=limits)
+    q = kin.inverse_kinematics(model, target, model.q_home, rot, limits)
     p2, r2 = kin.fk_transform(model, q)
     assert np.linalg.norm(p2 - target) < 1e-6
     assert np.linalg.norm(kin.orientation_error(r2, rot)) < 1e-6
@@ -118,21 +117,21 @@ def test_ik_reaches_perturbed_target():
 
 
 def test_ik_round_trip_random_poses():
-    model, _ = arm_chain()
+    model, limits = arm_chain()
     rng = np.random.default_rng(42)
     for _ in range(5):
         q_true = np.asarray(model.q_home) + rng.uniform(-0.3, 0.3, 7)
         pos, rot = kin.fk_transform(model, q_true)
-        q = kin.inverse_kinematics(model, pos, model.q_home, target_rot=rot)
+        q = kin.inverse_kinematics(model, pos, model.q_home, rot, limits)
         p2, r2 = kin.fk_transform(model, q)
         assert np.linalg.norm(p2 - pos) < 1e-6
         assert np.linalg.norm(kin.orientation_error(r2, rot)) < 1e-6
 
 
 def test_ik_unreachable_target_raises():
-    model, _ = planar_chain([1.0, 1.0])
+    model, limits = planar_chain([1.0, 1.0])
     with pytest.raises(IKConvergenceError):
-        kin.inverse_kinematics(model, [5.0, 0.0, 0.0], [0.1, 0.1])
+        kin.inverse_kinematics(model, [5.0, 0.0, 0.0], [0.1, 0.1], np.eye(3), limits)
 
 
 def test_plate_motion_stationary():

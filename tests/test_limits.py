@@ -22,7 +22,8 @@ from conftest import (bisect_max_accel_velocity, greedy_rollout,
 
 def _jerk_bounds(a0, j_max, dt):
     # velocity and acceleration limits far away: only the jerk bound binds
-    return lim.valid_accel_bounds(0.0, a0, 1e6, 1e6, j_max, dt)
+    return lim.valid_accel_bounds(0.0, a0, 1e6, 1e6, j_max, dt,
+                                  correction_enabled=False)
 
 
 def test_max_accel_jerk_hand_values():
@@ -117,7 +118,8 @@ def test_correction_disabled_returns_uncorrected():
 
 def test_correction_inactive_when_bound_not_hit():
     # far from v_max the jerk bound binds, so the correction changes nothing
-    plain = lim.valid_accel_bounds(0.0, 0.0, 50.0, 2.0, 10.0, 0.05)
+    plain = lim.valid_accel_bounds(0.0, 0.0, 50.0, 2.0, 10.0, 0.05,
+                                   correction_enabled=False)
     got = lim.valid_accel_bounds(0.0, 0.0, 50.0, 2.0, 10.0, 0.05,
                                  correction_enabled=True)
     assert lim.max_accel_velocity(0.0, 0.0, 50.0, 10.0, 0.05) > got[1]
@@ -430,13 +432,13 @@ def test_step_params_reject_non_finite_periods(kwargs):
                                     (0.0, np.nan), (0.0, np.inf)])
 def test_valid_accel_bounds_rejects_non_finite_state(v0, a0):
     with pytest.raises(NonFiniteStateError):
-        lim.valid_accel_bounds(v0, a0, 1.0, 10.0, 100.0, 0.05, True)
+        lim.valid_accel_bounds(v0, a0, 1.0, 10.0, 100.0, 0.05, correction_enabled=True)
     # one bad entry in a batch is enough
     v = np.zeros((3, 4))
     a = np.zeros((3, 4))
     v[2, 1], a[2, 1] = v0, a0
     with pytest.raises(NonFiniteStateError):
-        lim.valid_accel_bounds(v, a, 1.0, 10.0, 100.0, 0.05, False)
+        lim.valid_accel_bounds(v, a, 1.0, 10.0, 100.0, 0.05, correction_enabled=False)
 
 
 # ---------------------------------------------------------------------------

@@ -81,7 +81,7 @@ def test_tracking_follows_limit_respecting_reference_within_two_degrees():
     report, log = ad.rollout(ref, policy, limits, StepParams(),
                              ad.RewardWeights())
     assert not report.terminated
-    worst = max(log.deviation)
+    worst = max(log.deviation_rad)
     assert worst < np.deg2rad(2.0)
 
 
@@ -117,8 +117,8 @@ def test_balance_zero_gains_degenerates_to_tracking():
     report, log = ad.rollout(ref, p, limits, StepParams(), ad.RewardWeights(),
                              env=e, seed=[0])
     # tracks the reference tightly and never reacts to the ball
-    assert max(log.deviation) < np.deg2rad(0.01)
-    ball_moved = abs(log.ball_x[-1] - 0.02)
+    assert max(log.deviation_rad) < np.deg2rad(0.01)
+    ball_moved = abs(log.ball_x_m[-1] - 0.02)
     assert ball_moved < 1e-6
 
 
@@ -134,7 +134,7 @@ def test_balance_recovers_two_centimetre_offset():
                              env=e, seed=[3])
     assert report.success
     dists = np.linalg.norm(
-        np.column_stack((log.ball_x, log.ball_y)) - task.target, axis=1)
+        np.column_stack((log.ball_x_m, log.ball_y_m)) - task.target, axis=1)
     assert max(dists) < 0.06
     assert dists[-1] < dists[0]
 

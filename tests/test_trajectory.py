@@ -247,9 +247,9 @@ def test_mirror_trajectory_in_plane_is_fixed():
 
 def test_mirror_unknown_plane():
     ref = tr.ReferenceTrajectory(dt=0.05, positions=np.zeros((3, 2)))
-    model, _ = kin.gimbal_chain()
+    model, limits = kin.gimbal_chain()
     with pytest.raises(ConfigurationError):
-        tr.mirror_trajectory(ref, "xy", model)
+        tr.mirror_trajectory(ref, "xy", model, limits)
 
 
 # ---------------------------------------------------------------------------
