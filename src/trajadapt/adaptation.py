@@ -289,9 +289,8 @@ class CampaignReport:
         ) <= 1.0 + CAMPAIGN_TOL
 
 
-def run_limit_campaign(episodes: int, steps: int = 200, n_joints: int = 7,
-                       dt: float = 0.05, seed: int = 0,
-                       correction_enabled: bool = True,
+def run_limit_campaign(episodes: int, steps: int = 200, *, n_joints: int, dt: float,
+                       seed: int, correction_enabled: bool,
                        v_max_range=(0.5, 3.0), a_max_range=(2.0, 15.0),
                        jerk_fill_range=(0.3, 1.0),
                        fixed_limits: JointLimits | None = None) -> CampaignReport:
@@ -300,23 +299,21 @@ def run_limit_campaign(episodes: int, steps: int = 200, n_joints: int = 7,
 
     Jerk limits are drawn as a fraction of min(a_max/dt, v_max/dt^2), the
     supported safety envelope.  With ``fixed_limits`` every episode instead
-    uses that limit set (still random actions).  Each step is checked
-    against the normalized velocity/acceleration bounds over its whole
-    continuous profile, so every control tick is covered whatever the
-    control period, and against the jerk bound.
+    uses that limit set of ``n_joints`` joints (still random actions).  Each
+    step is checked against the normalized velocity/acceleration bounds
+    over its whole continuous profile, so every control tick is covered
+    whatever the control period, and against the jerk bound.
     """
     if episodes < 1 or steps < 1:
         raise ConfigurationError("campaign needs episodes >= 1 and steps >= 1")
     rng = np.random.default_rng(seed)
+    shape = (episodes, n_joints)
     if fixed_limits is not None:
         check_limit_regime(fixed_limits, dt)
-        n_joints = fixed_limits.n_joints
-        shape = (episodes, n_joints)
         v_max = np.tile(fixed_limits.v_max, (episodes, 1))
         a_max = np.tile(fixed_limits.a_max, (episodes, 1))
         j_max = np.tile(fixed_limits.j_max, (episodes, 1))
     else:
-        shape = (episodes, n_joints)
         v_max = rng.uniform(*v_max_range, shape)
         a_max = rng.uniform(*a_max_range, shape)
         j_max = rng.uniform(*jerk_fill_range, shape) * np.minimum(a_max / dt,

@@ -46,12 +46,10 @@ def build_policy(cfg: RunConfig, reference: tr.ReferenceTrajectory):
 
 
 def _references_for_run(cfg: RunConfig):
-    """A configured ``dataset_file`` must exist; without one, the run uses
-    ``<out_dir>/dataset.csv`` if present, else a stationary reference.  Every
-    record must match the run's decision period and joint count."""
+    """The records of the configured ``dataset_file``, which must exist and
+    match the run's decision period and joint count; without one, a
+    stationary reference."""
     path = cfg.dataset_file
-    if path is None and (cfg.out_dir / "dataset.csv").exists():
-        path = cfg.out_dir / "dataset.csv"
     if path is not None:
         if not path.exists():
             raise ConfigurationError(f"dataset file {path} does not exist")
@@ -113,11 +111,7 @@ def cmd_generate(cfg: RunConfig) -> int:
                                             cfg.pipeline, count=count,
                                             seed=cfg.seed)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    if cfg.dataset_file is not None and not cfg.out_overridden:
-        dataset_path = cfg.dataset_file
-    else:
-        dataset_path = cfg.out_dir / "dataset.csv"
-    Path(dataset_path).parent.mkdir(parents=True, exist_ok=True)
+    dataset_path = cfg.out_dir / "dataset.csv"
     save_dataset(dataset_path, trajs)
 
     manifest = {
@@ -147,7 +141,7 @@ def cmd_validate_limits(cfg: RunConfig) -> int:
     # the configured-limits campaign ignores the limit ranges
     v = cfg.validate
     campaigns = (
-        ("randomized-limits", dict(v, n_joints=cfg.limits.n_joints, seed=cfg.seed)),
+        ("randomized-limits", dict(v, seed=cfg.seed)),
         ("configured-limits", dict(v, episodes=min(v["episodes"], 1000),
                                    seed=cfg.seed + 1, fixed_limits=cfg.limits)),
     )
@@ -156,7 +150,8 @@ def cmd_validate_limits(cfg: RunConfig) -> int:
     for name, kwargs in campaigns:
         try:
             rep = ad.run_limit_campaign(
-                dt=cfg.step.dt, correction_enabled=cfg.step.correction_enabled, **kwargs)
+                n_joints=cfg.limits.n_joints, dt=cfg.step.dt,
+                correction_enabled=cfg.step.correction_enabled, **kwargs)
         except LimitConsistencyError as exc:
             print(f"{name}: {exc}", file=sys.stderr)
             passed = False

@@ -1,19 +1,22 @@
 """Run configuration: one JSON file with units in the key names.
 
 ``load_config`` resolves and checks the whole file once, for every command,
-and the commands in ``cli`` read only the typed ``RunConfig``.
-``SECTION_KEYS`` and ``POLICY_KEYS`` map each key onto the argument it
-sets, so an absent key leaves that argument's default, written only where
-the argument is declared; the keys mapped to None are resolved here.  The
-scalar overrides (seed, episodes, workers, output directory) resolve as
-command-line flag, then TRAJADAPT_* environment variable, then config value.
+and the commands in ``cli`` read only the typed ``RunConfig``.  Every run
+value comes from a command-line flag if one is given, else from the file,
+else from its one default.  ``SECTION_KEYS`` and ``POLICY_KEYS`` map each
+key onto the argument it sets, so an absent key leaves that argument's
+default, written only where the argument is declared; the keys mapped to
+None, and the top-level keys, are resolved here with the fallbacks listed
+in the README.  ``VALUE_KINDS`` gives the JSON value of every key that
+does not take a number; a value of the wrong kind is a configuration error
+naming its key.  Relative paths are taken from the config file's directory.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,8 +27,6 @@ from .kinematics import ChainModel, load_chain
 from .limits import JointLimits, StepParams, check_limit_regime
 from .policy import BALANCE_MASK, LinearPolicy, ObservationLayout, balance_mask, check_gains
 from .trajectory import PipelineConfig, SamplingAreas
-
-ENV_PREFIX = "TRAJADAPT_"
 
 # Every key of each config section, mapped to the argument it sets: of the
 # section's constructor, of ``BallPlateEnv`` (``start_offset_xy_m``,
@@ -65,6 +66,55 @@ POLICY_KEYS = {"random": {"kind": None}, "greedy_max": {"kind": None},
                "linear": {"kind": None, "weights_file": None}}
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """A JSON integer or a finite float (``json`` reads NaN and Infinity)."""
+    return _is_integer(value) or isinstance(value, float) and math.isfinite(value)
+
+
+def _is_list(value, length, item) -> bool:
+    """A JSON list of ``length`` (any length if None) values, each ``item``."""
+    return (isinstance(value, list) and length in (None, len(value))
+            and all(item(v) for v in value))
+
+
+# What a value of each kind must be: (test, description for the message).
+VALUE_CHECKS = {
+    "number": (_is_number, "a number"),
+    "flag": (lambda v: isinstance(v, bool), "true or false"),
+    "text": (lambda v: isinstance(v, str), "a string"),
+    "pair": (lambda v: _is_list(v, 2, _is_number), "a list of 2 numbers"),
+    "band": (lambda v: v is None or _is_list(v, 2, _is_number),
+             "a list of 2 numbers or null"),
+    "indices": (lambda v: _is_list(v, None, _is_integer), "a list of integers"),
+    "boxes": (lambda v: _is_list(v, None, lambda box: _is_list(
+        box, 2, lambda corner: _is_list(corner, 3, _is_number))),
+              "a list of [lo, hi] boxes with corners of 3 numbers"),
+}
+# The kind of every section, policy and top-level path or flag key that
+# does not take a number; counts are further checked with ``check_count``.
+VALUE_KINDS = {
+    "correction_enabled": "flag", "randomize": "flag", "use_environment": "flag",
+    "kind": "text", "weights_file": "text",
+    "chain_file": "text", "out_dir": "text", "dataset_file": "text",
+    "target_xy_m": "pair", "start_offset_xy_m": "pair", "radius_range_m": "pair",
+    "friction_range": "pair", "height_band_m": "band", "v_max_range": "pair",
+    "a_max_range": "pair", "jerk_fill_range": "pair",
+    "mask": "indices", "boxes_m": "boxes",
+}
+
+
+def check_value(value, key: str, name: str) -> None:
+    """Reject a ``value`` of config key ``key`` that is not of its kind in
+    ``VALUE_KINDS`` (by default a number), naming it ``name``."""
+    test, need = VALUE_CHECKS[VALUE_KINDS.get(key, "number")]
+    if not test(value):
+        raise ConfigurationError(f"{name} must be {need}, got {value!r}")
+
+
 def check_keys(mapping: dict, known, where: str) -> None:
     """Reject keys of ``mapping`` outside ``known``, naming them."""
     unknown = sorted(set(mapping) - set(known))
@@ -80,8 +130,23 @@ def _section(raw: dict, name: str, keys=None, where=None):
         raise ConfigurationError(f"config section {name!r} must be an object")
     keys = keys or SECTION_KEYS[name]
     check_keys(section, keys, where or f"config section {name!r}")
+    for key, value in section.items():
+        check_value(value, key, f"{name} {key}")
     return section, {keys[k]: tuple(v) if isinstance(v, list) else v
                      for k, v in section.items() if keys[k]}
+
+
+def _check_ranges(validate: dict) -> None:
+    """Each configured campaign range is [lo, hi] with 0 < lo <= hi; the
+    jerk fraction also hi <= 1, the supported limit regime."""
+    for key, top in (("v_max_range", math.inf), ("a_max_range", math.inf),
+                     ("jerk_fill_range", 1.0)):
+        if key in validate:
+            lo, hi = validate[key]
+            if not 0.0 < lo <= hi <= top:
+                bound = "" if top == math.inf else f" <= {top:g}"
+                raise ConfigurationError(f"validate {key} must satisfy 0 < lo <= hi{bound}, "
+                                         f"got {list(validate[key])}")
 
 
 def _policy(raw: dict, base: Path, layout: ObservationLayout, use_environment: bool):
@@ -115,20 +180,6 @@ def _policy(raw: dict, base: Path, layout: ObservationLayout, use_environment: b
     return kind, args
 
 
-def _override(name: str, flag, cast, fallback):
-    """``flag`` if given, else the TRAJADAPT_<NAME> variable, else ``fallback``."""
-    if flag is not None:
-        return flag
-    raw = os.environ.get(ENV_PREFIX + name.upper())
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError as exc:
-        raise ConfigurationError(
-            f"bad value for {ENV_PREFIX}{name.upper()}: {raw!r}") from exc
-
-
 @dataclass
 class RunConfig:
     raw: dict
@@ -151,7 +202,6 @@ class RunConfig:
     episodes: int
     workers: int
     out_dir: Path
-    out_overridden: bool
     dataset_file: Path | None
     use_environment: bool
     stationary_steps: int
@@ -162,24 +212,24 @@ class RunConfig:
 
 
 def load_config(path, seed=None, episodes=None, workers=None, out=None) -> RunConfig:
+    """The run of config file ``path``; each keyword is a command-line flag
+    that, when not None, takes the place of the config value."""
     path = Path(path)
     try:
         raw = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigurationError(f"config {path} must be a JSON object")
     check_keys(raw, TOP_LEVEL_KEYS, f"config {path}")
+    for key in ("chain_file", "out_dir", "dataset_file", "use_environment"):
+        if key in raw:
+            check_value(raw[key], key, key)
     base = path.parent
 
-    chain_file = raw.get("chain_file")
-    if not chain_file:
+    if not raw.get("chain_file"):
         raise ConfigurationError("config needs a chain_file entry")
-    chain_path = (base / chain_file).resolve() if not Path(chain_file).is_absolute() \
-        else Path(chain_file)
-    if not chain_path.exists():
-        raise ConfigurationError(f"chain file {chain_path} does not exist")
-    model, limits = load_chain(chain_path)
+    model, limits = load_chain(base / raw["chain_file"])
 
     step = StepParams(**_section(raw, "step")[1])
     check_limit_regime(limits, step.dt)
@@ -191,8 +241,6 @@ def load_config(path, seed=None, episodes=None, workers=None, out=None) -> RunCo
     task = envm.TaskSpec(**task_args)
     reward = RewardWeights(**_section(raw, "reward")[1])
     use_environment = raw.get("use_environment", True)
-    if not isinstance(use_environment, bool):
-        raise ConfigurationError(f"use_environment must be true or false, got {use_environment!r}")
     layout = ObservationLayout(limits.n_joints,
                                task.feedback_size if use_environment else 0,
                                reward.n_future)
@@ -203,25 +251,26 @@ def load_config(path, seed=None, episodes=None, workers=None, out=None) -> RunCo
         raise ConfigurationError("config section 'sampling' needs boxes_m")
     generate_raw, generate_args = _section(raw, "generate")
 
-    seed_val = _override("seed", seed, int, raw.get("seed", 0))
-    episodes_set = _override("episodes", episodes, int, None)
-    episodes_val = raw.get("episodes", 10) if episodes_set is None else episodes_set
+    seed = raw.get("seed", 0) if seed is None else seed
     validate_raw, validate = _section(raw, "validate")
-    validate["episodes"] = (validate_raw.get("episodes", episodes_val)
-                            if episodes_set is None else episodes_set)
-    workers_val = _override("workers", workers, int, raw.get("workers", 1))
-    generate_count = generate_raw.get("count", episodes_val)
+    _check_ranges(validate)
+    if episodes is None:
+        episodes = raw.get("episodes", 10)
+        validate["episodes"] = validate_raw.get("episodes", episodes)
+    else:
+        validate["episodes"] = episodes
+    workers = raw.get("workers", 1) if workers is None else workers
+    generate_count = generate_raw.get("count", episodes)
     stationary_steps = raw.get("stationary_steps", 201)
-    for value, key, least in ((seed_val, "seed", 0), (episodes_val, "episodes", 1),
-                              (workers_val, "workers", 1),
+    for value, key, least in ((seed, "seed", 0), (episodes, "episodes", 1),
+                              (workers, "workers", 1),
                               (generate_count, "generate count", 1),
                               (validate["episodes"], "validate episodes", 1),
                               (stationary_steps, "stationary_steps", 2)):
         check_count(value, key, least)
     if "steps" in validate:
         check_count(validate["steps"], "validate steps", 1)
-    out_raw = _override("out", out, str, None)
-    out_val = base / (raw.get("out_dir", "out") if out_raw is None else out_raw)
+    out = raw.get("out_dir", "out") if out is None else out
 
     dataset_file = raw.get("dataset_file")
     return RunConfig(
@@ -232,8 +281,8 @@ def load_config(path, seed=None, episodes=None, workers=None, out=None) -> RunCo
         areas=SamplingAreas(**sampling_args) if sampling_args else None,
         pipeline=PipelineConfig(dt=step.dt, **generate_args),
         generate_count=generate_count,
-        validate=validate, seed=seed_val, episodes=episodes_val,
-        workers=workers_val, out_dir=out_val, out_overridden=out_raw is not None,
+        validate=validate, seed=seed, episodes=episodes, workers=workers,
+        out_dir=base / out,
         dataset_file=None if dataset_file is None else base / dataset_file,
         use_environment=use_environment,
         stationary_steps=stationary_steps,

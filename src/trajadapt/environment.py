@@ -244,7 +244,7 @@ class EpisodeReport:
 
 
 def episode_metrics(log, total_steps: int, limits, spec: TaskSpec | None,
-                    terminated: bool = False, ball_lost: bool = False) -> EpisodeReport:
+                    terminated: bool, ball_lost: bool) -> EpisodeReport:
     """Aggregate an episode's step log (``adaptation.StepLog``) into the
     summary metrics.
 
@@ -289,7 +289,7 @@ class BallPlateEnv:
     """Single-owner mutable environment: ball state + sensing for one episode."""
 
     def __init__(self, model, geometry: PlateGeometry, task: TaskSpec,
-                 ball: BallParams, control_dt: float, randomize: bool = False,
+                 ball: BallParams, control_dt: float, randomize: bool,
                  start_offset=(0.0, 0.0)):
         self.model = model
         self.geometry = geometry

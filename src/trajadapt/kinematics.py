@@ -246,9 +246,14 @@ def plate_motion(model: ChainModel, q_series, dt: float):
 # chain description files
 
 def load_chain(path) -> tuple[ChainModel, JointLimits]:
-    """Read a chain description file (JSON, schema in the README)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    """Read a chain description file (JSON, schema in the README).  A file
+    that cannot be read, or a missing or bad value in it, is a
+    ConfigurationError naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigurationError(f"cannot read chain file {path}: {exc}") from exc
     try:
         joint_rows = raw["joints"]
         joints = tuple(
@@ -271,7 +276,9 @@ def load_chain(path) -> tuple[ChainModel, JointLimits]:
             j_max=[j["j_max_rad_per_s3"] for j in joint_rows],
         )
     except KeyError as exc:
-        raise ConfigurationError(f"chain description is missing field {exc}") from exc
+        raise ConfigurationError(f"chain file {path} is missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"chain file {path} has a bad value: {exc}") from exc
     return model, limits
 
 

@@ -191,8 +191,8 @@ def path_to_joint_space(path: CartesianPath, model: ChainModel, samples: int,
     return out
 
 
-def time_parameterize(q_path, limits: JointLimits, headroom: float = 0.05,
-                      grid: int = 600) -> TimedTrajectory:
+def time_parameterize(q_path, limits: JointLimits, headroom: float,
+                      grid: int) -> TimedTrajectory:
     """Forward-backward pass assigning a monotone time to a joint path.
 
     The path speed is capped so per-joint velocity and acceleration stay
@@ -264,8 +264,8 @@ def time_parameterize(q_path, limits: JointLimits, headroom: float = 0.05,
     return TimedTrajectory(t=t, q=q)
 
 
-def resample_uniform(timed: TimedTrajectory, dt: float, traj_id="traj",
-                     split="train") -> ReferenceTrajectory:
+def resample_uniform(timed: TimedTrajectory, dt: float, traj_id: str,
+                     split: str) -> ReferenceTrajectory:
     """Rows at t = 0, dt, ..., floor(T/dt)*dt (final instant clamped into range)."""
     if dt <= 0:
         raise ConfigurationError("dt must be > 0")
@@ -349,7 +349,7 @@ def mirror_trajectory(traj: ReferenceTrajectory, plane: str, model: ChainModel,
 
 @dataclass
 class PipelineConfig:
-    dt: float = 0.05
+    dt: float
     headroom: float = 0.05
     ik_samples: int = 100
     grid: int = 600
@@ -367,8 +367,8 @@ class PipelineConfig:
 
 
 def generate_reference(model: ChainModel, limits: JointLimits, areas: SamplingAreas,
-                       cfg: PipelineConfig, seed, traj_id="traj",
-                       split="train") -> ReferenceTrajectory:
+                       cfg: PipelineConfig, seed, traj_id: str,
+                       split: str) -> ReferenceTrajectory:
     """Run the full pipeline once; raises PathRejectedError on a bad draw."""
     rng = np.random.default_rng(seed)
     path = CartesianPath(sample_waypoints(areas, rng))

@@ -37,7 +37,7 @@ def _report(name: str, ok: bool, detail: str):
 def test_criterion_01_limit_safety_campaign():
     t0 = time.time()
     rep = ad.run_limit_campaign(episodes=10_000, steps=200, n_joints=7,
-                                dt=0.05, seed=42)
+                                dt=0.05, seed=42, correction_enabled=True)
     wall = time.time() - t0
     worst = max(rep.max_velocity_norm, rep.max_accel_norm, rep.max_jerk_norm)
     ok = rep.violations == 0 and worst <= 1.0 + 1e-9 and wall < 120.0
@@ -210,18 +210,20 @@ def test_criterion_08_pipeline_integrity():
         ((0.42, -0.06, 0.82), (0.58, 0.06, 0.92)),
         ((0.35, 0.15, 0.82), (0.50, 0.28, 0.92)),
     ), height_band=(0.82, 0.92))
-    cfg = tr.PipelineConfig()
+    cfg = tr.PipelineConfig(dt=0.05)
     worst_ratio = 0.0
     refs = []
     for seed in range(4):
-        ref = tr.generate_reference(model, limits, areas, cfg, seed=seed)
+        ref = tr.generate_reference(model, limits, areas, cfg, seed=seed,
+                                    traj_id="traj", split="train")
         refs.append(ref)
         r = tr.check_reference_limits(ref, limits)
         worst_ratio = max(worst_ratio, r["vel_ratio"], r["acc_ratio"])
 
     t = np.linspace(0.0, 2.0, 500)
     q = np.linspace(0.0, 1.0, 500)[:, None]
-    rows = tr.resample_uniform(tr.TimedTrajectory(t=t, q=q), 0.05).n_steps
+    rows = tr.resample_uniform(tr.TimedTrajectory(t=t, q=q), 0.05, traj_id="traj",
+                               split="train").n_steps
 
     mirrored = tr.mirror_trajectory(refs[0], "xz", model, limits)
     back = tr.mirror_trajectory(mirrored, "xz", model, limits)

@@ -272,7 +272,7 @@ def test_rollout_terminates_on_non_finite_policy_output(start, bad):
     model, limits = kin.gimbal_chain()
     task = env.TaskSpec(kind="on_plate", noise_std=0.0)
     e = env.BallPlateEnv(model, env.PlateGeometry(), task, env.BallParams(),
-                         control_dt=0.005)
+                         control_dt=0.005, randomize=False)
     ref = ReferenceTrajectory(dt=0.05, positions=np.zeros((41, 2)))
     report, log = ad.rollout(ref, BadAfterPolicy(start, bad), limits,
                              StepParams(), ad.RewardWeights(), env=e, seed=[0])
@@ -324,7 +324,7 @@ def test_rollout_with_ball_environment_runs():
     model, limits = kin.gimbal_chain()
     task = env.TaskSpec(kind="on_plate", noise_std=0.0)
     e = env.BallPlateEnv(model, env.PlateGeometry(), task, env.BallParams(),
-                         control_dt=0.005)
+                         control_dt=0.005, randomize=False)
     ref = ReferenceTrajectory(dt=0.05, positions=np.zeros((10, 2)))
     report, log = ad.rollout(ref, ZeroPolicy(2), limits, StepParams(),
                              ad.RewardWeights(), env=e, seed=[0])
@@ -337,7 +337,7 @@ def test_rollout_with_ball_environment_runs():
 # vectorized campaign
 
 def test_campaign_no_violations_small():
-    rep = ad.run_limit_campaign(episodes=200, steps=60, seed=1)
+    rep = ad.run_limit_campaign(episodes=200, steps=60, seed=1, n_joints=7, dt=0.05, correction_enabled=True)
     assert rep.ok()
     assert rep.violations == 0
     assert rep.first_violation is None
@@ -345,8 +345,8 @@ def test_campaign_no_violations_small():
 
 
 def test_campaign_deterministic():
-    a = ad.run_limit_campaign(episodes=50, steps=30, seed=9)
-    b = ad.run_limit_campaign(episodes=50, steps=30, seed=9)
+    a = ad.run_limit_campaign(episodes=50, steps=30, seed=9, n_joints=7, dt=0.05, correction_enabled=True)
+    b = ad.run_limit_campaign(episodes=50, steps=30, seed=9, n_joints=7, dt=0.05, correction_enabled=True)
     assert a == b
 
 
@@ -354,7 +354,8 @@ def test_campaign_deterministic():
 def test_campaign_without_correction_keeps_a_nonempty_range(seed):
     # each seed used to end in an empty range (lo - hi of 1e-9 to 3e-9) on a
     # joint braking from its velocity bound; see limits "Boundary states"
-    rep = ad.run_limit_campaign(50, 40, correction_enabled=False, seed=seed)
+    rep = ad.run_limit_campaign(50, 40, correction_enabled=False, seed=seed,
+                                n_joints=7, dt=0.05)
     assert rep.ok()
 
 
@@ -380,7 +381,7 @@ def test_campaign_report_pinned(case):
     seed, correction, fixed = case
     limits = arm_chain()[1] if fixed else None
     rep = ad.run_limit_campaign(300, 100, seed=seed, correction_enabled=correction,
-                                fixed_limits=limits)
+                                fixed_limits=limits, n_joints=7, dt=0.05)
     violations, v, a, j = CAMPAIGN_PINS[case]
     assert rep == ad.CampaignReport(episodes=300, steps=100, n_joints=7,
                                     violations=violations, max_velocity_norm=v,
@@ -388,13 +389,13 @@ def test_campaign_report_pinned(case):
 
 
 def test_campaign_single_step():
-    rep = ad.run_limit_campaign(episodes=10, steps=1, seed=0)
+    rep = ad.run_limit_campaign(episodes=10, steps=1, seed=0, n_joints=7, dt=0.05, correction_enabled=True)
     assert rep.ok()
 
 
 def test_campaign_validates_arguments():
     with pytest.raises(ConfigurationError):
-        ad.run_limit_campaign(episodes=0, steps=10)
+        ad.run_limit_campaign(episodes=0, steps=10, seed=0, n_joints=7, dt=0.05, correction_enabled=True)
 
 
 def test_campaign_reports_violations_of_widened_range(monkeypatch):
@@ -407,7 +408,7 @@ def test_campaign_reports_violations_of_widened_range(monkeypatch):
         return lo, hi + 0.1 * np.abs(hi)
 
     monkeypatch.setattr(ad, "valid_accel_bounds", widened)
-    rep = ad.run_limit_campaign(episodes=200, steps=1, seed=3)
+    rep = ad.run_limit_campaign(episodes=200, steps=1, seed=3, n_joints=7, dt=0.05, correction_enabled=True)
     assert rep.violations > 0
     assert rep.first_violation is not None and rep.first_violation[0] == 0
     assert 1.0 < rep.max_jerk_norm <= 1.1 + 1e-9
@@ -431,7 +432,8 @@ def test_campaign_reports_velocity_peak_between_ticks(monkeypatch):
     limits = JointLimits(p_min=[-2.0], p_max=[2.0], v_max=[v_max],
                          a_max=[2.0], j_max=[40.0])
     rep = ad.run_limit_campaign(episodes=1, steps=len(schedule), dt=dt,
-                                fixed_limits=limits)
+                                fixed_limits=limits, n_joints=1, seed=0,
+                                correction_enabled=True)
 
     v0, a0 = calls[-1]
     _, v_ticks, _ = substep_profile(0.0, v0, a0, schedule[-1], dt, 10)
@@ -503,7 +505,8 @@ def test_scored_columns_match_scalar_formulas():
     model, limits = kin.gimbal_chain()
     e = env.BallPlateEnv(model, env.PlateGeometry(),
                          env.TaskSpec(kind="in_place", noise_std=0.0),
-                         env.BallParams(), control_dt=0.005, start_offset=(0.02, 0.0))
+                         env.BallParams(), control_dt=0.005, randomize=False,
+                         start_offset=(0.02, 0.0))
     still = ReferenceTrajectory(dt=0.05, positions=np.zeros((61, 2)))
     layout = pol.ObservationLayout(2, e.task.feedback_size, 1)
     balancer = pol.PDBalancePolicy(layout, limits, params.dt, model, e.geometry,

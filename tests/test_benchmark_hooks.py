@@ -62,5 +62,6 @@ def test_rollout_calls_each_hooked_layer_once_per_step(monkeypatch):
 
 def test_campaign_computes_the_valid_range_once_per_step(monkeypatch):
     counts = _count_calls(monkeypatch, adaptation, ("valid_accel_bounds",))
-    adaptation.run_limit_campaign(episodes=20, steps=7, n_joints=3)
+    adaptation.run_limit_campaign(episodes=20, steps=7, n_joints=3, dt=0.05, seed=0,
+                                  correction_enabled=True)
     assert counts == {"valid_accel_bounds": 7}

@@ -74,6 +74,22 @@ def test_generate_byte_identical_under_same_seed(tmp_path):
     assert a == b
 
 
+def test_generate_out_relocates_every_output(tmp_path, capsys):
+    # the configured dataset_file is an input of rollout/eval, never a
+    # place generate writes to
+    cfg = _write_arm_config(tmp_path, dataset_file="refs/dataset.csv")
+    assert cli.main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 0
+    written = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*") if p.is_file())
+    assert written == [Path("chain_7dof.json"), Path("config.json"),
+                       Path("x/dataset.csv"), Path("x/manifest.json")]
+    assert f"dataset: {tmp_path / 'x' / 'dataset.csv'} " in capsys.readouterr().out
+    # without --out, the configured out_dir
+    assert cli.main(["generate", "--config", str(cfg)]) == 0
+    assert not (tmp_path / "refs").exists()
+    assert (tmp_path / "out" / "dataset.csv").read_bytes() \
+        == (tmp_path / "x" / "dataset.csv").read_bytes()
+
+
 def test_generate_runs_without_scipy(tmp_path):
     # the runtime needs numpy alone; scipy serves only the tests
     cfg = _write_arm_config(tmp_path)
@@ -268,7 +284,8 @@ def test_step_log_round_trip_with_environment(tmp_path):
     model, limits = kin.gimbal_chain()
     task = envm.TaskSpec(kind="in_place", noise_std=0.0)
     env = envm.BallPlateEnv(model, envm.PlateGeometry(), task, envm.BallParams(),
-                            control_dt=0.005, start_offset=(0.01, 0.0))
+                            control_dt=0.005, randomize=False,
+                            start_offset=(0.01, 0.0))
     ref = tr.ReferenceTrajectory(dt=0.05, positions=np.zeros((8, 2)))
     _, log = ad.rollout(ref, _ConstantPolicy([0.01, -0.02]), limits,
                         ad.StepParams(), ad.RewardWeights(), env=env, seed=[0])
@@ -506,12 +523,13 @@ def test_configured_dataset_file_never_falls_back_to_out_dir(tmp_path, capsys):
     cfg = _write_arm_config(tmp_path, dataset_file="nope.csv")
     assert cli.main(["eval", "--config", str(cfg), "--episodes", "1"]) == 2
     assert str(tmp_path / "nope.csv") in capsys.readouterr().err
-    # without a configured dataset_file the run uses it
+    # without a configured dataset_file the run ignores it too
     raw = json.loads(cfg.read_text())
     del raw["dataset_file"]
     cfg.write_text(json.dumps(raw))
     assert cli.main(["rollout", "--config", str(cfg), "--episodes", "1"]) == 0
-    assert "[stale]" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "[stationary]" in out and "[stale]" not in out
 
 
 _RECORD = "H,r0,test,0.05,2,3\nP,0,0\n\nP,0,0\nP,0,0\n"
@@ -586,22 +604,6 @@ def test_linear_weights_missing_or_misshapen_is_configuration_error(tmp_path, ca
     assert "shape (2, 5)" in err and "expected (2, 15)" in err
     np.savetxt(tmp_path / "weights.txt", np.zeros((2, 15)))
     assert cli.main(["eval", "--config", str(cfg), "--episodes", "1"]) == 0
-
-
-def test_env_var_overrides_seed(tmp_path, monkeypatch):
-    cfg = _write_balance_config(tmp_path)
-    monkeypatch.setenv("TRAJADAPT_SEED", "31")
-    cli.main(["eval", "--config", str(cfg), "--episodes", "1"])
-    metrics = json.loads((tmp_path / "out" / "metrics.json").read_text())
-    assert metrics["seed"] == 31
-
-
-def test_cli_flag_beats_env_var(tmp_path, monkeypatch):
-    cfg = _write_balance_config(tmp_path)
-    monkeypatch.setenv("TRAJADAPT_SEED", "31")
-    cli.main(["eval", "--config", str(cfg), "--episodes", "1", "--seed", "77"])
-    metrics = json.loads((tmp_path / "out" / "metrics.json").read_text())
-    assert metrics["seed"] == 77
 
 
 def test_policy_kinds_constructible(tmp_path):

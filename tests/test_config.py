@@ -88,7 +88,7 @@ def test_every_section_key_lands_on_its_object(tmp_path, monkeypatch):
               "plate": (cfg.geometry, envm.PlateGeometry()),
               "ball": (cfg.ball, envm.BallParams()),
               "reward": (cfg.reward, RewardWeights()),
-              "generate": (cfg.pipeline, PipelineConfig())}
+              "generate": (cfg.pipeline, PipelineConfig(dt=0.05))}
     for name, (obj, default) in landed.items():
         for key, arg in SECTION_KEYS[name].items():
             if hasattr(obj, arg or ""):
@@ -175,3 +175,79 @@ def test_bad_count_or_fraction_is_configuration_error(tmp_path, change, override
     path = _write_config(tmp_path, {"kind": "random"}, sections)
     with pytest.raises(ConfigurationError, match=key):
         load_config(path, **overrides)
+
+
+def _stock_config(tmp_path, name, chain, change):
+    """A copy of ``configs/<name>`` and its chain in ``tmp_path``, writing
+    under ``tmp_path/out``, with ``change`` merged into its sections."""
+    shutil.copy(CONFIG_DIR / chain, tmp_path / chain)
+    raw = json.loads((CONFIG_DIR / name).read_text())
+    raw["out_dir"] = "out"
+    raw.pop("dataset_file", None)
+    for key, value in change.items():
+        raw[key] = {**raw[key], **value} if isinstance(raw.get(key), dict) else value
+    path = tmp_path / name
+    path.write_text(json.dumps(raw))
+    return path
+
+
+# Values of the wrong JSON kind on the balancing config: (change, the name
+# the message gives).  Each used to end in a traceback or to load: a string
+# flag with the feature on, an infinite bound as given.
+WRONG_KINDS = [
+    ({"reward": {"jerk_weight": "4"}}, "reward jerk_weight must be a number"),
+    ({"step": {"dt_s": "0.05"}}, "step dt_s must be a number"),
+    ({"plate": {"half_x_m": None}}, "plate half_x_m must be a number"),
+    ({"task": {"noise_std_m": "0"}}, "task noise_std_m must be a number"),
+    ({"ball": {"radius_m": [1]}}, "ball radius_m must be a number"),
+    ({"task": {"success_bound_m": float("inf")}}, "task success_bound_m must be a number"),
+    ({"step": {"correction_enabled": "no"}}, "step correction_enabled must be true or false"),
+    ({"ball": {"randomize": "no"}}, "ball randomize must be true or false"),
+    ({"chain_file": 5}, "chain_file must be a string"),
+    ({"out_dir": 5}, "out_dir must be a string"),
+    ({"dataset_file": 5}, "dataset_file must be a string"),
+]
+
+
+@pytest.mark.parametrize("change, message", WRONG_KINDS,
+                         ids=[json.dumps(c) for c, _ in WRONG_KINDS])
+def test_value_of_wrong_kind_is_configuration_error(tmp_path, capsys, change, message):
+    path = _stock_config(tmp_path, "balance_demo.json", "chain_gimbal.json", change)
+    assert cli.main(["eval", "--config", str(path), "--episodes", "1"]) == 2
+    assert capsys.readouterr().err.startswith(f"configuration error: {message}, got ")
+
+
+def _break_chain(tmp_path, edit):
+    path = tmp_path / "chain_7dof.json"
+    path.write_text(edit(path.read_text()))
+
+
+# Bad chain files and campaign ranges for validate-limits on the arm config:
+# (config change, chain file edit, what the message names).  Each used to
+# end in a traceback, or (the jerk fraction above 1) to draw limits outside
+# the supported regime and pass.
+BAD_CAMPAIGN_INPUTS = {
+    "chain-not-json": ({}, lambda text: text[:-20], "cannot read chain file"),
+    "chain-v-max-text": ({}, lambda text: text.replace('"v_max_rad_per_s": 1.71',
+                                                       '"v_max_rad_per_s": "fast"', 1),
+                         "chain_7dof.json has a bad value"),
+    "v-max-range-reversed": ({"validate": {"v_max_range": [3.0, 0.5]}}, None,
+                             "validate v_max_range must satisfy 0 < lo <= hi, got"),
+    "v-max-range-one-number": ({"validate": {"v_max_range": [0.5]}}, None,
+                               "validate v_max_range must be a list of 2 numbers"),
+    "a-max-range-zero": ({"validate": {"a_max_range": [0.0, 15.0]}}, None,
+                         "validate a_max_range must satisfy 0 < lo <= hi, got"),
+    "jerk-fill-above-one": ({"validate": {"jerk_fill_range": [0.3, 2.0]}}, None,
+                            "validate jerk_fill_range must satisfy 0 < lo <= hi <= 1, got"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CAMPAIGN_INPUTS))
+def test_bad_chain_file_or_campaign_range_is_configuration_error(tmp_path, capsys, case):
+    change, edit, message = BAD_CAMPAIGN_INPUTS[case]
+    path = _stock_config(tmp_path, "arm_dataset.json", "chain_7dof.json", change)
+    if edit is not None:
+        _break_chain(tmp_path, edit)
+    assert cli.main(["validate-limits", "--config", str(path), "--episodes", "20"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and message in err

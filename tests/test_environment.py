@@ -259,7 +259,7 @@ def test_sensor_feedback_zero_noise_stationary_centre():
     model, _ = gimbal_chain()
     e = env.BallPlateEnv(model, env.PlateGeometry(),
                          env.TaskSpec(kind="in_place", noise_std=0.0),
-                         env.BallParams(), control_dt=0.005)
+                         env.BallParams(), control_dt=0.005, randomize=False)
     f = e.reset(seed=0)
     for _ in range(2):
         np.testing.assert_array_equal(f, np.zeros(6))
@@ -270,7 +270,7 @@ def test_sensor_feedback_noise_magnitude():
     geometry = env.PlateGeometry()
     spec = env.TaskSpec(kind="on_plate", noise_std=0.001)
     model, _ = gimbal_chain()
-    e = env.BallPlateEnv(model, geometry, spec, env.BallParams(), control_dt=0.005)
+    e = env.BallPlateEnv(model, geometry, spec, env.BallParams(), control_dt=0.005, randomize=False)
     e.reset(seed=123)
     # the ball rests at the centre of the flat plate; only the noise moves the reading
     reads = np.array([e.step(*still_plate(np.eye(3)))[2][0] for _ in range(4000)])
@@ -292,7 +292,7 @@ def test_env_previous_reading_is_last_current_reading():
     model, _ = gimbal_chain()
     e = env.BallPlateEnv(model, env.PlateGeometry(),
                          env.TaskSpec(kind="in_place", noise_std=0.002),
-                         env.BallParams(), control_dt=0.005)
+                         env.BallParams(), control_dt=0.005, randomize=False)
     f = e.reset(seed=3)
     np.testing.assert_array_equal(f[2:4], f[0:2])
     for _ in range(5):
@@ -346,7 +346,7 @@ def _limits():
 def test_metrics_fraction_on_early_stop():
     log = _log(np.zeros((50, 2)), np.zeros((50, 2)))
     rep = env.episode_metrics(log, total_steps=100, limits=_limits(), spec=None,
-                              ball_lost=True)
+                              terminated=False, ball_lost=True)
     assert rep.fraction == pytest.approx(0.5)
     assert not rep.success
 
@@ -355,7 +355,8 @@ def test_metrics_perfect_episode():
     spec = env.TaskSpec(kind="in_place")
     ball = env.BallState(position=[0.0, 0.0], velocity=[0, 0])
     log = _log(np.zeros((100, 2)), np.zeros((100, 2)), ball=ball)
-    rep = env.episode_metrics(log, total_steps=100, limits=_limits(), spec=spec)
+    rep = env.episode_metrics(log, total_steps=100, limits=_limits(), spec=spec,
+                              terminated=False, ball_lost=False)
     assert rep.success
     assert rep.fraction == 1.0
     assert rep.error_distance_m == 0.0
@@ -363,7 +364,8 @@ def test_metrics_perfect_episode():
 
 def test_metrics_mean_normalized_accel():
     log = _log(np.full((10, 2), 0.7), np.zeros((10, 2)))  # a_max = 10
-    rep = env.episode_metrics(log, total_steps=10, limits=_limits(), spec=None)
+    rep = env.episode_metrics(log, total_steps=10, limits=_limits(), spec=None,
+                              terminated=False, ball_lost=False)
     assert rep.mean_norm_accel == pytest.approx(0.07)
 
 
@@ -372,11 +374,13 @@ def test_metrics_invariant_under_log_split():
     rows = [(rng.uniform(-5, 5, 2), rng.uniform(-50, 50, 2)) for _ in range(60)]
     accel, jerk = (np.array(col) for col in zip(*rows))
     full = env.episode_metrics(_log(accel, jerk), total_steps=60, limits=_limits(),
-                               spec=None)
+                               spec=None, terminated=False, ball_lost=False)
     first = env.episode_metrics(_log(accel[:30], jerk[:30]), total_steps=30,
-                                limits=_limits(), spec=None)
+                                limits=_limits(), spec=None, terminated=False,
+                                ball_lost=False)
     second = env.episode_metrics(_log(accel[30:], jerk[30:]), total_steps=30,
-                                 limits=_limits(), spec=None)
+                                 limits=_limits(), spec=None, terminated=False,
+                                 ball_lost=False)
     recombined = 0.5 * (first.mean_norm_accel + second.mean_norm_accel)
     assert full.mean_norm_accel == pytest.approx(recombined, abs=1e-12)
 
@@ -384,7 +388,8 @@ def test_metrics_invariant_under_log_split():
 def test_metrics_zero_rows_give_no_steps_and_no_success():
     for spec in (None, env.TaskSpec(kind="in_place"), env.TaskSpec(kind="on_plate")):
         rep = env.episode_metrics(StepLog.allocate(0, 2), total_steps=10,
-                                  limits=_limits(), spec=spec)
+                                  limits=_limits(), spec=spec, terminated=False,
+                                  ball_lost=False)
         assert rep.steps_executed == 0
         assert rep.fraction == 0.0
         assert not rep.success
@@ -398,7 +403,7 @@ def test_metrics_zero_rows_give_no_steps_and_no_success():
 def test_env_reset_and_step():
     model, _ = gimbal_chain()
     e = env.BallPlateEnv(model, env.PlateGeometry(), env.TaskSpec(noise_std=0.0),
-                         env.BallParams(), control_dt=0.005)
+                         env.BallParams(), control_dt=0.005, randomize=False)
     f = e.reset(seed=0)
     assert f.shape == (6,)
     ball, reward, f2 = e.step(*still_plate(np.eye(3), ticks=10))
@@ -409,7 +414,7 @@ def test_env_reset_and_step():
 def test_env_rejects_start_off_plate():
     model, _ = gimbal_chain()
     e = env.BallPlateEnv(model, env.PlateGeometry(), env.TaskSpec(noise_std=0.0),
-                         env.BallParams(), control_dt=0.005,
+                         env.BallParams(), control_dt=0.005, randomize=False,
                          start_offset=(5.0, 0.0))
     with pytest.raises(ConfigurationError):
         e.reset(seed=0)

@@ -113,7 +113,8 @@ def test_balance_zero_gains_degenerates_to_tracking():
                             ball_kp=0.0, ball_kd=0.0)
     ref = ReferenceTrajectory(dt=0.05, positions=np.zeros((60, 2)))
     e = env.BallPlateEnv(model, env.PlateGeometry(), task, env.BallParams(),
-                         control_dt=0.005, start_offset=(0.02, 0.0))
+                         control_dt=0.005, randomize=False,
+                         start_offset=(0.02, 0.0))
     report, log = ad.rollout(ref, p, limits, StepParams(), ad.RewardWeights(),
                              env=e, seed=[0])
     # tracks the reference tightly and never reacts to the ball

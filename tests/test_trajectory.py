@@ -24,8 +24,9 @@ def arm():
 @pytest.fixture(scope="module")
 def demo_reference(arm):
     model, limits = arm
-    cfg = tr.PipelineConfig()
-    return tr.generate_reference(model, limits, DEMO_AREAS, cfg, seed=1)
+    cfg = tr.PipelineConfig(dt=0.05)
+    return tr.generate_reference(model, limits, DEMO_AREAS, cfg, seed=1, traj_id="traj",
+                                 split="train")
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +173,7 @@ def test_time_parameterize_velocity_scaling():
 
 def test_time_parameterize_zero_length_path():
     limits = JointLimits(p_min=[-2], p_max=[2], v_max=[1], a_max=[1], j_max=[1])
-    timed = tr.time_parameterize(np.zeros((5, 1)), limits)
+    timed = tr.time_parameterize(np.zeros((5, 1)), limits, headroom=0.05, grid=600)
     assert timed.duration == 0.0
 
 
@@ -182,7 +183,7 @@ def test_time_parameterize_monotone_time(demo_reference, arm):
     # re-derive from a fresh path to inspect timestamps directly
     wps = tr.sample_waypoints(DEMO_AREAS, np.random.default_rng(3))
     qs = tr.path_to_joint_space(tr.CartesianPath(wps), model, 60, limits=limits)
-    timed = tr.time_parameterize(qs, limits)
+    timed = tr.time_parameterize(qs, limits, headroom=0.05, grid=600)
     assert np.all(np.diff(timed.t) > 0)
 
 
@@ -192,21 +193,24 @@ def test_time_parameterize_monotone_time(demo_reference, arm):
 def test_resample_uniform_row_count():
     t = np.linspace(0.0, 2.0, 500)
     q = np.linspace(0.0, 1.0, 500)[:, None]
-    ref = tr.resample_uniform(tr.TimedTrajectory(t=t, q=q), 0.05)
+    ref = tr.resample_uniform(tr.TimedTrajectory(t=t, q=q), 0.05, traj_id="traj",
+                              split="train")
     assert ref.n_steps == 41
 
 
 def test_resample_constant_trajectory():
     t = np.linspace(0.0, 1.0, 100)
     q = np.full((100, 2), 0.3)
-    ref = tr.resample_uniform(tr.TimedTrajectory(t=t, q=q), 0.05)
+    ref = tr.resample_uniform(tr.TimedTrajectory(t=t, q=q), 0.05, traj_id="traj",
+                              split="train")
     assert np.all(ref.positions == 0.3)
 
 
 def test_resample_linear_profile_equally_spaced():
     t = np.linspace(0.0, 1.0, 2001)
     q = (0.7 * t)[:, None]
-    ref = tr.resample_uniform(tr.TimedTrajectory(t=t, q=q), 0.05)
+    ref = tr.resample_uniform(tr.TimedTrajectory(t=t, q=q), 0.05, traj_id="traj",
+                              split="train")
     np.testing.assert_allclose(np.diff(ref.positions[:, 0]), 0.7 * 0.05, atol=1e-12)
 
 
@@ -264,15 +268,17 @@ def test_generated_reference_respects_limits(demo_reference, arm):
 
 def test_pipeline_deterministic(arm):
     model, limits = arm
-    cfg = tr.PipelineConfig()
-    a = tr.generate_reference(model, limits, DEMO_AREAS, cfg, seed=7)
-    b = tr.generate_reference(model, limits, DEMO_AREAS, cfg, seed=7)
+    cfg = tr.PipelineConfig(dt=0.05)
+    a = tr.generate_reference(model, limits, DEMO_AREAS, cfg, seed=7, traj_id="traj",
+                              split="train")
+    b = tr.generate_reference(model, limits, DEMO_AREAS, cfg, seed=7, traj_id="traj",
+                              split="train")
     np.testing.assert_array_equal(a.positions, b.positions)
 
 
 def test_generate_dataset_split_and_determinism(arm, tmp_path):
     model, limits = arm
-    cfg = tr.PipelineConfig(ik_samples=40, grid=300)
+    cfg = tr.PipelineConfig(dt=0.05, ik_samples=40, grid=300)
     trajs, rejections = tr.generate_dataset(model, limits, DEMO_AREAS, cfg,
                                             count=6, seed=21)
     assert len(trajs) == 6
