@@ -101,10 +101,6 @@ def build_observation(p, v, a, limits: JointLimits, feedback,
     Everything is clamped into [-1, 1].
     """
     feedback = np.asarray(feedback, dtype=float)
-    if p.shape[0] != limits.n_joints:
-        raise ConfigurationError("state and limits disagree on joint count")
-    if reference.n_joints != limits.n_joints:
-        raise ConfigurationError("reference and limits disagree on joint count")
 
     def norm_pos(p):
         return (p - limits.p_mid) / limits.p_half_range
@@ -205,6 +201,8 @@ def rollout(reference: ReferenceTrajectory, policy, limits: JointLimits,
     """
     if reference.n_steps < 2:
         raise ConfigurationError("reference needs at least 2 rows")
+    if reference.n_joints != limits.n_joints:
+        raise ConfigurationError("reference and limits disagree on joint count")
     total_steps = reference.n_steps - 1
     p = reference.positions[0].copy()
     v = np.zeros_like(p)
@@ -219,15 +217,12 @@ def rollout(reference: ReferenceTrajectory, policy, limits: JointLimits,
 
     log = StepLog.allocate(total_steps, limits.n_joints)
     executed = 0
-    terminated = False
-    ball_lost = False
 
     for t in range(total_steps):
         obs = build_observation(p, v, a, limits, feedback, reference, t,
                                 weights.n_future)
         raw = np.asarray(policy.act(obs, policy_rng), dtype=float)
         if not np.all(np.isfinite(raw)):
-            terminated = True
             break
         raw = np.clip(raw, -1.0, 1.0)
         lo, hi = valid_accel_range(v, a, limits, params)
@@ -236,7 +231,6 @@ def rollout(reference: ReferenceTrajectory, policy, limits: JointLimits,
         p_next, v_next = integrate_step(p, v, a, a_next, params.dt)
         deviation = np.max(np.abs(p_next - reference.positions[t + 1]))
         if deviation > weights.termination:
-            terminated = True
             break
 
         r_task = 1.0
@@ -245,9 +239,10 @@ def rollout(reference: ReferenceTrajectory, policy, limits: JointLimits,
                                           params.dt, params.substeps)
             _, rotations, lin_acc = plate_motion(env.model, q_sub,
                                                  params.control_dt)
-            ball, r_task, feedback = env.step(rotations[1:], lin_acc[1:])
-            log.ball_x_m[t], log.ball_y_m[t] = ball.position
-            log.ball_on_plate[t] = 1.0 if ball.on_plate else 0.0
+            position, on_plate, r_task, feedback = env.step(
+                rotations[1:], lin_acc[1:], params.control_dt)
+            log.ball_x_m[t], log.ball_y_m[t] = position
+            log.ball_on_plate[t] = 1.0 if on_plate else 0.0
 
         log.p[t] = p_next
         log.v[t] = v_next
@@ -259,13 +254,11 @@ def rollout(reference: ReferenceTrajectory, policy, limits: JointLimits,
         p, v, a = p_next, v_next, a_next
 
         if log.ball_on_plate[t] == 0.0:  # NaN without an environment
-            ball_lost = True
             break
 
     log = log.head(executed)
     score_log(log, limits, weights, params.dt)
-    report = episode_metrics(log, total_steps, limits, env.task if env else None,
-                             terminated=terminated, ball_lost=ball_lost)
+    report = episode_metrics(log, total_steps, limits, env.task if env else None)
     return report, log
 
 

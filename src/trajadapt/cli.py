@@ -74,7 +74,7 @@ def run_episode(cfg: RunConfig, reference, episode_idx: int):
     env = None
     if cfg.use_environment:
         env = envm.BallPlateEnv(cfg.model, cfg.geometry, cfg.task, cfg.ball,
-                                control_dt=cfg.step.control_dt, **cfg.env_args)
+                                **cfg.env_args)
     seed = [int(cfg.seed), int(episode_idx)]
     return ad.rollout(reference, policy, cfg.limits, cfg.step, cfg.reward,
                       env=env, seed=seed)

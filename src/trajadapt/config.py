@@ -270,7 +270,8 @@ def load_config(path, seed=None, episodes=None, workers=None, out=None) -> RunCo
         check_count(value, key, least)
     if "steps" in validate:
         check_count(validate["steps"], "validate steps", 1)
-    out = raw.get("out_dir", "out") if out is None else out
+    # a path typed on the command line is taken from the working directory
+    out_dir = base / raw.get("out_dir", "out") if out is None else Path(out)
 
     dataset_file = raw.get("dataset_file")
     return RunConfig(
@@ -282,7 +283,7 @@ def load_config(path, seed=None, episodes=None, workers=None, out=None) -> RunCo
         pipeline=PipelineConfig(dt=step.dt, **generate_args),
         generate_count=generate_count,
         validate=validate, seed=seed, episodes=episodes, workers=workers,
-        out_dir=base / out,
+        out_dir=out_dir,
         dataset_file=None if dataset_file is None else base / dataset_file,
         use_environment=use_environment,
         stationary_steps=stationary_steps,

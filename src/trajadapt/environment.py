@@ -16,11 +16,14 @@ Coriolis by 3.5e-3 m/s^2 and Euler by 0.019 m/s^2 (0.025 across
 boundaries), about 1 % of the 1.73 m/s^2 drive at the balancer's 0.25 rad
 tilt limit.
 
-Plate poses reach the ball model as arrays, one row per control tick: the
-rollout evaluates ``kinematics.plate_motion`` once per decision step on the
-substep joint profile and hands its rotation matrices (k, 3, 3) and
-finite-difference origin accelerations (k, 3) to ``BallPlateEnv.step``,
-which passes them on to ``step_ball``.
+The ball and the plate poses are plain arrays.  ``BallPlateEnv`` keeps the
+ball's plate-frame ``position`` and ``velocity`` (2,).  Once per decision
+step the rollout evaluates ``kinematics.plate_motion`` on the substep joint
+profile and hands its rotation matrices (k, 3, 3), finite-difference origin
+accelerations (k, 3) and the control period to ``BallPlateEnv.step``, which
+passes them with the ball arrays to ``step_ball`` and gets back new arrays
+and whether the ball is still on the plate.  How an episode ended is read
+afterwards from its log (``episode_metrics``).
 
 The sensor reads the ball position at reset and after every decision step,
 with Gaussian noise of ``TaskSpec.noise_std`` metres.  The environment keeps
@@ -81,17 +84,6 @@ def randomize_ball(params: BallParams, rng: np.random.Generator) -> BallParams:
         radius=float(rng.uniform(*params.radius_range)),
         rolling_friction=float(rng.uniform(*params.friction_range)),
     )
-
-
-@dataclass
-class BallState:
-    position: np.ndarray           # (2,) in the plate frame, m
-    velocity: np.ndarray           # (2,) in the plate frame, m/s
-    on_plate: bool = True
-
-    def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=float)
-        self.velocity = np.asarray(self.velocity, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -156,27 +148,25 @@ def effective_bounds(geometry: PlateGeometry, params: BallParams) -> np.ndarray:
     return geometry.half_extents - params.radius
 
 
-def step_ball(state: BallState, rotations, lin_acc, params: BallParams, dt: float,
-              geometry: PlateGeometry) -> BallState:
-    """Advance the ball through plate ticks spaced ``dt`` apart.
+def step_ball(position, velocity, rotations, lin_acc, params: BallParams,
+              dt: float, geometry: PlateGeometry):
+    """Advance a ball on the plate through plate ticks spaced ``dt`` apart.
 
-    ``rotations`` (k, 3, 3) are the plate's world rotation matrices and
+    ``position`` and ``velocity`` (2,) are the ball's plate-frame state,
+    ``rotations`` (k, 3, 3) the plate's world rotation matrices and
     ``lin_acc`` (k, 3) the world-frame accelerations of its origin, one row
     per tick.  One ``plate_drive`` call gives every tick's drive; only the
-    rolling resistance, which depends on the velocity, runs per tick.  Stops
-    integrating once the ball leaves the plate (that is a state, not an
-    error).  Semi-implicit: velocity first, then position.  Returns a new
-    state; ``state`` is not modified.
+    rolling resistance, which depends on the velocity, runs per tick.
+    Semi-implicit: velocity first, then position.  Returns new (position,
+    velocity, on_plate) arrays and flag; integration stops at the tick the
+    ball leaves the plate (that is a state, not an error).
     """
     if len(rotations) != len(lin_acc):
         raise ValueError(f"{len(rotations)} plate rotations but "
                          f"{len(lin_acc)} origin accelerations")
-    position, velocity, on_plate = state.position, state.velocity, state.on_plate
     bound_x, bound_y = effective_bounds(geometry, params)
     stop_speed = params.rolling_friction * GRAVITY * dt
     for drive in plate_drive(rotations, lin_acc):
-        if not on_plate:
-            break
         new_v = velocity + ball_acceleration(drive, velocity, params) * dt
         # Coulomb resistance must not reverse the velocity within a substep
         if new_v.dot(velocity) < 0 and math.sqrt(velocity.dot(velocity)) < stop_speed:
@@ -184,11 +174,12 @@ def step_ball(state: BallState, rotations, lin_acc, params: BallParams, dt: floa
         velocity = new_v
         position = position + velocity * dt
         x, y = position
-        on_plate = not (abs(x) > bound_x or abs(y) > bound_y)
-    return BallState(position, velocity, on_plate)
+        if abs(x) > bound_x or abs(y) > bound_y:
+            return position, velocity, False
+    return position, velocity, True
 
 
-def task_reward(state: BallState, spec: TaskSpec, geometry: PlateGeometry,
+def task_reward(position, on_plate: bool, spec: TaskSpec, geometry: PlateGeometry,
                 params: BallParams) -> float:
     """Task reward in [0, 1]: 1 at the target, decaying to 0 at the boundary.
 
@@ -197,13 +188,13 @@ def task_reward(state: BallState, spec: TaskSpec, geometry: PlateGeometry,
     target, reaching 0 at the success bound.  Off the plate the reward is 0.
     The decay exponent is configurable (2 = quadratic).
     """
-    if not state.on_plate:
+    if not on_plate:
         return 0.0
     k = spec.reward_exponent
     if spec.kind == "on_plate":
-        frac = float(np.max(np.abs(state.position) / effective_bounds(geometry, params)))
+        frac = float(np.max(np.abs(position) / effective_bounds(geometry, params)))
     else:
-        d = float(np.linalg.norm(state.position - spec.target))
+        d = float(np.linalg.norm(position - spec.target))
         frac = d / spec.success_bound
     return float(np.clip(1.0 - min(frac, 1.0) ** k, 0.0, 1.0))
 
@@ -238,24 +229,27 @@ class EpisodeReport:
     mean_norm_jerk: float           # mean over joints and steps of |j|/j_max
     steps_executed: int
     total_steps: int
-    terminated: bool = False
-    ball_lost: bool = False
-    mean_reward: float = 0.0
+    terminated: bool                # ended early, not by losing the ball
+    ball_lost: bool                 # the ball left the plate on the last step
+    mean_reward: float
 
 
-def episode_metrics(log, total_steps: int, limits, spec: TaskSpec | None,
-                    terminated: bool, ball_lost: bool) -> EpisodeReport:
+def episode_metrics(log, total_steps: int, limits, spec: TaskSpec | None) -> EpisodeReport:
     """Aggregate an episode's step log (``adaptation.StepLog``) into the
     summary metrics.
 
-    success: the episode ran to the end of the reference with the ball inside
-    its task bound throughout; fraction: executed decision steps over the
-    reference's total.  The ball columns are read only with a ``spec``.  A
-    log without rows gives zero means and no success.  The error distance is
-    None unless an ``in_place`` spec measured it on at least one row.
+    How the episode ended is read from the log: the ball was lost if the
+    last row has it off the plate, and the episode terminated if it has
+    fewer rows than ``total_steps`` otherwise.  success: the episode ran to
+    the end of the reference with the ball inside its task bound throughout;
+    fraction: executed decision steps over the reference's total.  The ball
+    position columns are read only with a ``spec``.  A log without rows
+    gives zero means and no success.  The error distance is None unless an
+    ``in_place`` spec measured it on at least one row.
     """
     executed = len(log)
     fraction = executed / max(total_steps, 1)
+    lost = executed > 0 and bool(log.ball_on_plate[-1] == 0.0)
 
     mean_a = mean_j = mean_r = 0.0
     err = None
@@ -274,63 +268,66 @@ def episode_metrics(log, total_steps: int, limits, spec: TaskSpec | None,
             else:
                 in_bound = on_plate
 
-    success = in_bound and not terminated and not ball_lost and executed >= total_steps
+    success = in_bound and not lost and executed >= total_steps
     return EpisodeReport(success=success, fraction=min(fraction, 1.0),
                          error_distance_m=err, mean_norm_accel=mean_a,
                          mean_norm_jerk=mean_j, steps_executed=executed,
-                         total_steps=total_steps, terminated=terminated,
-                         ball_lost=ball_lost, mean_reward=mean_r)
+                         total_steps=total_steps,
+                         terminated=executed < total_steps and not lost,
+                         ball_lost=lost, mean_reward=mean_r)
 
 
 # ---------------------------------------------------------------------------
 # environment wrapper used by the rollout engine
 
 class BallPlateEnv:
-    """Single-owner mutable environment: ball state + sensing for one episode."""
+    """Single-owner mutable environment: the ball's plate-frame ``position``
+    and ``velocity`` arrays plus sensing, for one episode at a time."""
 
     def __init__(self, model, geometry: PlateGeometry, task: TaskSpec,
-                 ball: BallParams, control_dt: float, randomize: bool,
-                 start_offset=(0.0, 0.0)):
+                 ball: BallParams, randomize: bool, start_offset=(0.0, 0.0)):
         self.model = model
         self.geometry = geometry
         self.task = task
         self.base_ball = ball
-        self.control_dt = control_dt
         self.randomize = randomize
         self.start_offset = np.asarray(start_offset, dtype=float)
+        # the start must hold for every ball a reset can draw: the largest
+        # radius has the tightest bounds
+        largest = replace(ball, radius=ball.radius_range[1]) if randomize else ball
+        if np.any(np.abs(task.target + self.start_offset)
+                  > effective_bounds(geometry, largest)):
+            raise ConfigurationError("initial ball position is off the plate")
         self.ball = ball
-        self.state = None
-        self.measured = None
-        self.rng = np.random.default_rng(0)
+        self.position = self.velocity = self.measured = None
 
     def reset(self, seed) -> np.ndarray:
         self.rng = np.random.default_rng(seed)
         self.ball = randomize_ball(self.base_ball, self.rng) if self.randomize \
             else self.base_ball
-        start = self.task.target + self.start_offset
-        bounds = effective_bounds(self.geometry, self.ball)
-        if np.any(np.abs(start) > bounds):
-            raise ConfigurationError("initial ball position is off the plate")
-        self.state = BallState(position=start, velocity=np.zeros(2))
+        self.position = self.task.target + self.start_offset
+        self.velocity = np.zeros(2)
         self.measured = None
         return self._sense()
 
     def _sense(self) -> np.ndarray:
         """Read the ball position; feedback from this and the last reading."""
-        measured = self.state.position
+        measured = self.position
         if self.task.noise_std > 0:
             measured = measured + self.rng.normal(0.0, self.task.noise_std, 2)
         previous = measured if self.measured is None else self.measured
         self.measured = measured
         return sensor_feedback(measured, previous, self.task, self.geometry)
 
-    def step(self, rotations, lin_acc):
+    def step(self, rotations, lin_acc, dt: float):
         """Advance through one decision step's plate ticks (rotations
-        (k, 3, 3), origin accelerations (k, 3)); returns (ball state, task
-        reward, feedback vector)."""
-        if self.state is None:
+        (k, 3, 3), origin accelerations (k, 3), ``dt`` apart); returns (ball
+        position, on the plate, task reward, feedback vector)."""
+        if self.position is None:
             raise ConfigurationError("environment used before reset")
-        self.state = step_ball(self.state, rotations, lin_acc, self.ball,
-                               self.control_dt, self.geometry)
-        reward = task_reward(self.state, self.task, self.geometry, self.ball)
-        return self.state, reward, self._sense()
+        self.position, self.velocity, on_plate = step_ball(
+            self.position, self.velocity, rotations, lin_acc, self.ball, dt,
+            self.geometry)
+        reward = task_reward(self.position, on_plate, self.task, self.geometry,
+                             self.ball)
+        return self.position, on_plate, reward, self._sense()

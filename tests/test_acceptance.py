@@ -188,13 +188,14 @@ def test_criterion_07_ball_physics():
     rots, lin_acc = rot[None], np.zeros((1, 3))
     geometry = envm.PlateGeometry(half_x=100.0, half_y=100.0)
     g_t = (rot.T @ np.array([0.0, 0.0, -envm.GRAVITY]))[:2]
-    state = envm.BallState(position=[0.0, 0.0], velocity=[0.0, 0.0])
-    state = envm.step_ball(state, rots, lin_acc, params, 0.005, geometry)
-    e0 = 0.7 * np.dot(state.velocity, state.velocity) - np.dot(state.position, g_t)
+    position, velocity, _ = envm.step_ball(np.zeros(2), np.zeros(2), rots, lin_acc,
+                                           params, 0.005, geometry)
+    e0 = 0.7 * np.dot(velocity, velocity) - np.dot(position, g_t)
     for _ in range(1999):
-        state = envm.step_ball(state, rots, lin_acc, params, 0.005, geometry)
-    e1 = 0.7 * np.dot(state.velocity, state.velocity) - np.dot(state.position, g_t)
-    drift = abs(e1 - e0) / (0.7 * np.dot(state.velocity, state.velocity))
+        position, velocity, _ = envm.step_ball(position, velocity, rots, lin_acc,
+                                               params, 0.005, geometry)
+    e1 = 0.7 * np.dot(velocity, velocity) - np.dot(position, g_t)
+    drift = abs(e1 - e0) / (0.7 * np.dot(velocity, velocity))
 
     ok = tilt_gap < 1e-6 and flat_exact and drift < 0.01
     _report("criterion 7: ball physics", ok,
@@ -253,7 +254,7 @@ def test_criterion_09_balancing_demonstration():
     worst_dev = 0.0
     for seed in range(50):
         env = envm.BallPlateEnv(model, geometry, task, envm.BallParams(),
-                                control_dt=0.005, randomize=True,
+                                randomize=True,
                                 start_offset=(0.02, 0.0))
         policy = pol.PDBalancePolicy(layout, limits, 0.05, model, geometry,
                                      task, anchor_q=np.zeros(2), mask=(0, 1))

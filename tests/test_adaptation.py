@@ -272,7 +272,7 @@ def test_rollout_terminates_on_non_finite_policy_output(start, bad):
     model, limits = kin.gimbal_chain()
     task = env.TaskSpec(kind="on_plate", noise_std=0.0)
     e = env.BallPlateEnv(model, env.PlateGeometry(), task, env.BallParams(),
-                         control_dt=0.005, randomize=False)
+                         randomize=False)
     ref = ReferenceTrajectory(dt=0.05, positions=np.zeros((41, 2)))
     report, log = ad.rollout(ref, BadAfterPolicy(start, bad), limits,
                              StepParams(), ad.RewardWeights(), env=e, seed=[0])
@@ -281,6 +281,59 @@ def test_rollout_terminates_on_non_finite_policy_output(start, bad):
     assert report.steps_executed == len(log) == start
     assert np.all(np.isfinite(log.p))
     assert np.all((log.p >= limits.p_min) & (log.p <= limits.p_max))
+
+
+def test_rollout_rejects_reference_of_other_joint_count():
+    ref = ReferenceTrajectory(dt=0.05, positions=np.zeros((10, 3)))
+    with pytest.raises(ConfigurationError, match="joint count"):
+        ad.rollout(ref, ZeroPolicy(3), _limits(2), StepParams(), ad.RewardWeights())
+
+
+def _ball_episode(policy, rows, weights, jump_at=None):
+    """A gimbal episode with the ball on a flat-start plate, along a
+    stationary reference of ``rows`` rows that jumps by 1 rad at row
+    ``jump_at``."""
+    model, limits = kin.gimbal_chain()
+    e = env.BallPlateEnv(model, env.PlateGeometry(),
+                         env.TaskSpec(kind="on_plate", noise_std=0.0),
+                         env.BallParams(), randomize=False)
+    positions = np.zeros((rows, 2))
+    if jump_at is not None:
+        positions[jump_at:] = 1.0
+    ref = ReferenceTrajectory(dt=0.05, positions=positions)
+    return ad.rollout(ref, policy, limits, StepParams(), weights, env=e, seed=[0])
+
+
+# greedy_max tilts the plate until the ball rolls off after its 10th step;
+# the wide thresholds keep the deviation from ending the episode first
+LOOSE = ad.RewardWeights(deviation_low=0.1, deviation_high=9.0, termination=10.0)
+BALL_LOST_STEP = 10
+
+
+@pytest.mark.parametrize("case, rows, expected", [
+    # (terminated, ball_lost, success, steps executed)
+    ("complete", 41, (False, False, True, 40)),
+    ("deviation", 41, (True, False, False, 9)),
+    ("non_finite", 41, (True, False, False, 5)),
+    ("ball_lost_mid_episode", 41, (False, True, False, BALL_LOST_STEP)),
+    ("ball_lost_on_final_step", BALL_LOST_STEP + 1, (False, True, False, BALL_LOST_STEP)),
+])
+def test_episode_end_is_read_from_the_log(case, rows, expected):
+    if case == "complete":
+        report, log = _ball_episode(ZeroPolicy(2), rows, ad.RewardWeights())
+    elif case == "deviation":
+        report, log = _ball_episode(ZeroPolicy(2), rows, ad.RewardWeights(), jump_at=10)
+    elif case == "non_finite":
+        report, log = _ball_episode(BadAfterPolicy(5, np.nan), rows, ad.RewardWeights())
+    else:
+        report, log = _ball_episode(pol.GreedyMaxPolicy(2), rows, LOOSE)
+    assert (report.terminated, report.ball_lost, report.success,
+            report.steps_executed) == expected
+    assert report.total_steps == rows - 1
+    assert len(log) == report.steps_executed
+    # the ball is on the plate on every row but, when it was lost, the last
+    assert np.all(log.ball_on_plate[:-1] == 1.0)
+    assert log.ball_on_plate[-1] == (0.0 if report.ball_lost else 1.0)
 
 
 def test_rollout_deterministic():
@@ -324,7 +377,7 @@ def test_rollout_with_ball_environment_runs():
     model, limits = kin.gimbal_chain()
     task = env.TaskSpec(kind="on_plate", noise_std=0.0)
     e = env.BallPlateEnv(model, env.PlateGeometry(), task, env.BallParams(),
-                         control_dt=0.005, randomize=False)
+                         randomize=False)
     ref = ReferenceTrajectory(dt=0.05, positions=np.zeros((10, 2)))
     report, log = ad.rollout(ref, ZeroPolicy(2), limits, StepParams(),
                              ad.RewardWeights(), env=e, seed=[0])
@@ -505,7 +558,7 @@ def test_scored_columns_match_scalar_formulas():
     model, limits = kin.gimbal_chain()
     e = env.BallPlateEnv(model, env.PlateGeometry(),
                          env.TaskSpec(kind="in_place", noise_std=0.0),
-                         env.BallParams(), control_dt=0.005, randomize=False,
+                         env.BallParams(), randomize=False,
                          start_offset=(0.02, 0.0))
     still = ReferenceTrajectory(dt=0.05, positions=np.zeros((61, 2)))
     layout = pol.ObservationLayout(2, e.task.feedback_size, 1)

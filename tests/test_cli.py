@@ -284,7 +284,7 @@ def test_step_log_round_trip_with_environment(tmp_path):
     model, limits = kin.gimbal_chain()
     task = envm.TaskSpec(kind="in_place", noise_std=0.0)
     env = envm.BallPlateEnv(model, envm.PlateGeometry(), task, envm.BallParams(),
-                            control_dt=0.005, randomize=False,
+                            randomize=False,
                             start_offset=(0.01, 0.0))
     ref = tr.ReferenceTrajectory(dt=0.05, positions=np.zeros((8, 2)))
     _, log = ad.rollout(ref, _ConstantPolicy([0.01, -0.02]), limits,
@@ -345,6 +345,22 @@ def test_eval_error_distance_is_null_when_not_measured(tmp_path, capsys, extra):
     row = capsys.readouterr().out.splitlines()[1]
     assert row.split(" | ")[2] == "           n/a"
     assert (tmp_path / "out" / "metrics.txt").read_text().splitlines()[1] == row
+
+
+def test_relative_out_is_taken_from_the_working_directory(tmp_path, monkeypatch):
+    config_dir, work = tmp_path / "conf", tmp_path / "work"
+    config_dir.mkdir()
+    work.mkdir()
+    cfg = _write_balance_config(config_dir)
+    monkeypatch.chdir(work)
+    assert cli.main(["eval", "--config", str(cfg), "--episodes", "1",
+                     "--out", "results"]) == 0
+    assert (work / "results" / "metrics.json").is_file()
+    assert not (config_dir / "results").exists()
+    # a relative out_dir in the file is still taken from the config's directory
+    assert cli.main(["eval", "--config", str(cfg), "--episodes", "1"]) == 0
+    assert (config_dir / "out" / "metrics.json").is_file()
+    assert not (work / "out").exists()
 
 
 def test_eval_fraction_is_mean_of_per_episode(tmp_path):
@@ -506,6 +522,19 @@ def test_rollout_reports_non_finite_state_as_failure(tmp_path, capsys, monkeypat
 
 def test_missing_config_is_configuration_error():
     assert cli.main(["eval", "--config", "/does/not/exist.json"]) == 2
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_start_off_plate_for_the_largest_ball_fails_on_every_seed(tmp_path, capsys, seed):
+    # 0.145 m is on the plate for the smaller radii a reset may draw, but
+    # not for the largest (0.03 m): whether a run starts must not depend on
+    # the seed
+    task = json.loads((CONFIG_DIR / "balance_demo.json").read_text())["task"]
+    cfg = _write_balance_config(tmp_path, task=dict(task, start_offset_xy_m=[0.145, 0.0]))
+    assert cli.main(["eval", "--config", str(cfg), "--episodes", "3",
+                     "--seed", str(seed)]) == 2
+    assert "configuration error: initial ball position is off the plate" \
+        in capsys.readouterr().err
 
 
 def test_missing_dataset_file_is_configuration_error(tmp_path, capsys):

@@ -83,7 +83,7 @@ def test_every_section_key_lands_on_its_object(tmp_path, monkeypatch):
         == {name: set(keys) for name, keys in SECTION_KEYS.items()}
     cfg = load_config(_write_config(tmp_path, {"kind": "random"}))
     env = envm.BallPlateEnv(cfg.model, cfg.geometry, cfg.task, cfg.ball,
-                            control_dt=cfg.step.control_dt, **cfg.env_args)
+                            **cfg.env_args)
     landed = {"step": (cfg.step, StepParams()), "task": (cfg.task, envm.TaskSpec()),
               "plate": (cfg.geometry, envm.PlateGeometry()),
               "ball": (cfg.ball, envm.BallParams()),

@@ -19,12 +19,12 @@ def still_plate(rot, ticks=1):
 
 def test_flat_plate_equilibrium():
     params = env.BallParams()
-    state = env.BallState(position=[0.0, 0.0], velocity=[0.0, 0.0])
     rots, acc = still_plate(np.eye(3), ticks=10)
-    out = env.step_ball(state, rots, acc, params, 0.005, env.PlateGeometry())
-    np.testing.assert_array_equal(out.position, [0.0, 0.0])
-    np.testing.assert_array_equal(out.velocity, [0.0, 0.0])
-    assert out.on_plate
+    position, velocity, on_plate = env.step_ball(np.zeros(2), np.zeros(2), rots, acc,
+                                                 params, 0.005, env.PlateGeometry())
+    np.testing.assert_array_equal(position, [0.0, 0.0])
+    np.testing.assert_array_equal(velocity, [0.0, 0.0])
+    assert on_plate
 
 
 def test_static_tilt_acceleration_value():
@@ -63,28 +63,31 @@ def test_energy_conservation_on_static_tilt():
     geometry = env.PlateGeometry(half_x=100.0, half_y=100.0)
     g_t = (rot.T @ np.array([0.0, 0.0, -env.GRAVITY]))[:2]
 
-    def energy(s):
-        return 0.7 * float(np.dot(s.velocity, s.velocity)) - float(np.dot(s.position, g_t))
+    def energy(position, velocity):
+        return 0.7 * float(np.dot(velocity, velocity)) - float(np.dot(position, g_t))
 
-    state = env.BallState(position=[0.0, 0.0], velocity=[0.0, 0.0])
-    state = env.step_ball(state, rots, acc, params, 0.005, geometry)
-    e0 = energy(state)
+    position, velocity, _ = env.step_ball(np.zeros(2), np.zeros(2), rots, acc, params,
+                                          0.005, geometry)
+    e0 = energy(position, velocity)
     for _ in range(1999):
-        state = env.step_ball(state, rots, acc, params, 0.005, geometry)
-    drift = abs(energy(state) - e0)
-    assert drift < 0.01 * 0.7 * float(np.dot(state.velocity, state.velocity))
+        position, velocity, _ = env.step_ball(position, velocity, rots, acc, params,
+                                              0.005, geometry)
+    drift = abs(energy(position, velocity) - e0)
+    assert drift < 0.01 * 0.7 * float(np.dot(velocity, velocity))
 
 
 def test_ball_leaves_plate():
     params = env.BallParams(rolling_friction=0.0)
     rots, acc = still_plate(Rotation.from_euler("y", np.deg2rad(10)).as_matrix())
     geometry = env.PlateGeometry()
-    state = env.BallState(position=[0.0, 0.0], velocity=[0.0, 0.0])
+    position, velocity = np.zeros(2), np.zeros(2)
     for _ in range(400):
-        state = env.step_ball(state, rots, acc, params, 0.005, geometry)
-        if not state.on_plate:
+        position, velocity, on_plate = env.step_ball(position, velocity, rots, acc,
+                                                     params, 0.005, geometry)
+        if not on_plate:
             break
-    assert not state.on_plate
+    assert not on_plate
+    assert np.any(np.abs(position) > env.effective_bounds(geometry, params))
 
 
 # ---------------------------------------------------------------------------
@@ -106,10 +109,12 @@ def oracle_ball_acceleration(rotation, acc_plate, velocity, params, hits):
     return drive - resist * velocity / speed
 
 
-def oracle_step_ball(state, rotations, lin_acc, params, dt, geometry, hits):
-    """Per-tick ball step, one ``oracle_ball_acceleration`` per tick.  Adds
-    the name of each branch it takes to ``hits``."""
-    position, velocity, on_plate = state.position, state.velocity, state.on_plate
+def oracle_step_ball(position, velocity, rotations, lin_acc, params, dt, geometry,
+                     hits):
+    """Per-tick ball step from a ball on the plate, one
+    ``oracle_ball_acceleration`` per tick.  Adds the name of each branch it
+    takes to ``hits``."""
+    on_plate = True
     bounds = env.effective_bounds(geometry, params)
     for rotation, acc_plate in zip(rotations, lin_acc, strict=True):
         if not on_plate:
@@ -125,7 +130,7 @@ def oracle_step_ball(state, rotations, lin_acc, params, dt, geometry, hits):
         on_plate = not np.any(np.abs(position) > bounds)
         if not on_plate:
             hits.add("left")
-    return env.BallState(position, velocity, on_plate)
+    return position, velocity, on_plate
 
 
 def random_ball_step(rng, case):
@@ -148,7 +153,7 @@ def random_ball_step(rng, case):
     elif case == "rim":
         position = rng.choice([-1.0, 1.0], 2) * rng.uniform(0.98, 1.0, 2) * bounds
         velocity = np.sign(position) * rng.uniform(0.05, 0.5, 2)
-    return env.BallState(position, velocity), rotations, lin_acc, params, geometry
+    return position, velocity, rotations, lin_acc, params, geometry
 
 
 def test_step_ball_matches_per_tick_oracle_exactly():
@@ -156,12 +161,13 @@ def test_step_ball_matches_per_tick_oracle_exactly():
     hits = set()
     for i in range(200):
         case = ("rest", "creep", "rim", "free")[i % 4]
-        state, rotations, lin_acc, params, geometry = random_ball_step(rng, case)
-        want = oracle_step_ball(state, rotations, lin_acc, params, 0.005, geometry, hits)
-        got = env.step_ball(state, rotations, lin_acc, params, 0.005, geometry)
-        assert np.array_equal(got.position, want.position)
-        assert np.array_equal(got.velocity, want.velocity)
-        assert got.on_plate == want.on_plate
+        position, velocity, rotations, lin_acc, params, geometry = random_ball_step(rng, case)
+        want = oracle_step_ball(position, velocity, rotations, lin_acc, params, 0.005,
+                                geometry, hits)
+        got = env.step_ball(position, velocity, rotations, lin_acc, params, 0.005, geometry)
+        assert np.array_equal(got[0], want[0])  # position
+        assert np.array_equal(got[1], want[1])  # velocity
+        assert got[2] == want[2]                # on the plate
     assert hits == {"static hold", "static push", "reversal", "left"}
 
 
@@ -192,9 +198,9 @@ def test_plate_drive_equals_per_tick_specific_force():
 
 def test_step_ball_rejects_mismatched_tick_counts():
     rots, acc = still_plate(np.eye(3), ticks=10)
-    state = env.BallState(position=[0.0, 0.0], velocity=[0.0, 0.0])
     with pytest.raises(ValueError):
-        env.step_ball(state, rots, acc[:1], env.BallParams(), 0.005, env.PlateGeometry())
+        env.step_ball(np.zeros(2), np.zeros(2), rots, acc[:1], env.BallParams(), 0.005,
+                      env.PlateGeometry())
 
 
 # ---------------------------------------------------------------------------
@@ -202,43 +208,41 @@ def test_step_ball_rejects_mismatched_tick_counts():
 
 def test_task_reward_at_target_is_one():
     spec = env.TaskSpec(kind="in_place")
-    state = env.BallState(position=[0.0, 0.0], velocity=[0, 0])
-    assert env.task_reward(state, spec, env.PlateGeometry(), env.BallParams()) == 1.0
+    assert env.task_reward(np.zeros(2), True, spec, env.PlateGeometry(),
+                           env.BallParams()) == 1.0
 
 
 def test_task_reward_off_plate_is_zero():
     spec = env.TaskSpec(kind="on_plate")
-    state = env.BallState(position=[0.3, 0.0], velocity=[0, 0], on_plate=False)
-    assert env.task_reward(state, spec, env.PlateGeometry(), env.BallParams()) == 0.0
+    assert env.task_reward(np.array([0.3, 0.0]), False, spec, env.PlateGeometry(),
+                           env.BallParams()) == 0.0
 
 
 def test_task_reward_quadratic_decay_value():
     spec = env.TaskSpec(kind="in_place", success_bound=0.06)
-    state = env.BallState(position=[0.03, 0.0], velocity=[0, 0])
-    assert env.task_reward(state, spec, env.PlateGeometry(),
+    assert env.task_reward(np.array([0.03, 0.0]), True, spec, env.PlateGeometry(),
                            env.BallParams()) == pytest.approx(0.75)
 
 
 def test_task_reward_continuous_at_bound():
     spec = env.TaskSpec(kind="in_place", success_bound=0.06)
     geometry, ball = env.PlateGeometry(), env.BallParams()
-    just_in = env.BallState(position=[0.06 - 1e-9, 0.0], velocity=[0, 0])
-    at = env.BallState(position=[0.06, 0.0], velocity=[0, 0])
-    assert env.task_reward(just_in, spec, geometry, ball) == pytest.approx(0.0, abs=1e-7)
-    assert env.task_reward(at, spec, geometry, ball) == 0.0
+    just_in = np.array([0.06 - 1e-9, 0.0])
+    at = np.array([0.06, 0.0])
+    assert env.task_reward(just_in, True, spec, geometry, ball) == pytest.approx(0.0, abs=1e-7)
+    assert env.task_reward(at, True, spec, geometry, ball) == 0.0
 
 
 def test_on_plate_reward_decays_to_zero_at_rim():
     spec = env.TaskSpec(kind="on_plate")
     geometry, ball = env.PlateGeometry(), env.BallParams()
     # the ball's edge reaches the rim when its centre is a radius inside
-    centre = env.BallState(position=[0.0, 0.0], velocity=[0, 0])
-    rim = env.BallState(position=[geometry.half_x - ball.radius, 0.0], velocity=[0, 0])
-    half_way = env.BallState(position=[0.5 * (geometry.half_x - ball.radius), 0.0],
-                             velocity=[0, 0])
-    assert env.task_reward(centre, spec, geometry, ball) == 1.0
-    assert env.task_reward(half_way, spec, geometry, ball) == pytest.approx(0.75)
-    assert env.task_reward(rim, spec, geometry, ball) == pytest.approx(0.0, abs=1e-12)
+    centre = np.zeros(2)
+    rim = np.array([geometry.half_x - ball.radius, 0.0])
+    half_way = np.array([0.5 * (geometry.half_x - ball.radius), 0.0])
+    assert env.task_reward(centre, True, spec, geometry, ball) == 1.0
+    assert env.task_reward(half_way, True, spec, geometry, ball) == pytest.approx(0.75)
+    assert env.task_reward(rim, True, spec, geometry, ball) == pytest.approx(0.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -259,21 +263,21 @@ def test_sensor_feedback_zero_noise_stationary_centre():
     model, _ = gimbal_chain()
     e = env.BallPlateEnv(model, env.PlateGeometry(),
                          env.TaskSpec(kind="in_place", noise_std=0.0),
-                         env.BallParams(), control_dt=0.005, randomize=False)
+                         env.BallParams(), randomize=False)
     f = e.reset(seed=0)
     for _ in range(2):
         np.testing.assert_array_equal(f, np.zeros(6))
-        _, _, f = e.step(*still_plate(np.eye(3)))
+        *_, f = e.step(*still_plate(np.eye(3)), 0.005)
 
 
 def test_sensor_feedback_noise_magnitude():
     geometry = env.PlateGeometry()
     spec = env.TaskSpec(kind="on_plate", noise_std=0.001)
     model, _ = gimbal_chain()
-    e = env.BallPlateEnv(model, geometry, spec, env.BallParams(), control_dt=0.005, randomize=False)
+    e = env.BallPlateEnv(model, geometry, spec, env.BallParams(), randomize=False)
     e.reset(seed=123)
     # the ball rests at the centre of the flat plate; only the noise moves the reading
-    reads = np.array([e.step(*still_plate(np.eye(3)))[2][0] for _ in range(4000)])
+    reads = np.array([e.step(*still_plate(np.eye(3)), 0.005)[3][0] for _ in range(4000)])
     observed = np.std(reads) * geometry.half_x
     assert observed == pytest.approx(0.001, rel=0.10)
 
@@ -292,11 +296,11 @@ def test_env_previous_reading_is_last_current_reading():
     model, _ = gimbal_chain()
     e = env.BallPlateEnv(model, env.PlateGeometry(),
                          env.TaskSpec(kind="in_place", noise_std=0.002),
-                         env.BallParams(), control_dt=0.005, randomize=False)
+                         env.BallParams(), randomize=False)
     f = e.reset(seed=3)
     np.testing.assert_array_equal(f[2:4], f[0:2])
     for _ in range(5):
-        _, _, f_next = e.step(*still_plate(np.eye(3), ticks=10))
+        *_, f_next = e.step(*still_plate(np.eye(3), ticks=10), 0.005)
         np.testing.assert_array_equal(f_next[2:4], f[0:2])
         assert not np.array_equal(f_next[0:2], f[0:2])
         f = f_next
@@ -325,16 +329,19 @@ def test_randomize_ball_degenerate_ranges():
 # ---------------------------------------------------------------------------
 # metrics
 
-def _log(accel, jerk, ball=None):
-    """A step log with these accel and jerk rows and, given a ball state, its
-    position and on-plate flag on every row."""
+def _log(accel, jerk, position=None, lost=False):
+    """A step log with these accel and jerk rows and, given a ball
+    ``position``, that position on every row, on the plate except on the
+    last row when ``lost``."""
     accel = np.asarray(accel, float)
     log = StepLog.allocate(*accel.shape)
     log.a[:] = accel
     log.jerk[:] = jerk
-    if ball is not None:
-        log.ball_x_m[:], log.ball_y_m[:] = ball.position
-        log.ball_on_plate[:] = 1.0 if ball.on_plate else 0.0
+    if position is not None:
+        log.ball_x_m[:], log.ball_y_m[:] = position
+        log.ball_on_plate[:] = 1.0
+        if lost:
+            log.ball_on_plate[-1] = 0.0
     return log
 
 
@@ -344,28 +351,26 @@ def _limits():
 
 
 def test_metrics_fraction_on_early_stop():
-    log = _log(np.zeros((50, 2)), np.zeros((50, 2)))
-    rep = env.episode_metrics(log, total_steps=100, limits=_limits(), spec=None,
-                              terminated=False, ball_lost=True)
+    log = _log(np.zeros((50, 2)), np.zeros((50, 2)), position=np.zeros(2), lost=True)
+    rep = env.episode_metrics(log, total_steps=100, limits=_limits(), spec=None)
     assert rep.fraction == pytest.approx(0.5)
+    assert rep.ball_lost and not rep.terminated
     assert not rep.success
 
 
 def test_metrics_perfect_episode():
     spec = env.TaskSpec(kind="in_place")
-    ball = env.BallState(position=[0.0, 0.0], velocity=[0, 0])
-    log = _log(np.zeros((100, 2)), np.zeros((100, 2)), ball=ball)
-    rep = env.episode_metrics(log, total_steps=100, limits=_limits(), spec=spec,
-                              terminated=False, ball_lost=False)
+    log = _log(np.zeros((100, 2)), np.zeros((100, 2)), position=np.zeros(2))
+    rep = env.episode_metrics(log, total_steps=100, limits=_limits(), spec=spec)
     assert rep.success
+    assert not rep.terminated and not rep.ball_lost
     assert rep.fraction == 1.0
     assert rep.error_distance_m == 0.0
 
 
 def test_metrics_mean_normalized_accel():
     log = _log(np.full((10, 2), 0.7), np.zeros((10, 2)))  # a_max = 10
-    rep = env.episode_metrics(log, total_steps=10, limits=_limits(), spec=None,
-                              terminated=False, ball_lost=False)
+    rep = env.episode_metrics(log, total_steps=10, limits=_limits(), spec=None)
     assert rep.mean_norm_accel == pytest.approx(0.07)
 
 
@@ -374,13 +379,11 @@ def test_metrics_invariant_under_log_split():
     rows = [(rng.uniform(-5, 5, 2), rng.uniform(-50, 50, 2)) for _ in range(60)]
     accel, jerk = (np.array(col) for col in zip(*rows))
     full = env.episode_metrics(_log(accel, jerk), total_steps=60, limits=_limits(),
-                               spec=None, terminated=False, ball_lost=False)
+                               spec=None)
     first = env.episode_metrics(_log(accel[:30], jerk[:30]), total_steps=30,
-                                limits=_limits(), spec=None, terminated=False,
-                                ball_lost=False)
+                                limits=_limits(), spec=None)
     second = env.episode_metrics(_log(accel[30:], jerk[30:]), total_steps=30,
-                                 limits=_limits(), spec=None, terminated=False,
-                                 ball_lost=False)
+                                 limits=_limits(), spec=None)
     recombined = 0.5 * (first.mean_norm_accel + second.mean_norm_accel)
     assert full.mean_norm_accel == pytest.approx(recombined, abs=1e-12)
 
@@ -388,9 +391,9 @@ def test_metrics_invariant_under_log_split():
 def test_metrics_zero_rows_give_no_steps_and_no_success():
     for spec in (None, env.TaskSpec(kind="in_place"), env.TaskSpec(kind="on_plate")):
         rep = env.episode_metrics(StepLog.allocate(0, 2), total_steps=10,
-                                  limits=_limits(), spec=spec, terminated=False,
-                                  ball_lost=False)
+                                  limits=_limits(), spec=spec)
         assert rep.steps_executed == 0
+        assert rep.terminated and not rep.ball_lost
         assert rep.fraction == 0.0
         assert not rep.success
         assert (rep.error_distance_m, rep.mean_norm_accel, rep.mean_norm_jerk,
@@ -403,18 +406,41 @@ def test_metrics_zero_rows_give_no_steps_and_no_success():
 def test_env_reset_and_step():
     model, _ = gimbal_chain()
     e = env.BallPlateEnv(model, env.PlateGeometry(), env.TaskSpec(noise_std=0.0),
-                         env.BallParams(), control_dt=0.005, randomize=False)
+                         env.BallParams(), randomize=False)
     f = e.reset(seed=0)
     assert f.shape == (6,)
-    ball, reward, f2 = e.step(*still_plate(np.eye(3), ticks=10))
+    position, on_plate, reward, f2 = e.step(*still_plate(np.eye(3), ticks=10), 0.005)
     assert reward == 1.0
-    assert ball.on_plate
+    assert on_plate
+    np.testing.assert_array_equal(position, [0.0, 0.0])
+    np.testing.assert_array_equal(e.velocity, [0.0, 0.0])
+
+
+def test_env_step_before_reset_is_rejected():
+    model, _ = gimbal_chain()
+    e = env.BallPlateEnv(model, env.PlateGeometry(), env.TaskSpec(noise_std=0.0),
+                         env.BallParams(), randomize=False)
+    with pytest.raises(ConfigurationError, match="before reset"):
+        e.step(*still_plate(np.eye(3)), 0.005)
 
 
 def test_env_rejects_start_off_plate():
     model, _ = gimbal_chain()
-    e = env.BallPlateEnv(model, env.PlateGeometry(), env.TaskSpec(noise_std=0.0),
-                         env.BallParams(), control_dt=0.005, randomize=False,
-                         start_offset=(5.0, 0.0))
     with pytest.raises(ConfigurationError):
-        e.reset(seed=0)
+        env.BallPlateEnv(model, env.PlateGeometry(), env.TaskSpec(noise_std=0.0),
+                         env.BallParams(), randomize=False, start_offset=(5.0, 0.0))
+
+
+def test_env_start_checked_against_largest_radius_it_can_draw():
+    # 0.145 m is on the plate for the 0.02 m ball (bound 0.15) but not for
+    # the largest radius a reset can draw (0.03 m, bound 0.14)
+    model, _ = gimbal_chain()
+    args = (model, env.PlateGeometry(), env.TaskSpec(noise_std=0.0), env.BallParams())
+    fixed = env.BallPlateEnv(*args, randomize=False, start_offset=(0.145, 0.0))
+    fixed.reset(seed=0)
+    np.testing.assert_array_equal(fixed.position, [0.145, 0.0])
+    with pytest.raises(ConfigurationError, match="off the plate"):
+        env.BallPlateEnv(*args, randomize=True, start_offset=(0.145, 0.0))
+    at_bound = env.BallPlateEnv(*args, randomize=True, start_offset=(0.14, 0.0))
+    for seed in range(20):
+        at_bound.reset(seed=seed)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -113,7 +115,7 @@ def test_balance_zero_gains_degenerates_to_tracking():
                             ball_kp=0.0, ball_kd=0.0)
     ref = ReferenceTrajectory(dt=0.05, positions=np.zeros((60, 2)))
     e = env.BallPlateEnv(model, env.PlateGeometry(), task, env.BallParams(),
-                         control_dt=0.005, randomize=False,
+                         randomize=False,
                          start_offset=(0.02, 0.0))
     report, log = ad.rollout(ref, p, limits, StepParams(), ad.RewardWeights(),
                              env=e, seed=[0])
@@ -126,7 +128,7 @@ def test_balance_zero_gains_degenerates_to_tracking():
 def test_balance_recovers_two_centimetre_offset():
     model, limits, task, layout = _gimbal_setup()
     e = env.BallPlateEnv(model, env.PlateGeometry(), task, env.BallParams(),
-                         control_dt=0.005, randomize=True,
+                         randomize=True,
                          start_offset=(0.02, 0.0))
     p = pol.PDBalancePolicy(layout, limits, 0.05, model, env.PlateGeometry(),
                             task, anchor_q=np.zeros(2), mask=(0, 1))
@@ -209,3 +211,19 @@ def test_cem_train_deterministic():
     a, _ = pol.cem_train(episode_return, template, generations=5, seed=9)
     b, _ = pol.cem_train(episode_return, template, generations=5, seed=9)
     np.testing.assert_array_equal(a.weights, b.weights)
+
+
+def test_readme_training_demo_runs(tmp_path, monkeypatch):
+    # the README snippet as written, with one generation so it stays quick
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme[readme.index("## Training demo"):]
+    code = section[section.index("```python\n") + len("```python\n"):]
+    code = code[:code.index("```")]
+    assert code.count("generations=20") == 1
+    monkeypatch.chdir(tmp_path)
+    scope = {}
+    exec(compile(code.replace("generations=20", "generations=1"), "README.md", "exec"),
+         scope)
+    assert len(scope["history"]) == 1
+    loaded = pol.LinearPolicy.load(tmp_path / "weights.txt")
+    np.testing.assert_array_equal(loaded.weights, scope["trained"].weights)
