@@ -46,9 +46,9 @@ def build_policy(cfg: RunConfig, reference: tr.ReferenceTrajectory):
 
 
 def _references_for_run(cfg: RunConfig):
-    """The records of the configured ``dataset_file``, which must exist and
-    match the run's decision period and joint count; without one, a
-    stationary reference."""
+    """The records of the configured ``dataset_file``, which must exist, hold
+    at least 2 rows each and match the run's decision period and joint
+    count; without one, a stationary reference."""
     path = cfg.dataset_file
     if path is not None:
         if not path.exists():
@@ -62,6 +62,10 @@ def _references_for_run(cfg: RunConfig):
                     f"dataset {path} record {ref.traj_id} has dt {ref.dt} s and "
                     f"{ref.n_joints} joints; the run needs dt {cfg.step.dt} s "
                     f"and {cfg.limits.n_joints} joints")
+            if ref.n_steps < 2:
+                raise ConfigurationError(
+                    f"dataset {path} record {ref.traj_id} has {ref.n_steps} rows; "
+                    "the run needs at least 2")
         return refs
     # stationary reference at the home posture (balancing demo default)
     rows = np.tile(np.asarray(cfg.model.q_home), (cfg.stationary_steps, 1))
@@ -73,8 +77,7 @@ def run_episode(cfg: RunConfig, reference, episode_idx: int):
     policy = build_policy(cfg, reference)
     env = None
     if cfg.use_environment:
-        env = envm.BallPlateEnv(cfg.model, cfg.geometry, cfg.task, cfg.ball,
-                                **cfg.env_args)
+        env = envm.BallPlateEnv(cfg.model, cfg.geometry, cfg.task, cfg.ball)
     seed = [int(cfg.seed), int(episode_idx)]
     return ad.rollout(reference, policy, cfg.limits, cfg.step, cfg.reward,
                       env=env, seed=seed)

@@ -29,9 +29,8 @@ from .policy import BALANCE_MASK, LinearPolicy, ObservationLayout, balance_mask,
 from .trajectory import PipelineConfig, SamplingAreas
 
 # Every key of each config section, mapped to the argument it sets: of the
-# section's constructor, of ``BallPlateEnv`` (``start_offset_xy_m``,
-# ``randomize``) or of ``adaptation.run_limit_campaign`` (``validate``).
-# Keys mapped to None are resolved by ``load_config`` itself.
+# section's constructor or of ``adaptation.run_limit_campaign``
+# (``validate``).  Keys mapped to None are resolved by ``load_config`` itself.
 SECTION_KEYS = {
     "step": {"dt_s": "dt", "control_dt_s": "control_dt",
              "correction_enabled": "correction_enabled"},
@@ -189,7 +188,6 @@ class RunConfig:
     task: envm.TaskSpec
     geometry: envm.PlateGeometry
     ball: envm.BallParams
-    env_args: dict          # further ``BallPlateEnv`` keyword arguments
     reward: RewardWeights
     layout: ObservationLayout
     policy_kind: str
@@ -233,14 +231,17 @@ def load_config(path, seed=None, episodes=None, workers=None, out=None) -> RunCo
 
     step = StepParams(**_section(raw, "step")[1])
     check_limit_regime(limits, step.dt)
-    task_args = _section(raw, "task")[1]
-    ball_args = _section(raw, "ball")[1]
-    env_args = {"randomize": ball_args.pop("randomize", True)}
-    if "start_offset" in task_args:
-        env_args["start_offset"] = task_args.pop("start_offset")
-    task = envm.TaskSpec(**task_args)
-    reward = RewardWeights(**_section(raw, "reward")[1])
     use_environment = raw.get("use_environment", True)
+    if use_environment and step.substeps < 2:
+        # the finite-difference plate acceleration needs 3 control ticks
+        raise ConfigurationError(
+            "step control_dt_s must be at most dt_s / 2 with the environment, "
+            f"got {step.control_dt} for dt_s {step.dt}")
+    task = envm.TaskSpec(**_section(raw, "task")[1])
+    geometry = envm.PlateGeometry(**_section(raw, "plate")[1])
+    ball = envm.BallParams(**_section(raw, "ball")[1])
+    envm.check_start(task, geometry, ball)
+    reward = RewardWeights(**_section(raw, "reward")[1])
     layout = ObservationLayout(limits.n_joints,
                                task.feedback_size if use_environment else 0,
                                reward.n_future)
@@ -276,8 +277,7 @@ def load_config(path, seed=None, episodes=None, workers=None, out=None) -> RunCo
     dataset_file = raw.get("dataset_file")
     return RunConfig(
         raw=raw, model=model, limits=limits, step=step, task=task,
-        geometry=envm.PlateGeometry(**_section(raw, "plate")[1]),
-        ball=envm.BallParams(**ball_args), env_args=env_args, reward=reward,
+        geometry=geometry, ball=ball, reward=reward,
         layout=layout, policy_kind=policy_kind, policy_args=policy_args,
         areas=SamplingAreas(**sampling_args) if sampling_args else None,
         pipeline=PipelineConfig(dt=step.dt, **generate_args),

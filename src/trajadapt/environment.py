@@ -25,6 +25,14 @@ passes them with the ball arrays to ``step_ball`` and gets back new arrays
 and whether the ball is still on the plate.  How an episode ended is read
 afterwards from its log (``episode_metrics``).
 
+``BallPlateEnv(model, geometry, task, ball)`` is built from the ``plate``,
+``task`` and ``ball`` config sections alone: each reset puts the ball at
+rest at ``TaskSpec.start`` (the target plus ``start_offset``) and draws its
+radius and friction when ``BallParams.randomize`` is set.  ``check_start``
+rejects a start off the plate for the largest ball a reset can draw;
+``config.load_config`` runs it for every command and ``BallPlateEnv`` again
+for callers that build one directly.
+
 The sensor reads the ball position at reset and after every decision step,
 with Gaussian noise of ``TaskSpec.noise_std`` metres.  The environment keeps
 the last reading, so a feedback vector's previous position is the current
@@ -61,24 +69,31 @@ class PlateGeometry:
 
 @dataclass(frozen=True)
 class BallParams:
-    """Ball characteristics plus the ranges used for randomization."""
+    """Ball characteristics plus the ranges a reset draws them from when
+    ``randomize`` is set."""
 
     radius: float = 0.02
     rolling_friction: float = 0.005
     radius_range: tuple = (0.012, 0.030)
     friction_range: tuple = (0.001, 0.010)
+    randomize: bool = True
 
     def __post_init__(self):
         if self.radius <= 0 or self.rolling_friction < 0:
             raise ConfigurationError("ball parameters must be positive")
-        for name in ("radius_range", "friction_range"):
-            lo, hi = getattr(self, name)
-            if lo > hi:
-                raise ConfigurationError(f"{name} must satisfy lo <= hi")
+        if not 0 < self.radius_range[0] <= self.radius_range[1]:
+            raise ConfigurationError("ball radius_range_m must satisfy 0 < lo <= hi, "
+                                     f"got {list(self.radius_range)}")
+        if not 0 <= self.friction_range[0] <= self.friction_range[1]:
+            raise ConfigurationError("ball friction_range must satisfy 0 <= lo <= hi, "
+                                     f"got {list(self.friction_range)}")
 
 
 def randomize_ball(params: BallParams, rng: np.random.Generator) -> BallParams:
-    """Uniform draw of radius/friction within the configured ranges."""
+    """Uniform draw of radius/friction within the configured ranges; the
+    ``params`` themselves when they are not randomized."""
+    if not params.randomize:
+        return params
     return replace(
         params,
         radius=float(rng.uniform(*params.radius_range)),
@@ -91,7 +106,8 @@ class TaskSpec:
     """Balancing task: keep the ball anywhere on the plate, or near a point.
 
     For ``in_place`` the target is ``initial_position`` and success requires
-    the distance to it to stay below ``success_bound``.
+    the distance to it to stay below ``success_bound``.  Every reset puts
+    the ball at rest ``start_offset`` from ``initial_position``.
     """
 
     kind: str = "in_place"
@@ -99,6 +115,7 @@ class TaskSpec:
     success_bound: float = 0.06
     noise_std: float = 0.001
     reward_exponent: float = 2.0
+    start_offset: tuple = (0.0, 0.0)
 
     def __post_init__(self):
         if self.kind not in ("on_plate", "in_place"):
@@ -107,10 +124,18 @@ class TaskSpec:
             raise ConfigurationError("success bound must be positive")
         if self.noise_std < 0:
             raise ConfigurationError("noise std must be >= 0")
+        if not self.reward_exponent > 0:
+            raise ConfigurationError("task reward_exponent must be > 0, "
+                                     f"got {self.reward_exponent!r}")
 
     @property
     def target(self) -> np.ndarray:
         return np.asarray(self.initial_position, dtype=float)
+
+    @property
+    def start(self) -> np.ndarray:
+        """The ball's plate-frame position at reset."""
+        return self.target + np.asarray(self.start_offset, dtype=float)
 
     @property
     def feedback_size(self) -> int:
@@ -280,32 +305,36 @@ def episode_metrics(log, total_steps: int, limits, spec: TaskSpec | None) -> Epi
 # ---------------------------------------------------------------------------
 # environment wrapper used by the rollout engine
 
+def check_start(task: TaskSpec, geometry: PlateGeometry, ball: BallParams) -> None:
+    """Reject a ``task.start`` off the plate for any ball a reset can draw:
+    the largest radius has the tightest bounds."""
+    largest = replace(ball, radius=ball.radius_range[1]) if ball.randomize else ball
+    (x, y), (bound_x, bound_y) = task.start, effective_bounds(geometry, largest)
+    if abs(x) > bound_x or abs(y) > bound_y:
+        raise ConfigurationError(
+            "initial ball position is off the plate: task target_xy_m + "
+            f"start_offset_xy_m = ({x:g}, {y:g}) m, beyond +-({bound_x:g}, "
+            f"{bound_y:g}) m for a ball of radius {largest.radius:g} m")
+
+
 class BallPlateEnv:
     """Single-owner mutable environment: the ball's plate-frame ``position``
     and ``velocity`` arrays plus sensing, for one episode at a time."""
 
     def __init__(self, model, geometry: PlateGeometry, task: TaskSpec,
-                 ball: BallParams, randomize: bool, start_offset=(0.0, 0.0)):
+                 ball: BallParams):
+        check_start(task, geometry, ball)
         self.model = model
         self.geometry = geometry
         self.task = task
         self.base_ball = ball
-        self.randomize = randomize
-        self.start_offset = np.asarray(start_offset, dtype=float)
-        # the start must hold for every ball a reset can draw: the largest
-        # radius has the tightest bounds
-        largest = replace(ball, radius=ball.radius_range[1]) if randomize else ball
-        if np.any(np.abs(task.target + self.start_offset)
-                  > effective_bounds(geometry, largest)):
-            raise ConfigurationError("initial ball position is off the plate")
         self.ball = ball
         self.position = self.velocity = self.measured = None
 
     def reset(self, seed) -> np.ndarray:
         self.rng = np.random.default_rng(seed)
-        self.ball = randomize_ball(self.base_ball, self.rng) if self.randomize \
-            else self.base_ball
-        self.position = self.task.target + self.start_offset
+        self.ball = randomize_ball(self.base_ball, self.rng)
+        self.position = self.task.start
         self.velocity = np.zeros(2)
         self.measured = None
         return self._sense()

@@ -244,7 +244,7 @@ def test_criterion_08_pipeline_integrity():
 def test_criterion_09_balancing_demonstration():
     model, limits = kin.gimbal_chain()
     geometry = envm.PlateGeometry()
-    task = envm.TaskSpec(kind="in_place", noise_std=0.0)
+    task = envm.TaskSpec(kind="in_place", noise_std=0.0, start_offset=(0.02, 0.0))
     params = StepParams(dt=0.05, control_dt=0.005)
     weights = ad.RewardWeights()
     ref = ReferenceTrajectory(dt=0.05, positions=np.zeros((201, 2)))
@@ -253,9 +253,7 @@ def test_criterion_09_balancing_demonstration():
     successes = 0
     worst_dev = 0.0
     for seed in range(50):
-        env = envm.BallPlateEnv(model, geometry, task, envm.BallParams(),
-                                randomize=True,
-                                start_offset=(0.02, 0.0))
+        env = envm.BallPlateEnv(model, geometry, task, envm.BallParams())
         policy = pol.PDBalancePolicy(layout, limits, 0.05, model, geometry,
                                      task, anchor_q=np.zeros(2), mask=(0, 1))
         report, log = ad.rollout(ref, policy, limits, params, weights,

@@ -271,8 +271,7 @@ class BadAfterPolicy:
 def test_rollout_terminates_on_non_finite_policy_output(start, bad):
     model, limits = kin.gimbal_chain()
     task = env.TaskSpec(kind="on_plate", noise_std=0.0)
-    e = env.BallPlateEnv(model, env.PlateGeometry(), task, env.BallParams(),
-                         randomize=False)
+    e = env.BallPlateEnv(model, env.PlateGeometry(), task, env.BallParams(randomize=False))
     ref = ReferenceTrajectory(dt=0.05, positions=np.zeros((41, 2)))
     report, log = ad.rollout(ref, BadAfterPolicy(start, bad), limits,
                              StepParams(), ad.RewardWeights(), env=e, seed=[0])
@@ -296,7 +295,7 @@ def _ball_episode(policy, rows, weights, jump_at=None):
     model, limits = kin.gimbal_chain()
     e = env.BallPlateEnv(model, env.PlateGeometry(),
                          env.TaskSpec(kind="on_plate", noise_std=0.0),
-                         env.BallParams(), randomize=False)
+                         env.BallParams(randomize=False))
     positions = np.zeros((rows, 2))
     if jump_at is not None:
         positions[jump_at:] = 1.0
@@ -376,8 +375,7 @@ def test_rollout_random_policy_respects_limits_at_substeps():
 def test_rollout_with_ball_environment_runs():
     model, limits = kin.gimbal_chain()
     task = env.TaskSpec(kind="on_plate", noise_std=0.0)
-    e = env.BallPlateEnv(model, env.PlateGeometry(), task, env.BallParams(),
-                         randomize=False)
+    e = env.BallPlateEnv(model, env.PlateGeometry(), task, env.BallParams(randomize=False))
     ref = ReferenceTrajectory(dt=0.05, positions=np.zeros((10, 2)))
     report, log = ad.rollout(ref, ZeroPolicy(2), limits, StepParams(),
                              ad.RewardWeights(), env=e, seed=[0])
@@ -557,9 +555,8 @@ def test_scored_columns_match_scalar_formulas():
 
     model, limits = kin.gimbal_chain()
     e = env.BallPlateEnv(model, env.PlateGeometry(),
-                         env.TaskSpec(kind="in_place", noise_std=0.0),
-                         env.BallParams(), randomize=False,
-                         start_offset=(0.02, 0.0))
+                         env.TaskSpec(kind="in_place", noise_std=0.0, start_offset=(0.02, 0.0)),
+                         env.BallParams(randomize=False))
     still = ReferenceTrajectory(dt=0.05, positions=np.zeros((61, 2)))
     layout = pol.ObservationLayout(2, e.task.feedback_size, 1)
     balancer = pol.PDBalancePolicy(layout, limits, params.dt, model, e.geometry,

@@ -282,10 +282,9 @@ def test_step_log_round_trip_without_environment_keeps_nan_and_signed_zero(tmp_p
 
 def test_step_log_round_trip_with_environment(tmp_path):
     model, limits = kin.gimbal_chain()
-    task = envm.TaskSpec(kind="in_place", noise_std=0.0)
-    env = envm.BallPlateEnv(model, envm.PlateGeometry(), task, envm.BallParams(),
-                            randomize=False,
-                            start_offset=(0.01, 0.0))
+    task = envm.TaskSpec(kind="in_place", noise_std=0.0, start_offset=(0.01, 0.0))
+    env = envm.BallPlateEnv(model, envm.PlateGeometry(), task,
+                            envm.BallParams(randomize=False))
     ref = tr.ReferenceTrajectory(dt=0.05, positions=np.zeros((8, 2)))
     _, log = ad.rollout(ref, _ConstantPolicy([0.01, -0.02]), limits,
                         ad.StepParams(), ad.RewardWeights(), env=env, seed=[0])
@@ -537,6 +536,23 @@ def test_start_off_plate_for_the_largest_ball_fails_on_every_seed(tmp_path, caps
         in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, write", [
+    ("validate-limits", _write_balance_config),
+    ("generate", _write_arm_config),
+], ids=["validate-limits-balance", "generate-arm"])
+def test_start_off_plate_fails_on_every_command(tmp_path, capsys, command, write):
+    # the arm config has no ball section: the default ball is randomized up
+    # to 0.03 m, so 0.145 m is off its 0.17 m half-plate too
+    cfg = write(tmp_path)
+    raw = json.loads(cfg.read_text())
+    raw["task"]["start_offset_xy_m"] = [0.145, 0.0]
+    cfg.write_text(json.dumps(raw))
+    assert cli.main([command, "--config", str(cfg), "--episodes", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: initial ball position is off the plate")
+    assert "(0.145, 0) m, beyond +-(0.14, 0.105) m for a ball of radius 0.03 m" in err
+
+
 def test_missing_dataset_file_is_configuration_error(tmp_path, capsys):
     cfg = _write_arm_config(tmp_path, dataset_file="nope.csv")
     assert cli.main(["eval", "--config", str(cfg), "--episodes", "1"]) == 2
@@ -574,8 +590,9 @@ _RECORD = "H,r0,test,0.05,2,3\nP,0,0\n\nP,0,0\nP,0,0\n"
     (_RECORD.replace("test", "bogus"), "line 1"),
     (_RECORD.replace("0.05", "0.1"), "record r0"),
     (_RECORD.replace(",2,3", ",3,3").replace("P,0,0", "P,0,0,0"), "record r0"),
+    ("H,r0,test,0.05,2,1\nP,0,0\n", "record r0"),
 ], ids=["h-fields", "not-a-float", "non-finite", "untagged-line", "p-before-h",
-        "row-width", "split", "dt", "joint-count"])
+        "row-width", "split", "dt", "joint-count", "one-row"])
 def test_malformed_dataset_is_configuration_error(tmp_path, capsys, text, where):
     (tmp_path / "refs.csv").write_text(text)
     cfg = _write_balance_config(tmp_path, dataset_file="refs.csv")

@@ -82,8 +82,6 @@ def test_every_section_key_lands_on_its_object(tmp_path, monkeypatch):
     assert {name: set(keys) for name, keys in SECTIONS.items()} \
         == {name: set(keys) for name, keys in SECTION_KEYS.items()}
     cfg = load_config(_write_config(tmp_path, {"kind": "random"}))
-    env = envm.BallPlateEnv(cfg.model, cfg.geometry, cfg.task, cfg.ball,
-                            **cfg.env_args)
     landed = {"step": (cfg.step, StepParams()), "task": (cfg.task, envm.TaskSpec()),
               "plate": (cfg.geometry, envm.PlateGeometry()),
               "ball": (cfg.ball, envm.BallParams()),
@@ -93,12 +91,6 @@ def test_every_section_key_lands_on_its_object(tmp_path, monkeypatch):
         for key, arg in SECTION_KEYS[name].items():
             if hasattr(obj, arg or ""):
                 _assert_lands(getattr(obj, arg), SECTIONS[name][key], getattr(default, arg))
-    # the task and ball keys that configure the environment
-    env_defaults = _defaults(envm.BallPlateEnv)
-    _assert_lands(env.start_offset, SECTIONS["task"]["start_offset_xy_m"],
-                  env_defaults["start_offset"])
-    assert env.randomize is False and cfg.task.kind == "on_plate"
-    assert load_config(_write_config(tmp_path, {}, {})).env_args == {"randomize": True}
     # sampling and the generate count
     for (lo, hi), box in zip(cfg.areas.boxes, SECTIONS["sampling"]["boxes_m"]):
         np.testing.assert_array_equal([lo, hi], box)
@@ -143,7 +135,8 @@ def test_default_policy_kind_is_tracking(tmp_path):
 
 # Values the loader rejects: (change to SECTIONS or the top level, load_config
 # keyword arguments, the key the message names).  Each of them used to load,
-# then ended in a traceback, ran with a truncated or misread value, or (the
+# then ended in a traceback, ran with a truncated, misread or meaningless
+# value (negative ball radii, a task reward of 0 everywhere), or (the
 # headroom) asked numpy for a huge array when generating.
 BAD_VALUES = [
     ({"stationary_steps": 0}, {}, "stationary_steps"),
@@ -164,6 +157,12 @@ BAD_VALUES = [
     ({"validate": {"steps": 2.5}}, {}, "validate steps"),
     ({"validate": {"episodes": 0}}, {}, "validate episodes"),
     ({"use_environment": "no"}, {}, "use_environment"),
+    ({"ball": {"radius_range_m": [-0.01, 0.03]}}, {}, "ball radius_range_m"),
+    ({"ball": {"friction_range": [-0.05, -0.01]}}, {}, "ball friction_range"),
+    ({"task": {"reward_exponent": 0}}, {}, "task reward_exponent"),
+    ({"task": {"reward_exponent": -1, "start_offset_xy_m": [0, 0]}}, {},
+     "task reward_exponent"),
+    ({"step": {"control_dt_s": 0.04}}, {}, "step control_dt_s"),
 ]
 
 

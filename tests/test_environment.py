@@ -263,7 +263,7 @@ def test_sensor_feedback_zero_noise_stationary_centre():
     model, _ = gimbal_chain()
     e = env.BallPlateEnv(model, env.PlateGeometry(),
                          env.TaskSpec(kind="in_place", noise_std=0.0),
-                         env.BallParams(), randomize=False)
+                         env.BallParams(randomize=False))
     f = e.reset(seed=0)
     for _ in range(2):
         np.testing.assert_array_equal(f, np.zeros(6))
@@ -274,7 +274,7 @@ def test_sensor_feedback_noise_magnitude():
     geometry = env.PlateGeometry()
     spec = env.TaskSpec(kind="on_plate", noise_std=0.001)
     model, _ = gimbal_chain()
-    e = env.BallPlateEnv(model, geometry, spec, env.BallParams(), randomize=False)
+    e = env.BallPlateEnv(model, geometry, spec, env.BallParams(randomize=False))
     e.reset(seed=123)
     # the ball rests at the centre of the flat plate; only the noise moves the reading
     reads = np.array([e.step(*still_plate(np.eye(3)), 0.005)[3][0] for _ in range(4000)])
@@ -296,7 +296,7 @@ def test_env_previous_reading_is_last_current_reading():
     model, _ = gimbal_chain()
     e = env.BallPlateEnv(model, env.PlateGeometry(),
                          env.TaskSpec(kind="in_place", noise_std=0.002),
-                         env.BallParams(), randomize=False)
+                         env.BallParams(randomize=False))
     f = e.reset(seed=3)
     np.testing.assert_array_equal(f[2:4], f[0:2])
     for _ in range(5):
@@ -318,6 +318,13 @@ def test_randomize_ball_within_ranges_and_deterministic():
         assert base.friction_range[0] <= d.rolling_friction <= base.friction_range[1]
     again = env.randomize_ball(base, np.random.default_rng(5))
     assert again == env.randomize_ball(base, np.random.default_rng(5))
+
+
+def test_randomize_ball_off_returns_params_without_drawing():
+    base = env.BallParams(randomize=False)
+    rng = np.random.default_rng(3)
+    assert env.randomize_ball(base, rng) is base
+    assert rng.uniform() == np.random.default_rng(3).uniform()
 
 
 def test_randomize_ball_degenerate_ranges():
@@ -406,7 +413,7 @@ def test_metrics_zero_rows_give_no_steps_and_no_success():
 def test_env_reset_and_step():
     model, _ = gimbal_chain()
     e = env.BallPlateEnv(model, env.PlateGeometry(), env.TaskSpec(noise_std=0.0),
-                         env.BallParams(), randomize=False)
+                         env.BallParams(randomize=False))
     f = e.reset(seed=0)
     assert f.shape == (6,)
     position, on_plate, reward, f2 = e.step(*still_plate(np.eye(3), ticks=10), 0.005)
@@ -419,7 +426,7 @@ def test_env_reset_and_step():
 def test_env_step_before_reset_is_rejected():
     model, _ = gimbal_chain()
     e = env.BallPlateEnv(model, env.PlateGeometry(), env.TaskSpec(noise_std=0.0),
-                         env.BallParams(), randomize=False)
+                         env.BallParams(randomize=False))
     with pytest.raises(ConfigurationError, match="before reset"):
         e.step(*still_plate(np.eye(3)), 0.005)
 
@@ -427,20 +434,26 @@ def test_env_step_before_reset_is_rejected():
 def test_env_rejects_start_off_plate():
     model, _ = gimbal_chain()
     with pytest.raises(ConfigurationError):
-        env.BallPlateEnv(model, env.PlateGeometry(), env.TaskSpec(noise_std=0.0),
-                         env.BallParams(), randomize=False, start_offset=(5.0, 0.0))
+        env.BallPlateEnv(model, env.PlateGeometry(),
+                         env.TaskSpec(noise_std=0.0, start_offset=(5.0, 0.0)),
+                         env.BallParams(randomize=False))
 
 
 def test_env_start_checked_against_largest_radius_it_can_draw():
     # 0.145 m is on the plate for the 0.02 m ball (bound 0.15) but not for
     # the largest radius a reset can draw (0.03 m, bound 0.14)
     model, _ = gimbal_chain()
-    args = (model, env.PlateGeometry(), env.TaskSpec(noise_std=0.0), env.BallParams())
-    fixed = env.BallPlateEnv(*args, randomize=False, start_offset=(0.145, 0.0))
+
+    def make(offset, randomize):
+        return env.BallPlateEnv(model, env.PlateGeometry(),
+                                env.TaskSpec(noise_std=0.0, start_offset=offset),
+                                env.BallParams(randomize=randomize))
+
+    fixed = make((0.145, 0.0), randomize=False)
     fixed.reset(seed=0)
     np.testing.assert_array_equal(fixed.position, [0.145, 0.0])
     with pytest.raises(ConfigurationError, match="off the plate"):
-        env.BallPlateEnv(*args, randomize=True, start_offset=(0.145, 0.0))
-    at_bound = env.BallPlateEnv(*args, randomize=True, start_offset=(0.14, 0.0))
+        make((0.145, 0.0), randomize=True)
+    at_bound = make((0.14, 0.0), randomize=True)
     for seed in range(20):
         at_bound.reset(seed=seed)

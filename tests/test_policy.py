@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -114,9 +115,8 @@ def test_balance_zero_gains_degenerates_to_tracking():
                             task, anchor_q=np.zeros(2), mask=(0, 1),
                             ball_kp=0.0, ball_kd=0.0)
     ref = ReferenceTrajectory(dt=0.05, positions=np.zeros((60, 2)))
-    e = env.BallPlateEnv(model, env.PlateGeometry(), task, env.BallParams(),
-                         randomize=False,
-                         start_offset=(0.02, 0.0))
+    e = env.BallPlateEnv(model, env.PlateGeometry(), replace(task, start_offset=(0.02, 0.0)),
+                         env.BallParams(randomize=False))
     report, log = ad.rollout(ref, p, limits, StepParams(), ad.RewardWeights(),
                              env=e, seed=[0])
     # tracks the reference tightly and never reacts to the ball
@@ -127,9 +127,8 @@ def test_balance_zero_gains_degenerates_to_tracking():
 
 def test_balance_recovers_two_centimetre_offset():
     model, limits, task, layout = _gimbal_setup()
-    e = env.BallPlateEnv(model, env.PlateGeometry(), task, env.BallParams(),
-                         randomize=True,
-                         start_offset=(0.02, 0.0))
+    e = env.BallPlateEnv(model, env.PlateGeometry(), replace(task, start_offset=(0.02, 0.0)),
+                         env.BallParams())
     p = pol.PDBalancePolicy(layout, limits, 0.05, model, env.PlateGeometry(),
                             task, anchor_q=np.zeros(2), mask=(0, 1))
     ref = ReferenceTrajectory(dt=0.05, positions=np.zeros((201, 2)))
