@@ -14,12 +14,14 @@ log's columns.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .environment import BallPlateEnv, episode_metrics
-from .errors import ConfigurationError, check_count
+from .errors import (BELOW_ONE, POSITIVE, ConfigurationError, at_least, check_fields,
+                     setting)
 from .kinematics import plate_motion
 from .limits import (JointLimits, StepParams, check_limit_regime,
                      clip_action, integrate_step, substep_profile,
@@ -41,22 +43,20 @@ class RewardWeights:
     episode would end.
     """
 
-    accel_threshold: float = 0.8
-    jerk_weight: float = 4.0
-    deviation_low: float = np.deg2rad(2.0)
-    deviation_high: float = np.deg2rad(10.0)
-    termination: float = np.deg2rad(10.0)
-    n_future: int = 1
+    accel_threshold: float = setting("accel_threshold_norm", 0.8, domain=BELOW_ONE)
+    jerk_weight: float = setting("jerk_weight", 4.0, domain=POSITIVE)
+    deviation_low: float = setting("deviation_low_rad", math.radians(2.0))
+    deviation_high: float = setting("deviation_high_rad", math.radians(10.0))
+    termination: float = setting("termination_rad", math.radians(10.0))
+    n_future: int = setting("future_positions", 1, domain=at_least(1))
 
     def __post_init__(self):
-        if not 0.0 <= self.accel_threshold < 1.0:
-            raise ConfigurationError("accel threshold must be in [0, 1)")
-        if self.jerk_weight <= 0:
-            raise ConfigurationError("jerk weight must be > 0")
+        check_fields(self, "reward")
         if not self.deviation_low < self.deviation_high <= self.termination:
             raise ConfigurationError(
-                "need deviation_low < deviation_high <= termination threshold")
-        check_count(self.n_future, "reward future_positions (n_future)", 1)
+                "reward deviation_low_rad, deviation_high_rad, termination_rad must satisfy "
+                "low < high <= termination, got "
+                f"{[self.deviation_low, self.deviation_high, self.termination]}")
 
 
 def accel_penalty(act, threshold: float):

@@ -3,13 +3,14 @@
 ``load_config`` resolves and checks the whole file once, for every command,
 and the commands in ``cli`` read only the typed ``RunConfig``.  Every run
 value comes from a command-line flag if one is given, else from the file,
-else from its one default.  ``SECTION_KEYS`` and ``POLICY_KEYS`` map each
-key onto the argument it sets, so an absent key leaves that argument's
-default, written only where the argument is declared; the keys mapped to
-None, and the top-level keys, are resolved here with the fallbacks listed
-in the README.  ``VALUE_KINDS`` gives the JSON value of every key that
-does not take a number; a value of the wrong kind is a configuration error
-naming its key.  Relative paths are taken from the config file's directory.
+else from its one default.  The fields of the section dataclasses declare
+each key with its JSON kind and domain (``errors.setting``); ``SECTION_KEYS``
+and ``VALUE_KINDS`` are read from them, and only the ``validate`` and
+``policy`` keys, ``generate.count`` and the top-level keys are written here.
+An absent key leaves its argument's default, written only where the argument
+is declared; keys mapped to None, and the top-level keys, are resolved here
+with the fallbacks listed in the README.  Relative paths are taken from the
+config file's directory.
 """
 
 from __future__ import annotations
@@ -17,41 +18,29 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import environment as envm
 from .adaptation import RewardWeights
-from .errors import ConfigurationError, check_count
+from .errors import POSITIVE_RANGE, ConfigurationError, at_least, check_domain, is_integer
 from .kinematics import ChainModel, load_chain
 from .limits import JointLimits, StepParams, check_limit_regime
 from .policy import BALANCE_MASK, LinearPolicy, ObservationLayout, balance_mask, check_gains
 from .trajectory import PipelineConfig, SamplingAreas
 
+# The dataclass of each config section; its fields declare the keys.
+SECTION_CLASSES = {"step": StepParams, "task": envm.TaskSpec, "plate": envm.PlateGeometry,
+                   "ball": envm.BallParams, "reward": RewardWeights,
+                   "sampling": SamplingAreas, "generate": PipelineConfig}
 # Every key of each config section, mapped to the argument it sets: of the
-# section's constructor or of ``adaptation.run_limit_campaign``
-# (``validate``).  Keys mapped to None are resolved by ``load_config`` itself.
-SECTION_KEYS = {
-    "step": {"dt_s": "dt", "control_dt_s": "control_dt",
-             "correction_enabled": "correction_enabled"},
-    "task": {"kind": "kind", "target_xy_m": "initial_position",
-             "success_bound_m": "success_bound", "noise_std_m": "noise_std",
-             "reward_exponent": "reward_exponent", "start_offset_xy_m": "start_offset"},
-    "plate": {"half_x_m": "half_x", "half_y_m": "half_y"},
-    "ball": {"radius_m": "radius", "rolling_friction": "rolling_friction",
-             "radius_range_m": "radius_range", "friction_range": "friction_range",
-             "randomize": "randomize"},
-    "reward": {"accel_threshold_norm": "accel_threshold", "jerk_weight": "jerk_weight",
-               "deviation_low_rad": "deviation_low",
-               "deviation_high_rad": "deviation_high",
-               "termination_rad": "termination", "future_positions": "n_future"},
-    "sampling": {"boxes_m": "boxes", "height_band_m": "height_band"},
-    "generate": {"count": None, "headroom": "headroom", "ik_samples": "ik_samples",
-                 "grid": "grid", "test_fraction": "test_fraction",
-                 "max_attempts": "max_attempts"},
-    "validate": {"episodes": None, "steps": "steps", "v_max_range": "v_max_range",
-                 "a_max_range": "a_max_range", "jerk_fill_range": "jerk_fill_range"},
-}
+# section's dataclass or of ``adaptation.run_limit_campaign`` (``validate``).
+# Keys mapped to None are resolved by ``load_config`` itself.
+SECTION_KEYS = {name: {f.metadata["key"]: f.name for f in fields(cls) if f.metadata}
+                for name, cls in SECTION_CLASSES.items()}
+SECTION_KEYS["generate"]["count"] = None
+SECTION_KEYS["validate"] = {"episodes": None, "steps": "steps", "v_max_range": "v_max_range",
+                            "a_max_range": "a_max_range", "jerk_fill_range": "jerk_fill_range"}
 TOP_LEVEL_KEYS = set(SECTION_KEYS) | {
     "chain_file", "policy", "seed", "episodes", "workers", "out_dir",
     "dataset_file", "use_environment", "stationary_steps"}
@@ -65,13 +54,9 @@ POLICY_KEYS = {"random": {"kind": None}, "greedy_max": {"kind": None},
                "linear": {"kind": None, "weights_file": None}}
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _is_number(value) -> bool:
     """A JSON integer or a finite float (``json`` reads NaN and Infinity)."""
-    return _is_integer(value) or isinstance(value, float) and math.isfinite(value)
+    return is_integer(value) or isinstance(value, float) and math.isfinite(value)
 
 
 def _is_list(value, length, item) -> bool:
@@ -88,28 +73,33 @@ VALUE_CHECKS = {
     "pair": (lambda v: _is_list(v, 2, _is_number), "a list of 2 numbers"),
     "band": (lambda v: v is None or _is_list(v, 2, _is_number),
              "a list of 2 numbers or null"),
-    "indices": (lambda v: _is_list(v, None, _is_integer), "a list of integers"),
+    "indices": (lambda v: _is_list(v, None, is_integer), "a list of integers"),
     "boxes": (lambda v: _is_list(v, None, lambda box: _is_list(
         box, 2, lambda corner: _is_list(corner, 3, _is_number))),
               "a list of [lo, hi] boxes with corners of 3 numbers"),
 }
-# The kind of every section, policy and top-level path or flag key that
-# does not take a number; counts are further checked with ``check_count``.
-VALUE_KINDS = {
-    "correction_enabled": "flag", "randomize": "flag", "use_environment": "flag",
-    "kind": "text", "weights_file": "text",
-    "chain_file": "text", "out_dir": "text", "dataset_file": "text",
-    "target_xy_m": "pair", "start_offset_xy_m": "pair", "radius_range_m": "pair",
-    "friction_range": "pair", "height_band_m": "band", "v_max_range": "pair",
-    "a_max_range": "pair", "jerk_fill_range": "pair",
-    "mask": "indices", "boxes_m": "boxes",
-}
+# The kind of every key, named "<section> <key>" or, at the top level, by
+# itself; a key not listed takes a number.
+VALUE_KINDS = {f"{name} {f.metadata['key']}": f.metadata["kind"]
+               for name, cls in SECTION_CLASSES.items() for f in fields(cls) if f.metadata}
+VALUE_KINDS.update({
+    "validate v_max_range": "pair", "validate a_max_range": "pair",
+    "validate jerk_fill_range": "pair", "policy kind": "text", "policy weights_file": "text",
+    "policy mask": "indices", "chain_file": "text", "out_dir": "text",
+    "dataset_file": "text", "use_environment": "flag"})
+# The domain of every count and campaign range that no field declares.
+DOMAINS = {"seed": at_least(0), "episodes": at_least(1), "workers": at_least(1),
+           "stationary_steps": at_least(2), "generate count": at_least(1),
+           "validate episodes": at_least(1), "validate steps": at_least(1),
+           "validate v_max_range": POSITIVE_RANGE, "validate a_max_range": POSITIVE_RANGE,
+           "validate jerk_fill_range": (lambda r: 0.0 < r[0] <= r[1] <= 1.0,
+                                        "satisfy 0 < lo <= hi <= 1")}
 
 
-def check_value(value, key: str, name: str) -> None:
-    """Reject a ``value`` of config key ``key`` that is not of its kind in
-    ``VALUE_KINDS`` (by default a number), naming it ``name``."""
-    test, need = VALUE_CHECKS[VALUE_KINDS.get(key, "number")]
+def check_value(value, name: str) -> None:
+    """Reject a ``value`` of config key ``name`` that is not of its kind in
+    ``VALUE_KINDS``."""
+    test, need = VALUE_CHECKS[VALUE_KINDS.get(name, "number")]
     if not test(value):
         raise ConfigurationError(f"{name} must be {need}, got {value!r}")
 
@@ -130,22 +120,9 @@ def _section(raw: dict, name: str, keys=None, where=None):
     keys = keys or SECTION_KEYS[name]
     check_keys(section, keys, where or f"config section {name!r}")
     for key, value in section.items():
-        check_value(value, key, f"{name} {key}")
+        check_value(value, f"{name} {key}")
     return section, {keys[k]: tuple(v) if isinstance(v, list) else v
                      for k, v in section.items() if keys[k]}
-
-
-def _check_ranges(validate: dict) -> None:
-    """Each configured campaign range is [lo, hi] with 0 < lo <= hi; the
-    jerk fraction also hi <= 1, the supported limit regime."""
-    for key, top in (("v_max_range", math.inf), ("a_max_range", math.inf),
-                     ("jerk_fill_range", 1.0)):
-        if key in validate:
-            lo, hi = validate[key]
-            if not 0.0 < lo <= hi <= top:
-                bound = "" if top == math.inf else f" <= {top:g}"
-                raise ConfigurationError(f"validate {key} must satisfy 0 < lo <= hi{bound}, "
-                                         f"got {list(validate[key])}")
 
 
 def _policy(raw: dict, base: Path, layout: ObservationLayout, use_environment: bool):
@@ -222,7 +199,7 @@ def load_config(path, seed=None, episodes=None, workers=None, out=None) -> RunCo
     check_keys(raw, TOP_LEVEL_KEYS, f"config {path}")
     for key in ("chain_file", "out_dir", "dataset_file", "use_environment"):
         if key in raw:
-            check_value(raw[key], key, key)
+            check_value(raw[key], key)
     base = path.parent
 
     if not raw.get("chain_file"):
@@ -254,7 +231,6 @@ def load_config(path, seed=None, episodes=None, workers=None, out=None) -> RunCo
 
     seed = raw.get("seed", 0) if seed is None else seed
     validate_raw, validate = _section(raw, "validate")
-    _check_ranges(validate)
     if episodes is None:
         episodes = raw.get("episodes", 10)
         validate["episodes"] = validate_raw.get("episodes", episodes)
@@ -263,14 +239,10 @@ def load_config(path, seed=None, episodes=None, workers=None, out=None) -> RunCo
     workers = raw.get("workers", 1) if workers is None else workers
     generate_count = generate_raw.get("count", episodes)
     stationary_steps = raw.get("stationary_steps", 201)
-    for value, key, least in ((seed, "seed", 0), (episodes, "episodes", 1),
-                              (workers, "workers", 1),
-                              (generate_count, "generate count", 1),
-                              (validate["episodes"], "validate episodes", 1),
-                              (stationary_steps, "stationary_steps", 2)):
-        check_count(value, key, least)
-    if "steps" in validate:
-        check_count(validate["steps"], "validate steps", 1)
+    for name, value in {"seed": seed, "episodes": episodes, "workers": workers,
+                        "generate count": generate_count, "stationary_steps": stationary_steps,
+                        **{f"validate {key}": v for key, v in validate.items()}}.items():
+        check_domain(value, name, DOMAINS[name])
     # a path typed on the command line is taken from the working directory
     out_dir = base / raw.get("out_dir", "out") if out is None else Path(out)
 

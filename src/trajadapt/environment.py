@@ -46,7 +46,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import (NON_NEGATIVE, POSITIVE, POSITIVE_RANGE, ConfigurationError, check_fields,
+                     setting)
 
 GRAVITY = 9.81
 ROLLING_FACTOR = 5.0 / 7.0
@@ -55,12 +56,11 @@ G_WORLD = np.array([0.0, 0.0, -GRAVITY])
 
 @dataclass(frozen=True)
 class PlateGeometry:
-    half_x: float = 0.17
-    half_y: float = 0.135
+    half_x: float = setting("half_x_m", 0.17, domain=POSITIVE)
+    half_y: float = setting("half_y_m", 0.135, domain=POSITIVE)
 
     def __post_init__(self):
-        if self.half_x <= 0 or self.half_y <= 0:
-            raise ConfigurationError("plate half-extents must be positive")
+        check_fields(self, "plate")
 
     @property
     def half_extents(self) -> np.ndarray:
@@ -72,21 +72,15 @@ class BallParams:
     """Ball characteristics plus the ranges a reset draws them from when
     ``randomize`` is set."""
 
-    radius: float = 0.02
-    rolling_friction: float = 0.005
-    radius_range: tuple = (0.012, 0.030)
-    friction_range: tuple = (0.001, 0.010)
-    randomize: bool = True
+    radius: float = setting("radius_m", 0.02, domain=POSITIVE)
+    rolling_friction: float = setting("rolling_friction", 0.005, domain=NON_NEGATIVE)
+    radius_range: tuple = setting("radius_range_m", (0.012, 0.030), "pair", POSITIVE_RANGE)
+    friction_range: tuple = setting("friction_range", (0.001, 0.010), "pair",
+                                    (lambda r: 0.0 <= r[0] <= r[1], "satisfy 0 <= lo <= hi"))
+    randomize: bool = setting("randomize", True, "flag")
 
     def __post_init__(self):
-        if self.radius <= 0 or self.rolling_friction < 0:
-            raise ConfigurationError("ball parameters must be positive")
-        if not 0 < self.radius_range[0] <= self.radius_range[1]:
-            raise ConfigurationError("ball radius_range_m must satisfy 0 < lo <= hi, "
-                                     f"got {list(self.radius_range)}")
-        if not 0 <= self.friction_range[0] <= self.friction_range[1]:
-            raise ConfigurationError("ball friction_range must satisfy 0 <= lo <= hi, "
-                                     f"got {list(self.friction_range)}")
+        check_fields(self, "ball")
 
 
 def randomize_ball(params: BallParams, rng: np.random.Generator) -> BallParams:
@@ -110,23 +104,16 @@ class TaskSpec:
     the ball at rest ``start_offset`` from ``initial_position``.
     """
 
-    kind: str = "in_place"
-    initial_position: tuple = (0.0, 0.0)
-    success_bound: float = 0.06
-    noise_std: float = 0.001
-    reward_exponent: float = 2.0
-    start_offset: tuple = (0.0, 0.0)
+    kind: str = setting("kind", "in_place", "text", (
+        lambda v: v in ("on_plate", "in_place"), "be 'on_plate' or 'in_place'"))
+    initial_position: tuple = setting("target_xy_m", (0.0, 0.0), "pair")
+    success_bound: float = setting("success_bound_m", 0.06, domain=POSITIVE)
+    noise_std: float = setting("noise_std_m", 0.001, domain=NON_NEGATIVE)
+    reward_exponent: float = setting("reward_exponent", 2.0, domain=POSITIVE)
+    start_offset: tuple = setting("start_offset_xy_m", (0.0, 0.0), "pair")
 
     def __post_init__(self):
-        if self.kind not in ("on_plate", "in_place"):
-            raise ConfigurationError("task kind must be 'on_plate' or 'in_place'")
-        if self.success_bound <= 0:
-            raise ConfigurationError("success bound must be positive")
-        if self.noise_std < 0:
-            raise ConfigurationError("noise std must be >= 0")
-        if not self.reward_exponent > 0:
-            raise ConfigurationError("task reward_exponent must be > 0, "
-                                     f"got {self.reward_exponent!r}")
+        check_fields(self, "task")
 
     @property
     def target(self) -> np.ndarray:

@@ -1,15 +1,51 @@
-"""Exception types shared across the toolkit, and the check of a count."""
+"""Exception types shared across the toolkit, and the declaration and the
+domain check of a config value."""
+
+import math
+from dataclasses import MISSING, field, fields
 
 
 class ConfigurationError(ValueError):
     """A config value or file is inconsistent or out of its valid domain."""
 
 
-def check_count(value, key: str, least: int) -> None:
-    """Reject a ``value`` that is not an integer (a bool is not one) of at
-    least ``least``, naming ``key``."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise ConfigurationError(f"{key} must be an integer >= {least}, got {value!r}")
+def is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# Domains of config values: (test, what a value must do, for the message).
+POSITIVE = (lambda v: 0.0 < v < math.inf, "be finite and > 0")
+NON_NEGATIVE = (lambda v: 0.0 <= v < math.inf, "be finite and >= 0")
+BELOW_ONE = (lambda v: 0.0 <= v < 1.0, "be in [0, 1)")
+POSITIVE_RANGE = (lambda r: 0.0 < r[0] <= r[1], "satisfy 0 < lo <= hi")
+
+
+def at_least(least: int):
+    """The domain of a count: an integer (a bool is not one) >= ``least``."""
+    return (lambda v: is_integer(v) and v >= least, f"be an integer >= {least}")
+
+
+def check_domain(value, name: str, domain) -> None:
+    """Reject a ``value`` outside ``domain``, naming it ``name``."""
+    test, need = domain
+    if not test(value):
+        shown = list(value) if isinstance(value, tuple) else value
+        raise ConfigurationError(f"{name} must {need}, got {shown!r}")
+
+
+def setting(key: str, default=MISSING, kind: str = "number", domain=None):
+    """A dataclass field that config key ``key`` sets: a JSON value of
+    ``kind`` (a ``config.VALUE_CHECKS`` name) within ``domain``, if any."""
+    return field(default=default, metadata={"key": key, "kind": kind, "domain": domain})
+
+
+def check_fields(obj, section: str) -> None:
+    """Reject a ``setting`` field of dataclass ``obj`` outside its domain,
+    naming it by its key in config section ``section``."""
+    for f in fields(obj):
+        if f.metadata.get("domain"):
+            check_domain(getattr(obj, f.name), f"{section} {f.metadata['key']}",
+                         f.metadata["domain"])
 
 
 class LimitConsistencyError(RuntimeError):

@@ -69,7 +69,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, LimitConsistencyError, NonFiniteStateError
+from .errors import (POSITIVE, ConfigurationError, LimitConsistencyError, NonFiniteStateError,
+                     check_fields, setting)
 
 # Absolute tolerance for all limit assertions (double precision throughout).
 LIMIT_EPS = 1e-9
@@ -130,20 +131,16 @@ class JointLimits:
 class StepParams:
     """Decision period, position-controller period and the ripple correction flag."""
 
-    dt: float = 0.05
-    control_dt: float = 0.005
-    correction_enabled: bool = True
+    dt: float = setting("dt_s", 0.05, domain=POSITIVE)
+    control_dt: float = setting("control_dt_s", 0.005, domain=POSITIVE)
+    correction_enabled: bool = setting("correction_enabled", True, "flag")
 
     def __post_init__(self):
-        if not 0.0 < self.dt < np.inf:
-            raise ConfigurationError("dt must be finite and > 0")
-        if not 0.0 < self.control_dt < np.inf:
-            raise ConfigurationError("control_dt must be finite and > 0")
+        check_fields(self, "step")
         ratio = self.dt / self.control_dt
         if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
             raise ConfigurationError(
-                f"dt ({self.dt}) must be an integer multiple of control_dt ({self.control_dt})"
-            )
+                f"step control_dt_s must divide dt_s ({self.dt}), got {self.control_dt!r}")
 
     @property
     def substeps(self) -> int:

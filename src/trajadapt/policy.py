@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .environment import GRAVITY, ROLLING_FACTOR, PlateGeometry, TaskSpec
-from .errors import ConfigurationError
+from .errors import NON_NEGATIVE, POSITIVE, ConfigurationError, check_domain
 from .kinematics import ChainModel, jacobian
 from .limits import JointLimits
 
@@ -21,16 +21,16 @@ BALL_DRIVE = ROLLING_FACTOR * GRAVITY  # ball acceleration per radian of tilt
 TILT_LIMIT = 0.25                      # largest plate tilt the balancer asks for, rad
 BALANCE_MASK = (-2, -1)                # the balancer's default tilt joints
 CEM_MIN_STD = 1e-3                     # floor of the CEM sampling std per parameter
+# the domain of each policy gain
+GAIN_DOMAINS = {"kp": POSITIVE, "kd": POSITIVE, "ball_kp": NON_NEGATIVE, "ball_kd": NON_NEGATIVE}
 
 
 def check_gains(**gains) -> None:
-    """Reject policy gains outside their domain: ``kp`` and ``kd`` must be
-    > 0, ``ball_kp`` and ``ball_kd`` >= 0.  Absent gains are not checked,
-    other keywords are ignored."""
-    if any(gains[k] <= 0 for k in ("kp", "kd") if k in gains):
-        raise ConfigurationError("tracking gains must be positive")
-    if any(gains[k] < 0 for k in ("ball_kp", "ball_kd") if k in gains):
-        raise ConfigurationError("ball gains must be >= 0")
+    """Reject policy gains outside their ``GAIN_DOMAINS``, naming the key.
+    Absent gains are not checked, other keywords are ignored."""
+    for key, domain in GAIN_DOMAINS.items():
+        if key in gains:
+            check_domain(gains[key], f"policy {key}", domain)
 
 
 def balance_mask(mask, n_joints: int) -> tuple:
@@ -236,8 +236,8 @@ def cem_optimize(objective, dim: int, generations: int, population: int = 32,
     """Cross-entropy method over a flat parameter vector.
 
     ``objective(params) -> float`` is maximized, starting from a zero mean.
-    Returns (best_params, history); history holds per-generation
-    mean/best/elite-mean returns.
+    Returns (best_params, history); history holds each generation's mean
+    return and the best return so far.
     An elite fraction of 1.0 selects everything, which leaves the sampling
     distribution unchanged (degenerate but well defined).
     """
@@ -251,26 +251,18 @@ def cem_optimize(objective, dim: int, generations: int, population: int = 32,
     best_params = mean.copy()
     best_return = -np.inf
     history = []
-    for gen in range(generations):
+    for _ in range(generations):
         samples = mean[None, :] + std[None, :] * rng.standard_normal((population, dim))
         returns = np.array([objective(s) for s in samples])
         order = np.argsort(returns)[::-1]
         elite = samples[order[:n_elite]]
-        elite_returns = returns[order[:n_elite]]
         if returns[order[0]] > best_return:
             best_return = float(returns[order[0]])
             best_params = samples[order[0]].copy()
         if n_elite < population:
             mean = elite.mean(axis=0)
             std = np.maximum(elite.std(axis=0), CEM_MIN_STD)
-        history.append({
-            "generation": gen,
-            "mean_return": float(returns.mean()),
-            "elite_mean_return": float(elite_returns.mean()),
-            "best_return": best_return,
-            "dist_mean": mean.copy(),
-            "dist_std": std.copy(),
-        })
+        history.append({"mean_return": float(returns.mean()), "best_return": best_return})
     return best_params, history
 
 

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, IKConvergenceError, PathRejectedError, check_count
+from .errors import (BELOW_ONE, ConfigurationError, IKConvergenceError, PathRejectedError,
+                     at_least, check_fields, setting)
 from .kinematics import ChainModel, fk_transform, inverse_kinematics
 from .limits import JointLimits
 
@@ -31,23 +32,21 @@ class SamplingAreas:
     """Ordered axis-aligned boxes (start, vias, end) with an optional shared
     height band that overrides the boxes' z per trajectory."""
 
-    boxes: tuple
-    height_band: tuple | None = None
+    boxes: tuple = setting("boxes_m", kind="boxes", domain=(
+        lambda boxes: len(boxes) >= 2 and all(
+            np.shape(lo) == np.shape(hi) == (3,) and np.all(np.less_equal(lo, hi))
+            for lo, hi in boxes),
+        "be a start box, any via boxes and an end box, each [lo, hi] with lo <= hi in R^3"))
+    height_band: tuple | None = setting("height_band_m", None, "band", (
+        lambda band: band is None or len(band) == 2 and band[0] <= band[1],
+        "be null or [z0, z1] with z0 <= z1"))
 
     def __post_init__(self):
-        boxes = tuple((np.asarray(lo, float), np.asarray(hi, float))
-                      for lo, hi in self.boxes)
-        if len(boxes) < 2:
-            raise ConfigurationError("need at least a start and an end box")
-        for lo, hi in boxes:
-            if lo.shape != (3,) or hi.shape != (3,) or np.any(lo > hi):
-                raise ConfigurationError("sampling box must satisfy lo <= hi in R^3")
-        object.__setattr__(self, "boxes", boxes)
+        check_fields(self, "sampling")
+        object.__setattr__(self, "boxes", tuple(
+            (np.asarray(lo, float), np.asarray(hi, float)) for lo, hi in self.boxes))
         if self.height_band is not None:
-            z0, z1 = self.height_band
-            if z0 > z1:
-                raise ConfigurationError("height band must satisfy z0 <= z1")
-            object.__setattr__(self, "height_band", (float(z0), float(z1)))
+            object.__setattr__(self, "height_band", tuple(map(float, self.height_band)))
 
 
 @dataclass
@@ -350,20 +349,15 @@ def mirror_trajectory(traj: ReferenceTrajectory, plane: str, model: ChainModel,
 @dataclass
 class PipelineConfig:
     dt: float
-    headroom: float = 0.05
-    ik_samples: int = 100
-    grid: int = 600
-    test_fraction: float = 0.2
-    max_attempts: int = 5
+    headroom: float = setting("headroom", 0.05, domain=BELOW_ONE)
+    ik_samples: int = setting("ik_samples", 100, domain=at_least(2))
+    grid: int = setting("grid", 600, domain=at_least(2))
+    test_fraction: float = setting("test_fraction", 0.2, domain=(
+        lambda v: 0.0 <= v <= 1.0, "be in [0, 1]"))
+    max_attempts: int = setting("max_attempts", 5, domain=at_least(1))
 
     def __post_init__(self):
-        for key, least in (("ik_samples", 2), ("grid", 2), ("max_attempts", 1)):
-            check_count(getattr(self, key), f"generate {key}", least)
-        if not 0.0 <= self.headroom < 1.0:
-            raise ConfigurationError(f"generate headroom must be in [0, 1), got {self.headroom!r}")
-        if not 0.0 <= self.test_fraction <= 1.0:
-            raise ConfigurationError(
-                f"generate test_fraction must be in [0, 1], got {self.test_fraction!r}")
+        check_fields(self, "generate")
 
 
 def generate_reference(model: ChainModel, limits: JointLimits, areas: SamplingAreas,

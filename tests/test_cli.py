@@ -690,13 +690,14 @@ def test_bad_tracking_gain_rejected_at_load(tmp_path, capsys, command):
     cfg = _write_arm_config(tmp_path, policy={"kind": "tracking", "kp": -1.0})
     assert cli.main([command, "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert err == "configuration error: tracking gains must be positive\n"
+    assert err == "configuration error: policy kp must be finite and > 0, got -1.0\n"
     assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("policy, message", [
-    ({"kind": "tracking", "kd": 0.0}, "tracking gains must be positive"),
-    ({"kind": "pd_balance", "mask": [0, 1], "ball_kd": -0.5}, "ball gains must be >= 0"),
+    ({"kind": "tracking", "kd": 0.0}, "policy kd must be finite and > 0, got 0.0"),
+    ({"kind": "pd_balance", "mask": [0, 1], "ball_kd": -0.5},
+     "policy ball_kd must be finite and >= 0, got -0.5"),
     ({"kind": "pd_balance", "mask": [1, -1]}, "balance mask must select at least 2 joints"),
 ], ids=["kd", "ball_kd", "mask"])
 def test_bad_policy_values_rejected_for_every_command(tmp_path, capsys, policy, message):

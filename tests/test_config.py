@@ -14,7 +14,6 @@ from trajadapt import environment as envm
 from trajadapt import policy as pol
 from trajadapt.adaptation import RewardWeights
 from trajadapt.config import POLICY_KEYS, SECTION_KEYS, load_config
-from trajadapt.errors import ConfigurationError
 from trajadapt.limits import StepParams
 from trajadapt.trajectory import PipelineConfig, ReferenceTrajectory
 
@@ -133,17 +132,19 @@ def test_default_policy_kind_is_tracking(tmp_path):
     assert cfg.policy_kind == "tracking" and cfg.policy_args == {}
 
 
-# Values the loader rejects: (change to SECTIONS or the top level, load_config
-# keyword arguments, the key the message names).  Each of them used to load,
-# then ended in a traceback, ran with a truncated, misread or meaningless
-# value (negative ball radii, a task reward of 0 everywhere), or (the
-# headroom) asked numpy for a huge array when generating.
+# Values the loader rejects: (change to SECTIONS or the top level, command-line
+# flags, the "<section> <key>" or top-level key the message starts with).
+# The first ones used to load, then ended in a traceback, ran with a
+# truncated, misread or meaningless value (negative ball radii, a task reward
+# of 0 everywhere), or (the headroom) asked numpy for a huge array when
+# generating; the rest give every key of SECTION_KEYS a value outside its
+# domain, or of the wrong JSON kind where the key has no domain.
 BAD_VALUES = [
     ({"stationary_steps": 0}, {}, "stationary_steps"),
     ({"stationary_steps": -5}, {}, "stationary_steps"),
     ({"stationary_steps": 20.5}, {}, "stationary_steps"),
-    ({"reward": {"future_positions": 1.5}}, {}, "future_positions"),
-    ({"reward": {"future_positions": True}}, {}, "future_positions"),
+    ({"reward": {"future_positions": 1.5}}, {}, "reward future_positions"),
+    ({"reward": {"future_positions": True}}, {}, "reward future_positions"),
     ({"seed": -1}, {}, "seed"),
     ({}, {"seed": -1}, "seed"),
     ({"episodes": 2.5}, {}, "episodes"),
@@ -163,17 +164,51 @@ BAD_VALUES = [
     ({"task": {"reward_exponent": -1, "start_offset_xy_m": [0, 0]}}, {},
      "task reward_exponent"),
     ({"step": {"control_dt_s": 0.04}}, {}, "step control_dt_s"),
+    ({"step": {"dt_s": 0}}, {}, "step dt_s"),
+    ({"step": {"dt_s": 0.05, "control_dt_s": 0.03}}, {}, "step control_dt_s"),
+    ({"step": {"control_dt_s": -0.004}}, {}, "step control_dt_s"),
+    ({"step": {"correction_enabled": 1}}, {}, "step correction_enabled"),
+    ({"task": {"kind": "ring"}}, {}, "task kind"),
+    ({"task": {"target_xy_m": [0.01]}}, {}, "task target_xy_m"),
+    ({"task": {"success_bound_m": 0}}, {}, "task success_bound_m"),
+    ({"task": {"noise_std_m": -0.001}}, {}, "task noise_std_m"),
+    ({"task": {"start_offset_xy_m": "0.03"}}, {}, "task start_offset_xy_m"),
+    ({"plate": {"half_x_m": 0}}, {}, "plate half_x_m"),
+    ({"plate": {"half_y_m": -0.15}}, {}, "plate half_y_m"),
+    ({"ball": {"radius_m": 0}}, {}, "ball radius_m"),
+    ({"ball": {"rolling_friction": -0.1}}, {}, "ball rolling_friction"),
+    ({"ball": {"randomize": 1}}, {}, "ball randomize"),
+    ({"reward": {"accel_threshold_norm": 1.0}}, {}, "reward accel_threshold_norm"),
+    ({"reward": {"jerk_weight": 0}}, {}, "reward jerk_weight"),
+    ({"reward": {"deviation_low_rad": "0.03"}}, {}, "reward deviation_low_rad"),
+    ({"reward": {"deviation_high_rad": None}}, {}, "reward deviation_high_rad"),
+    ({"reward": {"termination_rad": [0.25]}}, {}, "reward termination_rad"),
+    ({"sampling": {"boxes_m": [[[0.1, 0.1, 0.1], [0.2, 0.2, 0.2]]]}}, {}, "sampling boxes_m"),
+    ({"sampling": {"height_band_m": [0.2, 0.1]}}, {}, "sampling height_band_m"),
+    ({"validate": {"v_max_range": [2.0, 1.0]}}, {}, "validate v_max_range"),
+    ({"validate": {"a_max_range": [0.0, 4.0]}}, {}, "validate a_max_range"),
+    ({"validate": {"jerk_fill_range": [0.5, 1.5]}}, {}, "validate jerk_fill_range"),
 ]
 
 
-@pytest.mark.parametrize("change, overrides, key", BAD_VALUES,
-                         ids=[json.dumps(c or {"load_config": o}) for c, o, _ in BAD_VALUES])
-def test_bad_count_or_fraction_is_configuration_error(tmp_path, change, overrides, key):
+def test_bad_values_cover_every_section_key():
+    assert {key for _, _, key in BAD_VALUES} >= {
+        f"{name} {key}" for name, keys in SECTION_KEYS.items() for key in keys}
+
+
+@pytest.mark.parametrize("change, flags, key", BAD_VALUES,
+                         ids=[json.dumps(c or {"load_config": f}) for c, f, _ in BAD_VALUES])
+def test_bad_count_or_fraction_is_configuration_error(tmp_path, capsys, change, flags, key):
     sections = {**SECTIONS, **{name: {**SECTIONS[name], **value} if name in SECTIONS
                                else value for name, value in change.items()}}
     path = _write_config(tmp_path, {"kind": "random"}, sections)
-    with pytest.raises(ConfigurationError, match=key):
-        load_config(path, **overrides)
+    argv = [arg for flag, value in flags.items() for arg in (f"--{flag}", str(value))]
+    assert cli.main(["validate-limits", "--config", str(path), *argv]) == 2
+    err = capsys.readouterr().err
+    section, _, name = key.partition(" ")
+    value = flags[key] if key in flags else change[section][name] if name else change[key]
+    assert err.startswith(f"configuration error: {key} must "), err
+    assert f"got {value!r}" in err, err
 
 
 def _stock_config(tmp_path, name, chain, change):

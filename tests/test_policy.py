@@ -169,21 +169,15 @@ def test_cem_converges_on_quadratic():
     assert history[-1]["mean_return"] > history[0]["mean_return"]
 
 
-def test_cem_elite_mean_dominates_population_mean():
-    _, history = pol.cem_optimize(lambda w: -float(np.sum(w**2)), dim=3,
-                                  generations=10, population=24,
-                                  elite_frac=0.25, seed=1)
-    for entry in history:
-        assert entry["elite_mean_return"] >= entry["mean_return"] - 1e-12
-
-
 def test_cem_full_elite_fraction_freezes_distribution():
-    _, history = pol.cem_optimize(lambda w: -float(w[0] ** 2), dim=1,
-                                  generations=5, population=16,
-                                  elite_frac=1.0, seed=2, init_std=0.3)
-    for entry in history:
-        np.testing.assert_array_equal(entry["dist_mean"], [0.0])
-        np.testing.assert_array_equal(entry["dist_std"], [0.3])
+    # every generation samples the initial distribution: zero mean, std 0.3
+    seen = []
+    pol.cem_optimize(lambda w: seen.append(w.copy()) or -float(w[0] ** 2), dim=1,
+                     generations=5, population=16, elite_frac=1.0, seed=2, init_std=0.3)
+    rng = np.random.default_rng(2)
+    for gen in range(5):
+        np.testing.assert_array_equal(seen[16 * gen:16 * (gen + 1)],
+                                      0.3 * rng.standard_normal((16, 1)))
 
 
 def test_cem_train_linear_policy_on_toy_objective():
