@@ -20,8 +20,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .environment import BallPlateEnv, episode_metrics
-from .errors import (BELOW_ONE, POSITIVE, ConfigurationError, at_least, check_fields,
-                     setting)
+from .errors import (BELOW_ONE, POSITIVE, ConfigurationError, at_least, check_domain,
+                     check_fields, setting)
 from .kinematics import plate_motion
 from .limits import (JointLimits, StepParams, check_limit_regime,
                      clip_action, integrate_step, substep_profile,
@@ -30,6 +30,8 @@ from .trajectory import ReferenceTrajectory
 
 # Slack of the campaign's normalized |v|, |a| and |j| over 1.
 CAMPAIGN_TOL = 1e-9
+# The campaign's counts, by config key; ``load_config`` checks them by these too.
+CAMPAIGN_COUNTS = {"validate episodes": at_least(1), "validate steps": at_least(1)}
 
 
 @dataclass(frozen=True)
@@ -116,7 +118,7 @@ def build_observation(p, v, a, limits: JointLimits, feedback,
         feedback,
         np.concatenate(rows),
     ])
-    return np.clip(obs, -1.0, 1.0)
+    return np.minimum(np.maximum(obs, -1.0), 1.0)
 
 
 JOINT_COLUMNS = ("p", "v", "a", "jerk", "raw", "act")  # (T, n_joints)
@@ -222,14 +224,14 @@ def rollout(reference: ReferenceTrajectory, policy, limits: JointLimits,
         obs = build_observation(p, v, a, limits, feedback, reference, t,
                                 weights.n_future)
         raw = np.asarray(policy.act(obs, policy_rng), dtype=float)
-        if not np.all(np.isfinite(raw)):
+        if not np.isfinite(raw).all():
             break
-        raw = np.clip(raw, -1.0, 1.0)
+        raw = np.minimum(np.maximum(raw, -1.0), 1.0)
         lo, hi = valid_accel_range(v, a, limits, params)
         a_next = clip_action(raw * limits.a_max, lo, hi)
 
         p_next, v_next = integrate_step(p, v, a, a_next, params.dt)
-        deviation = np.max(np.abs(p_next - reference.positions[t + 1]))
+        deviation = np.abs(p_next - reference.positions[t + 1]).max()
         if deviation > weights.termination:
             break
 
@@ -297,8 +299,8 @@ def run_limit_campaign(episodes: int, steps: int = 200, *, n_joints: int, dt: fl
     over its whole continuous profile, so every control tick is covered
     whatever the control period, and against the jerk bound.
     """
-    if episodes < 1 or steps < 1:
-        raise ConfigurationError("campaign needs episodes >= 1 and steps >= 1")
+    for name, count in (("validate episodes", episodes), ("validate steps", steps)):
+        check_domain(count, name, CAMPAIGN_COUNTS[name])
     rng = np.random.default_rng(seed)
     shape = (episodes, n_joints)
     if fixed_limits is not None:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import environment as envm
-from .adaptation import RewardWeights
+from .adaptation import CAMPAIGN_COUNTS, RewardWeights
 from .errors import POSITIVE_RANGE, ConfigurationError, at_least, check_domain, is_integer
 from .kinematics import ChainModel, load_chain
 from .limits import JointLimits, StepParams, check_limit_regime
@@ -90,7 +90,7 @@ VALUE_KINDS.update({
 # The domain of every count and campaign range that no field declares.
 DOMAINS = {"seed": at_least(0), "episodes": at_least(1), "workers": at_least(1),
            "stationary_steps": at_least(2), "generate count": at_least(1),
-           "validate episodes": at_least(1), "validate steps": at_least(1),
+           **CAMPAIGN_COUNTS,
            "validate v_max_range": POSITIVE_RANGE, "validate a_max_range": POSITIVE_RANGE,
            "validate jerk_fill_range": (lambda r: 0.0 < r[0] <= r[1] <= 1.0,
                                         "satisfy 0 < lo <= hi <= 1")}

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -268,13 +268,8 @@ def load_chain(path) -> tuple[ChainModel, JointLimits]:
             q_home=raw.get("q_home_rad"),
             name=raw.get("name", "chain"),
         )
-        limits = JointLimits(
-            p_min=[j["p_min_rad"] for j in joint_rows],
-            p_max=[j["p_max_rad"] for j in joint_rows],
-            v_max=[j["v_max_rad_per_s"] for j in joint_rows],
-            a_max=[j["a_max_rad_per_s2"] for j in joint_rows],
-            j_max=[j["j_max_rad_per_s3"] for j in joint_rows],
-        )
+        limits = JointLimits(**{f.name: [j[f.metadata["key"]] for j in joint_rows]
+                                for f in fields(JointLimits)})
     except KeyError as exc:
         raise ConfigurationError(f"chain file {path} is missing field {exc}") from exc
     except (TypeError, ValueError) as exc:

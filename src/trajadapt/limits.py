@@ -11,15 +11,19 @@ or (batch, n_joints) arrays all work, which keeps large validation campaigns
 vectorized.
 
 The lower velocity bound is the sign reflection of the upper one, so
-``valid_accel_bounds`` evaluates both sides in one ``max_accel_velocity`` call
-on the stacked states (v0, a0) and (-v0, -a0).  The ripple correction is
-evaluated only on the entries where the velocity bound binds, and not at all
-when none does: one ``np.flatnonzero`` of the binding test gives their flat
-indices into the stacked (2, ...) arrays, ``take`` gathers the k states and
-limits and ``put`` writes the shifted bounds back.  ``_correction_shift``
-lays its six candidate interval counts out as (6, k) rows, so every element
-pass runs over k contiguous entries.  Likewise ``max_accel_velocity``
-evaluates its in-step root only on the entries past the in-step threshold.
+``valid_accel_bounds`` evaluates both sides at once on the stacked (2, ...)
+states (v0, a0) and (-v0, -a0).  It broadcasts a limit to the states' shape
+once, at entry, where its shape differs, and never stacks one: a flat index
+into the stacked states, modulo the limits' size, indexes them.  It calls
+the internal ``_velocity_bound`` and ``_shifted_bound`` (j_max * dt
+precomputed) under one errstate; ``max_accel_velocity`` and
+``_correction_shift`` wrap them.  The ripple correction runs only on the k
+entries where the velocity bound binds: ``nonzero`` gives their flat
+indices, ``take`` gathers them and ``put`` writes the shifted bounds back,
+with the six candidate interval counts as (6, k) rows.  The in-step root is
+likewise evaluated only past its threshold.  On (n_joints,) arrays numpy's
+Python-level wrappers cost more than the arithmetic, so the kernels call
+ufuncs and array methods alone.
 
 Supported limit regime
 ----------------------
@@ -65,7 +69,8 @@ normalized jerk of 1 + LIMIT_EPS / (j_max * dt).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -90,39 +95,45 @@ class JointLimits:
 
     ``v_max``, ``a_max`` and ``j_max`` are magnitudes; the lower bounds are
     their negations.  ``p_min``/``p_max`` are only used for normalization and
-    (indirectly) by the deviation-based episode termination.
+    (indirectly) by the deviation-based episode termination.  A field's
+    ``key`` names it in a chain file (``kinematics.load_chain``).
     """
 
-    p_min: np.ndarray
-    p_max: np.ndarray
-    v_max: np.ndarray
-    a_max: np.ndarray
-    j_max: np.ndarray
+    p_min: np.ndarray = field(metadata={"key": "p_min_rad"})
+    p_max: np.ndarray = field(metadata={"key": "p_max_rad"})
+    v_max: np.ndarray = field(metadata={"key": "v_max_rad_per_s"})
+    a_max: np.ndarray = field(metadata={"key": "a_max_rad_per_s2"})
+    j_max: np.ndarray = field(metadata={"key": "j_max_rad_per_s3"})
 
     def __post_init__(self):
-        for name in ("p_min", "p_max", "v_max", "a_max", "j_max"):
-            object.__setattr__(self, name, np.atleast_1d(_as_float_array(getattr(self, name))))
-        n = self.p_min.shape[0]
-        for name in ("p_min", "p_max", "v_max", "a_max", "j_max"):
-            if getattr(self, name).shape[0] != n:
-                raise ConfigurationError(f"JointLimits field {name} has wrong length")
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ConfigurationError(f"JointLimits field {name} must be finite")
-        if not np.all(self.p_min < self.p_max):
-            raise ConfigurationError("JointLimits requires p_min < p_max per joint")
-        for name in ("v_max", "a_max", "j_max"):
-            if not np.all(getattr(self, name) > 0.0):
-                raise ConfigurationError(f"JointLimits requires {name} > 0 per joint")
+        for f in fields(self):
+            x = np.atleast_1d(_as_float_array(getattr(self, f.name)))
+            object.__setattr__(self, f.name, x)
+            if x.shape[0] != self.n_joints:
+                raise ConfigurationError(f"JointLimits field {f.name} has wrong length")
+            self._require(f, np.isfinite(x), "be finite")
+        p_min, _, *magnitudes = fields(self)
+        self._require(p_min, self.p_min < self.p_max, "be < p_max")
+        for f in magnitudes:
+            self._require(f, getattr(self, f.name) > 0.0, "be > 0")
+
+    def _require(self, f, ok: np.ndarray, need: str) -> None:
+        """Reject field ``f`` unless ``ok`` holds for every joint."""
+        if not ok.all():
+            j = int(ok.argmin())
+            raise ConfigurationError(
+                f"JointLimits {f.name} ({f.metadata['key']}) must {need} per joint, "
+                f"got {float(getattr(self, f.name)[j])!r} at joint {j}")
 
     @property
     def n_joints(self) -> int:
         return self.p_min.shape[0]
 
-    @property
+    @cached_property
     def p_mid(self) -> np.ndarray:
         return 0.5 * (self.p_min + self.p_max)
 
-    @property
+    @cached_property
     def p_half_range(self) -> np.ndarray:
         return 0.5 * (self.p_max - self.p_min)
 
@@ -150,14 +161,14 @@ class StepParams:
 def check_limit_regime(limits: JointLimits, dt: float) -> None:
     """Reject limit/period combinations outside the supported safety envelope."""
     jd = limits.j_max * dt
-    if np.any(jd > limits.a_max * (1.0 + 1e-12)):
-        raise ConfigurationError(
-            "unsupported regime: j_max * dt exceeds a_max for some joint"
-        )
-    if np.any(jd * dt > limits.v_max * (1.0 + 1e-12)):
-        raise ConfigurationError(
-            "unsupported regime: j_max * dt**2 exceeds v_max for some joint"
-        )
+    for value, what, bound, name in ((jd, "j_max * dt", limits.a_max, "a_max"),
+                                     (jd * dt, "j_max * dt**2", limits.v_max, "v_max")):
+        over = value > bound * (1.0 + 1e-12)
+        if over.any():
+            j = int(over.argmax())
+            raise ConfigurationError(
+                f"unsupported regime at joint {j}: {what} = {value[j]:g} exceeds "
+                f"{name} = {bound[j]:g} at step dt_s {dt:g}")
 
 
 def max_accel_velocity(v0, a0, v_max, j_max, dt):
@@ -178,29 +189,37 @@ def max_accel_velocity(v0, a0, v_max, j_max, dt):
     limit); v0 == v_max with a0 != 0 falls back to the braking-phase formula,
     whose denominator never vanishes.
     """
-    v0, a0, v_max, j_max = (_as_float_array(x) for x in (v0, a0, v_max, j_max))
-    neg_jd = -j_max * dt
+    v0, a0, v_max, j_max = np.broadcast_arrays(
+        *(_as_float_array(x) for x in (v0, a0, v_max, j_max)))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        out = _velocity_bound(v0, a0, v_max, j_max * dt, dt)
+    return out if out.ndim else float(out)
+
+
+def _velocity_bound(v0, a0, v_max, jd, dt):
+    """``max_accel_velocity`` of states ``v0``, ``a0`` under limits
+    ``v_max`` and ``jd`` = j_max * dt of their shape or of their trailing
+    axes: an entry's flat index modulo the limits' size picks its limit.
+    Runs under the caller's errstate."""
+    neg_jd = -jd
 
     # Braking-phase solution: quadratic in a1, root chosen so smaller a1 is safer.
-    with np.errstate(invalid="ignore", divide="ignore"):
-        disc = 1.0 + (8.0 * (v0 - v_max) + 4.0 * a0 * dt) / (neg_jd * dt)
-        disc = np.maximum(disc, 0.0)
-        out = (neg_jd / 2.0) * (1.0 - np.sqrt(disc))
+    disc = 1.0 + (8.0 * (v0 - v_max) + 4.0 * a0 * dt) / (neg_jd * dt)
+    disc = np.maximum(disc, 0.0)
+    out = (neg_jd / 2.0) * (1.0 - np.sqrt(disc))
 
-    past = np.flatnonzero(np.broadcast_to(v0 + 0.5 * a0 * dt >= v_max, out.shape))
+    past = (v0 + 0.5 * a0 * dt >= v_max).ravel().nonzero()[0]
     if past.size:
         # In-step-peak solution on the entries past the threshold alone; a
         # zero gap divides by zero but is never selected.  (A 0-d ``out``
         # is a numpy scalar until made an array.)
         out = np.asarray(out)
-        v0_p, a0_p, v_max_p = (np.broadcast_to(x, out.shape).ravel().take(past)
-                               for x in (v0, a0, v_max))
-        gap = v_max_p - v0_p
-        with np.errstate(invalid="ignore", divide="ignore"):
-            instep = a0_p * (1.0 - (a0_p * dt) / (2.0 * gap))
+        a0_p = a0.take(past)
+        gap = v_max.take(past % v_max.size) - v0.take(past)
+        instep = a0_p * (1.0 - (a0_p * dt) / (2.0 * gap))
         out.put(past, np.where(a0_p == 0.0, 0.0,
                                np.where(gap > 0.0, instep, out.take(past))))
-    return out if out.ndim else float(out)
+    return out
 
 
 # Candidate interval counts around the plain bound's zero-crossing step, one
@@ -224,14 +243,20 @@ def _correction_shift(v0, a0, a_unc, v_max, a_max, j_max, dt):
     returned.  Where no candidate is admissible the plain bound is returned
     unchanged (it is always safe).
 
-    All array arguments are (k,) vectors: ``valid_accel_bounds`` gathers
-    only the entries where the velocity bound binds.  The candidates are
-    laid out (6, k), one row per interval-count offset.
+    ``valid_accel_bounds`` gathers only the entries where the velocity
+    bound binds, as (k,) vectors.  The candidates are laid out (6, k), one
+    row per interval-count offset.
     """
-    jd = j_max * dt
-
+    *args, j_max = np.broadcast_arrays(
+        *(_as_float_array(x) for x in (v0, a0, a_unc, v_max, a_max, j_max)))
     with np.errstate(invalid="ignore", divide="ignore"):
-        n0 = np.ceil(np.maximum(a_unc, 0.0) / jd)
+        return _shifted_bound(*args, j_max * dt, dt)
+
+
+def _shifted_bound(v0, a0, a_unc, v_max, a_max, jd, dt):
+    """``_correction_shift`` of (k,) vectors with ``jd`` = j_max * dt, under
+    the caller's errstate."""
+    n0 = np.ceil(np.maximum(a_unc, 0.0) / jd)
     # clip to [1, 1e6], NaN to 1
     n0 = np.fmin(np.fmax(n0, 1.0), 1e6)
     n = np.maximum(n0 + _CANDIDATE_OFFSETS, 1.0)
@@ -244,14 +269,13 @@ def _correction_shift(v0, a0, a_unc, v_max, a_max, j_max, dt):
     a_tail = a_star - m
 
     floor = np.maximum(np.maximum(a0 - jd, -a_max) - LIMIT_EPS, -LIMIT_EPS)
-    admissible = (
-        (a_star >= floor)
-        & (a_star <= a_unc + LIMIT_EPS)
-        & (a_tail >= -LIMIT_EPS)
-        & (a_tail <= jd + LIMIT_EPS)
-    )
+    admissible = a_star >= floor
+    admissible &= a_star <= a_unc + LIMIT_EPS
+    admissible &= a_tail >= -LIMIT_EPS
+    admissible &= a_tail <= jd + LIMIT_EPS
 
-    best = np.max(np.where(admissible, a_star, -np.inf), axis=0)
+    np.copyto(a_star, -np.inf, where=~admissible)
+    best = a_star.max(axis=0)
     return np.where(np.isfinite(best), np.minimum(np.maximum(best, 0.0), a_unc), a_unc)
 
 
@@ -272,57 +296,56 @@ def valid_accel_bounds(v0, a0, v_max, a_max, j_max, dt, *, correction_enabled):
     A NaN or infinite ``v0`` or ``a0`` raises ``NonFiniteStateError``; the
     limits are not checked here, ``JointLimits`` rejects non-finite ones.
     """
-    v0 = _as_float_array(v0)
-    a0 = _as_float_array(a0)
-    v_max = _as_float_array(v_max)
-    a_max = _as_float_array(a_max)
-    j_max = _as_float_array(j_max)
+    v0, a0, v_max, a_max, j_max = (_as_float_array(x) for x in (v0, a0, v_max, a_max, j_max))
     shape = np.broadcast(v0, a0, v_max, a_max, j_max).shape
     if not (np.isfinite(v0).all() and np.isfinite(a0).all()):
         raise NonFiniteStateError("valid acceleration range needs a finite "
                                   "joint velocity and acceleration")
+    # the limits at the full shape, so a flat index into the stacked (2,
+    # *shape) states, modulo their size, is a flat index into each
+    v_max, a_max, j_max = (x if x.shape == shape else np.broadcast_to(x, shape)
+                           for x in (v_max, a_max, j_max))
+    jd = j_max * dt
 
     # Row 0 is the upper velocity bound, row 1 the upper bound of the
     # sign-reflected state, i.e. minus the lower bound.
     v_refl = _reflected(v0, shape)
     a_refl = _reflected(a0, shape)
-    vel = max_accel_velocity(v_refl, a_refl, v_max, j_max, dt)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        vel = _velocity_bound(v_refl, a_refl, v_max, jd, dt)
 
-    ceil = np.minimum(a0 + j_max * dt, a_max)
-    floor = np.maximum(a0 - j_max * dt, -a_max)
+        ceil = np.minimum(a0 + jd, a_max)
+        floor = np.maximum(a0 - jd, -a_max)
 
-    if correction_enabled:
-        binding = np.stack((vel[0] <= ceil + LIMIT_EPS, -vel[1] >= floor - LIMIT_EPS))
-        at = np.flatnonzero(binding)
-        if at.size:
-            # flat indices into (2, *shape); modulo its row size, into shape
-            joint = at % vel[0].size
-            vel.put(at, _correction_shift(
-                v_refl.take(at), a_refl.take(at), vel.take(at),
-                *(np.broadcast_to(x, shape).ravel().take(joint)
-                  for x in (v_max, a_max, j_max)),
-                dt,
-            ))
+        if correction_enabled:
+            binding = np.empty(vel.shape, dtype=bool)
+            np.less_equal(vel[0], ceil + LIMIT_EPS, out=binding[0, ...])
+            np.greater_equal(-vel[1], floor - LIMIT_EPS, out=binding[1, ...])
+            at = binding.ravel().nonzero()[0]
+            if at.size:
+                joint = at % jd.size
+                vel.put(at, _shifted_bound(
+                    v_refl.take(at), a_refl.take(at), vel.take(at),
+                    v_max.take(joint), a_max.take(joint), jd.take(joint), dt))
 
-    hi = np.minimum(ceil, vel[0])
-    lo = np.maximum(floor, -vel[1])
+        hi = np.minimum(ceil, vel[0])
+        lo = np.maximum(floor, -vel[1])
 
-    bad = lo - hi > LIMIT_EPS
-    if np.any(bad):
-        # Boundary states (module docstring): brake at full jerk on the
-        # binding side if the state moved toward safety has a range.
-        v_b = v_refl[:, bad]
-        vel_b = max_accel_velocity(
-            v_b - BOUNDARY_ULPS * np.abs(np.spacing(v_b)), a_refl[:, bad],
-            *(np.broadcast_to(x, shape)[bad] for x in (v_max, j_max)), dt)
-        ceil_b, floor_b = ceil[bad], floor[bad]
-        empty = np.maximum(floor_b, -vel_b[1]) > np.minimum(ceil_b, vel_b[0])
-        if np.any(empty):
-            idx = np.argwhere(bad)[np.argmax(empty)]
-            joint = idx[-1] if idx.size else 0
-            raise LimitConsistencyError(joint, lo[tuple(idx)], hi[tuple(idx)])
+        bad = lo - hi > LIMIT_EPS
+        if bad.any():
+            # Boundary states (module docstring): brake at full jerk on the
+            # binding side if the state moved toward safety has a range.
+            v_b = v_refl[:, bad]
+            vel_b = _velocity_bound(v_b - BOUNDARY_ULPS * np.abs(np.spacing(v_b)),
+                                    a_refl[:, bad], v_max[bad], jd[bad], dt)
+            ceil_b, floor_b = ceil[bad], floor[bad]
+            empty = np.maximum(floor_b, -vel_b[1]) > np.minimum(ceil_b, vel_b[0])
+            if empty.any():
+                idx = np.argwhere(bad)[empty.argmax()]
+                joint = idx[-1] if idx.size else 0
+                raise LimitConsistencyError(joint, lo[tuple(idx)], hi[tuple(idx)])
     over = lo > hi
-    if np.any(over):
+    if over.any():
         # boundary states and thin ranges (module docstring)
         brake = np.where(vel[0] < ceil, floor, ceil)
         lo = np.where(over, brake, lo)[()]

@@ -141,7 +141,7 @@ class TrackingPolicy:
         return a_ff + self.kp * (target - p) + self.kd * (v_ref - v)
 
     def act(self, obs, rng) -> np.ndarray:
-        return np.clip(self.tracking_accel(obs) / self.limits.a_max, -1.0, 1.0)
+        return np.minimum(np.maximum(self.tracking_accel(obs) / self.limits.a_max, -1.0), 1.0)
 
 
 class PDBalancePolicy(TrackingPolicy):
@@ -195,7 +195,7 @@ class PDBalancePolicy(TrackingPolicy):
 
         shift = np.zeros(lim.n_joints)
         shift[self.mask] = self.tilt_to_joints @ tilt
-        return np.clip(self.tracking_accel(obs, shift) / lim.a_max, -1.0, 1.0)
+        return np.minimum(np.maximum(self.tracking_accel(obs, shift) / lim.a_max, -1.0), 1.0)
 
 
 class LinearPolicy:
@@ -220,7 +220,7 @@ class LinearPolicy:
 
     def act(self, obs, rng) -> np.ndarray:
         x = np.concatenate([np.asarray(obs, dtype=float), [1.0]])
-        return np.clip(self.weights @ x, -1.0, 1.0)
+        return np.minimum(np.maximum(self.weights @ x, -1.0), 1.0)
 
     def save(self, path) -> None:
         np.savetxt(path, self.weights,

@@ -445,8 +445,11 @@ def test_campaign_single_step():
 
 
 def test_campaign_validates_arguments():
-    with pytest.raises(ConfigurationError):
-        ad.run_limit_campaign(episodes=0, steps=10, seed=0, n_joints=7, dt=0.05, correction_enabled=True)
+    for episodes, steps, name in ((0, 10, "episodes"), (5, 0, "steps")):
+        with pytest.raises(ConfigurationError,
+                           match=f"^validate {name} must be an integer >= 1, got 0$"):
+            ad.run_limit_campaign(episodes=episodes, steps=steps, seed=0, n_joints=7, dt=0.05,
+                                  correction_enabled=True)
 
 
 def test_campaign_reports_violations_of_widened_range(monkeypatch):

@@ -401,12 +401,23 @@ def test_step_params_validation():
 
 
 def test_joint_limits_validation():
-    with pytest.raises(ConfigurationError):
+    # each message names the field, its chain-file key, the first offending
+    # joint and its value; the regime check names both sides and dt_s
+    with pytest.raises(ConfigurationError, match=r"JointLimits p_min \(p_min_rad\) "
+                       r"must be < p_max per joint, got 0\.0 at joint 0$"):
         lim.JointLimits(p_min=[0.0], p_max=[0.0], v_max=[1], a_max=[1], j_max=[1])
-    with pytest.raises(ConfigurationError):
-        lim.JointLimits(p_min=[-1], p_max=[1], v_max=[1], a_max=[0.0], j_max=[1])
-    with pytest.raises(ConfigurationError):
-        lim.check_limit_regime(_simple_limits(v=1.0, a=0.5, j=20.0), 0.05)
+    with pytest.raises(ConfigurationError, match=r"JointLimits a_max \(a_max_rad_per_s2\) "
+                       r"must be > 0 per joint, got -2\.0 at joint 1$"):
+        lim.JointLimits(p_min=[-1, -1, -1], p_max=[1, 1, 1], v_max=[1, 1, 1],
+                        a_max=[1, -2.0, 0.0], j_max=[1, 1, 1])
+    two = dict(p_min=[-1, -1], p_max=[1, 1], v_max=[1.0, 1.0], a_max=[2.0, 2.0],
+               j_max=[20.0, 20.0])
+    with pytest.raises(ConfigurationError, match=r"^unsupported regime at joint 1: "
+                       r"j_max \* dt = 1 exceeds a_max = 0\.5 at step dt_s 0\.05$"):
+        lim.check_limit_regime(lim.JointLimits(**dict(two, a_max=[2.0, 0.5])), 0.05)
+    with pytest.raises(ConfigurationError, match=r"^unsupported regime at joint 0: "
+                       r"j_max \* dt\*\*2 = 0\.05 exceeds v_max = 0\.01 at step dt_s 0\.05$"):
+        lim.check_limit_regime(lim.JointLimits(**dict(two, v_max=[0.01, 1.0])), 0.05)
 
 
 @pytest.mark.parametrize("field", ["p_min", "p_max", "v_max", "a_max", "j_max"])
@@ -609,6 +620,22 @@ def test_kernels_match_frozen_reference(correction):
     tiled = (np.tile(x, 5_000) for x in limits)
     states = (x.reshape(5_000, 7) for x in _oracle_states(rng, *tiled, dt))
     _assert_same_outcome(*states, *limits, dt, correction=correction)
+
+    # scalar limits with (n,) states, a scalar state with (n,) limits
+    for _ in range(300):
+        one = tuple(float(x[0]) for x in _regime_limits(rng, 1, dt))
+        states = _oracle_states(rng, *(np.full(7, x) for x in one), dt)
+        _assert_same_outcome(*states, *one, dt, correction=correction)
+        limits = _regime_limits(rng, 7, dt)
+        j = rng.integers(0, 7)
+        v0, a0 = (float(x[j]) for x in _oracle_states(rng, *limits, dt))
+        _assert_same_outcome(v0, a0, *limits, dt, correction=correction)
+
+    # (E, 1) limits with (E, n) states
+    limits = _regime_limits(rng, 5_000, dt)
+    tiled = (np.repeat(x, 7) for x in limits)
+    states = (x.reshape(5_000, 7) for x in _oracle_states(rng, *tiled, dt))
+    _assert_same_outcome(*states, *(x[:, None] for x in limits), dt, correction=correction)
 
 
 @pytest.mark.parametrize("correction", [False, True])
