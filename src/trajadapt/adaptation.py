@@ -23,7 +23,7 @@ from .environment import BallPlateEnv, episode_metrics
 from .errors import (BELOW_ONE, POSITIVE, ConfigurationError, at_least, check_domain,
                      check_fields, setting)
 from .kinematics import plate_motion
-from .limits import (JointLimits, StepParams, check_limit_regime,
+from .limits import (JointLimits, StepParams, all_finite, check_limit_regime,
                      clip_action, integrate_step, substep_profile,
                      valid_accel_bounds, valid_accel_range)
 from .trajectory import ReferenceTrajectory
@@ -224,7 +224,7 @@ def rollout(reference: ReferenceTrajectory, policy, limits: JointLimits,
         obs = build_observation(p, v, a, limits, feedback, reference, t,
                                 weights.n_future)
         raw = np.asarray(policy.act(obs, policy_rng), dtype=float)
-        if not np.isfinite(raw).all():
+        if not all_finite(raw):
             break
         raw = np.minimum(np.maximum(raw, -1.0), 1.0)
         lo, hi = valid_accel_range(v, a, limits, params)

@@ -204,10 +204,15 @@ def load_config(path, seed=None, episodes=None, workers=None, out=None) -> RunCo
 
     if not raw.get("chain_file"):
         raise ConfigurationError("config needs a chain_file entry")
-    model, limits = load_chain(base / raw["chain_file"])
+    chain_path = base / raw["chain_file"]
+    model, limits = load_chain(chain_path)
 
     step = StepParams(**_section(raw, "step")[1])
-    check_limit_regime(limits, step.dt)
+    try:
+        check_limit_regime(limits, step.dt)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"chain file {chain_path} has limits outside the "
+                                 f"supported regime: {exc}") from None
     use_environment = raw.get("use_environment", True)
     if use_environment and step.substeps < 2:
         # the finite-difference plate acceleration needs 3 control ticks

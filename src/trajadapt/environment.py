@@ -25,6 +25,16 @@ passes them with the ball arrays to ``step_ball`` and gets back new arrays
 and whether the ball is still on the plate.  How an episode ended is read
 afterwards from its log (``episode_metrics``).
 
+``step_ball`` takes every tick's drive from one batched ``plate_drive`` call
+and runs its tick loop on Python floats: on (2,) arrays numpy's per-call
+cost is larger than the arithmetic.  The ball's speed (and, for a ball at
+rest, the drive's magnitude) stays the square root of numpy's dot product
+on a reused (2,) scratch array (``planar_norm``), because that is what
+``np.linalg.norm`` computes: the BLAS dot may fuse a multiply-add (the
+OpenBLAS 0.3.31 bundled with numpy 2.4 returns fma(y, y, x*x) on an AVX2
+x86-64 CPU), so ``math.hypot`` or x*x + y*y differ from it in the last bit
+on some vectors, and every later tick with them.
+
 ``BallPlateEnv(model, geometry, task, ball)`` is built from the ``plate``,
 ``task`` and ``ball`` config sections alone: each reset puts the ball at
 rest at ``TaskSpec.start`` (the target plus ``start_offset``) and draws its
@@ -139,25 +149,32 @@ def plate_drive(rotations, lin_acc) -> np.ndarray:
     return ROLLING_FACTOR * ((G_WORLD - lin_acc)[:, None, :] @ rotations)[:, 0, :2]
 
 
-def ball_acceleration(drive: np.ndarray, velocity: np.ndarray,
-                      params: BallParams) -> np.ndarray:
-    """Plate-frame ball acceleration for one tick: the tick's ``plate_drive``
-    row less rolling resistance against the velocity (2,)."""
-    # sqrt of the dot product is bit for bit np.linalg.norm; math.hypot or
-    # x*x + y*y round differently on some vectors
-    speed = math.sqrt(velocity.dot(velocity))
-    resist = params.rolling_friction * GRAVITY
+def planar_norm(x: float, y: float, buf: np.ndarray) -> float:
+    """|(x, y)| bit for bit as ``np.linalg.norm`` computes it (see the module
+    docstring), through the (2,) float64 scratch array ``buf``."""
+    buf[0], buf[1] = x, y
+    return math.sqrt(buf.dot(buf))
+
+
+def ball_acceleration(drive, velocity, speed: float, resist: float, buf: np.ndarray):
+    """Plate-frame ball acceleration (ax, ay) for one tick, as floats: the
+    tick's ``plate_drive`` row ``drive`` (x, y) less the rolling resistance
+    ``resist`` (friction times g) against ``velocity`` (x, y), whose
+    magnitude is ``speed``.  ``buf`` is ``planar_norm``'s scratch array."""
+    dx, dy = drive
     if speed < 1e-12:
         # static: rolling resistance holds the ball if it can
-        if math.sqrt(drive.dot(drive)) <= resist:
-            return np.zeros(2)
-        return drive
-    return drive - resist * velocity / speed
+        if planar_norm(dx, dy, buf) <= resist:
+            return 0.0, 0.0
+        return dx, dy
+    vx, vy = velocity
+    return dx - resist * vx / speed, dy - resist * vy / speed
 
 
-def effective_bounds(geometry: PlateGeometry, params: BallParams) -> np.ndarray:
-    """Centre-of-ball bounds; the ball leaves when its edge passes the rim."""
-    return geometry.half_extents - params.radius
+def effective_bounds(geometry: PlateGeometry, params: BallParams) -> tuple:
+    """Centre-of-ball bounds (x, y); the ball leaves when its edge passes
+    the rim."""
+    return geometry.half_x - params.radius, geometry.half_y - params.radius
 
 
 def step_ball(position, velocity, rotations, lin_acc, params: BallParams,
@@ -167,28 +184,35 @@ def step_ball(position, velocity, rotations, lin_acc, params: BallParams,
     ``position`` and ``velocity`` (2,) are the ball's plate-frame state,
     ``rotations`` (k, 3, 3) the plate's world rotation matrices and
     ``lin_acc`` (k, 3) the world-frame accelerations of its origin, one row
-    per tick.  One ``plate_drive`` call gives every tick's drive; only the
-    rolling resistance, which depends on the velocity, runs per tick.
-    Semi-implicit: velocity first, then position.  Returns new (position,
-    velocity, on_plate) arrays and flag; integration stops at the tick the
-    ball leaves the plate (that is a state, not an error).
+    per tick.  One ``plate_drive`` call gives every tick's drive; the tick
+    loop runs on Python floats.  Semi-implicit: velocity first, then
+    position.  Returns new (position, velocity) arrays and whether the ball
+    is on the plate; integration stops at the tick the ball leaves the
+    plate (that is a state, not an error).
     """
     if len(rotations) != len(lin_acc):
         raise ValueError(f"{len(rotations)} plate rotations but "
                          f"{len(lin_acc)} origin accelerations")
     bound_x, bound_y = effective_bounds(geometry, params)
-    stop_speed = params.rolling_friction * GRAVITY * dt
-    for drive in plate_drive(rotations, lin_acc):
-        new_v = velocity + ball_acceleration(drive, velocity, params) * dt
+    resist = params.rolling_friction * GRAVITY
+    stop_speed = resist * dt
+    (x, y), (vx, vy) = position.tolist(), velocity.tolist()
+    buf = np.empty(2)
+    on_plate = True
+    for drive in plate_drive(rotations, lin_acc).tolist():
+        # a ball at rest has speed 0.0 exactly, without the dot product
+        speed = planar_norm(vx, vy, buf) if vx or vy else 0.0
+        ax, ay = ball_acceleration(drive, (vx, vy), speed, resist, buf)
+        new_vx, new_vy = vx + ax * dt, vy + ay * dt
         # Coulomb resistance must not reverse the velocity within a substep
-        if new_v.dot(velocity) < 0 and math.sqrt(velocity.dot(velocity)) < stop_speed:
-            new_v = np.zeros(2)
-        velocity = new_v
-        position = position + velocity * dt
-        x, y = position
+        if speed < stop_speed and np.dot((new_vx, new_vy), (vx, vy)) < 0:
+            new_vx = new_vy = 0.0
+        vx, vy = new_vx, new_vy
+        x, y = x + vx * dt, y + vy * dt
         if abs(x) > bound_x or abs(y) > bound_y:
-            return position, velocity, False
-    return position, velocity, True
+            on_plate = False
+            break
+    return np.array((x, y)), np.array((vx, vy)), on_plate
 
 
 def task_reward(position, on_plate: bool, spec: TaskSpec, geometry: PlateGeometry,
@@ -206,9 +230,9 @@ def task_reward(position, on_plate: bool, spec: TaskSpec, geometry: PlateGeometr
     if spec.kind == "on_plate":
         frac = float(np.max(np.abs(position) / effective_bounds(geometry, params)))
     else:
-        d = float(np.linalg.norm(position - spec.target))
-        frac = d / spec.success_bound
-    return float(np.clip(1.0 - min(frac, 1.0) ** k, 0.0, 1.0))
+        offset = position - spec.target
+        frac = math.sqrt(offset.dot(offset)) / spec.success_bound
+    return min(max(1.0 - min(frac, 1.0) ** k, 0.0), 1.0)
 
 
 def sensor_feedback(measured, previous, spec: TaskSpec,
@@ -223,7 +247,7 @@ def sensor_feedback(measured, previous, spec: TaskSpec,
     parts = [measured / half, previous / half]
     if spec.kind == "in_place":
         parts.append((measured - spec.target) / half)
-    return np.clip(np.concatenate(parts), -1.0, 1.0)
+    return np.minimum(np.maximum(np.concatenate(parts), -1.0), 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,8 @@ class JointRow:
 @dataclass(frozen=True)
 class ChainModel:
     """Joint rows plus the plate transform; the fixed rotations (mounts, plate
-    offset) and each joint's cross-product matrices are computed once here."""
+    offset) and each joint's cross-product matrix K and its square are
+    computed once here."""
 
     joints: tuple
     plate_xyz: np.ndarray = field(default_factory=lambda: np.zeros(3))
@@ -75,6 +76,7 @@ class ChainModel:
     mounts: np.ndarray = field(init=False, repr=False, compare=False)
     plate_rot: np.ndarray = field(init=False, repr=False, compare=False)
     axis_skews: np.ndarray = field(init=False, repr=False, compare=False)
+    axis_skews_sq: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.joints) < 1:
@@ -94,6 +96,7 @@ class ChainModel:
         zero = np.zeros_like(x)
         skews = np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=1)
         object.__setattr__(self, "axis_skews", skews.reshape(-1, 3, 3))
+        object.__setattr__(self, "axis_skews_sq", self.axis_skews @ self.axis_skews)
 
     @property
     def n_joints(self) -> int:
@@ -103,10 +106,12 @@ class ChainModel:
 def _frames(model: ChainModel, q):
     """FK for a batch of joint vectors ``q`` of shape (k, n).
 
-    Returns the world origin (k, n, 3) and axis (k, n, 3) of every joint and
-    the plate position (k, 3) and rotation (k, 3, 3).  Each joint rotation
-    is Rodrigues' formula I + sin(q) K + (1 - cos(q)) K^2, K being the
-    axis's cross-product matrix, after the joint's cached mount rotation.
+    Returns the world origin (k, 3) and rotation (k, 3, 3) of every joint
+    frame, as lists of n arrays, and the plate position (k, 3) and rotation
+    (k, 3, 3).  Each joint rotation is Rodrigues' formula I + sin(q) K +
+    (1 - cos(q)) K^2, K being the axis's cross-product matrix, after the
+    joint's cached mount rotation.  The joint frames are the arrays the
+    loop computes anyway; only the Jacobian reads them.
     """
     q = np.asarray(q, dtype=float)
     if q.shape[-1] != model.n_joints:
@@ -114,20 +119,16 @@ def _frames(model: ChainModel, q):
             f"expected {model.n_joints} joint values, got {q.shape[-1]}")
     sin = np.sin(q)[:, :, None, None]
     vers = (1.0 - np.cos(q))[:, :, None, None]
-    skews = model.axis_skews
-    local = model.mounts @ (_EYE3 + sin * skews + vers * (skews @ skews))
-    k = q.shape[0]
-    pos = np.zeros((k, 3))
-    rot = np.broadcast_to(_EYE3, (k, 3, 3))
-    origins = np.empty((k, model.n_joints, 3))
-    axes = np.empty((k, model.n_joints, 3))
+    local = model.mounts @ (_EYE3 + sin * model.axis_skews + vers * model.axis_skews_sq)
+    pos = np.zeros((q.shape[0], 3))
+    rot = np.broadcast_to(_EYE3, (q.shape[0], 3, 3))
+    origins, rots = [], []
     for i, row in enumerate(model.joints):
         pos = pos + rot @ row.origin_xyz
         rot = rot @ local[:, i]
-        origins[:, i] = pos
-        # the joint rotation leaves its own axis fixed
-        axes[:, i] = rot @ row.axis
-    return origins, axes, pos + rot @ model.plate_xyz, rot @ model.plate_rot
+        origins.append(pos)
+        rots.append(rot)
+    return origins, rots, pos + rot @ model.plate_xyz, rot @ model.plate_rot
 
 
 def fk_transform(model: ChainModel, q):
@@ -138,17 +139,20 @@ def fk_transform(model: ChainModel, q):
 
 def jacobian(model: ChainModel, q) -> np.ndarray:
     """Geometric Jacobian (6 x n): rows 0-2 linear, 3-5 angular."""
-    origins, axes, plate_pos, _ = _frames(model, np.asarray(q, dtype=float)[None])
-    return _jacobian_from_frames(origins[0], axes[0], plate_pos[0])
+    origins, rots, plate_pos, _ = _frames(model, np.asarray(q, dtype=float)[None])
+    return _jacobian_from_frames(model, origins, rots, plate_pos)
 
 
-def _jacobian_from_frames(origins, axes, plate_pos) -> np.ndarray:
-    """Jacobian from one pose's joint origins (n, 3), axes (n, 3) and plate
-    position (3,), as ``_frames`` returns them.  The linear rows are
-    axis x (plate - origin), written out as ``np.cross`` computes them; the
-    result is column-major, the layout the IK solve's BLAS calls round for."""
+def _jacobian_from_frames(model: ChainModel, origins, rots, plate_pos) -> np.ndarray:
+    """Jacobian from the joint origins, joint rotations and plate position
+    that ``_frames`` returns for a batch of one pose.  A joint's axis is
+    its frame rotation applied to its joint-frame axis (the joint rotation
+    leaves its own axis fixed).  The linear rows are axis x (plate -
+    origin), written out as ``np.cross`` computes them; the result is
+    column-major, the layout the IK solve's BLAS calls round for."""
+    axes = np.array([(rot @ row.axis)[0] for rot, row in zip(rots, model.joints)])
     a0, a1, a2 = axes.T
-    b0, b1, b2 = (plate_pos - origins).T
+    b0, b1, b2 = (plate_pos[0] - np.array([o[0] for o in origins])).T
     return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0,
                      a0, a1, a2], axis=1).T
 
@@ -201,13 +205,13 @@ def inverse_kinematics(model: ChainModel, target_pos, q_seed, target_rot,
     q = np.asarray(q_seed, dtype=float).copy()
     damping_eye = IK_DAMPING**2 * np.eye(6)
     for _ in range(IK_MAX_ITERS):
-        origins, axes, pos, rot = (a[0] for a in _frames(model, q[None]))
-        err_p = target_pos - pos
-        err_r = orientation_error(rot, target_rot)
+        origins, rots, plate_pos, plate_rot = _frames(model, q[None])
+        err_p = target_pos - plate_pos[0]
+        err_r = orientation_error(plate_rot[0], target_rot)
         if np.linalg.norm(err_p) < IK_TOL and np.linalg.norm(err_r) < IK_TOL:
             return q
         err = np.concatenate([err_p, err_r])
-        jac = _jacobian_from_frames(origins, axes, pos)
+        jac = _jacobian_from_frames(model, origins, rots, plate_pos)
         jjt = jac @ jac.T + damping_eye
         dq = jac.T @ np.linalg.solve(jjt, err)
         biggest = np.max(np.abs(dq))
@@ -236,8 +240,8 @@ def plate_motion(model: ChainModel, q_series, dt: float):
 
     acc = np.empty_like(positions)
     acc[1:-1] = (positions[2:] - 2.0 * positions[1:-1] + positions[:-2]) / dt**2
-    acc[0] = (positions[2] - 2.0 * positions[1] + positions[0]) / dt**2
-    acc[-1] = (positions[-1] - 2.0 * positions[-2] + positions[-3]) / dt**2
+    # an endpoint's one-sided stencil is its neighbour's central one
+    acc[0], acc[-1] = acc[1], acc[-2]
 
     return positions, rots, acc
 

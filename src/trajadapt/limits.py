@@ -23,7 +23,9 @@ indices, ``take`` gathers them and ``put`` writes the shifted bounds back,
 with the six candidate interval counts as (6, k) rows.  The in-step root is
 likewise evaluated only past its threshold.  On (n_joints,) arrays numpy's
 Python-level wrappers cost more than the arithmetic, so the kernels call
-ufuncs and array methods alone.
+ufuncs and C-level array methods alone, and test a mask with
+``np.count_nonzero`` rather than ``.any()`` or ``.all()``, which go through
+``numpy._core._methods``.
 
 Supported limit regime
 ----------------------
@@ -89,6 +91,12 @@ def _as_float_array(x) -> np.ndarray:
     return np.asarray(x, dtype=float)
 
 
+def all_finite(x: np.ndarray) -> bool:
+    """Whether every entry of ``x`` is finite, counted in C: on small arrays
+    ``np.isfinite(x).all()`` costs several times more in Python wrappers."""
+    return np.count_nonzero(np.isfinite(x)) == x.size
+
+
 @dataclass(frozen=True)
 class JointLimits:
     """Symmetric per-joint kinematic bounds.
@@ -107,7 +115,7 @@ class JointLimits:
 
     def __post_init__(self):
         for f in fields(self):
-            x = np.atleast_1d(_as_float_array(getattr(self, f.name)))
+            x = np.atleast_1d(self._numbers(f))
             object.__setattr__(self, f.name, x)
             if x.shape[0] != self.n_joints:
                 raise ConfigurationError(f"JointLimits field {f.name} has wrong length")
@@ -116,6 +124,23 @@ class JointLimits:
         self._require(p_min, self.p_min < self.p_max, "be < p_max")
         for f in magnitudes:
             self._require(f, getattr(self, f.name) > 0.0, "be > 0")
+
+    def _numbers(self, f) -> np.ndarray:
+        """Field ``f`` as a float array; an entry that is not a number is
+        rejected by key and joint."""
+        value = getattr(self, f.name)
+        try:
+            return _as_float_array(value)
+        except (TypeError, ValueError):
+            entries = value if isinstance(value, (list, tuple)) else [value]
+            for j, entry in enumerate(entries):
+                try:
+                    float(entry)
+                except (TypeError, ValueError):
+                    raise ConfigurationError(
+                        f"JointLimits {f.name} ({f.metadata['key']}) must be a number "
+                        f"per joint, got {entry!r} at joint {j}") from None
+            raise
 
     def _require(self, f, ok: np.ndarray, need: str) -> None:
         """Reject field ``f`` unless ``ok`` holds for every joint."""
@@ -298,7 +323,7 @@ def valid_accel_bounds(v0, a0, v_max, a_max, j_max, dt, *, correction_enabled):
     """
     v0, a0, v_max, a_max, j_max = (_as_float_array(x) for x in (v0, a0, v_max, a_max, j_max))
     shape = np.broadcast(v0, a0, v_max, a_max, j_max).shape
-    if not (np.isfinite(v0).all() and np.isfinite(a0).all()):
+    if not (all_finite(v0) and all_finite(a0)):
         raise NonFiniteStateError("valid acceleration range needs a finite "
                                   "joint velocity and acceleration")
     # the limits at the full shape, so a flat index into the stacked (2,
@@ -332,7 +357,7 @@ def valid_accel_bounds(v0, a0, v_max, a_max, j_max, dt, *, correction_enabled):
         lo = np.maximum(floor, -vel[1])
 
         bad = lo - hi > LIMIT_EPS
-        if bad.any():
+        if np.count_nonzero(bad):
             # Boundary states (module docstring): brake at full jerk on the
             # binding side if the state moved toward safety has a range.
             v_b = v_refl[:, bad]
@@ -340,12 +365,12 @@ def valid_accel_bounds(v0, a0, v_max, a_max, j_max, dt, *, correction_enabled):
                                     a_refl[:, bad], v_max[bad], jd[bad], dt)
             ceil_b, floor_b = ceil[bad], floor[bad]
             empty = np.maximum(floor_b, -vel_b[1]) > np.minimum(ceil_b, vel_b[0])
-            if empty.any():
+            if np.count_nonzero(empty):
                 idx = np.argwhere(bad)[empty.argmax()]
                 joint = idx[-1] if idx.size else 0
                 raise LimitConsistencyError(joint, lo[tuple(idx)], hi[tuple(idx)])
     over = lo > hi
-    if over.any():
+    if np.count_nonzero(over):
         # boundary states and thin ranges (module docstring)
         brake = np.where(vel[0] < ceil, floor, ceil)
         lo = np.where(over, brake, lo)[()]
@@ -361,8 +386,9 @@ def valid_accel_range(v, a, limits: JointLimits, params: StepParams):
 
 
 def clip_action(raw, lo, hi) -> np.ndarray:
-    """Componentwise clamp of a raw acceleration command into [lo, hi]."""
-    return np.clip(raw, lo, hi)
+    """Componentwise clamp of a raw acceleration command into [lo, hi]; the
+    same values, NaN included, as ``np.clip`` without its Python wrapper."""
+    return np.minimum(np.maximum(raw, lo), hi)
 
 
 def integrate_step(p0, v0, a0, a1, dt):

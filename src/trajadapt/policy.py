@@ -8,6 +8,7 @@ internal state.  Policies are deterministic given (observation, rng state).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,7 +190,7 @@ class PDBalancePolicy(TrackingPolicy):
         # desired ball acceleration -> plate tilt about world x/y
         u = -(self.ball_kp * err + self.ball_kd * vel)
         tilt = np.array([-u[1], u[0]]) / BALL_DRIVE
-        norm = np.linalg.norm(tilt)
+        norm = math.sqrt(tilt.dot(tilt))
         if norm > TILT_LIMIT:
             tilt *= TILT_LIMIT / norm
 

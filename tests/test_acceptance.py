@@ -176,14 +176,17 @@ def test_criterion_06_integration_exactness():
 def test_criterion_07_ball_physics():
     params = envm.BallParams(rolling_friction=0.0)
     rot = Rotation.from_euler("y", np.deg2rad(5)).as_matrix()
-    acc = envm.ball_acceleration(envm.plate_drive(rot[None], np.zeros((1, 3)))[0],
-                                 np.zeros(2), params)
+    acc = envm.ball_acceleration(envm.plate_drive(rot[None], np.zeros((1, 3)))[0].tolist(),
+                                 (0.0, 0.0), 0.0, params.rolling_friction * envm.GRAVITY,
+                                 np.empty(2))
     expected = (5.0 / 7.0) * envm.GRAVITY * np.sin(np.deg2rad(5))
     tilt_gap = abs(np.linalg.norm(acc) - expected)
 
     flat_drive = envm.plate_drive(np.eye(3)[None], np.zeros((1, 3)))[0]
-    flat = envm.ball_acceleration(flat_drive, np.zeros(2), envm.BallParams())
-    flat_exact = bool(np.all(flat == 0.0))
+    flat = envm.ball_acceleration(flat_drive.tolist(), (0.0, 0.0), 0.0,
+                                  envm.BallParams().rolling_friction * envm.GRAVITY,
+                                  np.empty(2))
+    flat_exact = flat == (0.0, 0.0)
 
     rots, lin_acc = rot[None], np.zeros((1, 3))
     geometry = envm.PlateGeometry(half_x=100.0, half_y=100.0)

@@ -264,13 +264,15 @@ BAD_CAMPAIGN_INPUTS = {
     "chain-not-json": ({}, lambda text: text[:-20], "cannot read chain file"),
     "chain-v-max-text": ({}, lambda text: text.replace('"v_max_rad_per_s": 1.71',
                                                        '"v_max_rad_per_s": "fast"', 1),
-                         "chain_7dof.json has a bad value"),
+                         "chain_7dof.json has a bad value: JointLimits v_max (v_max_rad_per_s) "
+                         "must be a number per joint, got 'fast' at joint 0\n"),
     "chain-v-max-zero": ({}, lambda text: text.replace('"v_max_rad_per_s": 1.75',
                                                        '"v_max_rad_per_s": 0', 1),
                          "chain_7dof.json has a bad value: JointLimits v_max (v_max_rad_per_s) "
                          "must be > 0 per joint, got 0.0 at joint 2\n"),
     "chain-j-max-regime": ({}, lambda text: text.replace('"j_max_rad_per_s3": 100.0',
                                                          '"j_max_rad_per_s3": 1000', 1),
+                           "chain_7dof.json has limits outside the supported regime: "
                            "unsupported regime at joint 0: j_max * dt = 50 exceeds "
                            "a_max = 10 at step dt_s 0.05\n"),
     "v-max-range-reversed": ({"validate": {"v_max_range": [3.0, 0.5]}}, None,

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
@@ -7,6 +9,15 @@ from trajadapt.adaptation import StepLog
 from trajadapt.errors import ConfigurationError
 from trajadapt.kinematics import gimbal_chain
 from trajadapt.limits import JointLimits
+
+
+def accel(drive, velocity, params):
+    """``ball_acceleration`` of a ``plate_drive`` row and a velocity (2,),
+    with the speed and rolling resistance they imply, as an array."""
+    return np.array(env.ball_acceleration(drive.tolist(), velocity.tolist(),
+                                          float(np.linalg.norm(velocity)),
+                                          params.rolling_friction * env.GRAVITY,
+                                          np.empty(2)))
 
 
 def still_plate(rot, ticks=1):
@@ -30,8 +41,7 @@ def test_flat_plate_equilibrium():
 def test_static_tilt_acceleration_value():
     params = env.BallParams(rolling_friction=0.0)
     rot = Rotation.from_euler("y", np.deg2rad(5)).as_matrix()
-    acc = env.ball_acceleration(env.plate_drive(rot[None], np.zeros((1, 3)))[0],
-                                np.zeros(2), params)
+    acc = accel(env.plate_drive(rot[None], np.zeros((1, 3)))[0], np.zeros(2), params)
     expected = (5.0 / 7.0) * env.GRAVITY * np.sin(np.deg2rad(5))
     assert np.linalg.norm(acc) == pytest.approx(expected, abs=1e-6)
     assert expected == pytest.approx(0.6107, abs=1e-4)
@@ -41,17 +51,17 @@ def test_accelerating_plate_pseudo_force():
     params = env.BallParams(rolling_friction=0.0)
     a_p = 1.3
     drive = env.plate_drive(np.eye(3)[None], np.array([[a_p, 0.0, 0.0]]))[0]
-    acc = env.ball_acceleration(drive, np.zeros(2), params)
+    acc = accel(drive, np.zeros(2), params)
     np.testing.assert_allclose(acc, [-(5.0 / 7.0) * a_p, 0.0], atol=1e-12)
 
 
 def test_rolling_friction_opposes_motion_and_sticks():
     params = env.BallParams(rolling_friction=0.02)
     flat = env.plate_drive(np.eye(3)[None], np.zeros((1, 3)))[0]
-    acc = env.ball_acceleration(flat, np.array([0.1, 0.0]), params)
+    acc = accel(flat, np.array([0.1, 0.0]), params)
     assert acc[0] == pytest.approx(-0.02 * env.GRAVITY)
     # at rest on a flat plate friction produces no motion
-    acc0 = env.ball_acceleration(flat, np.array([0.0, 0.0]), params)
+    acc0 = accel(flat, np.array([0.0, 0.0]), params)
     np.testing.assert_array_equal(acc0, [0.0, 0.0])
 
 
@@ -172,8 +182,6 @@ def test_step_ball_matches_per_tick_oracle_exactly():
 
 
 def test_ball_acceleration_matches_per_tick_oracle_exactly():
-    # the speed is sqrt(v.dot(v)), as np.linalg.norm computes it; hypot or a
-    # hand-written sum of squares round differently on a share of vectors
     rng = np.random.default_rng(47)
     params = env.BallParams(rolling_friction=0.007)
     rotations = Rotation.from_rotvec(rng.normal(0.0, 0.2, (2000, 3))).as_matrix()
@@ -182,7 +190,16 @@ def test_ball_acceleration_matches_per_tick_oracle_exactly():
     for rot, acc, drive, velocity in zip(rotations, lin_acc, drives,
                                          rng.normal(0.0, 0.3, (2000, 2))):
         want = oracle_ball_acceleration(rot, acc, velocity, params, set())
-        assert np.array_equal(env.ball_acceleration(drive, velocity, params), want)
+        assert np.array_equal(accel(drive, velocity, params), want)
+
+
+def test_planar_norm_is_np_linalg_norm_bit_for_bit():
+    # hypot or a hand-written sum of squares round differently on a share
+    # of vectors
+    rng = np.random.default_rng(59)
+    buf = np.empty(2)
+    for v in rng.normal(0.0, 0.3, (2000, 2)):
+        assert env.planar_norm(*v.tolist(), buf) == np.linalg.norm(v)
 
 
 def test_plate_drive_equals_per_tick_specific_force():
@@ -194,6 +211,23 @@ def test_plate_drive_equals_per_tick_specific_force():
     want = np.array([env.ROLLING_FACTOR * (rot.T @ (g_world - acc))[:2]
                      for rot, acc in zip(rotations, lin_acc)])
     assert np.array_equal(got, want)
+
+
+def test_step_ball_leaves_its_inputs_and_returns_fresh_arrays():
+    rng = np.random.default_rng(53)
+    position, velocity, rotations, lin_acc, params, geometry = random_ball_step(rng, "free")
+    inputs = [position, velocity, rotations, lin_acc]
+    saved = [x.copy() for x in inputs]
+    first = env.step_ball(position, velocity, rotations, lin_acc, params, 0.005, geometry)
+    kept = [x.copy() for x in first[:2]]
+    second = env.step_ball(first[0], first[1], rotations, lin_acc, params, 0.005, geometry)
+    for x, was in zip(inputs + list(first[:2]), saved + kept):
+        assert np.array_equal(x, was)
+    # every returned array is new: it shares no memory with an input or a
+    # result of the earlier call
+    arrays = inputs + list(first[:2]) + list(second[:2])
+    for a, b in itertools.combinations(arrays, 2):
+        assert not np.shares_memory(a, b)
 
 
 def test_step_ball_rejects_mismatched_tick_counts():

@@ -65,9 +65,11 @@ def test_jacobian_equals_numpy_cross_bit_for_bit():
     model, _ = arm_chain()
     rng = np.random.default_rng(5)
     for q in rng.uniform(-3.0, 3.0, (200, 7)):
-        origins, axes, plate_pos, _ = (a[0] for a in kin._frames(model, q[None]))
-        got = kin._jacobian_from_frames(origins, axes, plate_pos)
-        want = np.concatenate([np.cross(axes, plate_pos - origins).T, axes.T], axis=0)
+        origins, rots, plate_pos, _ = kin._frames(model, q[None])
+        got = kin._jacobian_from_frames(model, origins, rots, plate_pos)
+        axes = np.array([rot[0] @ row.axis for rot, row in zip(rots, model.joints)])
+        offsets = plate_pos[0] - np.array([origin[0] for origin in origins])
+        want = np.concatenate([np.cross(axes, offsets).T, axes.T], axis=0)
         assert np.array_equal(got, want) and got.strides == want.strides
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
@@ -241,6 +243,19 @@ def test_plate_motion_poses_match_oracle(chain):
         want_p, want_r, _ = oracle_fk(model, q)
         np.testing.assert_allclose(pos, want_p, rtol=0, atol=1e-12)
         np.testing.assert_allclose(rot, want_r, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("load", [kin.gimbal_chain,
+                                  lambda: kin.load_chain(CONFIG_DIR / "chain_7dof.json")],
+                         ids=["gimbal", "chain_7dof"])
+def test_plate_motion_poses_equal_per_tick_fk_transform(load):
+    model, _ = load()
+    rng = np.random.default_rng(23)
+    q_series = rng.uniform(-np.pi, np.pi, (11, model.n_joints))
+    positions, rotations, _ = kin.plate_motion(model, q_series, 0.005)
+    for q, pos, rot in zip(q_series, positions, rotations):
+        want_p, want_r = kin.fk_transform(model, q)
+        assert np.array_equal(pos, want_p) and np.array_equal(rot, want_r)
 
 
 def test_config_chain_files_equal_stock_chains():
