@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import environment as envm
 from .adaptation import CAMPAIGN_COUNTS, RewardWeights
-from .errors import POSITIVE_RANGE, ConfigurationError, at_least, check_domain, is_integer
+from .errors import (POSITIVE_RANGE, ConfigurationError, at_least, check_domain, is_integer,
+                     is_number)
 from .kinematics import ChainModel, load_chain
 from .limits import JointLimits, StepParams, check_limit_regime
 from .policy import BALANCE_MASK, LinearPolicy, ObservationLayout, balance_mask, check_gains
@@ -54,11 +54,6 @@ POLICY_KEYS = {"random": {"kind": None}, "greedy_max": {"kind": None},
                "linear": {"kind": None, "weights_file": None}}
 
 
-def _is_number(value) -> bool:
-    """A JSON integer or a finite float (``json`` reads NaN and Infinity)."""
-    return is_integer(value) or isinstance(value, float) and math.isfinite(value)
-
-
 def _is_list(value, length, item) -> bool:
     """A JSON list of ``length`` (any length if None) values, each ``item``."""
     return (isinstance(value, list) and length in (None, len(value))
@@ -67,15 +62,15 @@ def _is_list(value, length, item) -> bool:
 
 # What a value of each kind must be: (test, description for the message).
 VALUE_CHECKS = {
-    "number": (_is_number, "a number"),
+    "number": (is_number, "a number"),
     "flag": (lambda v: isinstance(v, bool), "true or false"),
     "text": (lambda v: isinstance(v, str), "a string"),
-    "pair": (lambda v: _is_list(v, 2, _is_number), "a list of 2 numbers"),
-    "band": (lambda v: v is None or _is_list(v, 2, _is_number),
+    "pair": (lambda v: _is_list(v, 2, is_number), "a list of 2 numbers"),
+    "band": (lambda v: v is None or _is_list(v, 2, is_number),
              "a list of 2 numbers or null"),
     "indices": (lambda v: _is_list(v, None, is_integer), "a list of integers"),
     "boxes": (lambda v: _is_list(v, None, lambda box: _is_list(
-        box, 2, lambda corner: _is_list(corner, 3, _is_number))),
+        box, 2, lambda corner: _is_list(corner, 3, is_number))),
               "a list of [lo, hi] boxes with corners of 3 numbers"),
 }
 # The kind of every key, named "<section> <key>" or, at the top level, by

@@ -13,6 +13,11 @@ def is_integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def is_number(value) -> bool:
+    """A JSON integer or a finite float (``json`` reads NaN and Infinity)."""
+    return is_integer(value) or isinstance(value, float) and math.isfinite(value)
+
+
 # Domains of config values: (test, what a value must do, for the message).
 POSITIVE = (lambda v: 0.0 < v < math.inf, "be finite and > 0")
 NON_NEGATIVE = (lambda v: 0.0 <= v < math.inf, "be finite and >= 0")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ConfigurationError, IKConvergenceError
+from .errors import ConfigurationError, IKConvergenceError, is_number
 from .limits import JointLimits
 
 _EYE3 = np.eye(3)
@@ -251,7 +251,8 @@ def plate_motion(model: ChainModel, q_series, dt: float):
 
 def load_chain(path) -> tuple[ChainModel, JointLimits]:
     """Read a chain description file (JSON, schema in the README).  A file
-    that cannot be read, or a missing or bad value in it, is a
+    that cannot be read, or a missing or bad value in it (a limit that is
+    not a JSON number, such as ``"1.5"`` or ``true``), is a
     ConfigurationError naming the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -272,8 +273,14 @@ def load_chain(path) -> tuple[ChainModel, JointLimits]:
             q_home=raw.get("q_home_rad"),
             name=raw.get("name", "chain"),
         )
-        limits = JointLimits(**{f.name: [j[f.metadata["key"]] for j in joint_rows]
-                                for f in fields(JointLimits)})
+        per_joint = {f: [j[f.metadata["key"]] for j in joint_rows] for f in fields(JointLimits)}
+        for f, values in per_joint.items():
+            for joint, value in enumerate(values):
+                if not is_number(value):
+                    raise ConfigurationError(
+                        f"JointLimits {f.name} ({f.metadata['key']}) must be a number "
+                        f"per joint, got {value!r} at joint {joint}")
+        limits = JointLimits(**{f.name: values for f, values in per_joint.items()})
     except KeyError as exc:
         raise ConfigurationError(f"chain file {path} is missing field {exc}") from exc
     except (TypeError, ValueError) as exc:

@@ -115,7 +115,7 @@ class JointLimits:
 
     def __post_init__(self):
         for f in fields(self):
-            x = np.atleast_1d(self._numbers(f))
+            x = np.atleast_1d(_as_float_array(getattr(self, f.name)))
             object.__setattr__(self, f.name, x)
             if x.shape[0] != self.n_joints:
                 raise ConfigurationError(f"JointLimits field {f.name} has wrong length")
@@ -124,23 +124,6 @@ class JointLimits:
         self._require(p_min, self.p_min < self.p_max, "be < p_max")
         for f in magnitudes:
             self._require(f, getattr(self, f.name) > 0.0, "be > 0")
-
-    def _numbers(self, f) -> np.ndarray:
-        """Field ``f`` as a float array; an entry that is not a number is
-        rejected by key and joint."""
-        value = getattr(self, f.name)
-        try:
-            return _as_float_array(value)
-        except (TypeError, ValueError):
-            entries = value if isinstance(value, (list, tuple)) else [value]
-            for j, entry in enumerate(entries):
-                try:
-                    float(entry)
-                except (TypeError, ValueError):
-                    raise ConfigurationError(
-                        f"JointLimits {f.name} ({f.metadata['key']}) must be a number "
-                        f"per joint, got {entry!r} at joint {j}") from None
-            raise
 
     def _require(self, f, ok: np.ndarray, need: str) -> None:
         """Reject field ``f`` unless ``ok`` holds for every joint."""

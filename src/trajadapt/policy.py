@@ -101,9 +101,11 @@ class TrackingPolicy:
     """PD-on-deviation tracker with estimated reference feedforward.
 
     Commands kp * (reference - position) + kd * (reference velocity -
-    velocity) plus the reference acceleration, where reference velocity and
-    acceleration are finite differences of the observed reference rows across
-    steps (held internally; ``reset`` clears them).  The gains keep the
+    velocity) plus the reference acceleration.  The reference is this step's
+    row: the first future row observed on the previous step (on the first
+    step, the observed row).  Reference velocity and acceleration are finite
+    differences of the observed reference rows across steps (held
+    internally; ``reset`` clears them).  The gains keep the
     discrete loop comfortably inside the unit circle, so step disturbances do
     not ring against the jerk bound.
     """
@@ -129,16 +131,19 @@ class TrackingPolicy:
         v = lay.joint_vel(obs) * lim.v_max
         p_ref = lay.ref_row(obs) * lim.p_half_range + lim.p_mid
 
+        target = p_ref
         v_ref = np.zeros_like(p_ref)
         a_ff = np.zeros_like(p_ref)
         if self._prev_ref is not None:
+            target = self._prev_ref
             v_ref = (p_ref - self._prev_ref) / self.dt
             if self._prev_vref is not None:
                 a_ff = (v_ref - self._prev_vref) / self.dt
         self._prev_ref = p_ref
         self._prev_vref = v_ref
 
-        target = p_ref if shift is None else p_ref + shift
+        if shift is not None:
+            target = target + shift
         return a_ff + self.kp * (target - p) + self.kd * (v_ref - v)
 
     def act(self, obs, rng) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Reference-trajectory generation: waypoints -> spline -> joint space ->
-time parameterization -> uniform resampling, plus mirroring and dataset IO.
+minimum-jerk time scaling -> uniform resampling, plus mirroring and dataset
+IO.
 
-References are produced with a configurable limit headroom (default 5 %) so
-the online adaptation layer retains some authority; set it to 0 for
-references that ride the limits.
+References are produced with a configurable limit headroom (default 5 %) on
+velocity, acceleration and jerk, so the online adaptation layer retains some
+authority; set it to 0 for references that ride the limits.
 """
 
 from __future__ import annotations
@@ -115,7 +116,8 @@ class NaturalSpline:
                               m2[:-1] / 2.0, np.diff(m2, axis=0) / (6.0 * h)])
 
     def __call__(self, x, nu=0):
-        """Value (``nu`` 0), first or second derivative (1, 2) at ``x``."""
+        """Value (``nu`` 0) or first, second or third derivative (1, 2, 3) at
+        ``x``; the third is constant on each interval."""
         x = np.asarray(x, dtype=float)
         i = np.clip(np.searchsorted(self.x, x, side="right") - 1, 0, len(self.x) - 2)
         t = (x - self.x[i])[..., None]
@@ -126,7 +128,9 @@ class NaturalSpline:
             return b + t * (2.0 * c + t * (3.0 * d))
         if nu == 2:
             return 2.0 * c + t * (6.0 * d)
-        raise ValueError(f"derivative order must be 0, 1 or 2, got {nu}")
+        if nu == 3:
+            return 6.0 * d
+        raise ValueError(f"derivative order must be 0, 1, 2 or 3, got {nu}")
 
 
 class CartesianPath:
@@ -192,75 +196,37 @@ def path_to_joint_space(path: CartesianPath, model: ChainModel, samples: int,
 
 def time_parameterize(q_path, limits: JointLimits, headroom: float,
                       grid: int) -> TimedTrajectory:
-    """Forward-backward pass assigning a monotone time to a joint path.
+    """Minimum-jerk time scaling of a joint path (Flash & Hogan, 1985).
 
-    The path speed is capped so per-joint velocity and acceleration stay
-    within (1 - headroom) of their limits along the (spline-smoothed) path.
+    The natural spline through the path samples is traversed as
+    s = 10 tau^3 - 15 tau^4 + 6 tau^5 of the normalized time tau = t / T,
+    which starts and ends at rest with zero acceleration.  The k-th time
+    derivative scales as T^-k, so the shortest T that keeps per-joint
+    velocity, acceleration and jerk within (1 - headroom) of their limits
+    at the ``grid`` instants has a closed form.
     """
     q_path = np.atleast_2d(np.asarray(q_path, dtype=float))
     m = q_path.shape[0]
     if m < 2 or np.max(np.abs(q_path - q_path[0])) < 1e-12:
         return TimedTrajectory(t=np.zeros(1), q=q_path[:1].copy())
 
-    v_lim = limits.v_max * (1.0 - headroom)
-    a_lim = limits.a_max * (1.0 - headroom)
-
-    s_in = np.linspace(0.0, 1.0, m)
-    spl = NaturalSpline(s_in, q_path)
-    s = np.linspace(0.0, 1.0, grid)
-    ds = s[1] - s[0]
-    q = spl(s)
-    qp = spl(s, 1)     # dq/ds
-    qpp = spl(s, 2)
-
-    tiny = 1e-10
-    # squared-speed cap from the velocity limit
-    cap = np.min((v_lim / np.maximum(np.abs(qp), tiny)) ** 2, axis=1)
-
-    # Acceleration feasibility. Per joint the admissible path acceleration u
-    # at squared speed x is the interval A_j*x -+ B_j (A = -q''/q',
-    # B = a_lim/|q'|); a nonempty intersection over joints bounds x by the
-    # pairwise conditions (A_j - A_i) * x <= B_i + B_j.  Joints with a
-    # vanishing tangent constrain x directly via |q''| * x <= a_lim.
-    moving = np.abs(qp) > tiny
-    a_coef = np.where(moving, -qpp / np.where(moving, qp, 1.0), 0.0)
-    b_coef = np.where(moving, a_lim / np.maximum(np.abs(qp), tiny), np.inf)
-
-    diff = a_coef[:, :, None] - a_coef[:, None, :]
-    bsum = b_coef[:, :, None] + b_coef[:, None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pair_cap = np.where(diff > tiny, bsum / diff, np.inf)
-        stall_cap = np.where(~moving & (np.abs(qpp) > tiny),
-                             a_lim / np.maximum(np.abs(qpp), tiny), np.inf)
-    cap = np.minimum(cap, np.nanmin(pair_cap, axis=(1, 2)))
-    cap = np.minimum(cap, np.min(stall_cap, axis=1))
-    cap = np.maximum(cap, 0.0)
-
-    def u_max(k, x):
-        vals = a_coef[k] * x + b_coef[k]
-        return float(np.min(vals[moving[k]])) if np.any(moving[k]) else 0.0
-
-    def u_min(k, x):
-        vals = a_coef[k] * x - b_coef[k]
-        return float(np.max(vals[moving[k]])) if np.any(moving[k]) else 0.0
-
-    x = np.minimum(np.full(grid, np.inf), cap)
-    x[0] = 0.0
-    for k in range(grid - 1):
-        x[k] = min(x[k], cap[k])
-        reach = x[k] + 2.0 * u_max(k, x[k]) * ds
-        x[k + 1] = min(x[k + 1], max(reach, 0.0))
-    x[-1] = 0.0
-    for k in range(grid - 1, 0, -1):
-        x[k] = min(x[k], cap[k])
-        reach = x[k] - 2.0 * u_min(k, x[k]) * ds
-        x[k - 1] = min(x[k - 1], max(reach, 0.0))
-    x = np.maximum(np.minimum(x, cap), 0.0)
-
-    sdot = np.sqrt(x)
-    dt_seg = 2.0 * ds / np.maximum(sdot[:-1] + sdot[1:], 1e-9)
-    t = np.concatenate([[0.0], np.cumsum(dt_seg)])
-    return TimedTrajectory(t=t, q=q)
+    spl = NaturalSpline(np.linspace(0.0, 1.0, m), q_path)
+    tau = np.linspace(0.0, 1.0, grid)
+    s = tau**3 * (10.0 - tau * (15.0 - 6.0 * tau))
+    # the first three derivatives of s by tau
+    s1 = (30.0 * tau**2 * (1.0 - tau) ** 2)[:, None]
+    s2 = (60.0 * tau * (1.0 - tau) * (1.0 - 2.0 * tau))[:, None]
+    s3 = (60.0 - 360.0 * tau * (1.0 - tau))[:, None]
+    q1, q2, q3 = spl(s, 1), spl(s, 2), spl(s, 3)
+    # velocity, acceleration and jerk per joint at T = 1 (chain rule)
+    vel = q1 * s1
+    acc = q2 * s1**2 + q1 * s2
+    jerk = q3 * s1**3 + 3.0 * q2 * s1 * s2 + q1 * s3
+    keep = 1.0 - headroom
+    duration = max(np.max(np.abs(vel) / (keep * limits.v_max)),
+                   np.sqrt(np.max(np.abs(acc) / (keep * limits.a_max))),
+                   np.cbrt(np.max(np.abs(jerk) / (keep * limits.j_max))))
+    return TimedTrajectory(t=duration * tau, q=spl(s))
 
 
 def resample_uniform(timed: TimedTrajectory, dt: float, traj_id: str,
@@ -281,19 +247,23 @@ def resample_uniform(timed: TimedTrajectory, dt: float, traj_id: str,
 
 
 def check_reference_limits(traj: ReferenceTrajectory, limits: JointLimits) -> dict:
-    """Finite-difference velocity/acceleration ratios of a sampled reference.
+    """Finite-difference velocity/acceleration/jerk ratios of a sampled
+    reference.
 
-    Returns max |v|/v_max (consecutive differences) and max |a|/a_max
-    (central differences); both must be <= 1 for a usable reference.
+    Returns max |v|/v_max (consecutive differences), max |a|/a_max (central
+    differences) and max |j|/j_max (third differences, 0.0 below 4 rows);
+    all must be <= 1 for a usable reference.
     """
     p = traj.positions
     if p.shape[0] < 3:
-        return {"vel_ratio": 0.0, "acc_ratio": 0.0}
+        return {"vel_ratio": 0.0, "acc_ratio": 0.0, "jerk_ratio": 0.0}
     v = np.diff(p, axis=0) / traj.dt
     a = (p[2:] - 2.0 * p[1:-1] + p[:-2]) / traj.dt**2
+    j = np.diff(p, 3, axis=0) / traj.dt**3
     return {
         "vel_ratio": float(np.max(np.abs(v) / limits.v_max)),
         "acc_ratio": float(np.max(np.abs(a) / limits.a_max)),
+        "jerk_ratio": float(np.max(np.abs(j) / limits.j_max, initial=0.0)),
     }
 
 
@@ -370,7 +340,7 @@ def generate_reference(model: ChainModel, limits: JointLimits, areas: SamplingAr
     timed = time_parameterize(q_path, limits, headroom=cfg.headroom, grid=cfg.grid)
     traj = resample_uniform(timed, cfg.dt, traj_id=traj_id, split=split)
     ratios = check_reference_limits(traj, limits)
-    if ratios["vel_ratio"] > 1.0 or ratios["acc_ratio"] > 1.0:
+    if max(ratios.values()) > 1.0:
         raise PathRejectedError(
             f"reference exceeds limits after parameterization: {ratios}")
     return traj

@@ -222,7 +222,7 @@ def test_criterion_08_pipeline_integrity():
                                     traj_id="traj", split="train")
         refs.append(ref)
         r = tr.check_reference_limits(ref, limits)
-        worst_ratio = max(worst_ratio, r["vel_ratio"], r["acc_ratio"])
+        worst_ratio = max(worst_ratio, r["vel_ratio"], r["acc_ratio"], r["jerk_ratio"])
 
     t = np.linspace(0.0, 2.0, 500)
     q = np.linspace(0.0, 1.0, 500)[:, None]
@@ -239,7 +239,7 @@ def test_criterion_08_pipeline_integrity():
 
     ok = worst_ratio <= 1.0 and rows == 41 and worst_inv < 1e-5
     _report("criterion 8: pipeline integrity", ok,
-            f"worst FD limit ratio={worst_ratio:.3f} (<= 1 with 5% headroom), "
+            f"worst FD v/a/j limit ratio={worst_ratio:.3f} (<= 1 with 5% headroom), "
             f"2.0 s / 0.05 s resample rows={rows} (= 41), "
             f"mirror involution error={worst_inv:.2e} m (< 1e-5)")
 

@@ -258,14 +258,22 @@ def _break_chain(tmp_path, edit):
 
 # Bad chain files and campaign ranges for validate-limits on the arm config:
 # (config change, chain file edit, what the message names).  Each used to
-# end in a traceback, or (the jerk fraction above 1) to draw limits outside
-# the supported regime and pass.
+# end in a traceback, to load (a limit given as a string or a bool), or (the
+# jerk fraction above 1) to draw limits outside the supported regime and pass.
 BAD_CAMPAIGN_INPUTS = {
     "chain-not-json": ({}, lambda text: text[:-20], "cannot read chain file"),
     "chain-v-max-text": ({}, lambda text: text.replace('"v_max_rad_per_s": 1.71',
                                                        '"v_max_rad_per_s": "fast"', 1),
                          "chain_7dof.json has a bad value: JointLimits v_max (v_max_rad_per_s) "
                          "must be a number per joint, got 'fast' at joint 0\n"),
+    "chain-v-max-string": ({}, lambda text: text.replace('"v_max_rad_per_s": 1.71',
+                                                         '"v_max_rad_per_s": "1.5"', 1),
+                           "chain_7dof.json has a bad value: JointLimits v_max (v_max_rad_per_s) "
+                           "must be a number per joint, got '1.5' at joint 0\n"),
+    "chain-v-max-bool": ({}, lambda text: text.replace('"v_max_rad_per_s": 1.71',
+                                                       '"v_max_rad_per_s": true', 1),
+                         "chain_7dof.json has a bad value: JointLimits v_max (v_max_rad_per_s) "
+                         "must be a number per joint, got True at joint 0\n"),
     "chain-v-max-zero": ({}, lambda text: text.replace('"v_max_rad_per_s": 1.75',
                                                        '"v_max_rad_per_s": 0', 1),
                          "chain_7dof.json has a bad value: JointLimits v_max (v_max_rad_per_s) "

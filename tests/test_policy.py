@@ -11,7 +11,7 @@ from trajadapt import kinematics as kin
 from trajadapt import policy as pol
 from trajadapt import trajectory as tr
 from trajadapt.errors import ConfigurationError
-from trajadapt.limits import StepParams
+from trajadapt.limits import JointLimits, StepParams
 from trajadapt.trajectory import ReferenceTrajectory
 
 
@@ -62,6 +62,20 @@ def test_tracking_saturates_under_large_deviation():
     obs[layout.size - 2:] = 1.0  # reference row far above current position
     act = p.act(obs, None)
     np.testing.assert_array_equal(act, [1.0, 1.0])
+
+
+def test_tracking_aims_at_the_current_row():
+    # on a constant-velocity reference, a joint on row t at the reference
+    # velocity is commanded exactly the feedforward: the PD term compares the
+    # position with row t, not with the observed row t + 1.  Every value is
+    # exact in binary.
+    limits = JointLimits(p_min=[-1.0], p_max=[1.0], v_max=[2.0], a_max=[8.0], j_max=[64.0])
+    policy = pol.TrackingPolicy(pol.ObservationLayout(1, 0, 1), limits, 0.25)
+    rows = 0.0625 * np.arange(6)  # 0.25 rad/s
+    commands = [policy.tracking_accel(np.array([rows[t], 0.25 / 2.0, 0.0, rows[t + 1]]))[0]
+                for t in range(5)]
+    # feedforward 0.25 / dt on the first step with a reference velocity, then 0
+    assert commands[1:] == [1.0, 0.0, 0.0, 0.0]
 
 
 def test_tracking_gain_validation():

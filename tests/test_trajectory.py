@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from conftest import arm_chain, planar_chain
+from conftest import CONFIG_DIR, arm_chain, planar_chain
+from trajadapt import adaptation as ad
 from trajadapt import kinematics as kin
+from trajadapt import policy as pol
 from trajadapt import trajectory as tr
+from trajadapt.config import load_config
 from trajadapt.errors import ConfigurationError, PathRejectedError
 from trajadapt.limits import JointLimits
 
@@ -119,6 +122,20 @@ def test_natural_spline_matches_scipy(m):
                                        rtol=0, atol=1e-12 * scale)
 
 
+def test_natural_spline_third_derivative():
+    # the second derivative is linear inside an interval, so its central
+    # difference there is the third derivative up to rounding
+    rng = np.random.default_rng(5)
+    x = np.cumsum(rng.uniform(0.05, 1.0, 6))
+    spline = tr.NaturalSpline(x, rng.normal(size=(6, 3)))
+    mid = 0.5 * (x[:-1] + x[1:])
+    h = 0.25 * np.min(np.diff(x))
+    central = (spline(mid + h, 2) - spline(mid - h, 2)) / (2.0 * h)
+    np.testing.assert_allclose(spline(mid, 3), central, rtol=1e-9, atol=1e-9)
+    with pytest.raises(ValueError, match="0, 1, 2 or 3"):
+        spline(mid, 4)
+
+
 # ---------------------------------------------------------------------------
 # joint-space conversion
 
@@ -153,11 +170,33 @@ def test_path_to_joint_space_unreachable_rejected():
 # time parameterization
 
 def test_time_parameterize_trapezoid_duration():
+    # the straight unit path that a time-optimal pass runs as a trapezoid;
+    # bound by velocity alone, the minimum-jerk speed peaks at 15/8 of the
+    # mean, so T = 15/8 * path / v_max
     limits = JointLimits(p_min=[-2], p_max=[2], v_max=[1.0], a_max=[100.0],
                          j_max=[1000.0])
     q_path = np.linspace(0.0, 1.0, 60)[:, None]
     timed = tr.time_parameterize(q_path, limits, headroom=0.0, grid=2000)
-    assert timed.duration == pytest.approx(1.01, rel=0.02)
+    assert timed.duration == pytest.approx(1.875, rel=1e-3)
+
+
+def test_time_parameterize_headroom_and_grid_take_effect():
+    limits = JointLimits(p_min=[-2], p_max=[2], v_max=[1.0], a_max=[100.0],
+                         j_max=[1000.0])
+    q_path = np.linspace(0.0, 1.0, 60)[:, None]
+    full = tr.time_parameterize(q_path, limits, headroom=0.0, grid=2000).duration
+    kept = tr.time_parameterize(q_path, limits, headroom=0.2, grid=2000).duration
+    assert kept / full == pytest.approx(1.0 / 0.8, rel=1e-12)
+    coarse = tr.time_parameterize(q_path, limits, headroom=0.0, grid=4)
+    assert coarse.t.shape == (4,) and coarse.duration < full
+
+
+def test_time_parameterize_jerk_bound():
+    # a 4-cm hop at a_max = j_max = 1: the jerk limit sets T = cbrt(60 * 0.04)
+    limits = JointLimits(p_min=[-2], p_max=[2], v_max=[10.0], a_max=[1.0], j_max=[1.0])
+    q_path = np.linspace(0.0, 0.04, 30)[:, None]
+    timed = tr.time_parameterize(q_path, limits, headroom=0.0, grid=3001)
+    assert timed.duration == pytest.approx(np.cbrt(60.0 * 0.04), rel=1e-9)
 
 
 def test_time_parameterize_velocity_scaling():
@@ -264,6 +303,32 @@ def test_generated_reference_respects_limits(demo_reference, arm):
     ratios = tr.check_reference_limits(demo_reference, limits)
     assert ratios["vel_ratio"] <= 1.0
     assert ratios["acc_ratio"] <= 1.0
+    assert ratios["jerk_ratio"] <= 1.0
+
+
+def test_check_reference_limits_jerk_ratio():
+    # p = t^3 has third difference 6 dt^3 exactly; no jerk below 4 rows
+    limits = JointLimits(p_min=[-2], p_max=[2], v_max=[10.0], a_max=[10.0], j_max=[4.0])
+    rows = (0.5 * np.arange(5.0)) ** 3
+    ref = tr.ReferenceTrajectory(dt=0.5, positions=rows[:, None])
+    assert tr.check_reference_limits(ref, limits)["jerk_ratio"] == 6.0 / 4.0
+    short = tr.ReferenceTrajectory(dt=0.5, positions=rows[:3, None])
+    assert tr.check_reference_limits(short, limits)["jerk_ratio"] == 0.0
+
+
+def test_arm_dataset_references_are_followable():
+    # every reference of the stock arm dataset keeps its jerk within j_max,
+    # and the tracking baseline follows each one to the end
+    cfg = load_config(CONFIG_DIR / "arm_dataset.json")
+    trajs, rejections = tr.generate_dataset(cfg.model, cfg.limits, cfg.areas, cfg.pipeline,
+                                            count=cfg.generate_count, seed=cfg.seed)
+    assert len(trajs) == 20 and rejections == []
+    for ref in trajs:
+        ratios = tr.check_reference_limits(ref, cfg.limits)
+        assert max(ratios.values()) <= 1.0, (ref.traj_id, ratios)
+        policy = pol.TrackingPolicy(cfg.layout, cfg.limits, cfg.step.dt)
+        report, _ = ad.rollout(ref, policy, cfg.limits, cfg.step, cfg.reward)
+        assert report.success, ref.traj_id
 
 
 def test_pipeline_deterministic(arm):
