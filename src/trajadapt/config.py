@@ -10,7 +10,9 @@ and ``VALUE_KINDS`` are read from them, and only the ``validate`` and
 An absent key leaves its argument's default, written only where the argument
 is declared; keys mapped to None, and the top-level keys, are resolved here
 with the fallbacks listed in the README.  Relative paths are taken from the
-config file's directory.
+config file's directory.  The unknown-key and kind checks live in
+``errors``, shared with ``kinematics.load_chain``, which reads the chain
+file the same way.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from pathlib import Path
 
 from . import environment as envm
 from .adaptation import CAMPAIGN_COUNTS, RewardWeights
-from .errors import (POSITIVE_RANGE, ConfigurationError, at_least, check_domain, is_integer,
-                     is_number)
+from .errors import (POSITIVE_RANGE, ConfigurationError, at_least, check_domain, check_keys,
+                     check_value, read_object)
 from .kinematics import ChainModel, load_chain
 from .limits import JointLimits, StepParams, check_limit_regime
 from .policy import BALANCE_MASK, LinearPolicy, ObservationLayout, balance_mask, check_gains
@@ -53,26 +55,6 @@ POLICY_KEYS = {"random": {"kind": None}, "greedy_max": {"kind": None},
                               "ball_kd": "ball_kd"},
                "linear": {"kind": None, "weights_file": None}}
 
-
-def _is_list(value, length, item) -> bool:
-    """A JSON list of ``length`` (any length if None) values, each ``item``."""
-    return (isinstance(value, list) and length in (None, len(value))
-            and all(item(v) for v in value))
-
-
-# What a value of each kind must be: (test, description for the message).
-VALUE_CHECKS = {
-    "number": (is_number, "a number"),
-    "flag": (lambda v: isinstance(v, bool), "true or false"),
-    "text": (lambda v: isinstance(v, str), "a string"),
-    "pair": (lambda v: _is_list(v, 2, is_number), "a list of 2 numbers"),
-    "band": (lambda v: v is None or _is_list(v, 2, is_number),
-             "a list of 2 numbers or null"),
-    "indices": (lambda v: _is_list(v, None, is_integer), "a list of integers"),
-    "boxes": (lambda v: _is_list(v, None, lambda box: _is_list(
-        box, 2, lambda corner: _is_list(corner, 3, is_number))),
-              "a list of [lo, hi] boxes with corners of 3 numbers"),
-}
 # The kind of every key, named "<section> <key>" or, at the top level, by
 # itself; a key not listed takes a number.
 VALUE_KINDS = {f"{name} {f.metadata['key']}": f.metadata["kind"]
@@ -91,38 +73,23 @@ DOMAINS = {"seed": at_least(0), "episodes": at_least(1), "workers": at_least(1),
                                         "satisfy 0 < lo <= hi <= 1")}
 
 
-def check_value(value, name: str) -> None:
-    """Reject a ``value`` of config key ``name`` that is not of its kind in
-    ``VALUE_KINDS``."""
-    test, need = VALUE_CHECKS[VALUE_KINDS.get(name, "number")]
-    if not test(value):
-        raise ConfigurationError(f"{name} must be {need}, got {value!r}")
-
-
-def check_keys(mapping: dict, known, where: str) -> None:
-    """Reject keys of ``mapping`` outside ``known``, naming them."""
-    unknown = sorted(set(mapping) - set(known))
-    if unknown:
-        raise ConfigurationError(f"unknown key(s) in {where}: {', '.join(unknown)}")
-
-
 def _section(raw: dict, name: str, keys=None, where=None):
     """(section, keyword arguments) of config section ``name`` under
     ``keys``, by default its ``SECTION_KEYS``; JSON lists become tuples."""
-    section = raw.get(name) or {}
+    section = raw.get(name, {})
     if not isinstance(section, dict):
         raise ConfigurationError(f"config section {name!r} must be an object")
     keys = keys or SECTION_KEYS[name]
     check_keys(section, keys, where or f"config section {name!r}")
     for key, value in section.items():
-        check_value(value, f"{name} {key}")
+        check_value(value, f"{name} {key}", VALUE_KINDS.get(f"{name} {key}", "number"))
     return section, {keys[k]: tuple(v) if isinstance(v, list) else v
                      for k, v in section.items() if keys[k]}
 
 
 def _policy(raw: dict, base: Path, layout: ObservationLayout, use_environment: bool):
     """(kind, constructor keyword arguments) of the ``policy`` section."""
-    section = raw.get("policy") or {}
+    section = raw.get("policy", {})
     kind = (section if isinstance(section, dict) else {}).get("kind", "tracking")
     if not isinstance(kind, str) or kind not in POLICY_KEYS:
         raise ConfigurationError(f"unknown policy kind {kind!r}")
@@ -185,16 +152,11 @@ def load_config(path, seed=None, episodes=None, workers=None, out=None) -> RunCo
     """The run of config file ``path``; each keyword is a command-line flag
     that, when not None, takes the place of the config value."""
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-    except (OSError, ValueError) as exc:
-        raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigurationError(f"config {path} must be a JSON object")
+    raw = read_object(path, "config")
     check_keys(raw, TOP_LEVEL_KEYS, f"config {path}")
     for key in ("chain_file", "out_dir", "dataset_file", "use_environment"):
         if key in raw:
-            check_value(raw[key], key)
+            check_value(raw[key], key, VALUE_KINDS[key])
     base = path.parent
 
     if not raw.get("chain_file"):

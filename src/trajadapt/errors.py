@@ -1,8 +1,10 @@
 """Exception types shared across the toolkit, and the declaration and the
-domain check of a config value."""
+checks of a value in an input file: a run config or a chain file."""
 
+import json
 import math
 from dataclasses import MISSING, field, fields
+from pathlib import Path
 
 
 class ConfigurationError(ValueError):
@@ -30,6 +32,31 @@ def at_least(least: int):
     return (lambda v: is_integer(v) and v >= least, f"be an integer >= {least}")
 
 
+def _is_list(value, length, item) -> bool:
+    """A JSON list of ``length`` (any length if None) values, each ``item``."""
+    return (isinstance(value, list) and length in (None, len(value))
+            and all(item(v) for v in value))
+
+
+# What a value of each kind must be: the domain of a JSON value.
+VALUE_CHECKS = {
+    "number": (is_number, "be a number"),
+    "flag": (lambda v: isinstance(v, bool), "be true or false"),
+    "text": (lambda v: isinstance(v, str), "be a string"),
+    "pair": (lambda v: _is_list(v, 2, is_number), "be a list of 2 numbers"),
+    "triple": (lambda v: _is_list(v, 3, is_number), "be a list of 3 numbers"),
+    "numbers": (lambda v: _is_list(v, None, is_number), "be a list of numbers"),
+    "band": (lambda v: v is None or _is_list(v, 2, is_number),
+             "be a list of 2 numbers or null"),
+    "indices": (lambda v: _is_list(v, None, is_integer), "be a list of integers"),
+    "boxes": (lambda v: _is_list(v, None, lambda box: _is_list(
+        box, 2, lambda corner: _is_list(corner, 3, is_number))),
+              "be a list of [lo, hi] boxes with corners of 3 numbers"),
+    "objects": (lambda v: _is_list(v, None, lambda item: isinstance(item, dict)),
+                "be a list of objects"),
+}
+
+
 def check_domain(value, name: str, domain) -> None:
     """Reject a ``value`` outside ``domain``, naming it ``name``."""
     test, need = domain
@@ -38,9 +65,32 @@ def check_domain(value, name: str, domain) -> None:
         raise ConfigurationError(f"{name} must {need}, got {shown!r}")
 
 
+def check_value(value, name: str, kind: str) -> None:
+    """Reject a ``value`` of key ``name`` that is not of ``kind``."""
+    check_domain(value, name, VALUE_CHECKS[kind])
+
+
+def check_keys(mapping: dict, known, where: str) -> None:
+    """Reject keys of ``mapping`` outside ``known``, naming them."""
+    unknown = sorted(set(mapping) - set(known))
+    if unknown:
+        raise ConfigurationError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+
+
+def read_object(path, what: str) -> dict:
+    """The JSON object in file ``path``, which a message calls a ``what``."""
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise ConfigurationError(f"cannot read {what} {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"{what} {path} must be a JSON object")
+    return raw
+
+
 def setting(key: str, default=MISSING, kind: str = "number", domain=None):
-    """A dataclass field that config key ``key`` sets: a JSON value of
-    ``kind`` (a ``config.VALUE_CHECKS`` name) within ``domain``, if any."""
+    """A dataclass field that input-file key ``key`` sets: a JSON value of
+    ``kind`` (a ``VALUE_CHECKS`` name) within ``domain``, if any."""
     return field(default=default, metadata={"key": key, "kind": kind, "domain": domain})
 
 

@@ -11,13 +11,13 @@ Rotation conventions: rpy is applied as Rz(yaw) @ Ry(pitch) @ Rx(roll).
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from .errors import ConfigurationError, IKConvergenceError, is_number
+from .errors import (ConfigurationError, IKConvergenceError, check_domain, check_keys,
+                     check_value, read_object, setting)
 from .limits import JointLimits
 
 _EYE3 = np.eye(3)
@@ -44,50 +44,42 @@ def rpy_matrix(rpy) -> np.ndarray:
 
 @dataclass(frozen=True)
 class JointRow:
-    """One revolute joint: fixed mount transform, then rotation about ``axis``."""
+    """One revolute joint: fixed mount transform, then rotation about ``axis``.
+    Each field declares the key of a chain-file joint row that sets it."""
 
-    axis: np.ndarray
-    origin_xyz: np.ndarray
-    origin_rpy: np.ndarray
+    axis: np.ndarray = setting("axis", kind="triple", domain=(
+        lambda v: 1e-12 <= math.hypot(*v) < math.inf, "be a nonzero vector"))
+    origin_xyz: np.ndarray = setting("origin_xyz_m", kind="triple")
+    origin_rpy: np.ndarray = setting("origin_rpy_rad", (0.0, 0.0, 0.0), "triple")
 
     def __post_init__(self):
-        axis = np.asarray(self.axis, dtype=float)
-        norm = np.linalg.norm(axis)
-        if not np.isfinite(norm) or norm < 1e-12:
-            raise ConfigurationError("joint axis must be a nonzero finite vector")
-        object.__setattr__(self, "axis", axis / norm)
-        object.__setattr__(self, "origin_xyz", np.asarray(self.origin_xyz, dtype=float))
-        object.__setattr__(self, "origin_rpy", np.asarray(self.origin_rpy, dtype=float))
-        if not (np.all(np.isfinite(self.origin_xyz)) and np.all(np.isfinite(self.origin_rpy))):
-            raise ConfigurationError("joint origin parameters must be finite")
+        for f in fields(self):
+            object.__setattr__(self, f.name, np.asarray(getattr(self, f.name), dtype=float))
+        object.__setattr__(self, "axis", self.axis / np.linalg.norm(self.axis))
 
 
 @dataclass(frozen=True)
 class ChainModel:
     """Joint rows plus the plate transform; the fixed rotations (mounts, plate
     offset) and each joint's cross-product matrix K and its square are
-    computed once here."""
+    computed once here.  A ``setting`` field declares its chain-file key."""
 
-    joints: tuple
-    plate_xyz: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    plate_rpy: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    q_home: np.ndarray | None = None
-    name: str = "chain"
+    joints: tuple = setting("joints", kind="objects",
+                            domain=(lambda rows: len(rows) > 0, "hold at least one joint"))
+    plate_xyz: np.ndarray = setting("plate_offset_xyz_m", (0.0, 0.0, 0.0), "triple")
+    plate_rpy: np.ndarray = setting("plate_offset_rpy_rad", (0.0, 0.0, 0.0), "triple")
+    q_home: np.ndarray | None = setting("q_home_rad", None, "numbers")
+    name: str = setting("name", "chain", "text")
     mounts: np.ndarray = field(init=False, repr=False, compare=False)
     plate_rot: np.ndarray = field(init=False, repr=False, compare=False)
     axis_skews: np.ndarray = field(init=False, repr=False, compare=False)
     axis_skews_sq: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.joints) < 1:
-            raise ConfigurationError("chain needs at least one joint")
-        object.__setattr__(self, "joints", tuple(self.joints))
         object.__setattr__(self, "plate_xyz", np.asarray(self.plate_xyz, dtype=float))
         object.__setattr__(self, "plate_rpy", np.asarray(self.plate_rpy, dtype=float))
-        if self.q_home is None:
-            object.__setattr__(self, "q_home", np.zeros(len(self.joints)))
-        else:
-            object.__setattr__(self, "q_home", np.asarray(self.q_home, dtype=float))
+        object.__setattr__(self, "q_home", np.zeros(len(self.joints)) if self.q_home is None
+                           else np.asarray(self.q_home, dtype=float))
         object.__setattr__(self, "mounts",
                            np.array([rpy_matrix(row.origin_rpy) for row in self.joints]))
         object.__setattr__(self, "plate_rot", rpy_matrix(self.plate_rpy))
@@ -249,42 +241,43 @@ def plate_motion(model: ChainModel, q_series, dt: float):
 # ---------------------------------------------------------------------------
 # chain description files
 
+def _settings(raw: dict, classes, where: str) -> list:
+    """The keyword arguments of each of ``classes`` in chain-file object
+    ``raw`` (``where``): each key declared by a ``setting`` field, of its kind
+    and in its domain, and each key without a default present."""
+    declared = {f.metadata["key"]: f for cls in classes for f in fields(cls) if f.metadata}
+    check_keys(raw, declared, where)
+    missing = [key for key, f in declared.items() if f.default is MISSING and key not in raw]
+    if missing:
+        raise ConfigurationError(f"{where} is missing key(s): {', '.join(missing)}")
+    for key, value in raw.items():
+        meta = declared[key].metadata
+        check_value(value, f"{where} {key}", meta["kind"])
+        if meta["domain"]:
+            check_domain(value, f"{where} {key}", meta["domain"])
+    return [{f.name: raw[f.metadata["key"]] for f in fields(cls)
+             if f.metadata and f.metadata["key"] in raw} for cls in classes]
+
+
 def load_chain(path) -> tuple[ChainModel, JointLimits]:
-    """Read a chain description file (JSON, schema in the README).  A file
-    that cannot be read, or a missing or bad value in it (a limit that is
-    not a JSON number, such as ``"1.5"`` or ``true``), is a
-    ConfigurationError naming the file."""
+    """Read a chain description file (JSON, schema in the README): its top
+    level, then each joint row.  An unreadable file or an unknown, missing
+    or bad key is a ConfigurationError naming the file, key, joint and value."""
+    where = f"chain file {path}"
+    [chain] = _settings(read_object(path, "chain file"), [ChainModel], where)
+    rows = [_settings(row, [JointRow, JointLimits], f"{where} joint {j}")
+            for j, row in enumerate(chain.pop("joints"))]
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise ConfigurationError(f"cannot read chain file {path}: {exc}") from exc
-    try:
-        joint_rows = raw["joints"]
-        joints = tuple(
-            JointRow(axis=j["axis"], origin_xyz=j["origin_xyz_m"],
-                     origin_rpy=j.get("origin_rpy_rad", [0.0, 0.0, 0.0]))
-            for j in joint_rows
-        )
-        model = ChainModel(
-            joints=joints,
-            plate_xyz=raw.get("plate_offset_xyz_m", [0.0, 0.0, 0.0]),
-            plate_rpy=raw.get("plate_offset_rpy_rad", [0.0, 0.0, 0.0]),
-            q_home=raw.get("q_home_rad"),
-            name=raw.get("name", "chain"),
-        )
-        per_joint = {f: [j[f.metadata["key"]] for j in joint_rows] for f in fields(JointLimits)}
-        for f, values in per_joint.items():
-            for joint, value in enumerate(values):
-                if not is_number(value):
-                    raise ConfigurationError(
-                        f"JointLimits {f.name} ({f.metadata['key']}) must be a number "
-                        f"per joint, got {value!r} at joint {joint}")
-        limits = JointLimits(**{f.name: values for f, values in per_joint.items()})
-    except KeyError as exc:
-        raise ConfigurationError(f"chain file {path} is missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"chain file {path} has a bad value: {exc}") from exc
+        limits = JointLimits(**{f.name: [row_limits[f.name] for _, row_limits in rows]
+                                for f in fields(JointLimits)})
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{where} has a bad value: {exc}") from None
+    model = ChainModel(joints=tuple(JointRow(**row) for row, _ in rows), **chain)
+    if model.q_home.shape != limits.p_min.shape or not np.all(
+            (limits.p_min <= model.q_home) & (model.q_home <= limits.p_max)):
+        raise ConfigurationError(
+            f"{where} q_home_rad must hold {limits.n_joints} values within "
+            f"[p_min_rad, p_max_rad], got {model.q_home.tolist()!r}")
     return model, limits
 
 

@@ -16,12 +16,12 @@ states (v0, a0) and (-v0, -a0).  It broadcasts a limit to the states' shape
 once, at entry, where its shape differs, and never stacks one: a flat index
 into the stacked states, modulo the limits' size, indexes them.  It calls
 the internal ``_velocity_bound`` and ``_shifted_bound`` (j_max * dt
-precomputed) under one errstate; ``max_accel_velocity`` and
-``_correction_shift`` wrap them.  The ripple correction runs only on the k
-entries where the velocity bound binds: ``nonzero`` gives their flat
-indices, ``take`` gathers them and ``put`` writes the shifted bounds back,
-with the six candidate interval counts as (6, k) rows.  The in-step root is
-likewise evaluated only past its threshold.  On (n_joints,) arrays numpy's
+precomputed) under one errstate; ``max_accel_velocity`` wraps the first.
+The ripple correction runs only on the k entries where the velocity bound
+binds: ``nonzero`` gives their flat indices, ``take`` gathers them and
+``put`` writes the shifted bounds back, with the six candidate interval
+counts as (6, k) rows.  The in-step root is likewise evaluated only past
+its threshold.  On (n_joints,) arrays numpy's
 Python-level wrappers cost more than the arithmetic, so the kernels call
 ufuncs and C-level array methods alone, and test a mask with
 ``np.count_nonzero`` rather than ``.any()`` or ``.all()``, which go through
@@ -71,7 +71,7 @@ normalized jerk of 1 + LIMIT_EPS / (j_max * dt).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -102,16 +102,18 @@ class JointLimits:
     """Symmetric per-joint kinematic bounds.
 
     ``v_max``, ``a_max`` and ``j_max`` are magnitudes; the lower bounds are
-    their negations.  ``p_min``/``p_max`` are only used for normalization and
-    (indirectly) by the deviation-based episode termination.  A field's
-    ``key`` names it in a chain file (``kinematics.load_chain``).
+    their negations.  ``p_min``/``p_max`` normalize the observation's joint
+    positions, ``kinematics.inverse_kinematics`` clamps every iterate into
+    [p_min, p_max], and ``trajectory._mirror_start_seed`` clips its seeds to
+    that range.  A field's key names its number in each joint row of a chain
+    file (``kinematics.load_chain``).
     """
 
-    p_min: np.ndarray = field(metadata={"key": "p_min_rad"})
-    p_max: np.ndarray = field(metadata={"key": "p_max_rad"})
-    v_max: np.ndarray = field(metadata={"key": "v_max_rad_per_s"})
-    a_max: np.ndarray = field(metadata={"key": "a_max_rad_per_s2"})
-    j_max: np.ndarray = field(metadata={"key": "j_max_rad_per_s3"})
+    p_min: np.ndarray = setting("p_min_rad")
+    p_max: np.ndarray = setting("p_max_rad")
+    v_max: np.ndarray = setting("v_max_rad_per_s")
+    a_max: np.ndarray = setting("a_max_rad_per_s2")
+    j_max: np.ndarray = setting("j_max_rad_per_s3")
 
     def __post_init__(self):
         for f in fields(self):
@@ -235,15 +237,16 @@ def _velocity_bound(v0, a0, v_max, jd, dt):
 _CANDIDATE_OFFSETS = np.array([-2.0, -1.0, 0.0, 1.0, 2.0, 3.0])[:, None]
 
 
-def _correction_shift(v0, a0, a_unc, v_max, a_max, j_max, dt):
+def _shifted_bound(v0, a0, a_unc, v_max, a_max, jd, dt):
     """Shifted velocity bound that lands (v = v_max, a = 0) on a step boundary.
 
-    The continuation assumed by the plain velocity bound reaches v_max at a
-    point that is generally not a decision-step boundary, so a discrete-time
-    controller riding the bound oscillates just below v_max.  Lowering the
-    bound to ``a*`` with a continuation of slope -j_max followed by one
-    shallower final segment makes the velocity gain land exactly on v_max at
-    a boundary with zero acceleration (equal swept area, shifted shape).
+    The continuation assumed by the plain velocity bound ``a_unc`` reaches
+    v_max at a point that is generally not a decision-step boundary, so a
+    discrete-time controller riding the bound oscillates just below v_max.
+    Lowering the bound to ``a*`` with a continuation of slope -j_max
+    followed by one shallower final segment makes the velocity gain land
+    exactly on v_max at a boundary with zero acceleration (equal swept area,
+    shifted shape).
 
     For a continuation with n intervals on the -j_max line the trapezoid sum
     gives a* in closed form; candidate interval counts around the plain
@@ -251,19 +254,11 @@ def _correction_shift(v0, a0, a_unc, v_max, a_max, j_max, dt):
     returned.  Where no candidate is admissible the plain bound is returned
     unchanged (it is always safe).
 
-    ``valid_accel_bounds`` gathers only the entries where the velocity
-    bound binds, as (k,) vectors.  The candidates are laid out (6, k), one
-    row per interval-count offset.
+    ``valid_accel_bounds`` gathers only the entries where the velocity bound
+    binds, as (k,) vectors, with ``jd`` = j_max * dt, and calls this under
+    its errstate.  The candidates are laid out (6, k), one row per
+    interval-count offset.
     """
-    *args, j_max = np.broadcast_arrays(
-        *(_as_float_array(x) for x in (v0, a0, a_unc, v_max, a_max, j_max)))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return _shifted_bound(*args, j_max * dt, dt)
-
-
-def _shifted_bound(v0, a0, a_unc, v_max, a_max, jd, dt):
-    """``_correction_shift`` of (k,) vectors with ``jd`` = j_max * dt, under
-    the caller's errstate."""
     n0 = np.ceil(np.maximum(a_unc, 0.0) / jd)
     # clip to [1, 1e6], NaN to 1
     n0 = np.fmin(np.fmax(n0, 1.0), 1e6)

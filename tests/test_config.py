@@ -3,6 +3,7 @@
 import inspect
 import json
 import shutil
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,8 @@ from trajadapt import environment as envm
 from trajadapt import policy as pol
 from trajadapt.adaptation import RewardWeights
 from trajadapt.config import POLICY_KEYS, SECTION_KEYS, load_config
-from trajadapt.limits import StepParams
+from trajadapt.kinematics import ChainModel, JointRow
+from trajadapt.limits import JointLimits, StepParams
 from trajadapt.trajectory import PipelineConfig, ReferenceTrajectory
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -262,18 +264,16 @@ def _break_chain(tmp_path, edit):
 # jerk fraction above 1) to draw limits outside the supported regime and pass.
 BAD_CAMPAIGN_INPUTS = {
     "chain-not-json": ({}, lambda text: text[:-20], "cannot read chain file"),
+    "chain-not-object": ({}, lambda text: f"[{text}]", "chain_7dof.json must be a JSON object\n"),
     "chain-v-max-text": ({}, lambda text: text.replace('"v_max_rad_per_s": 1.71',
                                                        '"v_max_rad_per_s": "fast"', 1),
-                         "chain_7dof.json has a bad value: JointLimits v_max (v_max_rad_per_s) "
-                         "must be a number per joint, got 'fast' at joint 0\n"),
+                         "chain_7dof.json joint 0 v_max_rad_per_s must be a number, got 'fast'\n"),
     "chain-v-max-string": ({}, lambda text: text.replace('"v_max_rad_per_s": 1.71',
                                                          '"v_max_rad_per_s": "1.5"', 1),
-                           "chain_7dof.json has a bad value: JointLimits v_max (v_max_rad_per_s) "
-                           "must be a number per joint, got '1.5' at joint 0\n"),
+                           "chain_7dof.json joint 0 v_max_rad_per_s must be a number, got '1.5'\n"),
     "chain-v-max-bool": ({}, lambda text: text.replace('"v_max_rad_per_s": 1.71',
                                                        '"v_max_rad_per_s": true', 1),
-                         "chain_7dof.json has a bad value: JointLimits v_max (v_max_rad_per_s) "
-                         "must be a number per joint, got True at joint 0\n"),
+                         "chain_7dof.json joint 0 v_max_rad_per_s must be a number, got True\n"),
     "chain-v-max-zero": ({}, lambda text: text.replace('"v_max_rad_per_s": 1.75',
                                                        '"v_max_rad_per_s": 0', 1),
                          "chain_7dof.json has a bad value: JointLimits v_max (v_max_rad_per_s) "
@@ -303,3 +303,91 @@ def test_bad_chain_file_or_campaign_range_is_configuration_error(tmp_path, capsy
     assert cli.main(["validate-limits", "--config", str(path), "--episodes", "20"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and message in err
+
+
+# A config section or the policy given as a value that is not an object: each
+# used to load as all defaults.
+NOT_OBJECTS = [[], 0, False, "", None]
+
+
+@pytest.mark.parametrize("section", ["ball", "policy"])
+@pytest.mark.parametrize("value", NOT_OBJECTS, ids=json.dumps)
+def test_section_that_is_not_an_object_is_configuration_error(tmp_path, capsys, section,
+                                                              value):
+    sections = {**SECTIONS, "ball": value} if section == "ball" else SECTIONS
+    path = _write_config(tmp_path, value if section == "policy" else {"kind": "random"},
+                         sections)
+    assert cli.main(["validate-limits", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: config section {section!r} must be an object\n")
+
+
+# Bad values in the gimbal chain file: (joint row, or None for the top level,
+# key, value or DROP to leave the key out, the message after "configuration
+# error: ", where {where} is "chain file <path>").  Every key the chain's
+# dataclasses declare has a case.  The unknown key, the 2-number vectors and
+# the q_home_rad cases used to load: the typo as a zero plate offset, the
+# rest as a traceback or a home posture outside the joint range.
+DROP = object()
+CHAIN_BAD_VALUES = [
+    (None, "plate_offset_xyz", [0.0, 0.0, 0.02],
+     "unknown key(s) in {where}: plate_offset_xyz"),
+    (0, "axes", [1, 0, 0], "unknown key(s) in {where} joint 0: axes"),
+    (None, "joints", DROP, "{where} is missing key(s): joints"),
+    (None, "joints", {}, "{where} joints must be a list of objects, got {{}}"),
+    (None, "joints", [], "{where} joints must hold at least one joint, got []"),
+    (None, "name", 5, "{where} name must be a string, got 5"),
+    (None, "plate_offset_xyz_m", [0, 0.02],
+     "{where} plate_offset_xyz_m must be a list of 3 numbers, got [0, 0.02]"),
+    (None, "plate_offset_rpy_rad", "0",
+     "{where} plate_offset_rpy_rad must be a list of 3 numbers, got '0'"),
+    (None, "q_home_rad", [float("nan"), 0],
+     "{where} q_home_rad must be a list of numbers, got [nan, 0]"),
+    (None, "q_home_rad", [0.0],
+     "{where} q_home_rad must hold 2 values within [p_min_rad, p_max_rad], got [0.0]"),
+    (None, "q_home_rad", [5.0, 0.0],
+     "{where} q_home_rad must hold 2 values within [p_min_rad, p_max_rad], got [5.0, 0.0]"),
+    (1, "axis", DROP, "{where} joint 1 is missing key(s): axis"),
+    (0, "axis", [0, 0, 0], "{where} joint 0 axis must be a nonzero vector, got [0, 0, 0]"),
+    (1, "axis", [0, 1], "{where} joint 1 axis must be a list of 3 numbers, got [0, 1]"),
+    (0, "origin_xyz_m", [0, 0],
+     "{where} joint 0 origin_xyz_m must be a list of 3 numbers, got [0, 0]"),
+    (1, "origin_rpy_rad", [0, 0, "0"],
+     "{where} joint 1 origin_rpy_rad must be a list of 3 numbers, got [0, 0, '0']"),
+    (0, "p_min_rad", "-0.6", "{where} joint 0 p_min_rad must be a number, got '-0.6'"),
+    (1, "p_min_rad", 0.7, "{where} has a bad value: JointLimits p_min (p_min_rad) "
+                          "must be < p_max per joint, got 0.7 at joint 1"),
+    (0, "p_max_rad", None, "{where} joint 0 p_max_rad must be a number, got None"),
+    (1, "v_max_rad_per_s", -2.0, "{where} has a bad value: JointLimits v_max "
+                                 "(v_max_rad_per_s) must be > 0 per joint, got -2.0 at joint 1"),
+    (0, "a_max_rad_per_s2", float("inf"),
+     "{where} joint 0 a_max_rad_per_s2 must be a number, got inf"),
+    (1, "j_max_rad_per_s3", 0, "{where} has a bad value: JointLimits j_max "
+                               "(j_max_rad_per_s3) must be > 0 per joint, got 0.0 at joint 1"),
+]
+
+
+def test_chain_bad_values_cover_every_chain_key():
+    declared = {f.metadata["key"] for cls in (ChainModel, JointRow, JointLimits)
+                for f in fields(cls) if f.metadata}
+    assert {key for _, key, _, _ in CHAIN_BAD_VALUES} >= declared
+
+
+@pytest.mark.parametrize("joint, key, value, message", CHAIN_BAD_VALUES,
+                         ids=[f"{j}-{k}-{'drop' if v is DROP else json.dumps(v)}"
+                              for j, k, v, _ in CHAIN_BAD_VALUES])
+@pytest.mark.parametrize("command", ["validate-limits", "eval"])
+def test_bad_chain_value_is_configuration_error(tmp_path, capsys, command, joint, key, value,
+                                                message):
+    path = _stock_config(tmp_path, "balance_demo.json", "chain_gimbal.json", {})
+    chain_path = tmp_path / "chain_gimbal.json"
+    chain = json.loads(chain_path.read_text())
+    target = chain if joint is None else chain["joints"][joint]
+    if value is DROP:
+        del target[key]
+    else:
+        target[key] = value
+    chain_path.write_text(json.dumps(chain))
+    assert cli.main([command, "--config", str(path), "--episodes", "1"]) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: {message.format(where=f'chain file {chain_path}')}\n")
