@@ -22,6 +22,8 @@ import json
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+import numpy as np
+
 from . import environment as envm
 from .adaptation import CAMPAIGN_COUNTS, RewardWeights
 from .errors import (POSITIVE_RANGE, ConfigurationError, at_least, check_domain, check_keys,
@@ -115,6 +117,11 @@ def _policy(raw: dict, base: Path, layout: ObservationLayout, use_environment: b
         if args["weights"].shape != expected:
             raise ConfigurationError(f"linear policy weights {path} have shape "
                                      f"{args['weights'].shape}, expected {expected}")
+        if not np.isfinite(args["weights"]).all():
+            row, col = np.argwhere(~np.isfinite(args["weights"]))[0]
+            raise ConfigurationError(f"linear policy weights {path} hold "
+                                     f"{args['weights'][row, col]} at row {row}, column "
+                                     f"{col} (from 0), not a finite number")
     return kind, args
 
 

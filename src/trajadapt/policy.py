@@ -1,5 +1,5 @@
 """Policies for the decision loop: random/greedy probes, reference tracking,
-a scripted ball balancer and a small cross-entropy-method trainer.
+a scripted ball balancer and an affine policy on externally trained weights.
 
 A policy maps a normalized observation to a normalized acceleration command
 in [-1, 1] per joint via ``act(obs, rng)``; ``reset()`` restarts any
@@ -21,7 +21,6 @@ from .limits import JointLimits
 BALL_DRIVE = ROLLING_FACTOR * GRAVITY  # ball acceleration per radian of tilt
 TILT_LIMIT = 0.25                      # largest plate tilt the balancer asks for, rad
 BALANCE_MASK = (-2, -1)                # the balancer's default tilt joints
-CEM_MIN_STD = 1e-3                     # floor of the CEM sampling std per parameter
 # the domain of each policy gain
 GAIN_DOMAINS = {"kp": POSITIVE, "kd": POSITIVE, "ball_kp": NON_NEGATIVE, "ball_kd": NON_NEGATIVE}
 
@@ -205,21 +204,13 @@ class PDBalancePolicy(TrackingPolicy):
 
 
 class LinearPolicy:
-    """Affine map from observation to action, clipped into [-1, 1]."""
+    """Affine map from observation to action, clipped into [-1, 1]: one row
+    of ``weights`` per joint, one column per observation value and a last
+    column for the bias.  The weights are trained outside this package;
+    ``load`` reads them as ``np.savetxt`` text."""
 
     def __init__(self, weights: np.ndarray):
         self.weights = np.atleast_2d(np.asarray(weights, dtype=float))
-
-    @classmethod
-    def zeros(cls, n_out: int, n_in: int) -> "LinearPolicy":
-        return cls(np.zeros((n_out, n_in + 1)))
-
-    @property
-    def n_params(self) -> int:
-        return self.weights.size
-
-    def with_params(self, flat) -> "LinearPolicy":
-        return LinearPolicy(np.asarray(flat, dtype=float).reshape(self.weights.shape))
 
     def reset(self):
         pass
@@ -228,62 +219,7 @@ class LinearPolicy:
         x = np.concatenate([np.asarray(obs, dtype=float), [1.0]])
         return np.minimum(np.maximum(self.weights @ x, -1.0), 1.0)
 
-    def save(self, path) -> None:
-        np.savetxt(path, self.weights,
-                   header=f"linear policy {self.weights.shape[0]} x {self.weights.shape[1]}")
-
     @classmethod
     def load(cls, path) -> "LinearPolicy":
         return cls(np.loadtxt(path))
 
-
-def cem_optimize(objective, dim: int, generations: int, population: int = 32,
-                 elite_frac: float = 0.25, seed: int = 0, init_std: float = 0.5):
-    """Cross-entropy method over a flat parameter vector.
-
-    ``objective(params) -> float`` is maximized, starting from a zero mean.
-    Returns (best_params, history); history holds each generation's mean
-    return and the best return so far.
-    An elite fraction of 1.0 selects everything, which leaves the sampling
-    distribution unchanged (degenerate but well defined).
-    """
-    if generations < 1:
-        raise ConfigurationError("need at least one generation")
-    rng = np.random.default_rng(seed)
-    mean = np.zeros(dim)
-    std = np.full(dim, init_std)
-    n_elite = max(1, int(round(population * elite_frac)))
-
-    best_params = mean.copy()
-    best_return = -np.inf
-    history = []
-    for _ in range(generations):
-        samples = mean[None, :] + std[None, :] * rng.standard_normal((population, dim))
-        returns = np.array([objective(s) for s in samples])
-        order = np.argsort(returns)[::-1]
-        elite = samples[order[:n_elite]]
-        if returns[order[0]] > best_return:
-            best_return = float(returns[order[0]])
-            best_params = samples[order[0]].copy()
-        if n_elite < population:
-            mean = elite.mean(axis=0)
-            std = np.maximum(elite.std(axis=0), CEM_MIN_STD)
-        history.append({"mean_return": float(returns.mean()), "best_return": best_return})
-    return best_params, history
-
-
-def cem_train(episode_return, template: LinearPolicy, generations: int,
-              seed: int = 0, population: int = 32, elite_frac: float = 0.25,
-              init_std: float = 0.5):
-    """Train a linear policy with CEM against ``episode_return(policy) -> float``.
-
-    Returns (trained policy, history).  Deterministic under the seed as long
-    as the return evaluation is.
-    """
-    def objective(flat):
-        return episode_return(template.with_params(flat))
-
-    best, history = cem_optimize(objective, template.n_params, generations,
-                                 population=population, elite_frac=elite_frac,
-                                 seed=seed, init_std=init_std)
-    return template.with_params(best), history

@@ -220,6 +220,33 @@ def test_rollout_random_policy_bounded(tmp_path):
         assert np.all(np.abs(rows[f"jerk{j}"]) <= j_max + 1e-9)
 
 
+def test_rollout_linear_policy_output_is_clipped_into_the_limits(tmp_path):
+    # a learned policy's output, end to end: large random weights, loaded from
+    # a file like trained ones, ask for far more than the valid range, and
+    # every executed step stays within v_max, a_max and j_max.  Positions are
+    # not asserted: the valid range has no position term yet, and these
+    # weights drive the joints to -2.9 rad, far outside the +-0.6 rad range.
+    weights = 5.0 * np.random.default_rng(3).standard_normal((2, 9))
+    np.savetxt(tmp_path / "weights.txt", weights)
+    cfg = _write_balance_config(
+        tmp_path, policy={"kind": "linear", "weights_file": "weights.txt"},
+        use_environment=False,
+        reward={"future_positions": 1, "deviation_high_rad": 3.0, "termination_rad": 3.0})
+    assert cli.main(["rollout", "--config", str(cfg), "--episodes", "2"]) == 0
+    _, limits = kin.load_chain(tmp_path / "chain_gimbal.json")
+    for idx in range(2):
+        rows = np.genfromtxt(tmp_path / "out" / f"episode_{idx:04d}.csv", delimiter=",",
+                             names=True, skip_header=1)
+        assert rows.size > 1
+        clipped = np.zeros(rows.size, dtype=bool)
+        for j in range(2):
+            for name, bound in (("v", limits.v_max), ("a", limits.a_max),
+                                ("jerk", limits.j_max)):
+                assert np.all(np.abs(rows[f"{name}{j}"]) / bound[j] <= 1.0 + 1e-9)
+            clipped |= rows[f"act{j}"] != rows[f"raw{j}"]
+        assert clipped.mean() > 0.5
+
+
 class _ConstantPolicy:
     def __init__(self, command):
         self.command = np.asarray(command, dtype=float)
@@ -648,16 +675,39 @@ def test_linear_weights_missing_or_misshapen_is_configuration_error(tmp_path, ca
     assert cli.main(["eval", "--config", str(cfg), "--episodes", "1"]) == 2
     err = capsys.readouterr().err
     assert "shape (2, 5)" in err and "expected (2, 15)" in err
+    # a nan weight used to load and end every episode at step 0 with exit 0
+    for value in (np.nan, np.inf, -np.inf):
+        weights = np.zeros((2, 15))
+        weights[1, 4] = value
+        np.savetxt(tmp_path / "weights.txt", weights)
+        assert cli.main(["eval", "--config", str(cfg), "--episodes", "1"]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: linear policy weights {tmp_path / 'weights.txt'} hold "
+            f"{value} at row 1, column 4 (from 0), not a finite number\n")
     np.savetxt(tmp_path / "weights.txt", np.zeros((2, 15)))
     assert cli.main(["eval", "--config", str(cfg), "--episodes", "1"]) == 0
 
 
+@pytest.mark.parametrize("command", ["rollout", "generate", "validate-limits"])
+def test_non_finite_linear_weights_exit_2_under_other_commands(tmp_path, capsys, command):
+    cfg = _write_balance_config(
+        tmp_path, policy={"kind": "linear", "weights_file": "weights.txt"})
+    weights = np.zeros((2, 15))
+    weights[0, 14] = np.nan
+    np.savetxt(tmp_path / "weights.txt", weights)
+    assert cli.main([command, "--config", str(cfg), "--episodes", "1"]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: linear policy weights")
+    assert not (tmp_path / "out").exists()
+
+
 def test_policy_kinds_constructible(tmp_path):
-    from trajadapt.config import load_config
+    from trajadapt.config import POLICY_KEYS, load_config
     from trajadapt.trajectory import ReferenceTrajectory
     ref = ReferenceTrajectory(dt=0.05, positions=np.zeros((5, 2)))
+    np.savetxt(tmp_path / "weights.txt", np.zeros((2, 15)))
     specs = {"random": {}, "greedy_max": {}, "tracking": {"kp": 50.0},
-             "pd_balance": {"mask": [0, 1]}}
+             "pd_balance": {"mask": [0, 1]}, "linear": {"weights_file": "weights.txt"}}
+    assert set(specs) == set(POLICY_KEYS)
     for kind, keys in specs.items():
         cfg = load_config(_write_balance_config(tmp_path, policy={"kind": kind, **keys}))
         policy = cli.build_policy(cfg, ref)
