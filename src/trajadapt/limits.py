@@ -6,9 +6,9 @@ limit of any joint, no matter what later commands do.  Accelerations are
 linearly interpolated between decision steps, so jerk is piecewise constant
 and positions are cubic polynomials per step.
 
-All bound functions broadcast over leading axes: scalars, (n_joints,) vectors
-or (batch, n_joints) arrays all work, which keeps large validation campaigns
-vectorized.
+The bound functions other than ``valid_accel_range`` broadcast over leading
+axes: scalars, (n_joints,) vectors or (batch, n_joints) arrays all work,
+which keeps large validation campaigns vectorized.
 
 The lower velocity bound is the sign reflection of the upper one, so
 ``valid_accel_bounds`` evaluates both sides at once on the stacked (2, ...)
@@ -26,6 +26,24 @@ Python-level wrappers cost more than the arithmetic, so the kernels call
 ufuncs and C-level array methods alone, and test a mask with
 ``np.count_nonzero`` rather than ``.any()`` or ``.all()``, which go through
 ``numpy._core._methods``.
+
+Single-state kernel
+-------------------
+``valid_accel_range`` serves one episode's (n_joints,) state, once per
+decision step.  Even ufuncs alone cost more per call than its arithmetic,
+so it loops over the joints on Python floats, with the operations of
+``valid_accel_bounds`` in the same order: both velocity bounds with the
+in-step root, the jerk ceiling and floor, the ripple correction with the
+same six candidate interval counts, and the thin-range brake.  IEEE
+doubles round each operation alike in both, so the results are the same
+bits, provided every min and max follows numpy's tie rule:
+``np.maximum(x, y)`` returns ``y`` on a tie (which decides the sign of a
+zero), Python's ``max`` returns ``x``, so each is a comparison that picks
+``y`` on a tie, as in ``x if x > y else y``.  A non-finite state, or a
+state whose range is empty by more than ``LIMIT_EPS`` (a boundary state),
+hands the whole call to ``valid_accel_bounds``, the one implementation of
+the boundary re-evaluation and of both errors.  The tests hold the two
+kernels to the same bits.
 
 Supported limit regime
 ----------------------
@@ -71,6 +89,7 @@ normalized jerk of 1 + LIMIT_EPS / (j_max * dt).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from functools import cached_property
 
@@ -146,6 +165,11 @@ class JointLimits:
     @cached_property
     def p_half_range(self) -> np.ndarray:
         return 0.5 * (self.p_max - self.p_min)
+
+    @cached_property
+    def float_rows(self) -> list:
+        """(v_max, a_max, j_max) of each joint as Python floats."""
+        return list(zip(self.v_max.tolist(), self.a_max.tolist(), self.j_max.tolist()))
 
 
 @dataclass(frozen=True)
@@ -356,11 +380,80 @@ def valid_accel_bounds(v0, a0, v_max, a_max, j_max, dt, *, correction_enabled):
     return lo, hi
 
 
+def _float_velocity_bound(v0, a0, v_max, jd, dt):
+    """``_velocity_bound`` of one state on Python floats."""
+    neg_jd = -jd
+    disc = 1.0 + (8.0 * (v0 - v_max) + 4.0 * a0 * dt) / (neg_jd * dt)
+    out = (neg_jd / 2.0) * (1.0 - math.sqrt(0.0 if disc <= 0.0 else disc))
+    if v0 + 0.5 * a0 * dt >= v_max:
+        gap = v_max - v0
+        if a0 == 0.0:
+            return 0.0
+        if gap > 0.0:
+            return a0 * (1.0 - (a0 * dt) / (2.0 * gap))
+    return out
+
+
+def _float_shifted_bound(v0, a0, a_unc, v_max, a_max, jd, dt):
+    """``_shifted_bound`` of one state on Python floats."""
+    q = (a_unc if a_unc > 0.0 else 0.0) / jd
+    n0 = 1e6 if q >= 1e6 else float(max(math.ceil(q), 1))
+    c = (v_max - v0) / dt - 0.5 * a0
+    floor = a0 - jd if a0 - jd > -a_max else -a_max
+    floor = floor - LIMIT_EPS if floor - LIMIT_EPS > -LIMIT_EPS else -LIMIT_EPS
+    best = -math.inf
+    for offset in (-2.0, -1.0, 0.0, 1.0, 2.0, 3.0):
+        n = n0 + offset if n0 + offset > 1.0 else 1.0
+        m = jd * (n - 1.0)
+        a_star = c / n + 0.5 * m
+        if (a_star > best and floor <= a_star <= a_unc + LIMIT_EPS
+                and -LIMIT_EPS <= a_star - m <= jd + LIMIT_EPS):
+            best = a_star
+    if not math.isfinite(best):
+        return a_unc
+    best = best if best > 0.0 else 0.0
+    return best if best < a_unc else a_unc
+
+
 def valid_accel_range(v, a, limits: JointLimits, params: StepParams):
     """(lo, hi) valid next-step accelerations of every joint at velocity
-    ``v`` and acceleration ``a``."""
+    ``v`` and acceleration ``a``, each of shape (n_joints,): the
+    single-state kernel (module docstring), bit-identical to
+    ``valid_accel_bounds``, which serves its rare cases."""
+    v, a = _as_float_array(v), _as_float_array(a)
+    if v.shape != (limits.n_joints,) or a.shape != (limits.n_joints,):
+        raise ValueError(f"valid acceleration range of {limits.n_joints} joints needs "
+                         f"{limits.n_joints} velocities and accelerations, got "
+                         f"shapes {v.shape} and {a.shape}")
+    dt, correct = params.dt, params.correction_enabled
+    lo, hi = [], []
+    for v0, a0, (v_max, a_max, j_max) in zip(v.tolist(), a.tolist(), limits.float_rows):
+        if not (math.isfinite(v0) and math.isfinite(a0)):
+            break
+        jd = j_max * dt
+        up = _float_velocity_bound(v0, a0, v_max, jd, dt)
+        down = _float_velocity_bound(-v0, -a0, v_max, jd, dt)
+        # np.minimum and np.maximum return the second operand on a tie
+        ceil = a0 + jd if a0 + jd < a_max else a_max
+        floor = a0 - jd if a0 - jd > -a_max else -a_max
+        if correct:
+            if up <= ceil + LIMIT_EPS:
+                up = _float_shifted_bound(v0, a0, up, v_max, a_max, jd, dt)
+            if -down >= floor - LIMIT_EPS:
+                down = _float_shifted_bound(-v0, -a0, down, v_max, a_max, jd, dt)
+        h = ceil if ceil < up else up
+        low = floor if floor > -down else -down
+        if low - h > LIMIT_EPS:
+            break
+        if low > h:  # a thin range: brake at full jerk
+            low = h = floor if up < ceil else ceil
+        lo.append(low)
+        hi.append(h)
+    else:
+        return np.array(lo), np.array(hi)
+    # a non-finite state or a boundary state: raise or re-evaluate there
     return valid_accel_bounds(v, a, limits.v_max, limits.a_max, limits.j_max,
-                              params.dt, correction_enabled=params.correction_enabled)
+                              dt, correction_enabled=correct)
 
 
 def clip_action(raw, lo, hi) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Shared oracles: forward-simulation of bound profiles and the greedy-max
 closed loop, kept independent of the closed-form code paths they check; a
 frozen reference copy of the valid-range kernels; a planar test chain and
-the stock 7-joint arm."""
+the stock 7-joint arm; a call counter for monkeypatched functions."""
 
 from pathlib import Path
 
@@ -12,6 +12,17 @@ from trajadapt.errors import LimitConsistencyError, NonFiniteStateError
 from trajadapt.kinematics import ChainModel, JointRow, load_chain
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+def count_calls(monkeypatch, owner, names):
+    """Wrap ``owner.<name>`` for each name with a call counter."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _original=getattr(owner, name), **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    return counts
 
 
 def arm_chain():

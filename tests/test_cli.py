@@ -14,6 +14,7 @@ from trajadapt import adaptation as ad
 from trajadapt import cli
 from trajadapt import environment as envm
 from trajadapt import kinematics as kin
+from trajadapt import limits as lim
 from trajadapt import policy as pol
 from trajadapt import trajectory as tr
 from trajadapt.errors import ConfigurationError, LimitConsistencyError, NonFiniteStateError
@@ -433,6 +434,52 @@ def test_rollout_workers_match_serial_on_generated_dataset(tmp_path):
     assert len(serial) == 6
     for path in serial:
         assert path.read_bytes() == (tmp_path / "w2" / path.name).read_bytes()
+
+
+def _batch_kernel_range(v, a, limits, params):
+    return lim.valid_accel_bounds(v, a, limits.v_max, limits.a_max, limits.j_max,
+                                  params.dt, correction_enabled=params.correction_enabled)
+
+
+def _stationary_arm_config(tmp_path, **extra):
+    path = _write_arm_config(tmp_path, **extra)
+    cfg = json.loads(path.read_text())
+    del cfg["dataset_file"]
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+LOOSE_TERMINATION = {"deviation_low_rad": 5.0, "deviation_high_rad": 9.0,
+                     "termination_rad": 10.0}
+
+
+@pytest.mark.parametrize("case", ["tracking-arm", "pd_balance-gimbal", "greedy_max-gimbal",
+                                  "random-gimbal", "greedy_max-arm", "random-arm"])
+def test_rollout_step_logs_match_the_batch_kernel(tmp_path, monkeypatch, case):
+    """``rollout`` writes the same step-log bytes with ``valid_accel_bounds``
+    in place of the single-state kernel."""
+    kind, _, chain = case.partition("-")
+    episodes = "2"
+    if kind == "tracking":  # generated references
+        cfg = _write_arm_config(tmp_path, policy={"kind": kind})
+        assert cli.main(["generate", "--config", str(cfg)]) == 0
+        episodes = "4"
+    elif kind == "pd_balance":  # configs/balance_demo.json, full length
+        cfg = _write_balance_config(tmp_path, stationary_steps=201)
+    else:  # stationary references, the policy rides the limits
+        write = _write_balance_config if chain == "gimbal" else _stationary_arm_config
+        cfg = write(tmp_path, policy={"kind": kind}, use_environment=False,
+                    stationary_steps=201, reward=LOOSE_TERMINATION)
+    logs = {}
+    for kernel in ("single-state", "batch"):
+        if kernel == "batch":
+            monkeypatch.setattr(ad, "valid_accel_range", _batch_kernel_range)
+        out = tmp_path / kernel
+        assert cli.main(["rollout", "--config", str(cfg), "--episodes", episodes,
+                         "--seed", "3", "--out", str(out)]) == 0
+        logs[kernel] = {p.name: p.read_bytes() for p in sorted(out.glob("episode_*.csv"))}
+    assert len(logs["batch"]) == int(episodes)
+    assert logs["single-state"] == logs["batch"]
 
 
 def test_rollout_writes_one_step_log_per_episode_and_eval_none(tmp_path, monkeypatch):

@@ -11,7 +11,7 @@ from trajadapt.errors import (ConfigurationError, LimitConsistencyError,
 # ---------------------------------------------------------------------------
 # oracles shared with the acceptance suite
 
-from conftest import (bisect_max_accel_velocity, greedy_rollout,
+from conftest import (bisect_max_accel_velocity, count_calls, greedy_rollout,
                       profile_peak_velocity, random_limit_tuples,
                       ref_correction_shift, ref_max_accel_velocity,
                       ref_valid_accel_bounds)
@@ -507,9 +507,18 @@ def _outcome(bounds, *args, **kwargs):
         return type(exc), str(exc)
 
 
-def _assert_same_outcome(*args, correction):
+def _float_range(v0, a0, v_max, a_max, j_max, dt, *, correction_enabled):
+    """The single-state kernel ``valid_accel_range`` on the arguments of
+    ``valid_accel_bounds``: (n,) states and limits."""
+    limits = lim.JointLimits(p_min=-np.ones(np.size(v_max)), p_max=np.ones(np.size(v_max)),
+                             v_max=v_max, a_max=a_max, j_max=j_max)
+    return lim.valid_accel_range(v0, a0, limits,
+                                 lim.StepParams(dt=dt, correction_enabled=correction_enabled))
+
+
+def _assert_same_outcome(*args, correction, kernel=lim.valid_accel_bounds):
     want = _outcome(ref_valid_accel_bounds, *args, correction_enabled=correction)
-    got = _outcome(lim.valid_accel_bounds, *args, correction_enabled=correction)
+    got = _outcome(kernel, *args, correction_enabled=correction)
     if isinstance(want[0], type):
         assert got == want
         return want
@@ -582,14 +591,14 @@ def _regime_limits(rng, n, dt):
 
 
 @pytest.mark.parametrize("correction", [False, True])
-def test_kernels_match_frozen_reference(correction):
+def test_kernels_match_frozen_reference(correction, monkeypatch):
     dt, shape = 0.05, (20_000, 7)
     rng = np.random.default_rng(31)
     v_max, a_max, j_max = (x.reshape(shape) for x in _regime_limits(rng, 140_000, dt))
     v0, a0 = (x.reshape(shape) for x in _oracle_states(rng, v_max.ravel(), a_max.ravel(),
                                                        j_max.ravel(), dt))
     # (E, n) states and limits, then per-entry kernels on the same states
-    _assert_same_outcome(v0, a0, v_max, a_max, j_max, dt, correction=correction)
+    batch = _assert_same_outcome(v0, a0, v_max, a_max, j_max, dt, correction=correction)
     vel = np.stack((v0, -v0)), np.stack((a0, -a0))
     want = ref_max_accel_velocity(*vel, v_max, j_max, dt)
     # in-step roots and boundary states (velocity bound below the jerk floor)
@@ -606,10 +615,19 @@ def test_kernels_match_frozen_reference(correction):
     want = ref_correction_shift(*args, dt)
     assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
-    # (n,) and scalar states
+    # (n,) and scalar states; the single-state kernel on every (n,) row,
+    # each its own call, bit for bit the batch's row
     for e in range(0, 300):
-        _assert_same_outcome(v0[e], a0[e], v_max[e], a_max[e], j_max[e], dt,
-                             correction=correction)
+        for kernel in (lim.valid_accel_bounds, _float_range):
+            _assert_same_outcome(v0[e], a0[e], v_max[e], a_max[e], j_max[e], dt,
+                                 correction=correction, kernel=kernel)
+    calls = count_calls(monkeypatch, lim, ("valid_accel_bounds",))
+    rows = [_float_range(v0[e], a0[e], v_max[e], a_max[e], j_max[e], dt,
+                         correction_enabled=correction) for e in range(shape[0])]
+    # the boundary and ulp-moved rows hand the call to the batch kernel
+    assert 1_000 < calls["valid_accel_bounds"] < shape[0] - 1_000
+    for got, want in zip(zip(*rows), batch):
+        assert np.array_equal(np.array(got).view(np.int64), want.view(np.int64))
     for e, j in zip(range(300, 1300), rng.integers(0, 7, 1000)):
         idx = (e, j)
         _assert_same_outcome(v0[idx], a0[idx], v_max[idx], a_max[idx], j_max[idx], dt,
@@ -655,6 +673,9 @@ def test_kernels_raise_like_frozen_reference(correction):
         out = _assert_same_outcome(v0[i], a0[i], v_max[i], a_max[i], j_max[i], dt,
                                    correction=correction)
         raised += out[0] is LimitConsistencyError
+        one = slice(i, i + 1)
+        _assert_same_outcome(v0[one], a0[one], v_max[one], a_max[one], j_max[one], dt,
+                             correction=correction, kernel=_float_range)
     assert 200 < raised < 400
     for k in range(20):
         vb, ab, jb = (x.reshape(8, 7) for x in _regime_limits(rng, 56, dt))
@@ -663,6 +684,57 @@ def test_kernels_raise_like_frozen_reference(correction):
         for _ in range(k % 3 + 1):
             e, j = rng.integers(0, 8), rng.integers(0, 7)
             vs[e, j], as_[e, j] = 1.1 * vb[e, j], ab[e, j]
-        _assert_same_outcome(vs, as_, vb, ab, jb, dt, correction=correction)
-        as_[3, 2] = np.nan
-        _assert_same_outcome(vs, as_, vb, ab, jb, dt, correction=correction)
+        for a_32 in (as_[3, 2], np.nan):
+            as_[3, 2] = a_32
+            _assert_same_outcome(vs, as_, vb, ab, jb, dt, correction=correction)
+            # each row alone, through the single-state kernel too
+            for e in range(8):
+                _assert_same_outcome(vs[e], as_[e], vb[e], ab[e], jb[e], dt,
+                                     correction=correction, kernel=_float_range)
+
+
+def test_single_state_kernel_walks_match_the_batch_kernel():
+    """Random and greedy (+-1) commands over random limit sets of 1-7 joints:
+    at every state the walks visit, the single-state kernel returns the bits
+    of ``valid_accel_bounds``, which recomputes each walk's ranges at once
+    from its (steps, n) states."""
+    dt = 0.05
+    rng = np.random.default_rng(41)
+    states = mismatches = 0
+    for walk in range(560):
+        n = int(rng.integers(1, 8))
+        v_max, a_max, j_max = _regime_limits(rng, n, dt)
+        limits = lim.JointLimits(p_min=-np.ones(n), p_max=np.ones(n),
+                                 v_max=v_max, a_max=a_max, j_max=j_max)
+        params = lim.StepParams(dt=dt, correction_enabled=bool(walk % 2))
+        greedy = walk % 4 >= 2
+        sign = rng.choice([-1.0, 1.0], n)
+        v, a = np.zeros(n), np.zeros(n)
+        visited, got = [], []
+        for _ in range(90):
+            lo, hi = lim.valid_accel_range(v, a, limits, params)
+            visited.append((v, a))
+            got.append((lo, hi))
+            if greedy:  # ride a limit, now and then turn around
+                flip = rng.uniform(size=n) < 0.05
+                sign[flip] = -sign[flip]
+                raw = sign
+            else:
+                raw = rng.uniform(-1.0, 1.0, n)
+            a_next = lim.clip_action(raw * a_max, lo, hi)
+            _, v = lim.integrate_step(0.0, v, a, a_next, dt)
+            a = a_next
+        want = lim.valid_accel_bounds(*np.stack(visited, axis=1), v_max, a_max, j_max, dt,
+                                      correction_enabled=params.correction_enabled)
+        got = np.stack(got, axis=1)
+        mismatches += np.count_nonzero(got.view(np.int64) != np.stack(want).view(np.int64))
+        states += len(visited)
+    assert states >= 50_000
+    assert mismatches == 0
+
+
+@pytest.mark.parametrize("n_v, n_a", [(1, 3), (3, 1), (2, 3), (4, 3), (3, 4)])
+def test_valid_accel_range_rejects_a_state_of_another_length(n_v, n_a):
+    limits = _simple_limits(n=3)
+    with pytest.raises(ValueError, match=rf"3 joints .* shapes \({n_v},\) and \({n_a},\)"):
+        lim.valid_accel_range(np.zeros(n_v), np.zeros(n_a), limits, lim.StepParams())
