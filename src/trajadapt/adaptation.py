@@ -10,6 +10,19 @@ present) and write the step's state, deviation and task reward into the
 episode's ``StepLog``.  The reward penalties depend on the executed
 trajectory alone, so ``score_log`` computes them once per episode over the
 log's columns.
+
+One episode's joint state is n_joints numbers, too few for numpy's per-call
+cost to pay off, so ``rollout`` keeps the state, the policy output and the
+clipped command as lists of Python floats and runs the elementwise steps on
+them: the raw clamp, the valid range, the clip, the integration and the
+deviation.  Each keeps the operations and order of its numpy form, so the
+log holds the same bits (``limits`` "Single-state kernel").  The
+observation is the policy's input array, normalized in one subtraction and
+one division.  What a float copy could change in the last bit stays numpy:
+the substep profile (``**3``), the plate kinematics and the ball's drive
+(BLAS products) and the per-episode sums of ``score_log`` and
+``episode_metrics`` (pairwise).  The campaign keeps (episodes, joints)
+arrays throughout.
 """
 
 from __future__ import annotations
@@ -23,9 +36,9 @@ from .environment import BallPlateEnv, episode_metrics
 from .errors import (BELOW_ONE, POSITIVE, ConfigurationError, at_least, check_domain,
                      check_fields, setting)
 from .kinematics import plate_motion
-from .limits import (JointLimits, StepParams, all_finite, check_limit_regime,
-                     clip_action, integrate_step, substep_profile,
-                     valid_accel_bounds, valid_accel_range)
+from .limits import (JointLimits, StepParams, check_limit_regime, clamp, clip_action,
+                     integrate_step, substep_profile, valid_accel_bounds,
+                     valid_accel_range)
 from .trajectory import ReferenceTrajectory
 
 # Slack of the campaign's normalized |v|, |a| and |j| over 1.
@@ -91,34 +104,48 @@ def compose_reward(r_task, p_accel, p_jerk, p_deviation):
     return p_smooth, r_task * (1.0 - p_smooth) * (1.0 - p_deviation)
 
 
+def _observation_scaling(limits: JointLimits, feedback_size: int, n_future: int):
+    """(offset, scale) arrays of the flat observation: positions and
+    reference rows by the joint range, velocities and accelerations by
+    v_max and a_max, and the feedback by an offset of 0.0 and a scale of
+    1.0, which leave it exact.  Kept in ``limits.observation_scalings``."""
+    key = (feedback_size, n_future)
+    scaling = limits.observation_scalings.get(key)
+    if scaling is None:
+        n = limits.n_joints
+        offset = np.concatenate((limits.p_mid, np.zeros(2 * n + feedback_size),
+                                 np.tile(limits.p_mid, n_future)))
+        scale = np.concatenate((limits.p_half_range, limits.v_max, limits.a_max,
+                                np.ones(feedback_size), np.tile(limits.p_half_range, n_future)))
+        scaling = limits.observation_scalings[key] = (offset, scale)
+    return scaling
+
+
 def build_observation(p, v, a, limits: JointLimits, feedback,
                       reference: ReferenceTrajectory, t: int,
                       n_future: int) -> np.ndarray:
     """Normalized observation: joint positions ``p``, velocities ``v`` and
-    accelerations ``a``, task feedback, future reference rows.
+    accelerations ``a`` (float sequences), task feedback, future reference
+    rows.
 
     Positions map through the joint range to [-1, 1] (mid-range is 0),
     velocities/accelerations through v_max/a_max.  Reference rows t+1..t+N
     are normalized like positions; rows past the end hold the final row.
-    Everything is clamped into [-1, 1].
+    Everything is clamped into [-1, 1].  One subtraction and one division
+    normalize every part (``_observation_scaling``).
     """
-    feedback = np.asarray(feedback, dtype=float)
-
-    def norm_pos(p):
-        return (p - limits.p_mid) / limits.p_half_range
-
-    rows = []
+    offset, scale = _observation_scaling(limits, len(feedback), n_future)
     last = reference.n_steps - 1
-    for k in range(1, n_future + 1):
-        rows.append(norm_pos(reference.positions[min(t + k, last)]))
-    obs = np.concatenate([
-        norm_pos(p),
-        v / limits.v_max,
-        a / limits.a_max,
-        feedback,
-        np.concatenate(rows),
-    ])
-    return np.minimum(np.maximum(obs, -1.0), 1.0)
+    if t + n_future <= last:
+        rows = reference.positions[t + 1:t + 1 + n_future]
+    else:
+        rows = reference.positions[[min(t + k, last) for k in range(1, n_future + 1)]]
+    obs = np.array([*p, *v, *a, *np.asarray(feedback, dtype=float).tolist(),
+                    *rows.ravel().tolist()])
+    obs -= offset
+    obs /= scale
+    np.maximum(obs, -1.0, out=obs)
+    return np.minimum(obs, 1.0, out=obs)
 
 
 JOINT_COLUMNS = ("p", "v", "a", "jerk", "raw", "act")  # (T, n_joints)
@@ -200,15 +227,23 @@ def rollout(reference: ReferenceTrajectory, policy, limits: JointLimits,
     the executed steps only, so it is empty when the first step ends the
     episode.  ``seed`` is a sequence of ints; the policy and the environment
     draw from streams derived from it.
+
+    The joint state, the policy output and the clipped command are lists of
+    Python floats: on one episode's n_joints values numpy's per-call cost is
+    larger than the arithmetic (``limits`` "Single-state kernel").  A policy
+    may return any sequence of n_joints floats.  The observation, the
+    substep profile, the plate motion, the ball and the log stay numpy
+    arrays.
     """
     if reference.n_steps < 2:
         raise ConfigurationError("reference needs at least 2 rows")
     if reference.n_joints != limits.n_joints:
         raise ConfigurationError("reference and limits disagree on joint count")
+    n = limits.n_joints
     total_steps = reference.n_steps - 1
-    p = reference.positions[0].copy()
-    v = np.zeros_like(p)
-    a = np.zeros_like(p)
+    ref_rows = reference.positions.tolist()
+    a_max = limits.a_max.tolist()
+    p, v, a = ref_rows[0], [0.0] * n, [0.0] * n
     seed_key = [int(s) for s in seed]
     policy_rng = np.random.default_rng(seed_key + [1])
     policy.reset()
@@ -217,21 +252,23 @@ def rollout(reference: ReferenceTrajectory, policy, limits: JointLimits,
     if env is not None:
         feedback = env.reset(seed_key + [2])
 
-    log = StepLog.allocate(total_steps, limits.n_joints)
+    log = StepLog.allocate(total_steps, n)
     executed = 0
 
     for t in range(total_steps):
         obs = build_observation(p, v, a, limits, feedback, reference, t,
                                 weights.n_future)
-        raw = np.asarray(policy.act(obs, policy_rng), dtype=float)
-        if not all_finite(raw):
+        raw = [float(x) for x in policy.act(obs, policy_rng)]
+        if len(raw) != n:
+            raise ValueError(f"the policy returned {len(raw)} commands for {n} joints")
+        if not all(map(math.isfinite, raw)):
             break
-        raw = np.minimum(np.maximum(raw, -1.0), 1.0)
+        raw = [clamp(x, -1.0, 1.0) for x in raw]
         lo, hi = valid_accel_range(v, a, limits, params)
-        a_next = clip_action(raw * limits.a_max, lo, hi)
+        a_next = clip_action([x * m for x, m in zip(raw, a_max)], lo, hi)
 
         p_next, v_next = integrate_step(p, v, a, a_next, params.dt)
-        deviation = np.abs(p_next - reference.positions[t + 1]).max()
+        deviation = max(abs(x - r) for x, r in zip(p_next, ref_rows[t + 1]))
         if deviation > weights.termination:
             break
 

@@ -8,7 +8,10 @@ and positions are cubic polynomials per step.
 
 The bound functions other than ``valid_accel_range`` broadcast over leading
 axes: scalars, (n_joints,) vectors or (batch, n_joints) arrays all work,
-which keeps large validation campaigns vectorized.
+which keeps large validation campaigns vectorized.  ``valid_accel_range``,
+``clip_action`` and ``integrate_step`` serve one episode's decision step and
+take and return float sequences of one entry per joint (see "Single-state
+kernel").
 
 The lower velocity bound is the sign reflection of the upper one, so
 ``valid_accel_bounds`` evaluates both sides at once on the stacked (2, ...)
@@ -29,21 +32,32 @@ ufuncs and C-level array methods alone, and test a mask with
 
 Single-state kernel
 -------------------
-``valid_accel_range`` serves one episode's (n_joints,) state, once per
-decision step.  Even ufuncs alone cost more per call than its arithmetic,
-so it loops over the joints on Python floats, with the operations of
-``valid_accel_bounds`` in the same order: both velocity bounds with the
-in-step root, the jerk ceiling and floor, the ripple correction with the
-same six candidate interval counts, and the thin-range brake.  IEEE
-doubles round each operation alike in both, so the results are the same
-bits, provided every min and max follows numpy's tie rule:
-``np.maximum(x, y)`` returns ``y`` on a tie (which decides the sign of a
-zero), Python's ``max`` returns ``x``, so each is a comparison that picks
-``y`` on a tie, as in ``x if x > y else y``.  A non-finite state, or a
-state whose range is empty by more than ``LIMIT_EPS`` (a boundary state),
+``valid_accel_range`` serves one episode's state of n_joints velocities and
+accelerations, once per decision step.  Even ufuncs alone cost more per
+call than its arithmetic, so it loops over the joints on Python floats,
+with the operations of ``valid_accel_bounds`` in the same order: both
+velocity bounds with the in-step root, the jerk ceiling and floor, the
+ripple correction with the same six candidate interval counts, and the
+thin-range brake.  IEEE doubles round each operation alike in both, so the
+results are the same bits, provided every min and max follows numpy's tie
+rule: ``np.maximum(x, y)`` returns ``y`` on a tie (which decides the sign
+of a zero), Python's ``max`` returns ``x``, so each is a comparison that
+picks ``y`` on a tie, as in ``x if x > y else y``.  A non-finite state, or
+a state whose range is empty by more than ``LIMIT_EPS`` (a boundary state),
 hands the whole call to ``valid_accel_bounds``, the one implementation of
 the boundary re-evaluation and of both errors.  The tests hold the two
 kernels to the same bits.
+
+The rest of the step's elementwise arithmetic runs on floats the same way:
+``clip_action`` and ``clamp`` are numpy's clamp with its tie rule and with
+NaN propagating, and ``integrate_step`` evaluates numpy's expressions in
+numpy's order.  The same operations in the same order give the same bits.
+Three kinds of operation stay in numpy, because a float copy can differ in
+the last bit: BLAS products (``@`` and ``dot`` may fuse a multiply-add),
+the SIMD-dispatched transcendental functions (``sin``, ``cos``, ``**3``,
+with their own rounding) and pairwise sums (``np.sum`` and ``np.mean`` add
+in a different order than a loop).  ``substep_profile`` (``tau**3``) stays
+an array function.
 
 Supported limit regime
 ----------------------
@@ -165,6 +179,12 @@ class JointLimits:
     @cached_property
     def p_half_range(self) -> np.ndarray:
         return 0.5 * (self.p_max - self.p_min)
+
+    @cached_property
+    def observation_scalings(self) -> dict:
+        """``adaptation.build_observation``'s (offset, scale) arrays by
+        (feedback size, future rows), filled on first use."""
+        return {}
 
     @cached_property
     def float_rows(self) -> list:
@@ -416,18 +436,17 @@ def _float_shifted_bound(v0, a0, a_unc, v_max, a_max, jd, dt):
 
 
 def valid_accel_range(v, a, limits: JointLimits, params: StepParams):
-    """(lo, hi) valid next-step accelerations of every joint at velocity
-    ``v`` and acceleration ``a``, each of shape (n_joints,): the
-    single-state kernel (module docstring), bit-identical to
+    """(lo, hi) lists of the valid next-step accelerations of every joint at
+    velocities ``v`` and accelerations ``a``, float sequences of n_joints
+    entries: the single-state kernel (module docstring), bit-identical to
     ``valid_accel_bounds``, which serves its rare cases."""
-    v, a = _as_float_array(v), _as_float_array(a)
-    if v.shape != (limits.n_joints,) or a.shape != (limits.n_joints,):
+    if len(v) != limits.n_joints or len(a) != limits.n_joints:
         raise ValueError(f"valid acceleration range of {limits.n_joints} joints needs "
                          f"{limits.n_joints} velocities and accelerations, got "
-                         f"shapes {v.shape} and {a.shape}")
+                         f"shapes {np.shape(v)} and {np.shape(a)}")
     dt, correct = params.dt, params.correction_enabled
     lo, hi = [], []
-    for v0, a0, (v_max, a_max, j_max) in zip(v.tolist(), a.tolist(), limits.float_rows):
+    for v0, a0, (v_max, a_max, j_max) in zip(v, a, limits.float_rows):
         if not (math.isfinite(v0) and math.isfinite(a0)):
             break
         jd = j_max * dt
@@ -450,29 +469,37 @@ def valid_accel_range(v, a, limits: JointLimits, params: StepParams):
         lo.append(low)
         hi.append(h)
     else:
-        return np.array(lo), np.array(hi)
+        return lo, hi
     # a non-finite state or a boundary state: raise or re-evaluate there
-    return valid_accel_bounds(v, a, limits.v_max, limits.a_max, limits.j_max,
-                              dt, correction_enabled=correct)
+    lo, hi = valid_accel_bounds(v, a, limits.v_max, limits.a_max, limits.j_max,
+                                dt, correction_enabled=correct)
+    return lo.tolist(), hi.tolist()
 
 
-def clip_action(raw, lo, hi) -> np.ndarray:
-    """Componentwise clamp of a raw acceleration command into [lo, hi]; the
-    same values, NaN included, as ``np.clip`` without its Python wrapper."""
-    return np.minimum(np.maximum(raw, lo), hi)
+def clamp(x: float, lo: float, hi: float) -> float:
+    """``np.minimum(np.maximum(x, lo), hi)`` of floats, bit for bit: a NaN
+    operand propagates, and a tie returns the bound (numpy returns the
+    second operand on a tie)."""
+    x = x if x > lo or x != x else lo
+    return x if x < hi or x != x else hi
+
+
+def clip_action(raw, lo, hi) -> list:
+    """Componentwise clamp of raw acceleration commands into [lo, hi], float
+    sequences of one entry per joint: the same values, NaN and signed zeros
+    included, as ``np.clip``."""
+    return [clamp(x, low, high) for x, low, high in zip(raw, lo, hi)]
 
 
 def integrate_step(p0, v0, a0, a1, dt):
     """Exact integral of one step of linearly interpolated acceleration.
 
-    Returns (p1, v1) at the end of the step.
+    Takes float sequences of one entry per joint and returns the lists
+    (p1, v1) at the end of the step.
     """
-    p0 = _as_float_array(p0)
-    v0 = _as_float_array(v0)
-    a0 = _as_float_array(a0)
-    a1 = _as_float_array(a1)
-    v1 = v0 + 0.5 * (a0 + a1) * dt
-    p1 = p0 + v0 * dt + (2.0 * a0 + a1) * dt * dt / 6.0
+    v1 = [v + 0.5 * (a + b) * dt for v, a, b in zip(v0, a0, a1)]
+    p1 = [p + v * dt + (2.0 * a + b) * dt * dt / 6.0
+          for p, v, a, b in zip(p0, v0, a0, a1)]
     return p1, v1
 
 

@@ -1,9 +1,17 @@
 """Policies for the decision loop: random/greedy probes, reference tracking,
 a scripted ball balancer and an affine policy on externally trained weights.
 
-A policy maps a normalized observation to a normalized acceleration command
-in [-1, 1] per joint via ``act(obs, rng)``; ``reset()`` restarts any
-internal state.  Policies are deterministic given (observation, rng state).
+A policy maps a normalized observation (an array) to a normalized
+acceleration command in [-1, 1] per joint via ``act(obs, rng)``, returned
+as any sequence of n_joints floats; ``reset()`` restarts any internal
+state.  Policies are deterministic given (observation, rng state).
+
+The tracking law and the balancer's ball law run on Python floats: on one
+episode's few values numpy's per-call cost is larger than the arithmetic.
+They keep the operations and order of their numpy form, so they return the
+same bits (``limits`` "Single-state kernel").  What can differ from numpy in
+the last bit stays numpy: the BLAS products of ``LinearPolicy`` and of the
+balancer's tilt norm and tilt-to-joint map.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ import numpy as np
 from .environment import GRAVITY, ROLLING_FACTOR, PlateGeometry, TaskSpec
 from .errors import NON_NEGATIVE, POSITIVE, ConfigurationError, check_domain
 from .kinematics import ChainModel, jacobian
-from .limits import JointLimits
+from .limits import JointLimits, clamp
 
 BALL_DRIVE = ROLLING_FACTOR * GRAVITY  # ball acceleration per radian of tilt
 TILT_LIMIT = 0.25                      # largest plate tilt the balancer asks for, rad
@@ -92,8 +100,8 @@ class GreedyMaxPolicy:
     def reset(self):
         pass
 
-    def act(self, obs, rng) -> np.ndarray:
-        return np.ones(self.n_joints)
+    def act(self, obs, rng) -> list:
+        return [1.0] * self.n_joints
 
 
 class TrackingPolicy:
@@ -107,6 +115,10 @@ class TrackingPolicy:
     internally; ``reset`` clears them).  The gains keep the
     discrete loop comfortably inside the unit circle, so step disturbances do
     not ring against the jerk bound.
+
+    The law runs on Python floats, one joint at a time, with the operations
+    and order of its numpy form (``limits`` "Single-state kernel"), and
+    returns lists.
     """
 
     def __init__(self, layout: ObservationLayout, limits: JointLimits,
@@ -117,6 +129,10 @@ class TrackingPolicy:
         self.dt = dt
         self.kp = kp
         self.kd = kd
+        self._half = limits.p_half_range.tolist()
+        self._mid = limits.p_mid.tolist()
+        self._v_max = limits.v_max.tolist()
+        self._a_max = limits.a_max.tolist()
         self._prev_ref = None
         self._prev_vref = None
 
@@ -124,29 +140,37 @@ class TrackingPolicy:
         self._prev_ref = None
         self._prev_vref = None
 
-    def tracking_accel(self, obs, shift=None) -> np.ndarray:
-        lay, lim = self.layout, self.limits
-        p = lay.joint_pos(obs) * lim.p_half_range + lim.p_mid
-        v = lay.joint_vel(obs) * lim.v_max
-        p_ref = lay.ref_row(obs) * lim.p_half_range + lim.p_mid
+    def tracking_accel(self, obs, shift=None) -> list:
+        """The law's accelerations at observation ``obs``, each joint's
+        reference moved by ``shift`` (a float sequence) if given."""
+        lay, dt = self.layout, self.dt
+        obs = np.asarray(obs, dtype=float).tolist()
+        p = [o * h + m for o, h, m in zip(lay.joint_pos(obs), self._half, self._mid)]
+        v = [o * w for o, w in zip(lay.joint_vel(obs), self._v_max)]
+        p_ref = [o * h + m for o, h, m in zip(lay.ref_row(obs), self._half, self._mid)]
 
         target = p_ref
-        v_ref = np.zeros_like(p_ref)
-        a_ff = np.zeros_like(p_ref)
+        v_ref = a_ff = [0.0] * lay.n_joints
         if self._prev_ref is not None:
             target = self._prev_ref
-            v_ref = (p_ref - self._prev_ref) / self.dt
+            v_ref = [(r - q) / dt for r, q in zip(p_ref, self._prev_ref)]
             if self._prev_vref is not None:
-                a_ff = (v_ref - self._prev_vref) / self.dt
+                a_ff = [(r - q) / dt for r, q in zip(v_ref, self._prev_vref)]
         self._prev_ref = p_ref
         self._prev_vref = v_ref
 
         if shift is not None:
-            target = target + shift
-        return a_ff + self.kp * (target - p) + self.kd * (v_ref - v)
+            target = [x + s for x, s in zip(target, shift)]
+        kp, kd = self.kp, self.kd
+        return [f + kp * (x - q) + kd * (r - w)
+                for f, x, q, r, w in zip(a_ff, target, p, v_ref, v)]
 
-    def act(self, obs, rng) -> np.ndarray:
-        return np.minimum(np.maximum(self.tracking_accel(obs) / self.limits.a_max, -1.0), 1.0)
+    def _normalized(self, accel) -> list:
+        """Accelerations as normalized commands clamped into [-1, 1]."""
+        return [clamp(x / m, -1.0, 1.0) for x, m in zip(accel, self._a_max)]
+
+    def act(self, obs, rng) -> list:
+        return self._normalized(self.tracking_accel(obs))
 
 
 class PDBalancePolicy(TrackingPolicy):
@@ -158,7 +182,8 @@ class PDBalancePolicy(TrackingPolicy):
     plain tracker.  The masked joints' tilt authority is taken from the
     angular part of the chain Jacobian at an anchor posture and checked at
     setup.  Ball position and velocity come from the task feedback (current
-    and previous measured positions).
+    and previous measured positions).  The ball law runs on floats too; the
+    tilt's norm and its map to the joints are BLAS products and stay numpy.
     """
 
     def __init__(self, layout: ObservationLayout, limits: JointLimits, dt: float,
@@ -182,25 +207,25 @@ class PDBalancePolicy(TrackingPolicy):
                 "masked joints have no independent plate-tilt authority")
         self.tilt_to_joints = np.linalg.pinv(tilt_jac)
 
-    def act(self, obs, rng) -> np.ndarray:
-        lay, lim = self.layout, self.limits
-        half = self.geometry.half_extents
-        f = lay.feedback(obs)
-        cur = f[0:2] * half
-        prev = f[2:4] * half
-        err = (f[4:6] * half) if self.task.kind == "in_place" else cur
-        vel = (cur - prev) / self.dt
+    def act(self, obs, rng) -> list:
+        half = (self.geometry.half_x, self.geometry.half_y)
+        f = np.asarray(self.layout.feedback(obs), dtype=float).tolist()
+        cur = [x * h for x, h in zip(f[0:2], half)]
+        prev = [x * h for x, h in zip(f[2:4], half)]
+        err = [x * h for x, h in zip(f[4:6], half)] if self.task.kind == "in_place" else cur
+        vel = [(c - q) / self.dt for c, q in zip(cur, prev)]
 
         # desired ball acceleration -> plate tilt about world x/y
-        u = -(self.ball_kp * err + self.ball_kd * vel)
+        u = [-(self.ball_kp * e + self.ball_kd * w) for e, w in zip(err, vel)]
         tilt = np.array([-u[1], u[0]]) / BALL_DRIVE
         norm = math.sqrt(tilt.dot(tilt))
         if norm > TILT_LIMIT:
             tilt *= TILT_LIMIT / norm
 
-        shift = np.zeros(lim.n_joints)
-        shift[self.mask] = self.tilt_to_joints @ tilt
-        return np.minimum(np.maximum(self.tracking_accel(obs, shift) / lim.a_max, -1.0), 1.0)
+        shift = [0.0] * self.limits.n_joints
+        for j, s in zip(self.mask, (self.tilt_to_joints @ tilt).tolist()):
+            shift[j] = s
+        return self._normalized(self.tracking_accel(obs, shift))
 
 
 class LinearPolicy:

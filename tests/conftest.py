@@ -1,15 +1,19 @@
 """Shared oracles: forward-simulation of bound profiles and the greedy-max
-closed loop, kept independent of the closed-form code paths they check; a
-frozen reference copy of the valid-range kernels; a planar test chain and
-the stock 7-joint arm; a call counter for monkeypatched functions."""
+closed loop, kept independent of the closed-form code paths they check;
+frozen reference copies of the valid-range kernels and of the decision step
+on arrays; a planar test chain and the stock 7-joint arm; a call counter
+for monkeypatched functions."""
 
+import math
 from pathlib import Path
 
 import numpy as np
 
+from trajadapt import adaptation as ad
 from trajadapt import limits as lim
+from trajadapt import policy as pol
 from trajadapt.errors import LimitConsistencyError, NonFiniteStateError
-from trajadapt.kinematics import ChainModel, JointRow, load_chain
+from trajadapt.kinematics import ChainModel, JointRow, load_chain, plate_motion
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -124,8 +128,8 @@ def greedy_rollout(v0, a0, v_max, a_max, j_max, dt, steps, correction):
         if a > 0.0 > a1:
             t_star = a * dt / (a - a1)
             peak = max(peak, v + a * t_star + (a1 - a) * t_star**2 / (2 * dt))
-        _, v1 = lim.integrate_step(0.0, v, a, a1, dt)
-        v, a = float(v1), a1
+        _, [v1] = lim.integrate_step([0.0], [v], [a], [a1], dt)
+        v, a = v1, a1
         vs.append(v)
         accs.append(a)
     return np.asarray(vs), np.asarray(accs), peak
@@ -231,3 +235,129 @@ def ref_valid_accel_bounds(v0, a0, v_max, a_max, j_max, dt, correction_enabled=F
     lo = np.where(over, brake, lo)[()]
     hi = np.where(over, brake, hi)[()]
     return lo, hi
+
+
+# ---------------------------------------------------------------------------
+# Frozen reference step loop: ``adaptation.rollout``'s decision step as it
+# was written on (n,) arrays, with the tracking law and the balancer's ball
+# law on arrays too and the frozen valid-range kernel above.  ``rollout``
+# must write the same log bits.
+
+def ref_build_observation(p, v, a, limits, feedback, reference, t, n_future):
+    feedback = np.asarray(feedback, dtype=float)
+
+    def norm_pos(p):
+        return (p - limits.p_mid) / limits.p_half_range
+
+    rows = []
+    last = reference.n_steps - 1
+    for k in range(1, n_future + 1):
+        rows.append(norm_pos(reference.positions[min(t + k, last)]))
+    obs = np.concatenate([norm_pos(p), v / limits.v_max, a / limits.a_max, feedback,
+                          np.concatenate(rows)])
+    return np.minimum(np.maximum(obs, -1.0), 1.0)
+
+
+class _RefTrackingLaw:
+    """``TrackingPolicy``'s law on arrays, ahead of it in the MRO."""
+
+    def tracking_accel(self, obs, shift=None):
+        lay, lim_ = self.layout, self.limits
+        p = lay.joint_pos(obs) * lim_.p_half_range + lim_.p_mid
+        v = lay.joint_vel(obs) * lim_.v_max
+        p_ref = lay.ref_row(obs) * lim_.p_half_range + lim_.p_mid
+
+        target = p_ref
+        v_ref = np.zeros_like(p_ref)
+        a_ff = np.zeros_like(p_ref)
+        if self._prev_ref is not None:
+            target = self._prev_ref
+            v_ref = (p_ref - self._prev_ref) / self.dt
+            if self._prev_vref is not None:
+                a_ff = (v_ref - self._prev_vref) / self.dt
+        self._prev_ref = p_ref
+        self._prev_vref = v_ref
+
+        if shift is not None:
+            target = target + shift
+        return a_ff + self.kp * (target - p) + self.kd * (v_ref - v)
+
+    def act(self, obs, rng):
+        return np.minimum(np.maximum(self.tracking_accel(obs) / self.limits.a_max, -1.0), 1.0)
+
+
+class RefTrackingPolicy(_RefTrackingLaw, pol.TrackingPolicy):
+    pass
+
+
+class RefPDBalancePolicy(_RefTrackingLaw, pol.PDBalancePolicy):
+    def act(self, obs, rng):
+        lay, lim_ = self.layout, self.limits
+        half = self.geometry.half_extents
+        f = lay.feedback(obs)
+        cur = f[0:2] * half
+        prev = f[2:4] * half
+        err = (f[4:6] * half) if self.task.kind == "in_place" else cur
+        vel = (cur - prev) / self.dt
+
+        u = -(self.ball_kp * err + self.ball_kd * vel)
+        tilt = np.array([-u[1], u[0]]) / pol.BALL_DRIVE
+        norm = math.sqrt(tilt.dot(tilt))
+        if norm > pol.TILT_LIMIT:
+            tilt *= pol.TILT_LIMIT / norm
+
+        shift = np.zeros(lim_.n_joints)
+        shift[self.mask] = self.tilt_to_joints @ tilt
+        return np.minimum(np.maximum(self.tracking_accel(obs, shift) / lim_.a_max, -1.0), 1.0)
+
+
+def ref_rollout_log(reference, policy, limits, params, weights, env=None, seed=(0,)):
+    """The scored ``StepLog`` of one episode of the array step loop."""
+    total_steps = reference.n_steps - 1
+    p = reference.positions[0].copy()
+    v = np.zeros_like(p)
+    a = np.zeros_like(p)
+    seed_key = [int(s) for s in seed]
+    policy_rng = np.random.default_rng(seed_key + [1])
+    policy.reset()
+    feedback = np.zeros(0)
+    if env is not None:
+        feedback = env.reset(seed_key + [2])
+    log = ad.StepLog.allocate(total_steps, limits.n_joints)
+    dt = params.dt
+    executed = 0
+    for t in range(total_steps):
+        obs = ref_build_observation(p, v, a, limits, feedback, reference, t, weights.n_future)
+        raw = np.asarray(policy.act(obs, policy_rng), dtype=float)
+        if not np.isfinite(raw).all():
+            break
+        raw = np.minimum(np.maximum(raw, -1.0), 1.0)
+        lo, hi = ref_valid_accel_bounds(v, a, limits.v_max, limits.a_max, limits.j_max, dt,
+                                        params.correction_enabled)
+        a_next = np.minimum(np.maximum(raw * limits.a_max, lo), hi)
+        v_next = v + 0.5 * (a + a_next) * dt
+        p_next = p + v * dt + (2.0 * a + a_next) * dt * dt / 6.0
+        deviation = np.abs(p_next - reference.positions[t + 1]).max()
+        if deviation > weights.termination:
+            break
+        r_task = 1.0
+        if env is not None:
+            q_sub, _, _ = lim.substep_profile(p, v, a, a_next, dt, params.substeps)
+            _, rotations, lin_acc = plate_motion(env.model, q_sub, params.control_dt)
+            position, on_plate, r_task, feedback = env.step(rotations[1:], lin_acc[1:],
+                                                            params.control_dt)
+            log.ball_x_m[t], log.ball_y_m[t] = position
+            log.ball_on_plate[t] = 1.0 if on_plate else 0.0
+        log.p[t] = p_next
+        log.v[t] = v_next
+        log.a[t] = a_next
+        log.raw[t] = raw
+        log.deviation_rad[t] = deviation
+        log.r_task[t] = r_task
+        executed = t + 1
+        p, v, a = p_next, v_next, a_next
+        if log.ball_on_plate[t] == 0.0:
+            break
+    log = log.head(executed)
+    ad.score_log(log, limits, weights, dt)
+    return log

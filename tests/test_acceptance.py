@@ -108,8 +108,8 @@ def test_criterion_04_random_policy_traces():
             jumps = np.abs(np.diff(np.concatenate([[prev_tail], vv])))
             worst_vjump = max(worst_vjump, float(np.max(jumps)) / (a_max * 0.005))
             prev_tail = float(vv[-1])
-            _, v1 = lim.integrate_step(0.0, v, a, a1, 0.05)
-            v, a = float(v1), a1
+            _, [v1] = lim.integrate_step([0.0], [v], [a], [a1], 0.05)
+            v, a = v1, a1
     ok = worst_norm <= 1.0 + 1e-9 and worst_vjump <= 1.0 + 1e-9
     _report("criterion 4: random traces bounded and continuous", ok,
             f"worst limit norm={worst_norm:.12f} (<= 1+1e-9), "
@@ -157,7 +157,7 @@ def test_criterion_06_integration_exactness():
             v_prof = v0 + a0 * tau + (a1 - a0) * tau**2 / (2 * dt)
             v_num = v0 + simpson(a, x=tau)
             p_num = p0 + simpson(v_prof, x=tau)
-            p1, v1 = lim.integrate_step(p0, v0, a0, a1, dt)
+            [p1], [v1] = lim.integrate_step([p0], [v0], [a0], [a1], dt)
             worst = max(worst, abs(v1 - v_num), abs(p1 - p_num))
     params = StepParams(dt=0.05, control_dt=0.005)
     worst_end = 0.0
@@ -280,13 +280,13 @@ def test_criterion_10_realtime_budget():
     # bound on even joints, lower bound on odd ones) so the ripple
     # correction runs for all seven; (v, a) of each state
     states = {
-        "free": (np.full(7, 0.5), np.full(7, 2.0)),
-        "velocity-bound": (np.resize([1.6, -1.6], 7), np.zeros(7)),
+        "free": ([0.5] * 7, [2.0] * 7),
+        "velocity-bound": ([1.6, -1.6] * 3 + [1.6], [0.0] * 7),
     }
-    shifted_lo, shifted_hi = lim.valid_accel_range(*states["velocity-bound"],
-                                                   limits, params)
-    plain_lo, plain_hi = lim.valid_accel_range(*states["velocity-bound"], limits,
-                                               StepParams(correction_enabled=False))
+    shifted_lo, shifted_hi = np.array(lim.valid_accel_range(*states["velocity-bound"],
+                                                            limits, params))
+    plain_lo, plain_hi = np.array(lim.valid_accel_range(*states["velocity-bound"], limits,
+                                                        StepParams(correction_enabled=False)))
     assert np.all((shifted_hi != plain_hi) | (shifted_lo != plain_lo))
     medians = {}
     for name, (v, a) in states.items():

@@ -1,7 +1,9 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from conftest import arm_chain
+from conftest import RefPDBalancePolicy, RefTrackingPolicy, arm_chain, ref_rollout_log
 from trajadapt import adaptation as ad
 from trajadapt import environment as env
 from trajadapt import kinematics as kin
@@ -282,6 +284,12 @@ def test_rollout_terminates_on_non_finite_policy_output(start, bad):
     assert np.all((log.p >= limits.p_min) & (log.p <= limits.p_max))
 
 
+def test_rollout_rejects_a_policy_output_of_another_length():
+    ref = ReferenceTrajectory(dt=0.05, positions=np.zeros((5, 2)))
+    with pytest.raises(ValueError, match="returned 1 commands for 2 joints"):
+        ad.rollout(ref, ZeroPolicy(1), _limits(2), StepParams(), ad.RewardWeights())
+
+
 def test_rollout_rejects_reference_of_other_joint_count():
     ref = ReferenceTrajectory(dt=0.05, positions=np.zeros((10, 3)))
     with pytest.raises(ConfigurationError, match="joint count"):
@@ -382,6 +390,62 @@ def test_rollout_with_ball_environment_runs():
     assert report.success
     assert np.all(np.isfinite(log.ball_x_m) & np.isfinite(log.ball_y_m))
     assert np.all(log.r_task == 1.0)
+
+
+LOOSE_TERMINATION = ad.RewardWeights(deviation_low=5.0, deviation_high=9.0, termination=10.0)
+
+
+def _moving_reference(model, limits, steps=121):
+    """The home posture plus a sine of a tenth of each joint's half range,
+    a different period per joint."""
+    t = np.arange(steps)[:, None] * 0.05
+    periods = 2.0 + np.arange(limits.n_joints)
+    swing = np.sin(2.0 * np.pi * t / periods)
+    return ReferenceTrajectory(dt=0.05, positions=model.q_home + limits.p_half_range / 10.0 * swing)
+
+
+@pytest.mark.parametrize("chain", ["gimbal", "arm"])
+@pytest.mark.parametrize("kind", ["tracking", "pd_balance", "linear", "random", "greedy_max"])
+def test_rollout_matches_the_frozen_array_step_loop(chain, kind):
+    """``rollout`` on floats writes the log bits, signbits included, of the
+    array step loop it replaced (``conftest.ref_rollout_log``), on a moving
+    reference with the termination loosened; the policies that follow it
+    drive the ball environment."""
+    if chain == "gimbal":
+        model, limits = kin.gimbal_chain()
+        task, mask = env.TaskSpec(kind="in_place", start_offset=(0.02, 0.0)), (0, 1)
+    else:
+        model, limits = arm_chain()
+        task, mask = env.TaskSpec(kind="on_plate", noise_std=0.001), (4, 5)
+    reference = _moving_reference(model, limits)
+    environment = None
+    if kind in ("tracking", "pd_balance", "linear"):
+        environment = env.BallPlateEnv(model, env.PlateGeometry(), task, env.BallParams())
+    layout = pol.ObservationLayout(limits.n_joints,
+                                   task.feedback_size if environment else 0, 1)
+    params = StepParams()
+    tracking = (layout, limits, params.dt)
+    weights = np.random.default_rng(3).standard_normal((limits.n_joints, layout.size + 1))
+    new_cls, ref_cls, args = {
+        "tracking": (pol.TrackingPolicy, RefTrackingPolicy, tracking),
+        "pd_balance": (pol.PDBalancePolicy, RefPDBalancePolicy,
+                       tracking + (model, env.PlateGeometry(), task, reference.positions[0],
+                                   mask)),
+        "linear": (pol.LinearPolicy, pol.LinearPolicy, (weights,)),
+        "random": (pol.RandomPolicy, pol.RandomPolicy, (limits.n_joints,)),
+        "greedy_max": (pol.GreedyMaxPolicy, pol.GreedyMaxPolicy, (limits.n_joints,)),
+    }[kind]
+    for seed in ([1, 0], [1, 1]):
+        report, log = ad.rollout(reference, new_cls(*args), limits, params, LOOSE_TERMINATION,
+                                 env=environment, seed=seed)
+        want = ref_rollout_log(reference, ref_cls(*args), limits, params, LOOSE_TERMINATION,
+                               env=environment, seed=seed)
+        assert len(log) >= 10
+        for f in fields(log):
+            got, expected = getattr(log, f.name), getattr(want, f.name)
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), f.name
+        assert report == env.episode_metrics(want, reference.n_steps - 1, limits,
+                                             task if environment else None)
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,15 @@ def test_every_hooked_name_exists_on_its_owner(tracing):
     assert not missing
 
 
-def test_rollout_calls_each_hooked_layer_once_per_step(monkeypatch):
+def _arm_tracking_config(tmp_path):
+    shutil.copy(CONFIGS / "chain_7dof.json", tmp_path)
+    arm = json.loads((CONFIGS / "arm_dataset.json").read_text())
+    arm["policy"] = {"kind": "tracking"}
+    (tmp_path / "arm.json").write_text(json.dumps(arm))
+    return load_config(tmp_path / "arm.json")
+
+
+def test_rollout_calls_each_hooked_layer_once_per_step(monkeypatch, tmp_path):
     cfg = load_config(CONFIGS / "balance_demo.json")
     reference = ReferenceTrajectory(
         dt=cfg.step.dt, positions=np.tile(cfg.model.q_home, (41, 1)))
@@ -51,6 +59,18 @@ def test_rollout_calls_each_hooked_layer_once_per_step(monkeypatch):
     report, log = cli.run_episode(cfg, reference, 0)
     assert report.success and len(log) == report.total_steps == 40
     assert counts == {**dict.fromkeys(per_step, 40), "episode_metrics": 1}
+
+    # an arm episode tracking a generated reference, without the environment
+    # (the benchmark's ``arm`` workload)
+    cfg = _arm_tracking_config(tmp_path)
+    reference = generate_reference(cfg.model, cfg.limits, cfg.areas, cfg.pipeline,
+                                   seed=[7, 0, 0], traj_id="t", split="test")
+    counts.update(dict.fromkeys(counts, 0))
+    report, log = cli.run_episode(cfg, reference, 0)
+    steps = reference.n_steps - 1
+    assert report.success and len(log) == steps
+    assert counts == {**dict.fromkeys(per_step[:4], steps), "substep_profile": 0,
+                      "plate_motion": 0, "episode_metrics": 1}
 
 
 def test_campaign_computes_the_valid_range_once_per_step(monkeypatch):
@@ -71,11 +91,7 @@ def test_episodes_compute_the_valid_range_without_the_batch_kernel(monkeypatch, 
     report, _ = cli.run_episode(cfg, reference, 0)
     assert report.total_steps == 200
     # an arm episode tracking a generated reference
-    shutil.copy(CONFIGS / "chain_7dof.json", tmp_path)
-    arm = json.loads((CONFIGS / "arm_dataset.json").read_text())
-    arm["policy"] = {"kind": "tracking"}
-    (tmp_path / "arm.json").write_text(json.dumps(arm))
-    cfg = load_config(tmp_path / "arm.json")
+    cfg = _arm_tracking_config(tmp_path)
     reference = generate_reference(cfg.model, cfg.limits, cfg.areas, cfg.pipeline,
                                    seed=[7, 0, 0], traj_id="t", split="test")
     report, log = cli.run_episode(cfg, reference, 0)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import pickle
@@ -331,6 +332,31 @@ def test_step_log_of_zero_step_episode_is_header_only(tmp_path):
     assert report.terminated and report.steps_executed == 0 == len(log)
     _assert_log_round_trip(tmp_path, log, 2)
     assert len((tmp_path / "episode.csv").read_text().splitlines()) == 2
+
+
+def test_step_log_rows_are_the_bytes_of_savetxt(tmp_path):
+    """``write_step_log`` formats its rows as ``np.savetxt`` with
+    ``fmt="%.17g"`` would, NaN, infinities and signed zeros included."""
+    rng = np.random.default_rng(5)
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-300, -2.5e300, 0.1]
+    for rows in (0, 1, 7):
+        log = ad.StepLog.allocate(rows, 3)
+        for f in dataclasses.fields(log):
+            column = getattr(log, f.name)
+            column[...] = rng.choice(special + rng.standard_normal(4).tolist(), column.shape)
+        if rows:  # p and v follow t_s: these are columns 1-6 of row 0
+            log.p[0], log.v[0] = [np.nan, np.inf, -np.inf], [-0.0, 0.0, -2.5e300]
+        cli.write_step_log(tmp_path / "log.csv", log, 3)
+        with open(tmp_path / "savetxt.csv", "w", encoding="utf-8") as fh:
+            fh.write(f"# trajadapt step log v{cli.LOG_SCHEMA_VERSION}\n{cli.log_header(3)}\n")
+            np.savetxt(fh, np.column_stack([getattr(log, f.name)
+                                            for f in dataclasses.fields(log)]),
+                       fmt="%.17g", delimiter=",")
+        written = (tmp_path / "log.csv").read_bytes()
+        assert written == (tmp_path / "savetxt.csv").read_bytes()
+        assert len(written.splitlines()) == 2 + rows
+        if rows:
+            assert b",nan,inf,-inf,-0,0,-2.5000000000000001e+300," in written
 
 
 # ---------------------------------------------------------------------------

@@ -328,8 +328,8 @@ def test_clip_action_cases():
 
 @given(raw=st.floats(-10, 10), lo=st.floats(-5, 0), hi=st.floats(0, 5))
 def test_clip_action_is_projection(raw, lo, hi):
-    once = lim.clip_action(np.array([raw]), lo, hi)
-    twice = lim.clip_action(once, lo, hi)
+    once = lim.clip_action([raw], [lo], [hi])
+    twice = lim.clip_action(once, [lo], [hi])
     assert lo <= once[0] <= hi
     assert once[0] == twice[0]
 
@@ -338,11 +338,11 @@ def test_clip_action_is_projection(raw, lo, hi):
 # integration
 
 def test_integrate_step_hand_values():
-    p1, v1 = lim.integrate_step(0.0, 1.0, 0.0, 0.0, 0.05)
+    [p1], [v1] = lim.integrate_step([0.0], [1.0], [0.0], [0.0], 0.05)
     assert (p1, v1) == (pytest.approx(0.05), pytest.approx(1.0))
-    p1, v1 = lim.integrate_step(0.0, 0.0, 1.0, 1.0, 0.05)
+    [p1], [v1] = lim.integrate_step([0.0], [0.0], [1.0], [1.0], 0.05)
     assert (p1, v1) == (pytest.approx(0.00125), pytest.approx(0.05))
-    p1, v1 = lim.integrate_step(0.0, 0.0, 0.0, 1.0, 0.05)
+    [p1], [v1] = lim.integrate_step([0.0], [0.0], [0.0], [1.0], 0.05)
     assert p1 == pytest.approx(4.1666666666e-4, rel=1e-9)
     assert v1 == pytest.approx(0.025)
 
@@ -359,7 +359,7 @@ def test_integrate_step_matches_quadrature():
         v_num = v0 + simpson(a, x=tau)
         v_profile = v0 + a0 * tau + (a1 - a0) * tau**2 / (2 * dt)
         p_num = p0 + simpson(v_profile, x=tau)
-        p1, v1 = lim.integrate_step(p0, v0, a0, a1, dt)
+        [p1], [v1] = lim.integrate_step([p0], [v0], [a0], [a1], dt)
         assert v1 == pytest.approx(v_num, abs=1e-10)
         assert p1 == pytest.approx(p_num, abs=1e-10)
 
@@ -490,8 +490,8 @@ def test_safety_fuzz_random_actions_never_violate(case):
             t_star = a * dt / (a - a1)
             v_star = v + a * t_star + (a1 - a) * t_star**2 / (2 * dt)
             assert abs(v_star) <= v_max + 1e-9
-        _, v1 = lim.integrate_step(0.0, v, a, a1, dt)
-        v, a = float(v1), a1
+        _, [v1] = lim.integrate_step([0.0], [v], [a], [a1], dt)
+        v, a = v1, a1
 
 
 # ---------------------------------------------------------------------------
@@ -512,8 +512,9 @@ def _float_range(v0, a0, v_max, a_max, j_max, dt, *, correction_enabled):
     ``valid_accel_bounds``: (n,) states and limits."""
     limits = lim.JointLimits(p_min=-np.ones(np.size(v_max)), p_max=np.ones(np.size(v_max)),
                              v_max=v_max, a_max=a_max, j_max=j_max)
-    return lim.valid_accel_range(v0, a0, limits,
-                                 lim.StepParams(dt=dt, correction_enabled=correction_enabled))
+    lo, hi = lim.valid_accel_range(np.asarray(v0).tolist(), np.asarray(a0).tolist(), limits,
+                                   lim.StepParams(dt=dt, correction_enabled=correction_enabled))
+    return np.array(lo), np.array(hi)
 
 
 def _assert_same_outcome(*args, correction, kernel=lim.valid_accel_bounds):
@@ -709,7 +710,7 @@ def test_single_state_kernel_walks_match_the_batch_kernel():
         params = lim.StepParams(dt=dt, correction_enabled=bool(walk % 2))
         greedy = walk % 4 >= 2
         sign = rng.choice([-1.0, 1.0], n)
-        v, a = np.zeros(n), np.zeros(n)
+        v, a = [0.0] * n, [0.0] * n
         visited, got = [], []
         for _ in range(90):
             lo, hi = lim.valid_accel_range(v, a, limits, params)
@@ -721,8 +722,8 @@ def test_single_state_kernel_walks_match_the_batch_kernel():
                 raw = sign
             else:
                 raw = rng.uniform(-1.0, 1.0, n)
-            a_next = lim.clip_action(raw * a_max, lo, hi)
-            _, v = lim.integrate_step(0.0, v, a, a_next, dt)
+            a_next = lim.clip_action((raw * a_max).tolist(), lo, hi)
+            _, v = lim.integrate_step([0.0] * n, v, a, a_next, dt)
             a = a_next
         want = lim.valid_accel_bounds(*np.stack(visited, axis=1), v_max, a_max, j_max, dt,
                                       correction_enabled=params.correction_enabled)
