@@ -1,8 +1,9 @@
 """Shared oracles: forward-simulation of bound profiles and the greedy-max
 closed loop, kept independent of the closed-form code paths they check;
-frozen reference copies of the valid-range kernels and of the decision step
-on arrays; a planar test chain and the stock 7-joint arm; a call counter
-for monkeypatched functions."""
+frozen reference copies of the valid-range kernels, of the decision step
+on arrays and of the environment layers it drives (substep profile, plate
+motion, ball, reward and sensing); a planar test chain and the stock
+7-joint arm; a call counter for monkeypatched functions."""
 
 import math
 from pathlib import Path
@@ -10,10 +11,11 @@ from pathlib import Path
 import numpy as np
 
 from trajadapt import adaptation as ad
+from trajadapt import environment as env
 from trajadapt import limits as lim
 from trajadapt import policy as pol
-from trajadapt.errors import LimitConsistencyError, NonFiniteStateError
-from trajadapt.kinematics import ChainModel, JointRow, load_chain, plate_motion
+from trajadapt.errors import ConfigurationError, LimitConsistencyError, NonFiniteStateError
+from trajadapt.kinematics import ChainModel, JointRow, load_chain
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -123,7 +125,7 @@ def greedy_rollout(v0, a0, v_max, a_max, j_max, dt, steps, correction):
         lo, hi = lim.valid_accel_bounds(v, a, v_max, a_max, j_max, dt,
                                         correction_enabled=correction)
         a1 = float(hi)
-        _, vv, _ = lim.substep_profile(0.0, v, a, a1, dt, 10)
+        _, vv, _ = ref_substep_profile(0.0, v, a, a1, dt, 10)
         peak = max(peak, float(np.max(vv)))
         if a > 0.0 > a1:
             t_star = a * dt / (a - a1)
@@ -238,6 +240,152 @@ def ref_valid_accel_bounds(v0, a0, v_max, a_max, j_max, dt, correction_enabled=F
 
 
 # ---------------------------------------------------------------------------
+# Frozen environment layers: the substep profile with its velocities and
+# accelerations, the plate FK and motion, the ball step with its per-tick
+# helpers, the task reward, the sensing and the environment wrapper, all as
+# written on numpy arrays.  The rollout's environment side must stay
+# bit-identical to them, and the tests that read a step's continuous
+# velocity and acceleration take them from ``ref_substep_profile``.
+
+def ref_substep_profile(p0, v0, a0, a1, dt, substeps):
+    """Positions, velocities and accelerations at every control tick of a
+    step, arrays of leading length substeps + 1."""
+    p0, v0, a0, a1 = (np.asarray(x, dtype=float) for x in (p0, v0, a0, a1))
+    tau = (np.arange(substeps + 1, dtype=float) * (dt / substeps))
+    tau = tau.reshape((-1,) + (1,) * p0.ndim)
+    slope = (a1 - a0) / dt
+    a = a0 + slope * tau
+    v = v0 + a0 * tau + 0.5 * slope * tau**2
+    p = p0 + v0 * tau + 0.5 * a0 * tau**2 + slope * tau**3 / 6.0
+    return p, v, a
+
+
+def ref_frames(model, q):
+    q = np.asarray(q, dtype=float)
+    if q.shape[-1] != model.n_joints:
+        raise ConfigurationError(
+            f"expected {model.n_joints} joint values, got {q.shape[-1]}")
+    eye = np.eye(3)
+    sin = np.sin(q)[:, :, None, None]
+    vers = (1.0 - np.cos(q))[:, :, None, None]
+    local = model.mounts @ (eye + sin * model.axis_skews + vers * model.axis_skews_sq)
+    pos = np.zeros((q.shape[0], 3))
+    rot = np.broadcast_to(eye, (q.shape[0], 3, 3))
+    origins, rots = [], []
+    for i, row in enumerate(model.joints):
+        pos = pos + rot @ row.origin_xyz
+        rot = rot @ local[:, i]
+        origins.append(pos)
+        rots.append(rot)
+    return origins, rots, pos + rot @ model.plate_xyz, rot @ model.plate_rot
+
+
+def ref_plate_motion(model, q_series, dt):
+    q_series = np.asarray(q_series, dtype=float)
+    if q_series.shape[0] < 3:
+        raise ConfigurationError("plate_motion needs at least 3 substep samples")
+    _, _, positions, rots = ref_frames(model, q_series)
+    acc = np.empty_like(positions)
+    acc[1:-1] = (positions[2:] - 2.0 * positions[1:-1] + positions[:-2]) / dt**2
+    acc[0], acc[-1] = acc[1], acc[-2]
+    return positions, rots, acc
+
+
+def ref_plate_drive(rotations, lin_acc):
+    g_world = np.array([0.0, 0.0, -env.GRAVITY])
+    return env.ROLLING_FACTOR * ((g_world - lin_acc)[:, None, :] @ rotations)[:, 0, :2]
+
+
+def ref_planar_norm(x, y, buf):
+    buf[0], buf[1] = x, y
+    return math.sqrt(buf.dot(buf))
+
+
+def ref_ball_acceleration(drive, velocity, speed, resist, buf):
+    dx, dy = drive
+    if speed < 1e-12:
+        if ref_planar_norm(dx, dy, buf) <= resist:
+            return 0.0, 0.0
+        return dx, dy
+    vx, vy = velocity
+    return dx - resist * vx / speed, dy - resist * vy / speed
+
+
+def ref_step_ball(position, velocity, rotations, lin_acc, params, dt, geometry):
+    bound_x, bound_y = env.effective_bounds(geometry, params)
+    resist = params.rolling_friction * env.GRAVITY
+    stop_speed = resist * dt
+    (x, y), (vx, vy) = position.tolist(), velocity.tolist()
+    buf = np.empty(2)
+    on_plate = True
+    for drive in ref_plate_drive(rotations, lin_acc).tolist():
+        speed = ref_planar_norm(vx, vy, buf) if vx or vy else 0.0
+        ax, ay = ref_ball_acceleration(drive, (vx, vy), speed, resist, buf)
+        new_vx, new_vy = vx + ax * dt, vy + ay * dt
+        if speed < stop_speed and np.dot((new_vx, new_vy), (vx, vy)) < 0:
+            new_vx = new_vy = 0.0
+        vx, vy = new_vx, new_vy
+        x, y = x + vx * dt, y + vy * dt
+        if abs(x) > bound_x or abs(y) > bound_y:
+            on_plate = False
+            break
+    return np.array((x, y)), np.array((vx, vy)), on_plate
+
+
+def ref_task_reward(position, on_plate, spec, geometry, params):
+    if not on_plate:
+        return 0.0
+    k = spec.reward_exponent
+    if spec.kind == "on_plate":
+        frac = float(np.max(np.abs(position) / env.effective_bounds(geometry, params)))
+    else:
+        offset = position - spec.target
+        frac = math.sqrt(offset.dot(offset)) / spec.success_bound
+    return min(max(1.0 - min(frac, 1.0) ** k, 0.0), 1.0)
+
+
+def ref_sensor_feedback(measured, previous, spec, geometry):
+    half = geometry.half_extents
+    parts = [measured / half, previous / half]
+    if spec.kind == "in_place":
+        parts.append((measured - spec.target) / half)
+    return np.minimum(np.maximum(np.concatenate(parts), -1.0), 1.0)
+
+
+class RefBallPlateEnv:
+    """``BallPlateEnv`` on the frozen ball, reward and sensing above."""
+
+    def __init__(self, model, geometry, task, ball):
+        self.model = model
+        self.geometry = geometry
+        self.task = task
+        self.base_ball = ball
+        self.position = self.velocity = self.measured = None
+
+    def reset(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.ball = env.randomize_ball(self.base_ball, self.rng)
+        self.position = self.task.start
+        self.velocity = np.zeros(2)
+        self.measured = None
+        return self._sense()
+
+    def _sense(self):
+        measured = self.position
+        if self.task.noise_std > 0:
+            measured = measured + self.rng.normal(0.0, self.task.noise_std, 2)
+        previous = measured if self.measured is None else self.measured
+        self.measured = measured
+        return ref_sensor_feedback(measured, previous, self.task, self.geometry)
+
+    def step(self, rotations, lin_acc, dt):
+        self.position, self.velocity, on_plate = ref_step_ball(
+            self.position, self.velocity, rotations, lin_acc, self.ball, dt, self.geometry)
+        reward = ref_task_reward(self.position, on_plate, self.task, self.geometry, self.ball)
+        return self.position, on_plate, reward, self._sense()
+
+
+# ---------------------------------------------------------------------------
 # Frozen reference step loop: ``adaptation.rollout``'s decision step as it
 # was written on (n,) arrays, with the tracking law and the balancer's ball
 # law on arrays too and the frozen valid-range kernel above.  ``rollout``
@@ -312,7 +460,9 @@ class RefPDBalancePolicy(_RefTrackingLaw, pol.PDBalancePolicy):
 
 
 def ref_rollout_log(reference, policy, limits, params, weights, env=None, seed=(0,)):
-    """The scored ``StepLog`` of one episode of the array step loop."""
+    """The scored ``StepLog`` of one episode of the array step loop, with
+    the frozen environment layers below on a ``RefBallPlateEnv`` of
+    ``env``'s model, geometry, task and ball."""
     total_steps = reference.n_steps - 1
     p = reference.positions[0].copy()
     v = np.zeros_like(p)
@@ -322,6 +472,7 @@ def ref_rollout_log(reference, policy, limits, params, weights, env=None, seed=(
     policy.reset()
     feedback = np.zeros(0)
     if env is not None:
+        env = RefBallPlateEnv(env.model, env.geometry, env.task, env.base_ball)
         feedback = env.reset(seed_key + [2])
     log = ad.StepLog.allocate(total_steps, limits.n_joints)
     dt = params.dt
@@ -342,8 +493,8 @@ def ref_rollout_log(reference, policy, limits, params, weights, env=None, seed=(
             break
         r_task = 1.0
         if env is not None:
-            q_sub, _, _ = lim.substep_profile(p, v, a, a_next, dt, params.substeps)
-            _, rotations, lin_acc = plate_motion(env.model, q_sub, params.control_dt)
+            q_sub, _, _ = ref_substep_profile(p, v, a, a_next, dt, params.substeps)
+            _, rotations, lin_acc = ref_plate_motion(env.model, q_sub, params.control_dt)
             position, on_plate, r_task, feedback = env.step(rotations[1:], lin_acc[1:],
                                                             params.control_dt)
             log.ball_x_m[t], log.ball_y_m[t] = position

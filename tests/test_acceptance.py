@@ -15,7 +15,7 @@ from scipy.integrate import simpson
 from scipy.spatial.transform import Rotation
 
 from conftest import arm_chain, bisect_max_accel_velocity, greedy_rollout, \
-    profile_peak_velocity, random_limit_tuples
+    profile_peak_velocity, random_limit_tuples, ref_substep_profile
 from trajadapt import adaptation as ad
 from trajadapt import cli
 from trajadapt import environment as envm
@@ -99,7 +99,7 @@ def test_criterion_04_random_policy_traces():
             lo, hi = lim.valid_accel_bounds(v, a, v_max, a_max, j_max, 0.05,
                                             correction_enabled=True)
             a1 = float(lo + rng.uniform() * (hi - lo))
-            _, vv, aa = lim.substep_profile(0.0, v, a, a1, 0.05, 10)
+            _, vv, aa = ref_substep_profile(0.0, v, a, a1, 0.05, 10)
             worst_norm = max(worst_norm,
                              float(np.max(np.abs(vv))) / v_max,
                              float(np.max(np.abs(aa))) / a_max,

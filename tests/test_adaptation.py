@@ -3,13 +3,14 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from conftest import RefPDBalancePolicy, RefTrackingPolicy, arm_chain, ref_rollout_log
+from conftest import (RefPDBalancePolicy, RefTrackingPolicy, arm_chain, ref_rollout_log,
+                      ref_substep_profile)
 from trajadapt import adaptation as ad
 from trajadapt import environment as env
 from trajadapt import kinematics as kin
 from trajadapt import policy as pol
 from trajadapt.errors import ConfigurationError
-from trajadapt.limits import JointLimits, StepParams, substep_profile
+from trajadapt.limits import JointLimits, StepParams
 from trajadapt.trajectory import ReferenceTrajectory
 
 
@@ -358,7 +359,6 @@ def test_rollout_deterministic():
 
 
 def test_rollout_random_policy_respects_limits_at_substeps():
-    from trajadapt.limits import substep_profile
     limits = _limits(3)
     ref = ReferenceTrajectory(dt=0.05, positions=np.zeros((60, 3)))
     weights = ad.RewardWeights(termination=10.0, deviation_high=9.0,
@@ -373,8 +373,8 @@ def test_rollout_random_policy_respects_limits_at_substeps():
         for p, v, accel, jerk in zip(log.p, log.v, log.a, log.jerk):
             assert np.all(np.abs(accel) <= limits.a_max + 1e-9)
             assert np.all(np.abs(jerk) <= limits.j_max + 1e-9)
-            _, vv, aa = substep_profile(prev_p, prev_v, prev_a, accel,
-                                        params.dt, params.substeps)
+            _, vv, aa = ref_substep_profile(prev_p, prev_v, prev_a, accel,
+                                            params.dt, params.substeps)
             assert np.all(np.abs(vv) <= limits.v_max[None, :] + 1e-9)
             assert np.all(np.abs(aa) <= limits.a_max[None, :] + 1e-9)
             prev_p, prev_v, prev_a = p, v, accel
@@ -446,6 +446,57 @@ def test_rollout_matches_the_frozen_array_step_loop(chain, kind):
             assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), f.name
         assert report == env.episode_metrics(want, reference.n_steps - 1, limits,
                                              task if environment else None)
+
+
+# (chain, task kind, start offset, noise, ball gains, moving reference): the
+# balancer's episodes on which the environment layers must keep their bits
+FROZEN_ENVIRONMENT_CASES = {
+    "gimbal_in_place": ("gimbal", "in_place", (0.02, 0.0), 0.0, {}, True),
+    "gimbal_on_plate_noisy": ("gimbal", "on_plate", (0.03, -0.02), 0.001, {}, True),
+    # the arm's moving reference loses the ball within 15 steps; on a
+    # stationary one the balancer keeps it
+    "arm_on_plate_noisy": ("arm", "on_plate", (0.0, 0.0), 0.001, {}, False),
+    "arm_in_place": ("arm", "in_place", (-0.02, 0.01), 0.0, {}, False),
+    # no ball law: the tracked tilt rolls the ball off the plate
+    "gimbal_ball_lost": ("gimbal", "on_plate", (0.1, 0.0), 0.0,
+                         {"ball_kp": 0.0, "ball_kd": 0.0}, True),
+    # a level plate never moves the ball: every tick takes the static branch
+    "gimbal_ball_at_rest": ("gimbal", "in_place", (0.0, 0.0), 0.0, {}, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FROZEN_ENVIRONMENT_CASES))
+def test_rollout_matches_the_frozen_environment_layers(case):
+    """The balancer's rollouts write the log bits, signbits included, and the
+    report of the array step loop on the frozen substep profile, plate
+    motion, ball, reward and sensing (``conftest.RefBallPlateEnv``)."""
+    chain, kind, offset, noise, gains, moving = FROZEN_ENVIRONMENT_CASES[case]
+    model, limits = kin.gimbal_chain() if chain == "gimbal" else arm_chain()
+    mask = (0, 1) if chain == "gimbal" else (4, 5)
+    task = env.TaskSpec(kind=kind, start_offset=offset, noise_std=noise)
+    environment = env.BallPlateEnv(model, env.PlateGeometry(), task, env.BallParams())
+    reference = (_moving_reference(model, limits) if moving else
+                 ReferenceTrajectory(dt=0.05, positions=np.tile(model.q_home, (61, 1))))
+    layout = pol.ObservationLayout(limits.n_joints, task.feedback_size, 1)
+    params = StepParams()
+    args = (layout, limits, params.dt, model, env.PlateGeometry(), task,
+            reference.positions[0], mask)
+    for seed in ([2, 0], [2, 1]):
+        report, log = ad.rollout(reference, pol.PDBalancePolicy(*args, **gains), limits,
+                                 params, LOOSE_TERMINATION, env=environment, seed=seed)
+        want = ref_rollout_log(reference, RefPDBalancePolicy(*args, **gains), limits,
+                               params, LOOSE_TERMINATION, env=environment, seed=seed)
+        assert len(log) >= 10
+        for f in fields(log):
+            got, expected = getattr(log, f.name), getattr(want, f.name)
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), f.name
+        assert report == env.episode_metrics(want, reference.n_steps - 1, limits, task)
+        if case == "gimbal_ball_lost":
+            assert report.ball_lost
+        elif case == "gimbal_ball_at_rest":
+            assert np.all(log.ball_x_m == task.start[0]) and np.all(log.ball_y_m == 0.0)
+        else:
+            assert np.all(log.ball_on_plate == 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +605,7 @@ def test_campaign_reports_velocity_peak_between_ticks(monkeypatch):
                                 correction_enabled=True)
 
     v0, a0 = calls[-1]
-    _, v_ticks, _ = substep_profile(0.0, v0, a0, schedule[-1], dt, 10)
+    _, v_ticks, _ = ref_substep_profile(0.0, v0, a0, schedule[-1], dt, 10)
     assert np.all(np.abs(v_ticks) <= v_max)
     assert rep.violations == 1
     assert rep.first_violation == (len(schedule) - 1, 0, 0)

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trajadapt import adaptation, cli, limits
+from trajadapt import adaptation, cli, environment, limits
 from trajadapt.config import load_config
 from trajadapt.trajectory import ReferenceTrajectory, generate_reference
 
@@ -56,9 +56,16 @@ def test_rollout_calls_each_hooked_layer_once_per_step(monkeypatch, tmp_path):
     per_step = ("build_observation", "valid_accel_range", "clip_action",
                 "integrate_step", "substep_profile", "plate_motion")
     counts = count_calls(monkeypatch, adaptation, per_step + ("episode_metrics",))
+    # the environment's spans: the ball and the sensor are module functions
+    # that the environment looks up by name, the wrapper's methods are
+    # looked up on its class; the reset senses once more
+    ball_counts = count_calls(monkeypatch, environment, ("step_ball", "sensor_feedback"))
+    env_counts = count_calls(monkeypatch, environment.BallPlateEnv, ("step", "reset"))
     report, log = cli.run_episode(cfg, reference, 0)
     assert report.success and len(log) == report.total_steps == 40
     assert counts == {**dict.fromkeys(per_step, 40), "episode_metrics": 1}
+    assert ball_counts == {"step_ball": 40, "sensor_feedback": 41}
+    assert env_counts == {"step": 40, "reset": 1}
 
     # an arm episode tracking a generated reference, without the environment
     # (the benchmark's ``arm`` workload)
@@ -66,11 +73,15 @@ def test_rollout_calls_each_hooked_layer_once_per_step(monkeypatch, tmp_path):
     reference = generate_reference(cfg.model, cfg.limits, cfg.areas, cfg.pipeline,
                                    seed=[7, 0, 0], traj_id="t", split="test")
     counts.update(dict.fromkeys(counts, 0))
+    for d in (ball_counts, env_counts):
+        d.update(dict.fromkeys(d, 0))
     report, log = cli.run_episode(cfg, reference, 0)
     steps = reference.n_steps - 1
     assert report.success and len(log) == steps
     assert counts == {**dict.fromkeys(per_step[:4], steps), "substep_profile": 0,
                       "plate_motion": 0, "episode_metrics": 1}
+    assert ball_counts == {"step_ball": 0, "sensor_feedback": 0}
+    assert env_counts == {"step": 0, "reset": 0}
 
 
 def test_campaign_computes_the_valid_range_once_per_step(monkeypatch):

@@ -14,7 +14,7 @@ from trajadapt.errors import (ConfigurationError, LimitConsistencyError,
 from conftest import (bisect_max_accel_velocity, count_calls, greedy_rollout,
                       profile_peak_velocity, random_limit_tuples,
                       ref_correction_shift, ref_max_accel_velocity,
-                      ref_valid_accel_bounds)
+                      ref_substep_profile, ref_valid_accel_bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +482,7 @@ def test_safety_fuzz_random_actions_never_violate(case):
                                         correction_enabled=correction)
         a1 = float(lo + rng.uniform() * (hi - lo))
         assert abs(a1 - a) / dt <= j_max + 1e-9
-        _, vv, aa = lim.substep_profile(0.0, v, a, a1, dt, 10)
+        _, vv, aa = ref_substep_profile(0.0, v, a, a1, dt, 10)
         assert np.all(np.abs(vv) <= v_max + 1e-9)
         assert np.all(np.abs(aa) <= a_max + 1e-9)
         # in-step velocity extremum (between control ticks)
