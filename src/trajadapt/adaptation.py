@@ -17,12 +17,15 @@ clipped command as lists of Python floats and runs the elementwise steps on
 them: the raw clamp, the valid range, the clip, the integration and the
 deviation.  Each keeps the operations and order of its numpy form, so the
 log holds the same bits (``limits`` "Single-state kernel").  The
+environment side does the same: the substep profile's tick positions, the
+ball's tick loop, the task reward and the feedback run on floats.  The
 observation is the policy's input array, normalized in one subtraction and
 one division.  What a float copy could change in the last bit stays numpy:
-the substep profile (``**3``), the plate kinematics and the ball's drive
-(BLAS products) and the per-episode sums of ``score_log`` and
-``episode_metrics`` (pairwise).  The campaign keeps (episodes, joints)
-arrays throughout.
+the profile's powers of the tick times (``**3``, computed once per step
+length), the plate kinematics (``sin``, ``cos`` and BLAS products), the
+ball's drive and 2-vector dot products (BLAS) and the per-episode sums of
+``score_log`` and ``episode_metrics`` (pairwise).  The campaign keeps
+(episodes, joints) arrays throughout.
 """
 
 from __future__ import annotations
@@ -125,8 +128,8 @@ def build_observation(p, v, a, limits: JointLimits, feedback,
                       reference: ReferenceTrajectory, t: int,
                       n_future: int) -> np.ndarray:
     """Normalized observation: joint positions ``p``, velocities ``v`` and
-    accelerations ``a`` (float sequences), task feedback, future reference
-    rows.
+    accelerations ``a`` and the task feedback (float sequences), future
+    reference rows.
 
     Positions map through the joint range to [-1, 1] (mid-range is 0),
     velocities/accelerations through v_max/a_max.  Reference rows t+1..t+N
@@ -140,8 +143,7 @@ def build_observation(p, v, a, limits: JointLimits, feedback,
         rows = reference.positions[t + 1:t + 1 + n_future]
     else:
         rows = reference.positions[[min(t + k, last) for k in range(1, n_future + 1)]]
-    obs = np.array([*p, *v, *a, *np.asarray(feedback, dtype=float).tolist(),
-                    *rows.ravel().tolist()])
+    obs = np.array([*p, *v, *a, *feedback, *rows.ravel().tolist()])
     obs -= offset
     obs /= scale
     np.maximum(obs, -1.0, out=obs)
@@ -232,8 +234,9 @@ def rollout(reference: ReferenceTrajectory, policy, limits: JointLimits,
     Python floats: on one episode's n_joints values numpy's per-call cost is
     larger than the arithmetic (``limits`` "Single-state kernel").  A policy
     may return any sequence of n_joints floats.  The observation, the
-    substep profile, the plate motion, the ball and the log stay numpy
-    arrays.
+    substep profile's tick positions, the plate motion and the log are
+    numpy arrays; the environment returns the ball position and the
+    feedback as float lists.
     """
     if reference.n_steps < 2:
         raise ConfigurationError("reference needs at least 2 rows")
@@ -248,7 +251,7 @@ def rollout(reference: ReferenceTrajectory, policy, limits: JointLimits,
     policy_rng = np.random.default_rng(seed_key + [1])
     policy.reset()
 
-    feedback = np.zeros(0)
+    feedback = []
     if env is not None:
         feedback = env.reset(seed_key + [2])
 
@@ -274,8 +277,7 @@ def rollout(reference: ReferenceTrajectory, policy, limits: JointLimits,
 
         r_task = 1.0
         if env is not None:
-            q_sub, _, _ = substep_profile(p, v, a, a_next,
-                                          params.dt, params.substeps)
+            q_sub = substep_profile(p, v, a, a_next, params.dt, params.substeps)
             _, rotations, lin_acc = plate_motion(env.model, q_sub,
                                                  params.control_dt)
             position, on_plate, r_task, feedback = env.step(

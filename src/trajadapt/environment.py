@@ -16,24 +16,29 @@ Coriolis by 3.5e-3 m/s^2 and Euler by 0.019 m/s^2 (0.025 across
 boundaries), about 1 % of the 1.73 m/s^2 drive at the balancer's 0.25 rad
 tilt limit.
 
-The ball and the plate poses are plain arrays.  ``BallPlateEnv`` keeps the
-ball's plate-frame ``position`` and ``velocity`` (2,).  Once per decision
-step the rollout evaluates ``kinematics.plate_motion`` on the substep joint
-profile and hands its rotation matrices (k, 3, 3), finite-difference origin
+The plate poses are arrays.  ``BallPlateEnv`` keeps the ball's plate-frame
+``position`` and ``velocity`` as (2,) arrays.  Once per decision step the
+rollout evaluates ``kinematics.plate_motion`` on the substep joint profile
+and hands its rotation matrices (k, 3, 3), finite-difference origin
 accelerations (k, 3) and the control period to ``BallPlateEnv.step``, which
-passes them with the ball arrays to ``step_ball`` and gets back new arrays
-and whether the ball is still on the plate.  How an episode ended is read
+passes them with the ball arrays to ``step_ball``, gets back new arrays and
+whether the ball is still on the plate, and returns the position as a list
+[x, y] with the reward and the feedback.  How an episode ended is read
 afterwards from its log (``episode_metrics``).
 
-``step_ball`` takes every tick's drive from one batched ``plate_drive`` call
-and runs its tick loop on Python floats: on (2,) arrays numpy's per-call
-cost is larger than the arithmetic.  The ball's speed (and, for a ball at
-rest, the drive's magnitude) stays the square root of numpy's dot product
-on a reused (2,) scratch array (``planar_norm``), because that is what
-``np.linalg.norm`` computes: the BLAS dot may fuse a multiply-add (the
-OpenBLAS 0.3.31 bundled with numpy 2.4 returns fma(y, y, x*x) on an AVX2
-x86-64 CPU), so ``math.hypot`` or x*x + y*y differ from it in the last bit
-on some vectors, and every later tick with them.
+On (2,) arrays numpy's per-call cost is larger than the arithmetic, so the
+ball, the reward and the sensing run on Python floats, with numpy's
+operations in numpy's order (``limits`` "Single-state kernel").
+``step_ball`` takes every tick's drive from one batched ``plate_drive``
+call (a BLAS product) and runs its tick loop on floats.  Every dot product
+of two 2-vectors stays numpy's, on reused (2,) scratch arrays: the ball's
+speed, the drive's magnitude for a ball at rest, the velocity reversal test
+and the ``in_place`` reward's distance to the target (``planar_norm``).
+The speed and the distance are what ``np.linalg.norm`` computes, and the
+BLAS dot may fuse a multiply-add (the OpenBLAS 0.3.31 bundled with numpy
+2.4 returns fma(y, y, x*x) on an AVX2 x86-64 CPU), so ``math.hypot`` or
+x*x + y*y differ from it in the last bit on some vectors, and every later
+tick with them.
 
 ``BallPlateEnv(model, geometry, task, ball)`` is built from the ``plate``,
 ``task`` and ``ball`` config sections alone: each reset puts the ball at
@@ -47,6 +52,8 @@ The sensor reads the ball position at reset and after every decision step,
 with Gaussian noise of ``TaskSpec.noise_std`` metres.  The environment keeps
 the last reading, so a feedback vector's previous position is the current
 one of the vector before it (right after reset, the same reading twice).
+The feedback is a list of floats, each part divided by its plate
+half-extent and clamped with numpy's tie rule (``limits.clamp``).
 """
 
 from __future__ import annotations
@@ -58,6 +65,7 @@ import numpy as np
 
 from .errors import (NON_NEGATIVE, POSITIVE, POSITIVE_RANGE, ConfigurationError, check_fields,
                      setting)
+from .limits import clamp
 
 GRAVITY = 9.81
 ROLLING_FACTOR = 5.0 / 7.0
@@ -71,10 +79,6 @@ class PlateGeometry:
 
     def __post_init__(self):
         check_fields(self, "plate")
-
-    @property
-    def half_extents(self) -> np.ndarray:
-        return np.array([self.half_x, self.half_y])
 
 
 @dataclass(frozen=True)
@@ -156,21 +160,6 @@ def planar_norm(x: float, y: float, buf: np.ndarray) -> float:
     return math.sqrt(buf.dot(buf))
 
 
-def ball_acceleration(drive, velocity, speed: float, resist: float, buf: np.ndarray):
-    """Plate-frame ball acceleration (ax, ay) for one tick, as floats: the
-    tick's ``plate_drive`` row ``drive`` (x, y) less the rolling resistance
-    ``resist`` (friction times g) against ``velocity`` (x, y), whose
-    magnitude is ``speed``.  ``buf`` is ``planar_norm``'s scratch array."""
-    dx, dy = drive
-    if speed < 1e-12:
-        # static: rolling resistance holds the ball if it can
-        if planar_norm(dx, dy, buf) <= resist:
-            return 0.0, 0.0
-        return dx, dy
-    vx, vy = velocity
-    return dx - resist * vx / speed, dy - resist * vy / speed
-
-
 def effective_bounds(geometry: PlateGeometry, params: BallParams) -> tuple:
     """Centre-of-ball bounds (x, y); the ball leaves when its edge passes
     the rim."""
@@ -185,10 +174,16 @@ def step_ball(position, velocity, rotations, lin_acc, params: BallParams,
     ``rotations`` (k, 3, 3) the plate's world rotation matrices and
     ``lin_acc`` (k, 3) the world-frame accelerations of its origin, one row
     per tick.  One ``plate_drive`` call gives every tick's drive; the tick
-    loop runs on Python floats.  Semi-implicit: velocity first, then
+    loop runs on Python floats.  Each tick's acceleration is the drive less
+    the rolling resistance against the velocity; a ball at rest stays there
+    while the resistance can hold it.  Semi-implicit: velocity first, then
     position.  Returns new (position, velocity) arrays and whether the ball
     is on the plate; integration stops at the tick the ball leaves the
     plate (that is a state, not an error).
+
+    ``planar_norm`` is written out in the loop: ``old`` holds the tick's
+    velocity for its speed and for the reversal test's dot product with the
+    new velocity in ``new``, which first holds the drive of a ball at rest.
     """
     if len(rotations) != len(lin_acc):
         raise ValueError(f"{len(rotations)} plate rotations but "
@@ -197,16 +192,29 @@ def step_ball(position, velocity, rotations, lin_acc, params: BallParams,
     resist = params.rolling_friction * GRAVITY
     stop_speed = resist * dt
     (x, y), (vx, vy) = position.tolist(), velocity.tolist()
-    buf = np.empty(2)
+    old, new = np.empty(2), np.empty(2)
     on_plate = True
-    for drive in plate_drive(rotations, lin_acc).tolist():
+    for ax, ay in plate_drive(rotations, lin_acc).tolist():
         # a ball at rest has speed 0.0 exactly, without the dot product
-        speed = planar_norm(vx, vy, buf) if vx or vy else 0.0
-        ax, ay = ball_acceleration(drive, (vx, vy), speed, resist, buf)
+        moving = vx or vy
+        speed = 0.0
+        if moving:
+            old[0], old[1] = vx, vy
+            speed = math.sqrt(old.dot(old))
+        if speed < 1e-12:
+            # static: rolling resistance holds the ball if it can
+            new[0], new[1] = ax, ay
+            if math.sqrt(new.dot(new)) <= resist:
+                ax = ay = 0.0
+        else:
+            ax, ay = ax - resist * vx / speed, ay - resist * vy / speed
         new_vx, new_vy = vx + ax * dt, vy + ay * dt
         # Coulomb resistance must not reverse the velocity within a substep
-        if speed < stop_speed and np.dot((new_vx, new_vy), (vx, vy)) < 0:
-            new_vx = new_vy = 0.0
+        # (against a velocity of zeros the dot product is never negative)
+        if moving and speed < stop_speed:
+            new[0], new[1] = new_vx, new_vy
+            if new.dot(old) < 0:
+                new_vx = new_vy = 0.0
         vx, vy = new_vx, new_vy
         x, y = x + vx * dt, y + vy * dt
         if abs(x) > bound_x or abs(y) > bound_y:
@@ -222,32 +230,39 @@ def task_reward(position, on_plate: bool, spec: TaskSpec, geometry: PlateGeometr
     on_plate: decay with the max-normalized distance to the bounds where
     the ball's edge passes the rim; in_place: decay with distance to the
     target, reaching 0 at the success bound.  Off the plate the reward is 0.
-    The decay exponent is configurable (2 = quadratic).
+    The decay exponent is configurable (2 = quadratic).  ``position`` is the
+    ball's (x, y); the arithmetic runs on floats, the distance through
+    ``planar_norm``.
     """
     if not on_plate:
         return 0.0
+    x, y = map(float, position)
     k = spec.reward_exponent
     if spec.kind == "on_plate":
-        frac = float(np.max(np.abs(position) / effective_bounds(geometry, params)))
+        bound_x, bound_y = effective_bounds(geometry, params)
+        fx, fy = abs(x) / bound_x, abs(y) / bound_y
+        frac = fx if fx > fy or fx != fx else fy  # np.max: a NaN propagates
     else:
-        offset = position - spec.target
-        frac = math.sqrt(offset.dot(offset)) / spec.success_bound
+        target_x, target_y = spec.initial_position
+        frac = planar_norm(x - target_x, y - target_y, np.empty(2)) / spec.success_bound
     return min(max(1.0 - min(frac, 1.0) ** k, 0.0), 1.0)
 
 
-def sensor_feedback(measured, previous, spec: TaskSpec,
-                    geometry: PlateGeometry) -> np.ndarray:
-    """Normalized task feedback from the current and previous readings.
+def sensor_feedback(measured, previous, spec: TaskSpec, geometry: PlateGeometry) -> list:
+    """Normalized task feedback from the current and previous readings
+    (x, y), as a list of floats.
 
     Both positions normalized by the plate half-extents; for in_place
     additionally the 2-d offset of the current reading from the target.
-    Everything is clamped to [-1, 1].
+    Everything is clamped to [-1, 1] (``limits.clamp``).
     """
-    half = geometry.half_extents
-    parts = [measured / half, previous / half]
+    half_x, half_y = geometry.half_x, geometry.half_y
+    (x, y), (prev_x, prev_y) = measured, previous
+    parts = [x / half_x, y / half_y, prev_x / half_x, prev_y / half_y]
     if spec.kind == "in_place":
-        parts.append((measured - spec.target) / half)
-    return np.minimum(np.maximum(np.concatenate(parts), -1.0), 1.0)
+        target_x, target_y = spec.initial_position
+        parts += [(x - target_x) / half_x, (y - target_y) / half_y]
+    return [clamp(p, -1.0, 1.0) for p in parts]
 
 
 # ---------------------------------------------------------------------------
@@ -342,19 +357,21 @@ class BallPlateEnv:
         self.ball = ball
         self.position = self.velocity = self.measured = None
 
-    def reset(self, seed) -> np.ndarray:
+    def reset(self, seed) -> list:
         self.rng = np.random.default_rng(seed)
         self.ball = randomize_ball(self.base_ball, self.rng)
         self.position = self.task.start
         self.velocity = np.zeros(2)
         self.measured = None
-        return self._sense()
+        return self._sense(self.position.tolist())
 
-    def _sense(self) -> np.ndarray:
-        """Read the ball position; feedback from this and the last reading."""
-        measured = self.position
+    def _sense(self, position: list) -> list:
+        """Read the ball ``position`` [x, y]; feedback from this and the last
+        reading."""
+        measured = position
         if self.task.noise_std > 0:
-            measured = measured + self.rng.normal(0.0, self.task.noise_std, 2)
+            noise_x, noise_y = self.rng.normal(0.0, self.task.noise_std, 2).tolist()
+            measured = [position[0] + noise_x, position[1] + noise_y]
         previous = measured if self.measured is None else self.measured
         self.measured = measured
         return sensor_feedback(measured, previous, self.task, self.geometry)
@@ -362,12 +379,12 @@ class BallPlateEnv:
     def step(self, rotations, lin_acc, dt: float):
         """Advance through one decision step's plate ticks (rotations
         (k, 3, 3), origin accelerations (k, 3), ``dt`` apart); returns (ball
-        position, on the plate, task reward, feedback vector)."""
+        position [x, y], on the plate, task reward, feedback list)."""
         if self.position is None:
             raise ConfigurationError("environment used before reset")
         self.position, self.velocity, on_plate = step_ball(
             self.position, self.velocity, rotations, lin_acc, self.ball, dt,
             self.geometry)
-        reward = task_reward(self.position, on_plate, self.task, self.geometry,
-                             self.ball)
-        return self.position, on_plate, reward, self._sense()
+        position = self.position.tolist()
+        reward = task_reward(position, on_plate, self.task, self.geometry, self.ball)
+        return position, on_plate, reward, self._sense(position)

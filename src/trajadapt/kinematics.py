@@ -103,7 +103,10 @@ def _frames(model: ChainModel, q):
     (k, 3, 3).  Each joint rotation is Rodrigues' formula I + sin(q) K +
     (1 - cos(q)) K^2, K being the axis's cross-product matrix, after the
     joint's cached mount rotation.  The joint frames are the arrays the
-    loop computes anyway; only the Jacobian reads them.
+    loop computes anyway; only the Jacobian reads them.  The chain starts
+    from the plain (3, 3) identity, which the first products broadcast over
+    the batch; with finite entries an identity product is exact in any
+    kernel.
     """
     q = np.asarray(q, dtype=float)
     if q.shape[-1] != model.n_joints:
@@ -113,7 +116,7 @@ def _frames(model: ChainModel, q):
     vers = (1.0 - np.cos(q))[:, :, None, None]
     local = model.mounts @ (_EYE3 + sin * model.axis_skews + vers * model.axis_skews_sq)
     pos = np.zeros((q.shape[0], 3))
-    rot = np.broadcast_to(_EYE3, (q.shape[0], 3, 3))
+    rot = _EYE3
     origins, rots = [], []
     for i, row in enumerate(model.joints):
         pos = pos + rot @ row.origin_xyz

@@ -9,9 +9,9 @@ and positions are cubic polynomials per step.
 The bound functions other than ``valid_accel_range`` broadcast over leading
 axes: scalars, (n_joints,) vectors or (batch, n_joints) arrays all work,
 which keeps large validation campaigns vectorized.  ``valid_accel_range``,
-``clip_action`` and ``integrate_step`` serve one episode's decision step and
-take and return float sequences of one entry per joint (see "Single-state
-kernel").
+``clip_action``, ``integrate_step`` and ``substep_profile`` serve one
+episode's decision step and take float sequences of one entry per joint
+(see "Single-state kernel").
 
 The lower velocity bound is the sign reflection of the upper one, so
 ``valid_accel_bounds`` evaluates both sides at once on the stacked (2, ...)
@@ -56,8 +56,11 @@ Three kinds of operation stay in numpy, because a float copy can differ in
 the last bit: BLAS products (``@`` and ``dot`` may fuse a multiply-add),
 the SIMD-dispatched transcendental functions (``sin``, ``cos``, ``**3``,
 with their own rounding) and pairwise sums (``np.sum`` and ``np.mean`` add
-in a different order than a loop).  ``substep_profile`` (``tau**3``) stays
-an array function.
+in a different order than a loop).  ``substep_profile`` therefore takes
+the powers tau, tau**2 and tau**3 of the tick times from numpy, once per
+(dt, substeps), and evaluates each joint's cubic on floats; it returns the
+tick positions as one (substeps + 1, n_joints) array for the plate
+kinematics' ``sin`` and ``cos``.
 
 Supported limit regime
 ----------------------
@@ -105,7 +108,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -503,22 +506,26 @@ def integrate_step(p0, v0, a0, a1, dt):
     return p1, v1
 
 
-def substep_profile(p0, v0, a0, a1, dt, substeps: int):
-    """Positions, velocities and accelerations at every control tick of a step.
+@lru_cache(maxsize=16)
+def _tick_powers(dt: float, substeps: int) -> list:
+    """(tau, tau**2, tau**3) of every control tick of a step, as floats:
+    numpy's powers, once per (dt, substeps)."""
+    tau = np.arange(substeps + 1, dtype=float) * (dt / substeps)
+    return list(zip(tau.tolist(), (tau**2).tolist(), (tau**3).tolist()))
 
-    Includes the step's start (tick 0) through its end (tick ``substeps``),
-    so arrays have leading length substeps + 1.
+
+def substep_profile(p0, v0, a0, a1, dt, substeps: int) -> np.ndarray:
+    """Joint positions at every control tick of a step, (substeps + 1,
+    n_joints): the step's start (tick 0) through its end (tick
+    ``substeps``).
+
+    Takes float sequences of one entry per joint.  Each position is the
+    step's cubic p0 + v0*tau + (a0/2)*tau**2 + slope*tau**3/6, evaluated on
+    floats in numpy's order on numpy's powers of tau (module docstring).
     """
     if substeps < 1:
         raise ConfigurationError("substeps must be >= 1")
-    p0 = _as_float_array(p0)
-    v0 = _as_float_array(v0)
-    a0 = _as_float_array(a0)
-    a1 = _as_float_array(a1)
-    tau = (np.arange(substeps + 1, dtype=float) * (dt / substeps))
-    tau = tau.reshape((-1,) + (1,) * p0.ndim)
-    slope = (a1 - a0) / dt
-    a = a0 + slope * tau
-    v = v0 + a0 * tau + 0.5 * slope * tau**2
-    p = p0 + v0 * tau + 0.5 * a0 * tau**2 + slope * tau**3 / 6.0
-    return p, v, a
+    joints = [(p, v, 0.5 * a, (b - a) / dt) for p, v, a, b in zip(p0, v0, a0, a1)]
+    return np.array([p + v * t + h * t2 + s * t3 / 6.0
+                     for t, t2, t3 in _tick_powers(dt, substeps)
+                     for p, v, h, s in joints]).reshape(substeps + 1, len(joints))

@@ -141,10 +141,12 @@ class TrackingPolicy:
         self._prev_vref = None
 
     def tracking_accel(self, obs, shift=None) -> list:
-        """The law's accelerations at observation ``obs``, each joint's
-        reference moved by ``shift`` (a float sequence) if given."""
+        """The law's accelerations at observation ``obs`` (a list of floats
+        is read as it is), each joint's reference moved by ``shift`` (a
+        float sequence) if given."""
         lay, dt = self.layout, self.dt
-        obs = np.asarray(obs, dtype=float).tolist()
+        if not isinstance(obs, list):
+            obs = np.asarray(obs, dtype=float).tolist()
         p = [o * h + m for o, h, m in zip(lay.joint_pos(obs), self._half, self._mid)]
         v = [o * w for o, w in zip(lay.joint_vel(obs), self._v_max)]
         p_ref = [o * h + m for o, h, m in zip(lay.ref_row(obs), self._half, self._mid)]
@@ -209,7 +211,8 @@ class PDBalancePolicy(TrackingPolicy):
 
     def act(self, obs, rng) -> list:
         half = (self.geometry.half_x, self.geometry.half_y)
-        f = np.asarray(self.layout.feedback(obs), dtype=float).tolist()
+        obs = np.asarray(obs, dtype=float).tolist()
+        f = self.layout.feedback(obs)
         cur = [x * h for x, h in zip(f[0:2], half)]
         prev = [x * h for x, h in zip(f[2:4], half)]
         err = [x * h for x, h in zip(f[4:6], half)] if self.task.kind == "in_place" else cur

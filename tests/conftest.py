@@ -345,7 +345,7 @@ def ref_task_reward(position, on_plate, spec, geometry, params):
 
 
 def ref_sensor_feedback(measured, previous, spec, geometry):
-    half = geometry.half_extents
+    half = np.array([geometry.half_x, geometry.half_y])
     parts = [measured / half, previous / half]
     if spec.kind == "in_place":
         parts.append((measured - spec.target) / half)
@@ -441,7 +441,7 @@ class RefTrackingPolicy(_RefTrackingLaw, pol.TrackingPolicy):
 class RefPDBalancePolicy(_RefTrackingLaw, pol.PDBalancePolicy):
     def act(self, obs, rng):
         lay, lim_ = self.layout, self.limits
-        half = self.geometry.half_extents
+        half = np.array([self.geometry.half_x, self.geometry.half_y])
         f = lay.feedback(obs)
         cur = f[0:2] * half
         prev = f[2:4] * half

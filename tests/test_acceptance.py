@@ -164,7 +164,7 @@ def test_criterion_06_integration_exactness():
     for _ in range(100):
         p0, v0, a0, a1 = rng.uniform(-3, 3, (4, 1))
         series = lim.substep_profile(p0, v0, a0, a1, params.dt,
-                                     params.substeps)[0][1:]
+                                     params.substeps)[1:]
         p1, _ = lim.integrate_step(p0, v0, a0, a1, params.dt)
         worst_end = max(worst_end, float(abs(series[-1, 0] - p1[0])))
     ok = worst <= 1e-10 and worst_end <= 1e-12
@@ -176,20 +176,18 @@ def test_criterion_06_integration_exactness():
 def test_criterion_07_ball_physics():
     params = envm.BallParams(rolling_friction=0.0)
     rot = Rotation.from_euler("y", np.deg2rad(5)).as_matrix()
-    acc = envm.ball_acceleration(envm.plate_drive(rot[None], np.zeros((1, 3)))[0].tolist(),
-                                 (0.0, 0.0), 0.0, params.rolling_friction * envm.GRAVITY,
-                                 np.empty(2))
-    expected = (5.0 / 7.0) * envm.GRAVITY * np.sin(np.deg2rad(5))
-    tilt_gap = abs(np.linalg.norm(acc) - expected)
-
-    flat_drive = envm.plate_drive(np.eye(3)[None], np.zeros((1, 3)))[0]
-    flat = envm.ball_acceleration(flat_drive.tolist(), (0.0, 0.0), 0.0,
-                                  envm.BallParams().rolling_friction * envm.GRAVITY,
-                                  np.empty(2))
-    flat_exact = flat == (0.0, 0.0)
-
     rots, lin_acc = rot[None], np.zeros((1, 3))
     geometry = envm.PlateGeometry(half_x=100.0, half_y=100.0)
+    # one 5 ms tick from rest: the velocity is the acceleration times the tick
+    _, velocity, _ = envm.step_ball(np.zeros(2), np.zeros(2), rots, lin_acc, params,
+                                    0.005, geometry)
+    expected = (5.0 / 7.0) * envm.GRAVITY * np.sin(np.deg2rad(5))
+    tilt_gap = abs(np.linalg.norm(velocity / 0.005) - expected)
+
+    flat = envm.step_ball(np.zeros(2), np.zeros(2), np.eye(3)[None], lin_acc,
+                          envm.BallParams(), 0.005, geometry)
+    flat_exact = not np.any(flat[0]) and not np.any(flat[1]) and flat[2]
+
     g_t = (rot.T @ np.array([0.0, 0.0, -envm.GRAVITY]))[:2]
     position, velocity, _ = envm.step_ball(np.zeros(2), np.zeros(2), rots, lin_acc,
                                            params, 0.005, geometry)

@@ -11,13 +11,14 @@ from trajadapt.kinematics import gimbal_chain
 from trajadapt.limits import JointLimits
 
 
-def accel(drive, velocity, params):
-    """``ball_acceleration`` of a ``plate_drive`` row and a velocity (2,),
-    with the speed and rolling resistance they imply, as an array."""
-    return np.array(env.ball_acceleration(drive.tolist(), velocity.tolist(),
-                                          float(np.linalg.norm(velocity)),
-                                          params.rolling_friction * env.GRAVITY,
-                                          np.empty(2)))
+def accel(rotation, lin_acc, velocity, params, dt=0.005):
+    """The ball's acceleration over one ``step_ball`` tick from the plate's
+    centre at ``velocity`` (2,), on a plate at ``rotation`` whose origin
+    accelerates at ``lin_acc`` (3,)."""
+    _, new_velocity, _ = env.step_ball(np.zeros(2), velocity, np.asarray(rotation)[None],
+                                       np.asarray(lin_acc, dtype=float)[None], params, dt,
+                                       env.PlateGeometry())
+    return (new_velocity - velocity) / dt
 
 
 def still_plate(rot, ticks=1):
@@ -41,7 +42,7 @@ def test_flat_plate_equilibrium():
 def test_static_tilt_acceleration_value():
     params = env.BallParams(rolling_friction=0.0)
     rot = Rotation.from_euler("y", np.deg2rad(5)).as_matrix()
-    acc = accel(env.plate_drive(rot[None], np.zeros((1, 3)))[0], np.zeros(2), params)
+    acc = accel(rot, np.zeros(3), np.zeros(2), params)
     expected = (5.0 / 7.0) * env.GRAVITY * np.sin(np.deg2rad(5))
     assert np.linalg.norm(acc) == pytest.approx(expected, abs=1e-6)
     assert expected == pytest.approx(0.6107, abs=1e-4)
@@ -50,18 +51,16 @@ def test_static_tilt_acceleration_value():
 def test_accelerating_plate_pseudo_force():
     params = env.BallParams(rolling_friction=0.0)
     a_p = 1.3
-    drive = env.plate_drive(np.eye(3)[None], np.array([[a_p, 0.0, 0.0]]))[0]
-    acc = accel(drive, np.zeros(2), params)
+    acc = accel(np.eye(3), [a_p, 0.0, 0.0], np.zeros(2), params)
     np.testing.assert_allclose(acc, [-(5.0 / 7.0) * a_p, 0.0], atol=1e-12)
 
 
 def test_rolling_friction_opposes_motion_and_sticks():
     params = env.BallParams(rolling_friction=0.02)
-    flat = env.plate_drive(np.eye(3)[None], np.zeros((1, 3)))[0]
-    acc = accel(flat, np.array([0.1, 0.0]), params)
+    acc = accel(np.eye(3), np.zeros(3), np.array([0.1, 0.0]), params)
     assert acc[0] == pytest.approx(-0.02 * env.GRAVITY)
     # at rest on a flat plate friction produces no motion
-    acc0 = accel(flat, np.array([0.0, 0.0]), params)
+    acc0 = accel(np.eye(3), np.zeros(3), np.array([0.0, 0.0]), params)
     np.testing.assert_array_equal(acc0, [0.0, 0.0])
 
 
@@ -182,15 +181,20 @@ def test_step_ball_matches_per_tick_oracle_exactly():
 
 
 def test_ball_acceleration_matches_per_tick_oracle_exactly():
+    # one step_ball tick per sample: its new velocity is the old one plus the
+    # tick's acceleration times the tick, so a last-bit change in the speed
+    # or the rolling resistance shows
     rng = np.random.default_rng(47)
     params = env.BallParams(rolling_friction=0.007)
+    geometry = env.PlateGeometry(half_x=100.0, half_y=100.0)
     rotations = Rotation.from_rotvec(rng.normal(0.0, 0.2, (2000, 3))).as_matrix()
     lin_acc = rng.normal(0.0, 1.0, (2000, 3))
-    drives = env.plate_drive(rotations, lin_acc)
-    for rot, acc, drive, velocity in zip(rotations, lin_acc, drives,
-                                         rng.normal(0.0, 0.3, (2000, 2))):
-        want = oracle_ball_acceleration(rot, acc, velocity, params, set())
-        assert np.array_equal(accel(drive, velocity, params), want)
+    for rot, acc, velocity in zip(rotations, lin_acc, rng.normal(0.0, 0.3, (2000, 2))):
+        want = oracle_step_ball(np.zeros(2), velocity, rot[None], acc[None], params, 0.005,
+                                geometry, set())
+        got = env.step_ball(np.zeros(2), velocity, rot[None], acc[None], params, 0.005,
+                            geometry)
+        assert np.array_equal(got[1], want[1])
 
 
 def test_planar_norm_is_np_linalg_norm_bit_for_bit():
@@ -289,8 +293,8 @@ def test_sensor_feedback_lengths():
                                env.TaskSpec(kind="on_plate", noise_std=0.0), geometry)
     f_in = env.sensor_feedback(centre, centre,
                                env.TaskSpec(kind="in_place", noise_std=0.0), geometry)
-    assert f_on.shape == (4,)
-    assert f_in.shape == (6,)
+    assert len(f_on) == 4
+    assert len(f_in) == 6
 
 
 def test_sensor_feedback_zero_noise_stationary_centre():
@@ -320,7 +324,7 @@ def test_sensor_feedback_clamped():
     geometry = env.PlateGeometry()
     spec = env.TaskSpec(kind="on_plate", noise_std=0.0)
     off = np.array([0.5, -0.5])
-    f = env.sensor_feedback(off, off, spec, geometry)
+    f = np.array(env.sensor_feedback(off, off, spec, geometry))
     assert np.all(f <= 1.0) and np.all(f >= -1.0)
 
 
@@ -449,7 +453,7 @@ def test_env_reset_and_step():
     e = env.BallPlateEnv(model, env.PlateGeometry(), env.TaskSpec(noise_std=0.0),
                          env.BallParams(randomize=False))
     f = e.reset(seed=0)
-    assert f.shape == (6,)
+    assert len(f) == 6
     position, on_plate, reward, f2 = e.step(*still_plate(np.eye(3), ticks=10), 0.005)
     assert reward == 1.0
     assert on_plate

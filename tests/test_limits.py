@@ -368,7 +368,7 @@ def test_intermediate_setpoints_endpoint_and_shape():
     params = lim.StepParams(dt=0.05, control_dt=0.005)
     p0, v0, a0, a1 = np.array([0.1]), np.array([0.4]), np.array([0.0]), np.array([1.0])
     series = lim.substep_profile(p0, v0, a0, a1, params.dt,
-                                 params.substeps)[0][1:]
+                                 params.substeps)[1:]
     assert series.shape == (10, 1)
     p1, _ = lim.integrate_step(p0, v0, a0, a1, 0.05)
     assert abs(series[-1, 0] - p1[0]) < 1e-12
@@ -377,7 +377,7 @@ def test_intermediate_setpoints_endpoint_and_shape():
 def test_intermediate_setpoints_constant_velocity_equally_spaced():
     params = lim.StepParams(dt=0.05, control_dt=0.005)
     series = lim.substep_profile([0.0], [1.0], [0.0], [0.0], params.dt,
-                                 params.substeps)[0][1:]
+                                 params.substeps)[1:]
     np.testing.assert_allclose(np.diff(series[:, 0]), 0.005, atol=1e-15)
     assert series[0, 0] == pytest.approx(0.005)
 
@@ -386,7 +386,7 @@ def test_intermediate_setpoints_cubic_closed_form():
     params = lim.StepParams(dt=0.05, control_dt=0.005)
     a1, dt = 1.0, 0.05
     series = lim.substep_profile([0.0], [0.0], [0.0], [a1], params.dt,
-                                 params.substeps)[0][1:]
+                                 params.substeps)[1:]
     t = np.arange(1, 11) * 0.005
     expected = a1 * t**3 / (6.0 * dt)
     np.testing.assert_allclose(series[:, 0], expected, atol=1e-15)
