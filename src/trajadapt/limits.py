@@ -520,7 +520,7 @@ def substep_profile(p0, v0, a0, a1, dt, substeps: int) -> np.ndarray:
     ``substeps``).
 
     Takes float sequences of one entry per joint.  Each position is the
-    step's cubic p0 + v0*tau + (a0/2)*tau**2 + slope*tau**3/6, evaluated on
+    step's cubic p0 + v0*tau + (0.5*a0)*tau**2 + slope*tau**3/6, evaluated on
     floats in numpy's order on numpy's powers of tau (module docstring).
     """
     if substeps < 1:
