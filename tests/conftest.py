@@ -2,10 +2,12 @@
 closed loop, kept independent of the closed-form code paths they check;
 frozen reference copies of the valid-range kernels, of the decision step
 on arrays and of the environment layers it drives (substep profile, plate
-motion, ball, reward and sensing); a planar test chain and the stock
-7-joint arm; a call counter for monkeypatched functions."""
+motion, ball, reward and sensing) and of the episode scoring; a planar test
+chain and the stock 7-joint arm; a call counter for monkeypatched
+functions."""
 
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -460,9 +462,9 @@ class RefPDBalancePolicy(_RefTrackingLaw, pol.PDBalancePolicy):
 
 
 def ref_rollout_log(reference, policy, limits, params, weights, env=None, seed=(0,)):
-    """The scored ``StepLog`` of one episode of the array step loop, with
-    the frozen environment layers below on a ``RefBallPlateEnv`` of
-    ``env``'s model, geometry, task and ball."""
+    """The ``StepLog`` of one episode of the array step loop, with the
+    frozen environment layers above on a ``RefBallPlateEnv`` of ``env``'s
+    model, geometry, task and ball, scored by ``ref_score_log`` below."""
     total_steps = reference.n_steps - 1
     p = reference.positions[0].copy()
     v = np.zeros_like(p)
@@ -509,6 +511,44 @@ def ref_rollout_log(reference, policy, limits, params, weights, env=None, seed=(
         p, v, a = p_next, v_next, a_next
         if log.ball_on_plate[t] == 0.0:
             break
-    log = log.head(executed)
-    ad.score_log(log, limits, weights, dt)
+    log = ad.StepLog(**{f.name: getattr(log, f.name)[:executed] for f in fields(log)})
+    ref_score_log(log, limits, weights, dt)
     return log
+
+
+# ---------------------------------------------------------------------------
+# Frozen scoring: ``adaptation.score_log`` and its penalty helpers as written
+# with numpy's Python-level wrappers (``np.diff``, ``np.clip``, ``np.max``,
+# ``np.sum``, ``**``).  ``score_log`` must fill the same bits.
+
+def ref_accel_penalty(act, threshold):
+    a_abs = np.clip(np.max(np.abs(np.asarray(act, dtype=float)), axis=-1), threshold, 1.0)
+    return (1.0 - (1.0 - a_abs) / (1.0 - threshold)) ** 2
+
+
+def ref_jerk_penalty(jerk, j_max, weight):
+    j_p = np.sum(np.asarray(jerk, dtype=float) ** 2, axis=-1)
+    j_sat = np.sum(np.asarray(j_max, dtype=float) ** 2) / weight
+    return np.minimum(j_p / j_sat, 1.0) ** 2
+
+
+def ref_deviation_penalty(deviation, low, high):
+    dev = np.clip(np.asarray(deviation, dtype=float), low, high)
+    return ((dev - low) / (high - low)) ** 2
+
+
+def ref_compose_reward(r_task, p_accel, p_jerk, p_deviation):
+    p_smooth = 0.5 * (p_accel + p_jerk)
+    return p_smooth, r_task * (1.0 - p_smooth) * (1.0 - p_deviation)
+
+
+def ref_score_log(log, limits, weights, dt):
+    log.t_s[:] = np.arange(1, len(log) + 1) * dt
+    log.jerk[:] = np.diff(log.a, axis=0, prepend=0.0) / dt
+    log.act[:] = log.a / limits.a_max
+    log.p_accel[:] = ref_accel_penalty(log.act, weights.accel_threshold)
+    log.p_jerk[:] = ref_jerk_penalty(log.jerk, limits.j_max, weights.jerk_weight)
+    log.p_deviation[:] = ref_deviation_penalty(log.deviation_rad, weights.deviation_low,
+                                               weights.deviation_high)
+    log.p_smooth[:], log.reward[:] = ref_compose_reward(
+        log.r_task, log.p_accel, log.p_jerk, log.p_deviation)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import (RefPDBalancePolicy, RefTrackingPolicy, arm_chain, ref_rollout_log,
-                      ref_substep_profile)
+                      ref_score_log, ref_substep_profile)
 from trajadapt import adaptation as ad
 from trajadapt import environment as env
 from trajadapt import kinematics as kin
@@ -404,13 +404,13 @@ def _moving_reference(model, limits, steps=121):
     return ReferenceTrajectory(dt=0.05, positions=model.q_home + limits.p_half_range / 10.0 * swing)
 
 
-@pytest.mark.parametrize("chain", ["gimbal", "arm"])
-@pytest.mark.parametrize("kind", ["tracking", "pd_balance", "linear", "random", "greedy_max"])
-def test_rollout_matches_the_frozen_array_step_loop(chain, kind):
-    """``rollout`` on floats writes the log bits, signbits included, of the
-    array step loop it replaced (``conftest.ref_rollout_log``), on a moving
-    reference with the termination loosened; the policies that follow it
-    drive the ball environment."""
+POLICY_KINDS = ("tracking", "pd_balance", "linear", "random", "greedy_max")
+
+
+def _step_loop_case(chain, kind):
+    """(limits, moving reference, environment or None, (live policy class,
+    frozen policy class, arguments)) of a ``kind`` policy on ``chain``; the
+    policies that follow the reference drive the ball environment."""
     if chain == "gimbal":
         model, limits = kin.gimbal_chain()
         task, mask = env.TaskSpec(kind="in_place", start_offset=(0.02, 0.0)), (0, 1)
@@ -423,10 +423,9 @@ def test_rollout_matches_the_frozen_array_step_loop(chain, kind):
         environment = env.BallPlateEnv(model, env.PlateGeometry(), task, env.BallParams())
     layout = pol.ObservationLayout(limits.n_joints,
                                    task.feedback_size if environment else 0, 1)
-    params = StepParams()
-    tracking = (layout, limits, params.dt)
+    tracking = (layout, limits, StepParams().dt)
     weights = np.random.default_rng(3).standard_normal((limits.n_joints, layout.size + 1))
-    new_cls, ref_cls, args = {
+    policies = {
         "tracking": (pol.TrackingPolicy, RefTrackingPolicy, tracking),
         "pd_balance": (pol.PDBalancePolicy, RefPDBalancePolicy,
                        tracking + (model, env.PlateGeometry(), task, reference.positions[0],
@@ -434,18 +433,106 @@ def test_rollout_matches_the_frozen_array_step_loop(chain, kind):
         "linear": (pol.LinearPolicy, pol.LinearPolicy, (weights,)),
         "random": (pol.RandomPolicy, pol.RandomPolicy, (limits.n_joints,)),
         "greedy_max": (pol.GreedyMaxPolicy, pol.GreedyMaxPolicy, (limits.n_joints,)),
-    }[kind]
+    }
+    return limits, reference, environment, policies[kind]
+
+
+def _assert_same_bits(log, want):
+    for f in fields(log):
+        got, expected = getattr(log, f.name), getattr(want, f.name)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), f.name
+
+
+@pytest.mark.parametrize("chain", ["gimbal", "arm"])
+@pytest.mark.parametrize("kind", POLICY_KINDS)
+def test_rollout_matches_the_frozen_array_step_loop(chain, kind):
+    """``rollout`` on floats writes the log bits, signbits included, of the
+    array step loop it replaced (``conftest.ref_rollout_log``), on a moving
+    reference with the termination loosened; the policies that follow it
+    drive the ball environment."""
+    limits, reference, environment, (new_cls, ref_cls, args) = _step_loop_case(chain, kind)
+    params = StepParams()
     for seed in ([1, 0], [1, 1]):
         report, log = ad.rollout(reference, new_cls(*args), limits, params, LOOSE_TERMINATION,
                                  env=environment, seed=seed)
         want = ref_rollout_log(reference, ref_cls(*args), limits, params, LOOSE_TERMINATION,
                                env=environment, seed=seed)
         assert len(log) >= 10
-        for f in fields(log):
-            got, expected = getattr(log, f.name), getattr(want, f.name)
-            assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), f.name
+        _assert_same_bits(log, want)
         assert report == env.episode_metrics(want, reference.n_steps - 1, limits,
-                                             task if environment else None)
+                                             environment.task if environment else None)
+
+
+def _rescored(log, rows, score, *args):
+    """The first ``rows`` rows of ``log``'s step columns in a new log, its
+    scored columns filled by ``score(new_log, *args)``."""
+    fresh = ad.StepLog.allocate(rows, log.a.shape[1])
+    for name in ("p", "v", "a", "raw", "r_task", "deviation_rad", "ball_x_m", "ball_y_m",
+                 "ball_on_plate"):
+        getattr(fresh, name)[:] = getattr(log, name)[:rows]
+    score(fresh, *args)
+    return fresh
+
+
+@pytest.mark.parametrize("chain", ["gimbal", "arm"])
+def test_score_log_matches_the_frozen_scoring(chain):
+    """``score_log`` fills every column bit for bit, signbits included, as
+    the frozen scoring (``conftest.ref_score_log``) does: on every policy's
+    episodes along the moving reference, along it shifted by 1 rad from row
+    15 (terminated) and from row 1 (no rows), and on the one-row and half
+    heads of each; ``rollout``'s own log is scored the same."""
+    params = StepParams()
+    endings = set()
+    for kind in POLICY_KINDS:
+        limits, reference, environment, (cls, _, args) = _step_loop_case(chain, kind)
+        steps = np.arange(reference.n_steps)[:, None]
+        shifted = [ReferenceTrajectory(dt=reference.dt,
+                                       positions=reference.positions + (steps >= row))
+                   for row in (15, 1)]
+        for ref, weights in ((reference, LOOSE_TERMINATION),
+                             (shifted[0], ad.RewardWeights()),
+                             (shifted[1], ad.RewardWeights())):
+            report, log = ad.rollout(ref, cls(*args), limits, params, weights,
+                                     env=environment, seed=[1, 0])
+            endings.add("no rows" if not len(log) else "ball lost" if report.ball_lost
+                        else "terminated" if report.terminated else "completed")
+            score_args = (limits, weights, params.dt)
+            _assert_same_bits(log, _rescored(log, len(log), ref_score_log, *score_args))
+            for rows in {0, min(1, len(log)), len(log) // 2}:
+                _assert_same_bits(_rescored(log, rows, ad.score_log, *score_args),
+                                  _rescored(log, rows, ref_score_log, *score_args))
+    assert endings == {"completed", "terminated", "ball lost", "no rows"}
+
+
+def test_score_log_matches_the_frozen_scoring_on_ties():
+    """Signed zeros and ties at every threshold keep the frozen scoring's
+    bits: commands of -0.0, +0.0, exactly the accel threshold and full
+    scale, deviations at 0 and at both ramp ends, jerks at the saturation
+    level, thresholds of -0.0 and +0.0."""
+    limits = _limits(3)
+    dt = 0.05
+    rng = np.random.default_rng(5)
+    log = ad.StepLog.allocate(16, 3)
+    log.a[:] = rng.uniform(-1.0, 1.0, (16, 3)) * limits.a_max
+    log.a[0] = [-0.0, 0.0, -0.0]  # the first row's jerk keeps the signbit
+    log.a[1] = [0.0, -0.0, 0.0]
+    log.a[2] = [8.0, -10.0, 0.0]  # act 0.8 and -1.0
+    log.a[3] = [-8.0, 10.0, -0.0]
+    log.a[4] = [-8.0, 10.0, -0.0]  # zero jerk
+    log.a[5] = [-8.0 + np.sqrt(3.0) * 5.0, 10.0, -0.0]
+    log.r_task[:] = rng.uniform(0.0, 1.0, 16)
+    log.r_task[:3] = [0.0, 1.0, -0.0]
+    for weights in (ad.RewardWeights(),
+                    ad.RewardWeights(accel_threshold=0.0, deviation_low=0.0,
+                                     deviation_high=0.1, termination=0.2, jerk_weight=3.0),
+                    ad.RewardWeights(accel_threshold=-0.0, deviation_low=-0.0,
+                                     deviation_high=0.1, termination=0.2)):
+        low, high = weights.deviation_low, weights.deviation_high
+        log.deviation_rad[:] = rng.uniform(0.0, 1.5 * high, 16)
+        log.deviation_rad[:6] = [0.0, low, high, np.nextafter(low, 1.0),
+                                 np.nextafter(high, 0.0), -0.0]
+        _assert_same_bits(_rescored(log, len(log), ad.score_log, limits, weights, dt),
+                          _rescored(log, len(log), ref_score_log, limits, weights, dt))
 
 
 # (chain, task kind, start offset, noise, ball gains, moving reference): the
@@ -487,9 +574,7 @@ def test_rollout_matches_the_frozen_environment_layers(case):
         want = ref_rollout_log(reference, RefPDBalancePolicy(*args, **gains), limits,
                                params, LOOSE_TERMINATION, env=environment, seed=seed)
         assert len(log) >= 10
-        for f in fields(log):
-            got, expected = getattr(log, f.name), getattr(want, f.name)
-            assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), f.name
+        _assert_same_bits(log, want)
         assert report == env.episode_metrics(want, reference.n_steps - 1, limits, task)
         if case == "gimbal_ball_lost":
             assert report.ball_lost
