@@ -80,24 +80,22 @@ class RewardWeights:
 def accel_penalty(act, threshold: float):
     """Quadratic ramp from 0 at the threshold to 1 at full normalized accel,
     on the worst joint of each row of normalized commands."""
-    a_abs = np.clip(np.max(np.abs(np.asarray(act, dtype=float)), axis=-1),
-                    threshold, 1.0)
-    return (1.0 - (1.0 - a_abs) / (1.0 - threshold)) ** 2
+    a_abs = np.minimum(np.maximum(np.maximum.reduce(np.abs(act), axis=-1), threshold), 1.0)
+    return np.square(1.0 - (1.0 - a_abs) / (1.0 - threshold))
 
 
 def jerk_penalty(jerk, j_max, weight: float):
     """Sum-of-squares jerk measure of each row against a saturation level
     set by ``weight`` (larger weight saturates earlier)."""
-    j_p = np.sum(np.asarray(jerk, dtype=float) ** 2, axis=-1)
-    j_sat = np.sum(np.asarray(j_max, dtype=float) ** 2) / weight
-    return np.minimum(j_p / j_sat, 1.0) ** 2
+    j_p = np.add.reduce(np.square(jerk), axis=-1)
+    j_sat = np.add.reduce(np.square(j_max), axis=None) / weight
+    return np.square(np.minimum(j_p / j_sat, 1.0))
 
 
 def deviation_penalty(deviation, low: float, high: float):
     """Quadratic ramp on the worst joint deviation, 0 below ``low``, 1 above
     ``high``."""
-    dev = np.clip(np.asarray(deviation, dtype=float), low, high)
-    return ((dev - low) / (high - low)) ** 2
+    return np.square((np.minimum(np.maximum(deviation, low), high) - low) / (high - low))
 
 
 def compose_reward(r_task, p_accel, p_jerk, p_deviation):
@@ -194,7 +192,10 @@ class StepLog:
         return self.t_s.shape[0]
 
     def head(self, rows: int) -> "StepLog":
-        """The first ``rows`` rows."""
+        """The first ``rows`` rows: the log itself when that is all of them
+        (every episode that runs to its end), else a log of slices."""
+        if rows == len(self):
+            return self
         return StepLog(**{f.name: getattr(self, f.name)[:rows] for f in fields(self)})
 
 
@@ -204,11 +205,16 @@ def score_log(log: StepLog, limits: JointLimits, weights: RewardWeights,
     ``jerk``, ``act``, the penalties and ``reward``.
 
     Reads ``a``, ``deviation_rad`` and ``r_task``; the first row's jerk is
-    taken from rest, where every rollout starts.
+    taken from rest, where every rollout starts: a[0] - 0.0 is a[0]
+    bitwise, -0.0 included, so the row is a copy.  ``rollout`` scores
+    inside its last decision step, so the columns are written by direct
+    ufunc calls, without numpy's Python-level wrappers.
     """
-    log.t_s[:] = np.arange(1, len(log) + 1) * dt
-    log.jerk[:] = np.diff(log.a, axis=0, prepend=0.0) / dt
-    log.act[:] = log.a / limits.a_max
+    np.multiply(np.arange(1, len(log) + 1), dt, out=log.t_s)
+    np.subtract(log.a[1:], log.a[:-1], out=log.jerk[1:])
+    log.jerk[:1] = log.a[:1]
+    log.jerk /= dt
+    np.divide(log.a, limits.a_max, out=log.act)
     log.p_accel[:] = accel_penalty(log.act, weights.accel_threshold)
     log.p_jerk[:] = jerk_penalty(log.jerk, limits.j_max, weights.jerk_weight)
     log.p_deviation[:] = deviation_penalty(log.deviation_rad, weights.deviation_low,
