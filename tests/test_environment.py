@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
+from conftest import ref_step_ball
 from trajadapt import environment as env
 from trajadapt.adaptation import StepLog
 from trajadapt.errors import ConfigurationError
@@ -195,6 +196,26 @@ def test_ball_acceleration_matches_per_tick_oracle_exactly():
         got = env.step_ball(np.zeros(2), velocity, rot[None], acc[None], params, 0.005,
                             geometry)
         assert np.array_equal(got[1], want[1])
+
+
+def test_step_ball_reversal_test_keeps_numpy_dot():
+    # a ball moving slower than friction stops in a tick, pushed by a level
+    # plate's acceleration (stepped by ulps from the one that turns its
+    # velocity a quarter turn) to a new velocity all but orthogonal to the
+    # old one: numpy's dot of the two (OpenBLAS's fused multiply-add on
+    # AVX2) is below 0 where new_vx*vx + new_vy*vy rounds to 0.0, so the
+    # reversal test stops the ball only as numpy's dot decides
+    params = env.BallParams(randomize=False)
+    geometry = env.PlateGeometry()
+    velocity = np.array([-9.191292031662825e-05, -0.00016527321202246194])
+    lin_acc = np.array([[-0.015688649686501143, 0.026710836572215374, 0.0]])
+    rotations = np.eye(3)[None]
+    assert 1e-12 < np.linalg.norm(velocity) < params.rolling_friction * env.GRAVITY * 0.005
+    got = env.step_ball(np.zeros(2), velocity, rotations, lin_acc, params, 0.005, geometry)
+    want = ref_step_ball(np.zeros(2), velocity, rotations, lin_acc, params, 0.005, geometry)
+    assert got[0].tobytes() == want[0].tobytes()  # position
+    assert got[1].tobytes() == want[1].tobytes()  # velocity
+    assert got[2] == want[2]
 
 
 def test_planar_norm_is_np_linalg_norm_bit_for_bit():
