@@ -26,6 +26,11 @@ length), the plate kinematics (``sin``, ``cos`` and BLAS products), the
 ball's drive and 2-vector dot products (BLAS) and the per-episode sums of
 ``score_log`` and ``episode_metrics`` (pairwise).  The campaign keeps
 (episodes, joints) arrays throughout.
+
+An episode's last decision step also slices and scores its log, so
+``StepLog.head`` returns a log it keeps whole, and ``score_log`` and its
+penalty helpers call ufuncs directly (``np.maximum.reduce``,
+``np.square``, ...), not numpy's Python-level wrappers, with the same bits.
 """
 
 from __future__ import annotations
@@ -192,8 +197,7 @@ class StepLog:
         return self.t_s.shape[0]
 
     def head(self, rows: int) -> "StepLog":
-        """The first ``rows`` rows: the log itself when that is all of them
-        (every episode that runs to its end), else a log of slices."""
+        """The first ``rows`` rows; the log itself if that is all of them."""
         if rows == len(self):
             return self
         return StepLog(**{f.name: getattr(self, f.name)[:rows] for f in fields(self)})
@@ -205,10 +209,9 @@ def score_log(log: StepLog, limits: JointLimits, weights: RewardWeights,
     ``jerk``, ``act``, the penalties and ``reward``.
 
     Reads ``a``, ``deviation_rad`` and ``r_task``; the first row's jerk is
-    taken from rest, where every rollout starts: a[0] - 0.0 is a[0]
-    bitwise, -0.0 included, so the row is a copy.  ``rollout`` scores
-    inside its last decision step, so the columns are written by direct
-    ufunc calls, without numpy's Python-level wrappers.
+    taken from rest, where every rollout starts (a copy: a - 0.0 is a
+    bitwise, -0.0 included).  Direct ufunc calls, as this runs inside
+    ``rollout``'s last decision step.
     """
     np.multiply(np.arange(1, len(log) + 1), dt, out=log.t_s)
     np.subtract(log.a[1:], log.a[:-1], out=log.jerk[1:])

@@ -72,7 +72,6 @@ class ChainModel:
     name: str = setting("name", "chain", "text")
     mounts: np.ndarray = field(init=False, repr=False, compare=False)
     plate_rot: np.ndarray = field(init=False, repr=False, compare=False)
-    # whether every mount, and the plate offset, is the identity rotation
     identity_mounts: bool = field(init=False, repr=False, compare=False)
     identity_plate_rot: bool = field(init=False, repr=False, compare=False)
     axis_skews: np.ndarray = field(init=False, repr=False, compare=False)
@@ -110,16 +109,11 @@ def _frames(model: ChainModel, q):
     joint's cached mount rotation.  The joint frames are the arrays the
     loop computes anyway; only the Jacobian reads them.  The chain starts
     from the plain (3, 3) identity, which the first products broadcast over
-    the batch.
-
-    A matrix product adds up its terms, and in round-to-nearest +0.0 plus
-    -0.0 is +0.0, so an identity product is X + 0.0 bitwise (checked on
-    2 000 random matrices with signed zeros, through the BLAS and the
-    batched kernel): it changes only a -0.0 of X, into +0.0.  For finite q
-    no factor here holds a -0.0: I + sin K + vers K^2 adds to the +0.0 and
-    1.0 entries of I, and a product's sums never end in -0.0.  So every
-    identity product keeps the bits, and the identity mounts (the
-    gimbal's) and plate offset are skipped rather than multiplied.
+    the batch.  Identity mounts (the gimbal's) and plate offsets are
+    skipped: an identity product is X + 0.0 bitwise (BLAS and batched
+    kernel alike, checked on 2 000 random matrices with signed zeros), and
+    for finite q no -0.0 reaches one, since +0.0 + (-0.0) is +0.0 in
+    I + sin K + vers K^2 and in every product's sums.
     """
     q = np.asarray(q, dtype=float)
     if q.shape[-1] != model.n_joints:
