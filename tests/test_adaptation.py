@@ -519,7 +519,7 @@ def test_score_log_matches_the_frozen_scoring_on_ties():
     log.a[2] = [8.0, -10.0, 0.0]  # act 0.8 and -1.0
     log.a[3] = [-8.0, 10.0, -0.0]
     log.a[4] = [-8.0, 10.0, -0.0]  # zero jerk
-    log.a[5] = [-8.0 + np.sqrt(3.0) * 5.0, 10.0, -0.0]
+    log.a[5] = [-3.0, 10.0, -0.0]  # jerk (100, 0, 0), at saturation for jerk_weight 3
     log.r_task[:] = rng.uniform(0.0, 1.0, 16)
     log.r_task[:3] = [0.0, 1.0, -0.0]
     for weights in (ad.RewardWeights(),
