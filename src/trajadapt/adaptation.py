@@ -41,8 +41,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .environment import BallPlateEnv, episode_metrics
-from .errors import (BELOW_ONE, POSITIVE, ConfigurationError, at_least, check_domain,
-                     check_fields, setting)
+from .errors import (BELOW_ONE, POSITIVE, POSITIVE_RANGE, ConfigurationError, at_least,
+                     check_fields, read_settings, setting)
 from .kinematics import plate_motion
 from .limits import (JointLimits, StepParams, check_limit_regime, clamp, clip_action,
                      integrate_step, substep_profile, valid_accel_bounds,
@@ -51,8 +51,6 @@ from .trajectory import ReferenceTrajectory
 
 # Slack of the campaign's normalized |v|, |a| and |j| over 1.
 CAMPAIGN_TOL = 1e-9
-# The campaign's counts, by config key; ``load_config`` checks them by these too.
-CAMPAIGN_COUNTS = {"validate episodes": at_least(1), "validate steps": at_least(1)}
 
 
 @dataclass(frozen=True)
@@ -332,6 +330,16 @@ class CampaignReport:
         ) <= 1.0 + CAMPAIGN_TOL
 
 
+# The keys of config section ``validate``: keyword arguments of
+# ``run_limit_campaign``, which checks the counts by these too.
+CAMPAIGN_SETTINGS = (
+    setting("episodes", None, domain=at_least(1)), setting("steps", None, domain=at_least(1)),
+    setting("v_max_range", None, "pair", POSITIVE_RANGE),
+    setting("a_max_range", None, "pair", POSITIVE_RANGE),
+    setting("jerk_fill_range", None, "pair", (lambda r: 0.0 < r[0] <= r[1] <= 1.0,
+                                              "satisfy 0 < lo <= hi <= 1")))
+
+
 def run_limit_campaign(episodes: int, steps: int = 200, *, n_joints: int, dt: float,
                        seed: int, correction_enabled: bool,
                        v_max_range=(0.5, 3.0), a_max_range=(2.0, 15.0),
@@ -347,8 +355,7 @@ def run_limit_campaign(episodes: int, steps: int = 200, *, n_joints: int, dt: fl
     over its whole continuous profile, so every control tick is covered
     whatever the control period, and against the jerk bound.
     """
-    for name, count in (("validate episodes", episodes), ("validate steps", steps)):
-        check_domain(count, name, CAMPAIGN_COUNTS[name])
+    read_settings({"episodes": episodes, "steps": steps}, CAMPAIGN_SETTINGS, "validate")
     rng = np.random.default_rng(seed)
     shape = (episodes, n_joints)
     if fixed_limits is not None:

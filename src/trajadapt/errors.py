@@ -1,5 +1,7 @@
 """Exception types shared across the toolkit, and the declaration and the
-checks of a value in an input file: a run config or a chain file."""
+reading of a key in an input file: a run config or a chain file.  Every key
+is declared once, by ``setting``, and every object of either file is read
+by ``read_settings``."""
 
 import json
 import math
@@ -65,18 +67,6 @@ def check_domain(value, name: str, domain) -> None:
         raise ConfigurationError(f"{name} must {need}, got {shown!r}")
 
 
-def check_value(value, name: str, kind: str) -> None:
-    """Reject a ``value`` of key ``name`` that is not of ``kind``."""
-    check_domain(value, name, VALUE_CHECKS[kind])
-
-
-def check_keys(mapping: dict, known, where: str) -> None:
-    """Reject keys of ``mapping`` outside ``known``, naming them."""
-    unknown = sorted(set(mapping) - set(known))
-    if unknown:
-        raise ConfigurationError(f"unknown key(s) in {where}: {', '.join(unknown)}")
-
-
 def read_object(path, what: str) -> dict:
     """The JSON object in file ``path``, which a message calls a ``what``."""
     try:
@@ -88,10 +78,44 @@ def read_object(path, what: str) -> dict:
     return raw
 
 
-def setting(key: str, default=MISSING, kind: str = "number", domain=None):
-    """A dataclass field that input-file key ``key`` sets: a JSON value of
-    ``kind`` (a ``VALUE_CHECKS`` name) within ``domain``, if any."""
+def setting(key: str, default=MISSING, kind: str | None = "number", domain=None):
+    """The declaration of input-file key ``key``: a JSON value of ``kind``
+    (a ``VALUE_CHECKS`` name) within ``domain``, if any, required unless it
+    has a ``default``.  Kind None checks no JSON kind: a count's domain is
+    its whole check, and a config section is read by its own declarations.
+    On a dataclass field the key sets that field, whose default it is;
+    free-standing it sets the keyword argument named ``key``, which keeps
+    its own default, so ``default`` is None there."""
     return field(default=default, metadata={"key": key, "kind": kind, "domain": domain})
+
+
+def read_settings(raw, declared, name: str, where: str | None = None) -> dict:
+    """The keyword arguments that input-file object ``raw`` gives the
+    ``setting`` declarations among ``declared``, by field name (a
+    free-standing one's is its key); JSON lists become tuples.  ``raw``
+    must be an object of declared keys that holds every required key, each
+    value of its kind and in its domain.  A message calls a value
+    "``name`` <key>" and the object ``where`` (by default ``name``)."""
+    where = where or name
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"{where} must be an object")
+    declared = {f.metadata["key"]: f for f in declared if f.metadata}
+    unknown = sorted(set(raw) - set(declared))
+    if unknown:
+        raise ConfigurationError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+    missing = [key for key, f in declared.items() if f.default is MISSING and key not in raw]
+    if missing:
+        raise ConfigurationError(f"{where} is missing key(s): {', '.join(missing)}")
+    args = {}
+    for key, value in raw.items():
+        f = declared[key]
+        label = f"{name} {key}" if name else key
+        if f.metadata["kind"]:
+            check_domain(value, label, VALUE_CHECKS[f.metadata["kind"]])
+        if f.metadata["domain"]:
+            check_domain(value, label, f.metadata["domain"])
+        args[f.name or key] = tuple(value) if isinstance(value, list) else value
+    return args
 
 
 def check_fields(obj, section: str) -> None:

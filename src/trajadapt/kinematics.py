@@ -12,12 +12,11 @@ Rotation conventions: rpy is applied as Rz(yaw) @ Ry(pitch) @ Rx(roll).
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import (ConfigurationError, IKConvergenceError, check_domain, check_keys,
-                     check_value, read_object, setting)
+from .errors import ConfigurationError, IKConvergenceError, read_object, read_settings, setting
 from .limits import JointLimits
 
 _EYE3 = np.eye(3)
@@ -254,38 +253,21 @@ def plate_motion(model: ChainModel, q_series, dt: float):
 # ---------------------------------------------------------------------------
 # chain description files
 
-def _settings(raw: dict, classes, where: str) -> list:
-    """The keyword arguments of each of ``classes`` in chain-file object
-    ``raw`` (``where``): each key declared by a ``setting`` field, of its kind
-    and in its domain, and each key without a default present."""
-    declared = {f.metadata["key"]: f for cls in classes for f in fields(cls) if f.metadata}
-    check_keys(raw, declared, where)
-    missing = [key for key, f in declared.items() if f.default is MISSING and key not in raw]
-    if missing:
-        raise ConfigurationError(f"{where} is missing key(s): {', '.join(missing)}")
-    for key, value in raw.items():
-        meta = declared[key].metadata
-        check_value(value, f"{where} {key}", meta["kind"])
-        if meta["domain"]:
-            check_domain(value, f"{where} {key}", meta["domain"])
-    return [{f.name: raw[f.metadata["key"]] for f in fields(cls)
-             if f.metadata and f.metadata["key"] in raw} for cls in classes]
-
-
 def load_chain(path) -> tuple[ChainModel, JointLimits]:
     """Read a chain description file (JSON, schema in the README): its top
     level, then each joint row.  An unreadable file or an unknown, missing
     or bad key is a ConfigurationError naming the file, key, joint and value."""
     where = f"chain file {path}"
-    [chain] = _settings(read_object(path, "chain file"), [ChainModel], where)
-    rows = [_settings(row, [JointRow, JointLimits], f"{where} joint {j}")
+    chain = read_settings(read_object(path, "chain file"), fields(ChainModel), where)
+    rows = [read_settings(row, fields(JointRow) + fields(JointLimits), f"{where} joint {j}")
             for j, row in enumerate(chain.pop("joints"))]
     try:
-        limits = JointLimits(**{f.name: [row_limits[f.name] for _, row_limits in rows]
+        # each row gives its limits, and what is left is its joint
+        limits = JointLimits(**{f.name: [row.pop(f.name) for row in rows]
                                 for f in fields(JointLimits)})
     except ConfigurationError as exc:
         raise ConfigurationError(f"{where} has a bad value: {exc}") from None
-    model = ChainModel(joints=tuple(JointRow(**row) for row, _ in rows), **chain)
+    model = ChainModel(joints=tuple(JointRow(**row) for row in rows), **chain)
     if model.q_home.shape != limits.p_min.shape or not np.all(
             (limits.p_min <= model.q_home) & (model.q_home <= limits.p_max)):
         raise ConfigurationError(

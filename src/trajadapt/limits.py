@@ -6,20 +6,19 @@ limit of any joint, no matter what later commands do.  Accelerations are
 linearly interpolated between decision steps, so jerk is piecewise constant
 and positions are cubic polynomials per step.
 
-The bound functions other than ``valid_accel_range`` broadcast over leading
-axes: scalars, (n_joints,) vectors or (batch, n_joints) arrays all work,
-which keeps large validation campaigns vectorized.  ``valid_accel_range``,
+``valid_accel_bounds`` takes states and limits of one shape: scalars,
+(n_joints,) vectors or (batch, n_joints) arrays all work, which keeps large
+validation campaigns vectorized.  ``valid_accel_range``,
 ``clip_action``, ``integrate_step`` and ``substep_profile`` serve one
 episode's decision step and take float sequences of one entry per joint
 (see "Single-state kernel").
 
 The lower velocity bound is the sign reflection of the upper one, so
 ``valid_accel_bounds`` evaluates both sides at once on the stacked (2, ...)
-states (v0, a0) and (-v0, -a0).  It broadcasts a limit to the states' shape
-once, at entry, where its shape differs, and never stacks one: a flat index
+states (v0, a0) and (-v0, -a0).  It never stacks a limit: a flat index
 into the stacked states, modulo the limits' size, indexes them.  It calls
 the internal ``_velocity_bound`` and ``_shifted_bound`` (j_max * dt
-precomputed) under one errstate; ``max_accel_velocity`` wraps the first.
+precomputed) under one errstate.
 The ripple correction runs only on the k entries where the velocity bound
 binds: ``nonzero`` gives their flat indices, ``take`` gathers them and
 ``put`` writes the shifted bounds back, with the six candidate interval
@@ -228,8 +227,12 @@ def check_limit_regime(limits: JointLimits, dt: float) -> None:
                 f"{name} = {bound[j]:g} at step dt_s {dt:g}")
 
 
-def max_accel_velocity(v0, a0, v_max, j_max, dt):
-    """Largest next-step acceleration that cannot overshoot +v_max.
+def _velocity_bound(v0, a0, v_max, jd, dt):
+    """Largest next-step acceleration that cannot overshoot +v_max, for
+    float arrays of states ``v0``, ``a0`` under limits ``v_max`` and ``jd`` =
+    j_max * dt of their shape or of their trailing axes: an entry's flat
+    index modulo the limits' size picks its limit.  Runs under the caller's
+    errstate (invalid and divide ignored).
 
     Model: ramp linearly from a0 to the returned value over one decision
     period, then decelerate at constant -j_max until the acceleration is
@@ -246,18 +249,6 @@ def max_accel_velocity(v0, a0, v_max, j_max, dt):
     limit); v0 == v_max with a0 != 0 falls back to the braking-phase formula,
     whose denominator never vanishes.
     """
-    v0, a0, v_max, j_max = np.broadcast_arrays(
-        *(_as_float_array(x) for x in (v0, a0, v_max, j_max)))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = _velocity_bound(v0, a0, v_max, j_max * dt, dt)
-    return out if out.ndim else float(out)
-
-
-def _velocity_bound(v0, a0, v_max, jd, dt):
-    """``max_accel_velocity`` of states ``v0``, ``a0`` under limits
-    ``v_max`` and ``jd`` = j_max * dt of their shape or of their trailing
-    axes: an entry's flat index modulo the limits' size picks its limit.
-    Runs under the caller's errstate."""
     neg_jd = -jd
 
     # Braking-phase solution: quadratic in a1, root chosen so smaller a1 is safer.
@@ -329,16 +320,17 @@ def _shifted_bound(v0, a0, a_unc, v_max, a_max, jd, dt):
     return np.where(np.isfinite(best), np.minimum(np.maximum(best, 0.0), a_unc), a_unc)
 
 
-def _reflected(x, shape):
-    """(2, *shape) stack of ``x`` and ``-x``, broadcast to ``shape``."""
-    out = np.empty((2,) + shape)
+def _reflected(x):
+    """(2, *x.shape) stack of ``x`` and ``-x``."""
+    out = np.empty((2,) + x.shape)
     out[0] = x
     out[1] = -x
     return out
 
 
 def valid_accel_bounds(v0, a0, v_max, a_max, j_max, dt, *, correction_enabled):
-    """(lo, hi) arrays of the per-joint valid acceleration range.
+    """(lo, hi) arrays of the per-joint valid acceleration range of states
+    ``v0``, ``a0`` under limits of their shape.
 
     hi = min(jerk bound, acceleration limit, velocity bound); lo symmetric.
     With the correction enabled, a velocity bound that is the binding
@@ -347,20 +339,15 @@ def valid_accel_bounds(v0, a0, v_max, a_max, j_max, dt, *, correction_enabled):
     limits are not checked here, ``JointLimits`` rejects non-finite ones.
     """
     v0, a0, v_max, a_max, j_max = (_as_float_array(x) for x in (v0, a0, v_max, a_max, j_max))
-    shape = np.broadcast(v0, a0, v_max, a_max, j_max).shape
     if not (all_finite(v0) and all_finite(a0)):
         raise NonFiniteStateError("valid acceleration range needs a finite "
                                   "joint velocity and acceleration")
-    # the limits at the full shape, so a flat index into the stacked (2,
-    # *shape) states, modulo their size, is a flat index into each
-    v_max, a_max, j_max = (x if x.shape == shape else np.broadcast_to(x, shape)
-                           for x in (v_max, a_max, j_max))
     jd = j_max * dt
 
     # Row 0 is the upper velocity bound, row 1 the upper bound of the
     # sign-reflected state, i.e. minus the lower bound.
-    v_refl = _reflected(v0, shape)
-    a_refl = _reflected(a0, shape)
+    v_refl = _reflected(v0)
+    a_refl = _reflected(a0)
     with np.errstate(invalid="ignore", divide="ignore"):
         vel = _velocity_bound(v_refl, a_refl, v_max, jd, dt)
 

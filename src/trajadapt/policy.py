@@ -22,23 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .environment import GRAVITY, ROLLING_FACTOR, PlateGeometry, TaskSpec
-from .errors import NON_NEGATIVE, POSITIVE, ConfigurationError, check_domain
+from .errors import NON_NEGATIVE, POSITIVE, ConfigurationError, read_settings, setting
 from .kinematics import ChainModel, jacobian
 from .limits import JointLimits, clamp
 
 BALL_DRIVE = ROLLING_FACTOR * GRAVITY  # ball acceleration per radian of tilt
 TILT_LIMIT = 0.25                      # largest plate tilt the balancer asks for, rad
 BALANCE_MASK = (-2, -1)                # the balancer's default tilt joints
-# the domain of each policy gain
-GAIN_DOMAINS = {"kp": POSITIVE, "kd": POSITIVE, "ball_kp": NON_NEGATIVE, "ball_kd": NON_NEGATIVE}
-
-
-def check_gains(**gains) -> None:
-    """Reject policy gains outside their ``GAIN_DOMAINS``, naming the key.
-    Absent gains are not checked, other keywords are ignored."""
-    for key, domain in GAIN_DOMAINS.items():
-        if key in gains:
-            check_domain(gains[key], f"policy {key}", domain)
 
 
 def balance_mask(mask, n_joints: int) -> tuple:
@@ -81,6 +71,8 @@ class ObservationLayout:
 class RandomPolicy:
     """Uniform commands in [-1, 1] per joint; uses the caller's rng stream."""
 
+    SETTINGS = ()
+
     def __init__(self, n_joints: int):
         self.n_joints = n_joints
 
@@ -93,6 +85,8 @@ class RandomPolicy:
 
 class GreedyMaxPolicy:
     """Always asks for +1; the engine clips it to the valid upper bound."""
+
+    SETTINGS = ()
 
     def __init__(self, n_joints: int):
         self.n_joints = n_joints
@@ -121,9 +115,11 @@ class TrackingPolicy:
     returns lists.
     """
 
+    SETTINGS = (setting("kp", None, domain=POSITIVE), setting("kd", None, domain=POSITIVE))
+
     def __init__(self, layout: ObservationLayout, limits: JointLimits,
                  dt: float, kp: float = 60.0, kd: float = 14.0):
-        check_gains(kp=kp, kd=kd)
+        read_settings({"kp": kp, "kd": kd}, TrackingPolicy.SETTINGS, "policy")
         self.layout = layout
         self.limits = limits
         self.dt = dt
@@ -186,14 +182,20 @@ class PDBalancePolicy(TrackingPolicy):
     setup.  Ball position and velocity come from the task feedback (current
     and previous measured positions).  The ball law runs on floats too; the
     tilt's norm and its map to the joints are BLAS products and stay numpy.
+    The config gives it no ``kp`` or ``kd``.
     """
+
+    SETTINGS = (setting("mask", None, "indices"),
+                setting("ball_kp", None, domain=NON_NEGATIVE),
+                setting("ball_kd", None, domain=NON_NEGATIVE))
 
     def __init__(self, layout: ObservationLayout, limits: JointLimits, dt: float,
                  model: ChainModel, geometry: PlateGeometry, task: TaskSpec,
                  anchor_q, mask=BALANCE_MASK, ball_kp: float = 6.0,
                  ball_kd: float = 4.5, **gains):
         super().__init__(layout, limits, dt, **gains)
-        check_gains(ball_kp=ball_kp, ball_kd=ball_kd)
+        read_settings({"ball_kp": ball_kp, "ball_kd": ball_kd}, PDBalancePolicy.SETTINGS,
+                      "policy")
         self.mask = list(balance_mask(mask, limits.n_joints))
         self.geometry = geometry
         self.task = task
@@ -235,7 +237,10 @@ class LinearPolicy:
     """Affine map from observation to action, clipped into [-1, 1]: one row
     of ``weights`` per joint, one column per observation value and a last
     column for the bias.  The weights are trained outside this package;
-    ``load`` reads them as ``np.savetxt`` text."""
+    ``load`` reads them as ``np.savetxt`` text, from the config's
+    ``weights_file``."""
+
+    SETTINGS = (setting("weights_file", None, "text"),)
 
     def __init__(self, weights: np.ndarray):
         self.weights = np.atleast_2d(np.asarray(weights, dtype=float))

@@ -146,7 +146,6 @@ class CartesianPath:
             raise ConfigurationError("duplicate consecutive waypoints make a degenerate segment")
         u = np.concatenate([[0.0], np.cumsum(seglen)])
         u /= u[-1]
-        self.u_knots = u
         self._spline = NaturalSpline(u, waypoints)
 
     def __call__(self, u):
@@ -333,17 +332,25 @@ class PipelineConfig:
 def generate_reference(model: ChainModel, limits: JointLimits, areas: SamplingAreas,
                        cfg: PipelineConfig, seed, traj_id: str,
                        split: str) -> ReferenceTrajectory:
-    """Run the full pipeline once; raises PathRejectedError on a bad draw."""
+    """Run the full pipeline once; raises PathRejectedError on a bad draw,
+    which includes a path too short to give the 2 rows a run needs."""
     rng = np.random.default_rng(seed)
     path = CartesianPath(sample_waypoints(areas, rng))
     q_path = path_to_joint_space(path, model, cfg.ik_samples, limits)
     timed = time_parameterize(q_path, limits, headroom=cfg.headroom, grid=cfg.grid)
     traj = resample_uniform(timed, cfg.dt, traj_id=traj_id, split=split)
+    if traj.n_steps < 2:
+        raise PathRejectedError(f"reference has {traj.n_steps} row; a run needs at least 2")
     ratios = check_reference_limits(traj, limits)
     if max(ratios.values()) > 1.0:
         raise PathRejectedError(
             f"reference exceeds limits after parameterization: {ratios}")
     return traj
+
+
+# The ``generate`` config key besides ``PipelineConfig``'s: a keyword
+# argument of ``generate_dataset``.
+DATASET_SETTINGS = (setting("count", None, domain=at_least(1)),)
 
 
 def generate_dataset(model: ChainModel, limits: JointLimits, areas: SamplingAreas,

@@ -91,6 +91,14 @@ def profile_peak_velocity(v0, a0, a1, j_max, dt, n=512):
     return peak
 
 
+def velocity_bound(v0, a0, v_max, j_max, dt):
+    """``limits._velocity_bound`` of float arrays ``v0``, ``a0`` and limits
+    of their shape or trailing axes, under the errstate its callers give it."""
+    v0, a0, v_max, j_max = (np.asarray(x, dtype=float) for x in (v0, a0, v_max, j_max))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return lim._velocity_bound(v0, a0, v_max, j_max * dt, dt)
+
+
 def bisect_max_accel_velocity(v0, a0, v_max, j_max, dt, iters=80):
     """Largest a1 whose accelerate-then-brake profile peaks at <= v_max."""
     v0, a0, v_max, j_max = np.broadcast_arrays(

@@ -126,6 +126,25 @@ def test_generate_unreachable_boxes_fails_with_report(tmp_path):
     assert len(manifest["rejections"]) > 0
 
 
+def test_generate_rejects_a_reference_of_one_row(tmp_path, capsys):
+    # boxes 1e-8 m apart: the joint path moves less than 1e-12 rad, so time
+    # parameterization gives one sample, which used to be written as a
+    # record that no run can use
+    cfg = _write_arm_config(tmp_path)
+    raw = json.loads(cfg.read_text())
+    start, end = [0.45, 0.0, 0.87], [0.45 + 1e-8, 0.0, 0.87]
+    raw["sampling"] = {"boxes_m": [[start, start], [end, end]]}
+    raw["generate"]["count"] = 2
+    raw["generate"]["max_attempts"] = 2
+    cfg.write_text(json.dumps(raw))
+    assert cli.main(["generate", "--config", str(cfg)]) == 1
+    assert "generation fell short: 4 rejections" in capsys.readouterr().err
+    assert (tmp_path / "out" / "dataset.csv").read_text() == ""
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert {r["reason"] for r in manifest["rejections"]} == {
+        "reference has 1 row; a run needs at least 2"}
+
+
 # ---------------------------------------------------------------------------
 # validate-limits
 
@@ -774,13 +793,13 @@ def test_non_finite_linear_weights_exit_2_under_other_commands(tmp_path, capsys,
 
 
 def test_policy_kinds_constructible(tmp_path):
-    from trajadapt.config import POLICY_KEYS, load_config
+    from trajadapt.config import POLICY_CLASSES, load_config
     from trajadapt.trajectory import ReferenceTrajectory
     ref = ReferenceTrajectory(dt=0.05, positions=np.zeros((5, 2)))
     np.savetxt(tmp_path / "weights.txt", np.zeros((2, 15)))
     specs = {"random": {}, "greedy_max": {}, "tracking": {"kp": 50.0},
              "pd_balance": {"mask": [0, 1]}, "linear": {"weights_file": "weights.txt"}}
-    assert set(specs) == set(POLICY_KEYS)
+    assert set(specs) == set(POLICY_CLASSES)
     for kind, keys in specs.items():
         cfg = load_config(_write_balance_config(tmp_path, policy={"kind": kind, **keys}))
         policy = cli.build_policy(cfg, ref)

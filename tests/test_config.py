@@ -10,16 +10,34 @@ import numpy as np
 import pytest
 
 from trajadapt import adaptation as ad
-from trajadapt import cli
+from trajadapt import cli, config
 from trajadapt import environment as envm
 from trajadapt import policy as pol
 from trajadapt.adaptation import RewardWeights
-from trajadapt.config import POLICY_KEYS, SECTION_KEYS, load_config
+from trajadapt.config import RunConfig, load_config
 from trajadapt.kinematics import ChainModel, JointRow
 from trajadapt.limits import JointLimits, StepParams
-from trajadapt.trajectory import PipelineConfig, ReferenceTrajectory
+from trajadapt.trajectory import (DATASET_SETTINGS, PipelineConfig, ReferenceTrajectory,
+                                  SamplingAreas)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _keys(declared):
+    """Each key among the ``setting`` declarations ``declared``, mapped to
+    the field or keyword argument it sets."""
+    return {f.metadata["key"]: f.name or f.metadata["key"] for f in declared if f.metadata}
+
+
+# The keys each config section declares, and each policy kind.
+SECTION_KEYS = {name: _keys(declared) for name, declared in {
+    "step": fields(StepParams), "task": fields(envm.TaskSpec),
+    "plate": fields(envm.PlateGeometry), "ball": fields(envm.BallParams),
+    "reward": fields(RewardWeights), "sampling": fields(SamplingAreas),
+    "generate": fields(PipelineConfig) + DATASET_SETTINGS,
+    "validate": ad.CAMPAIGN_SETTINGS}.items()}
+POLICY_KEYS = {kind: _keys((config.POLICY_KIND, *cls.SETTINGS))
+               for kind, cls in config.POLICY_CLASSES.items()}
 
 # A value for every key of SECTION_KEYS, none of them its default.
 SECTIONS = {
@@ -90,7 +108,7 @@ def test_every_section_key_lands_on_its_object(tmp_path, monkeypatch):
               "generate": (cfg.pipeline, PipelineConfig(dt=0.05))}
     for name, (obj, default) in landed.items():
         for key, arg in SECTION_KEYS[name].items():
-            if hasattr(obj, arg or ""):
+            if hasattr(obj, arg):
                 _assert_lands(getattr(obj, arg), SECTIONS[name][key], getattr(default, arg))
     # sampling and the generate count
     for (lo, hi), box in zip(cfg.areas.boxes, SECTIONS["sampling"]["boxes_m"]):
@@ -139,8 +157,8 @@ def test_default_policy_kind_is_tracking(tmp_path):
 # The first ones used to load, then ended in a traceback, ran with a
 # truncated, misread or meaningless value (negative ball radii, a task reward
 # of 0 everywhere), or (the headroom) asked numpy for a huge array when
-# generating; the rest give every key of SECTION_KEYS a value outside its
-# domain, or of the wrong JSON kind where the key has no domain.
+# generating; the rest give every declared key a value outside its domain,
+# or of the wrong JSON kind where the key has no domain.
 BAD_VALUES = [
     ({"stationary_steps": 0}, {}, "stationary_steps"),
     ({"stationary_steps": -5}, {}, "stationary_steps"),
@@ -190,12 +208,29 @@ BAD_VALUES = [
     ({"validate": {"v_max_range": [2.0, 1.0]}}, {}, "validate v_max_range"),
     ({"validate": {"a_max_range": [0.0, 4.0]}}, {}, "validate a_max_range"),
     ({"validate": {"jerk_fill_range": [0.5, 1.5]}}, {}, "validate jerk_fill_range"),
+    ({"chain_file": 5}, {}, "chain_file"),
+    ({"out_dir": 5}, {}, "out_dir"),
+    ({"dataset_file": 5}, {}, "dataset_file"),
+    ({"policy": {"kind": "tracking", "kp": -1.0}}, {}, "policy kp"),
+    ({"policy": {"kind": "tracking", "kd": 0.0}}, {}, "policy kd"),
+    ({"policy": {"kind": "pd_balance", "ball_kp": -0.5}}, {}, "policy ball_kp"),
+    ({"policy": {"kind": "pd_balance", "mask": [0, 1], "ball_kd": -0.5}}, {},
+     "policy ball_kd"),
+    ({"policy": {"kind": "pd_balance", "mask": [0.5, 1]}}, {}, "policy mask"),
+    ({"policy": {"kind": "linear", "weights_file": 5}}, {}, "policy weights_file"),
 ]
 
 
-def test_bad_values_cover_every_section_key():
-    assert {key for _, _, key in BAD_VALUES} >= {
-        f"{name} {key}" for name, keys in SECTION_KEYS.items() for key in keys}
+def test_bad_values_cover_every_declared_key():
+    # the top-level keys but the sections, whose keys they declare
+    # themselves; and the policy kinds' keys but the kind, which is checked
+    # before them and has its own tests
+    declared = {f.metadata["key"] for f in fields(RunConfig)
+                if f.metadata and (f.metadata["kind"] or f.metadata["domain"])}
+    declared |= {f"{name} {key}" for name, keys in SECTION_KEYS.items() for key in keys}
+    declared |= {f"policy {key}" for keys in POLICY_KEYS.values() for key in keys
+                 if key != "kind"}
+    assert {key for _, _, key in BAD_VALUES} >= declared
 
 
 @pytest.mark.parametrize("change, flags, key", BAD_VALUES,

@@ -55,3 +55,37 @@ def _unread_parameters(path: Path) -> list:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_every_parameter_is_read(path):
     assert _unread_parameters(path) == []
+
+
+# Public names that only code outside ``src`` reaches: ``perfbench`` imports
+# ``gimbal_chain``, criterion 8 covers ``mirror_trajectory``.
+UNREACHED_EXEMPT = {"gimbal_chain", "mirror_trajectory", "__version__"}
+
+
+def _unreached_public_names() -> list:
+    """Module-level public functions, classes and assignments of ``src``
+    that no ``src`` code names outside their own definition."""
+    defined, named = [], {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [(path.name, name, node.lineno, node.end_lineno) for name in names
+                        if not name.startswith("_") or name.endswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                named.setdefault(name, []).append((path.name, node.lineno))
+    return sorted(f"{module}: {name}" for module, name, first, last in defined
+                  if name not in UNREACHED_EXEMPT
+                  and all(m == module and first <= line <= last
+                          for m, line in named.get(name, [])))
+
+
+def test_every_public_name_is_reached_from_src():
+    assert _unreached_public_names() == []

@@ -84,7 +84,9 @@ def test_spline_two_waypoints_is_straight():
 def test_spline_interpolates_waypoints():
     wps = np.array([[0, 0, 0], [0.5, 0.2, 0.1], [1.0, -0.3, 0.4], [1.5, 0, 0]], float)
     path = tr.CartesianPath(wps)
-    for u, wp in zip(path.u_knots, wps):
+    # the chord-length knots, normalized to [0, 1]
+    knots = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(wps, axis=0), axis=1))])
+    for u, wp in zip(knots / knots[-1], wps):
         assert np.linalg.norm(path(u) - wp) < 1e-9
 
 
