@@ -222,9 +222,9 @@ BAD_VALUES = [
 
 
 def test_bad_values_cover_every_declared_key():
-    # the top-level keys but the sections, whose keys they declare
-    # themselves; and the policy kinds' keys but the kind, which is checked
-    # before them and has its own tests
+    # every top-level key but a section (its own object declares its keys),
+    # every section key, and every policy kind's key but the kind, which is
+    # checked before them and has its own tests
     declared = {f.metadata["key"] for f in fields(RunConfig)
                 if f.metadata and (f.metadata["kind"] or f.metadata["domain"])}
     declared |= {f"{name} {key}" for name, keys in SECTION_KEYS.items() for key in keys}
