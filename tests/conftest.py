@@ -2,9 +2,9 @@
 closed loop, kept independent of the closed-form code paths they check;
 frozen reference copies of the valid-range kernels, of the decision step
 on arrays and of the environment layers it drives (substep profile, plate
-motion, ball, reward and sensing) and of the episode scoring; a planar test
-chain and the stock 7-joint arm; a call counter for monkeypatched
-functions."""
+motion, ball, reward and sensing), of the episode scoring and of the
+campaign's per-step audit; a planar test chain and the stock 7-joint arm;
+a call counter for monkeypatched functions."""
 
 import math
 from dataclasses import fields
@@ -560,3 +560,47 @@ def ref_score_log(log, limits, weights, dt):
                                                weights.deviation_high)
     log.p_smooth[:], log.reward[:] = ref_compose_reward(
         log.r_task, log.p_accel, log.p_jerk, log.p_deviation)
+
+
+# ---------------------------------------------------------------------------
+# Frozen campaign audit: the per-step check of ``run_limit_campaign`` as it
+# was written inline (the turning point of every element by a masked
+# division, the velocity at it evaluated everywhere, each maximum taken
+# before it is normalized).  The campaign's audit must stay bit-identical
+# to it.
+
+def ref_profile_peaks(v0, a0, a1, v_max, a_max, j_max, dt):
+    """(velocity, acceleration, jerk) peaks of each element's step from
+    (v0, a0) with the acceleration ramped linearly to a1, normalized by the
+    element's limits: (E, n) arrays of the states' shape."""
+    da = a1 - a0
+    jerk_norm = np.abs(da) / (dt * j_max)
+    slope = da / dt
+    a_end = a0 + slope * dt
+    v_end = v0 + a0 * dt + 0.5 * slope * (dt * dt)
+    t_star = np.divide(-a0, slope, out=np.full(np.shape(v0), -1.0), where=slope != 0)
+    inside = (t_star > 0) & (t_star < dt)
+    v_star = v0 + a0 * t_star + 0.5 * slope * t_star**2
+    v_norm = np.maximum(np.maximum(np.abs(v0), np.abs(v_end)),
+                        np.where(inside, np.abs(v_star), 0.0)) / v_max
+    a_norm = np.maximum(np.abs(a0), np.abs(a_end)) / a_max
+    return v_norm, a_norm, jerk_norm
+
+
+def ref_campaign_report(states, v_max, a_max, j_max, dt):
+    """The report fields (violations, the three peaks, first violation) that
+    ``run_limit_campaign`` derives from the frozen audit of its steps, given
+    every step's start (v, a) and one more state; each step's command a1 is
+    the next state's acceleration."""
+    tol = 1.0 + ad.CAMPAIGN_TOL
+    violations, first, peaks = 0, None, [0.0, 0.0, 0.0]
+    for step, ((v, a), (_, a1)) in enumerate(zip(states, states[1:])):
+        norms = ref_profile_peaks(v, a, a1, v_max, a_max, j_max, dt)
+        step_peaks = [float(x.max()) for x in norms]
+        peaks = [max(p, s) for p, s in zip(peaks, step_peaks)]
+        if max(step_peaks) > tol:
+            violations += 1
+            if first is None:
+                bad = np.argwhere((norms[0] > tol) | (norms[1] > tol) | (norms[2] > tol))
+                first = (step, int(bad[0][0]), int(bad[0][1]))
+    return violations, *peaks, first

@@ -3,14 +3,14 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from conftest import (RefPDBalancePolicy, RefTrackingPolicy, arm_chain, ref_rollout_log,
-                      ref_score_log, ref_substep_profile)
+from conftest import (RefPDBalancePolicy, RefTrackingPolicy, arm_chain, ref_campaign_report,
+                      ref_rollout_log, ref_score_log, ref_substep_profile)
 from trajadapt import adaptation as ad
 from trajadapt import environment as env
 from trajadapt import kinematics as kin
 from trajadapt import policy as pol
 from trajadapt.errors import ConfigurationError
-from trajadapt.limits import JointLimits, StepParams
+from trajadapt.limits import JointLimits, StepParams, valid_accel_bounds
 from trajadapt.trajectory import ReferenceTrajectory
 
 
@@ -637,6 +637,52 @@ def test_campaign_report_pinned(case):
     assert rep == ad.CampaignReport(episodes=300, steps=100, n_joints=7,
                                     violations=violations, max_velocity_norm=v,
                                     max_accel_norm=a, max_jerk_norm=j)
+
+
+def _recorded_campaign(monkeypatch, case, steps, loose):
+    """The report of a 300-episode campaign of ``case`` (a ``CAMPAIGN_PINS``
+    key) and the (v, a) state and limits each step passed to its valid
+    range.  A ``loose`` range guarantees nothing from step 3 on: commands
+    up to +-a_max, one in ten pinned at +-1.1 a_max, so every kind of
+    violation happens."""
+    seed, correction, fixed = case
+    exact = valid_accel_bounds
+    rng = np.random.default_rng(seed)
+    states, limits = [], []
+
+    def recorded(v, a, v_max, a_max, j_max, dt, **kwargs):
+        states.append((v.copy(), a.copy()))
+        limits[:] = v_max, a_max, j_max
+        if not loose or len(states) <= 3:
+            return exact(v, a, v_max, a_max, j_max, dt, **kwargs)
+        pinned = rng.uniform(size=a.shape) < 0.1
+        at = 1.1 * a_max * np.where(rng.uniform(size=a.shape) < 0.5, -1.0, 1.0)
+        return np.where(pinned, at, -1.5 * a_max), np.where(pinned, at, 1.5 * a_max)
+
+    monkeypatch.setattr(ad, "valid_accel_bounds", recorded)
+    rep = ad.run_limit_campaign(300, steps, seed=seed, correction_enabled=correction,
+                                fixed_limits=arm_chain()[1] if fixed else None,
+                                n_joints=7, dt=0.05)
+    return rep, states, limits
+
+
+@pytest.mark.parametrize("loose", [False, True])
+@pytest.mark.parametrize("case", sorted(CAMPAIGN_PINS))
+def test_campaign_report_matches_the_frozen_audit(monkeypatch, case, loose):
+    """The frozen audit (``conftest.ref_profile_peaks``) of every step of a
+    300 x 100 campaign gives the campaign's report: its violation count,
+    peaks and first violation.  A 101-step campaign draws the same first
+    100 steps, and its last state holds step 99's command."""
+    rep, _, _ = _recorded_campaign(monkeypatch, case, 100, loose)
+    _, states, limits = _recorded_campaign(monkeypatch, case, 101, loose)
+    violations, v, a, j, first = ref_campaign_report(states, *limits, 0.05)
+    assert rep == ad.CampaignReport(episodes=300, steps=100, n_joints=7,
+                                    violations=violations, max_velocity_norm=v,
+                                    max_accel_norm=a, max_jerk_norm=j, first_violation=first)
+    if loose:
+        assert violations > 50 and min(v, a, j) > 1.05 and first[0] == 3
+    else:
+        assert violations == 0
 
 
 def test_campaign_single_step():
