@@ -45,7 +45,7 @@ from .errors import (BELOW_ONE, POSITIVE, POSITIVE_RANGE, ConfigurationError, at
                      check_fields, read_settings, setting)
 from .kinematics import plate_motion
 from .limits import (JointLimits, StepParams, check_limit_regime, clamp, clip_action,
-                     integrate_step, substep_profile, valid_accel_bounds,
+                     integrate_step, profile_peaks, substep_profile, valid_accel_bounds,
                      valid_accel_range)
 from .trajectory import ReferenceTrajectory
 
@@ -353,7 +353,8 @@ def run_limit_campaign(episodes: int, steps: int = 200, *, n_joints: int, dt: fl
     uses that limit set of ``n_joints`` joints (still random actions).  Each
     step is checked against the normalized velocity/acceleration bounds
     over its whole continuous profile, so every control tick is covered
-    whatever the control period, and against the jerk bound.
+    whatever the control period, and against the jerk bound
+    (``limits.profile_peaks``).
     """
     read_settings({"episodes": episodes, "steps": steps}, CAMPAIGN_SETTINGS, "validate")
     rng = np.random.default_rng(seed)
@@ -373,49 +374,27 @@ def run_limit_campaign(episodes: int, steps: int = 200, *, n_joints: int, dt: fl
     a = np.zeros(shape)
     violations = 0
     first = None
-    max_v = max_a = max_j = 0.0
-    dt2 = dt * dt
-    jd = dt * j_max
+    peaks = [0.0, 0.0, 0.0]
+    tol = 1.0 + CAMPAIGN_TOL
 
     for step in range(steps):
         lo, hi = valid_accel_bounds(v, a, v_max, a_max, j_max, dt,
                                     correction_enabled=correction_enabled)
-        raw = rng.uniform(-1.0, 1.0, shape) * a_max
-        a1 = np.clip(raw, lo, hi)
+        a1 = rng.uniform(-1.0, 1.0, shape)
+        a1 *= a_max
+        # np.clip's bits for NaN-free input: a tie returns the bound
+        np.minimum(np.maximum(a1, lo, out=a1), hi, out=a1)
 
-        da = a1 - a
-        jerk_norm = np.abs(da) / jd
-        slope = da / dt
-        # The acceleration is linear and the velocity quadratic in time, so
-        # both peak at a step end or, for the velocity, where the
-        # acceleration crosses zero inside the step.
-        a_end = a + slope * dt
-        v_end = v + a * dt + 0.5 * slope * dt2
-        t_star = np.divide(-a, slope, out=np.full(shape, -1.0), where=slope != 0)
-        inside = (t_star > 0) & (t_star < dt)
-        v_star = v + a * t_star + 0.5 * slope * t_star**2
-
-        v_norm = np.maximum(np.maximum(np.abs(v), np.abs(v_end)),
-                            np.where(inside, np.abs(v_star), 0.0)) / v_max
-        a_norm = np.maximum(np.abs(a), np.abs(a_end)) / a_max
-        step_v = float(v_norm.max())
-        step_a = float(a_norm.max())
-        step_j = float(jerk_norm.max())
-        max_v = max(max_v, step_v)
-        max_a = max(max_a, step_a)
-        max_j = max(max_j, step_j)
-        if max(step_v, step_a, step_j) > 1.0 + CAMPAIGN_TOL:
+        norms = profile_peaks(v, a, a1, v_max, a_max, j_max, dt)
+        step_peaks = [float(np.maximum.reduce(x, axis=None)) for x in norms]
+        peaks = [max(p, s) for p, s in zip(peaks, step_peaks)]
+        if max(step_peaks) > tol:
             violations += 1
             if first is None:
-                bad = np.argwhere((v_norm > 1 + CAMPAIGN_TOL) | (a_norm > 1 + CAMPAIGN_TOL)
-                                  | (jerk_norm > 1 + CAMPAIGN_TOL))
-                ep, joint = (int(bad[0][0]), int(bad[0][1])) if bad.size else (-1, -1)
-                first = (step, ep, joint)
+                bad = np.argwhere((norms[0] > tol) | (norms[1] > tol) | (norms[2] > tol))
+                first = (step, int(bad[0][0]), int(bad[0][1]))
 
-        v = v + 0.5 * (a + a1) * dt
+        v += 0.5 * (a + a1) * dt
         a = a1
 
-    return CampaignReport(episodes=episodes, steps=steps, n_joints=n_joints,
-                          violations=violations, max_velocity_norm=max_v,
-                          max_accel_norm=max_a, max_jerk_norm=max_j,
-                          first_violation=first)
+    return CampaignReport(episodes, steps, n_joints, violations, *peaks, first)

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import (RefPDBalancePolicy, RefTrackingPolicy, arm_chain, ref_campaign_report,
-                      ref_rollout_log, ref_score_log, ref_substep_profile)
+                      ref_profile_peaks, ref_rollout_log, ref_score_log, ref_substep_profile)
 from trajadapt import adaptation as ad
 from trajadapt import environment as env
 from trajadapt import kinematics as kin
 from trajadapt import policy as pol
 from trajadapt.errors import ConfigurationError
-from trajadapt.limits import JointLimits, StepParams, valid_accel_bounds
+from trajadapt.limits import JointLimits, StepParams, profile_peaks, valid_accel_bounds
 from trajadapt.trajectory import ReferenceTrajectory
 
 
@@ -642,9 +642,10 @@ def test_campaign_report_pinned(case):
 def _recorded_campaign(monkeypatch, case, steps, loose):
     """The report of a 300-episode campaign of ``case`` (a ``CAMPAIGN_PINS``
     key) and the (v, a) state and limits each step passed to its valid
-    range.  A ``loose`` range guarantees nothing from step 3 on: commands
-    up to +-a_max, one in ten pinned at +-1.1 a_max, so every kind of
-    violation happens."""
+    range; each step's peaks are the frozen audit's, bit for bit.  A
+    ``loose`` range guarantees nothing from step 3 on: commands up to
+    +-a_max, one in ten pinned at +-1.1 a_max, so every kind of violation
+    happens."""
     seed, correction, fixed = case
     exact = valid_accel_bounds
     rng = np.random.default_rng(seed)
@@ -659,20 +660,30 @@ def _recorded_campaign(monkeypatch, case, steps, loose):
         at = 1.1 * a_max * np.where(rng.uniform(size=a.shape) < 0.5, -1.0, 1.0)
         return np.where(pinned, at, -1.5 * a_max), np.where(pinned, at, 1.5 * a_max)
 
+    def audited(*args):
+        want = ref_profile_peaks(*args)
+        got = profile_peaks(*args)
+        same.append(all(g.tobytes() == w.tobytes() for g, w in zip(got, want)))
+        return got
+
+    same = []
     monkeypatch.setattr(ad, "valid_accel_bounds", recorded)
+    monkeypatch.setattr(ad, "profile_peaks", audited)
     rep = ad.run_limit_campaign(300, steps, seed=seed, correction_enabled=correction,
                                 fixed_limits=arm_chain()[1] if fixed else None,
                                 n_joints=7, dt=0.05)
+    assert same == [True] * steps
     return rep, states, limits
 
 
 @pytest.mark.parametrize("loose", [False, True])
 @pytest.mark.parametrize("case", sorted(CAMPAIGN_PINS))
 def test_campaign_report_matches_the_frozen_audit(monkeypatch, case, loose):
-    """The frozen audit (``conftest.ref_profile_peaks``) of every step of a
-    300 x 100 campaign gives the campaign's report: its violation count,
-    peaks and first violation.  A 101-step campaign draws the same first
-    100 steps, and its last state holds step 99's command."""
+    """Every step of a 300 x 100 campaign audits its profile with the bits
+    of the frozen audit (``conftest.ref_profile_peaks``), and that audit
+    of the steps gives the campaign's report: its violation count, peaks
+    and first violation.  A 101-step campaign draws the same first 100
+    steps, and its last state holds step 99's command."""
     rep, _, _ = _recorded_campaign(monkeypatch, case, 100, loose)
     _, states, limits = _recorded_campaign(monkeypatch, case, 101, loose)
     violations, v, a, j, first = ref_campaign_report(states, *limits, 0.05)

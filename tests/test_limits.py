@@ -13,7 +13,7 @@ from trajadapt.errors import (ConfigurationError, LimitConsistencyError,
 
 from conftest import (bisect_max_accel_velocity, count_calls, greedy_rollout,
                       profile_peak_velocity, random_limit_tuples,
-                      ref_correction_shift, ref_max_accel_velocity,
+                      ref_correction_shift, ref_max_accel_velocity, ref_profile_peaks,
                       ref_substep_profile, ref_valid_accel_bounds, velocity_bound)
 
 
@@ -739,3 +739,55 @@ def test_valid_accel_range_rejects_a_state_of_another_length(n_v, n_a):
     limits = _simple_limits(n=3)
     with pytest.raises(ValueError, match=rf"3 joints .* shapes \({n_v},\) and \({n_a},\)"):
         lim.valid_accel_range(np.zeros(n_v), np.zeros(n_a), limits, lim.StepParams())
+
+
+# ---------------------------------------------------------------------------
+# step profile peaks
+
+def _assert_same_peaks(args, dt):
+    """``profile_peaks`` on ``args`` (states, then limits) returns the frozen
+    audit's arrays bit for bit, signbits included, and leaves its inputs."""
+    before = [x.copy() for x in args]
+    want = ref_profile_peaks(*np.broadcast_arrays(*args), dt)
+    got = lim.profile_peaks(*args, dt)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(args, before))
+    return got
+
+
+def test_profile_peaks_match_the_frozen_audit():
+    """Random (E, n) states, and (T, n) states under (n,) limits; rows where
+    the slope is zero (a1 == a0, or a0 and a1 one subnormal apart over a
+    long step), where a0 is +0.0 or -0.0 so the turning point t* sits at
+    exactly 0, and where a1 == 0 puts t* at exactly dt or one ulp off it."""
+    dt = 0.05
+    rng = np.random.default_rng(43)
+    shape = (3000, 7)
+    limits = [x.reshape(shape) for x in _regime_limits(rng, shape[0] * shape[1], dt)]
+    v0, a0, a1 = (rng.uniform(-1.0, 1.0, shape) * limit
+                  for limit in (limits[0], limits[1], limits[1]))
+    a1[1::6] = a0[1::6]
+    a0[2::6] = rng.choice([0.0, -0.0], a0[2::6].shape)
+    a1[3::6] = 0.0
+    v0[4::6] = rng.choice([0.0, -0.0], v0[4::6].shape)
+    v_norm, _, _ = _assert_same_peaks((v0, a0, a1, *limits), dt)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_star = -a0 / ((a1 - a0) / dt)
+    assert np.count_nonzero(t_star[3::6] == dt) > 1_000
+    assert np.count_nonzero(t_star[3::6] != dt) > 100
+    assert np.count_nonzero(t_star[2::6] == 0.0) == a0[2::6].size
+    # the velocity at t* is the peak on many rows
+    ends = np.maximum(np.abs(v0), np.abs(v0 + a0 * dt + 0.5 * (a1 - a0) * dt)) / limits[0]
+    assert np.count_nonzero(v_norm > ends) > 1_000
+
+    # (T, n) states of one limit set
+    one = [x[0] for x in limits]
+    _assert_same_peaks((v0[:400], a0[:400], a1[:400], *one), dt)
+
+    # a zero slope although a1 != a0: one subnormal of da halves to zero
+    long_dt = 2.0
+    a0 = np.array([[0.0, -0.0, 1e-310, -1e-310, 5e-324]])
+    a1 = np.nextafter(a0, np.inf)
+    assert np.all(a1 != a0) and np.all((a1 - a0) / long_dt == 0.0)
+    _assert_same_peaks((np.full(a0.shape, 0.3), a0, a1, *(np.ones(a0.shape),) * 3), long_dt)
