@@ -285,6 +285,12 @@ class EpisodeReport:
     mean_reward: float
 
 
+def _mean(x: np.ndarray) -> float:
+    """``np.mean(x)`` of a float array, bit for bit: the same pairwise sum
+    and division, without numpy's Python-level wrapper."""
+    return float(np.add.reduce(x, axis=None) / x.size)
+
+
 def episode_metrics(log, total_steps: int, limits, spec: TaskSpec | None) -> EpisodeReport:
     """Aggregate an episode's step log (``adaptation.StepLog``) into the
     summary metrics.
@@ -306,15 +312,15 @@ def episode_metrics(log, total_steps: int, limits, spec: TaskSpec | None) -> Epi
     err = None
     in_bound = True
     if executed:
-        mean_a = float(np.mean(np.abs(log.a) / limits.a_max))
-        mean_j = float(np.mean(np.abs(log.jerk) / limits.j_max))
-        mean_r = float(np.mean(log.reward))
+        mean_a = _mean(np.abs(log.a) / limits.a_max)
+        mean_j = _mean(np.abs(log.jerk) / limits.j_max)
+        mean_r = _mean(log.reward)
         if spec is not None:
             on_plate = bool(np.all(log.ball_on_plate == 1.0))
             if spec.kind == "in_place":
                 offsets = np.column_stack((log.ball_x_m, log.ball_y_m)) - spec.target
                 dists = np.linalg.norm(offsets, axis=1)
-                err = float(np.mean(dists))
+                err = _mean(dists)
                 in_bound = bool(np.all(dists <= spec.success_bound)) and on_plate
             else:
                 in_bound = on_plate

@@ -454,6 +454,27 @@ def test_metrics_invariant_under_log_split():
     assert full.mean_norm_accel == pytest.approx(recombined, abs=1e-12)
 
 
+@pytest.mark.parametrize("rows, joints", [(1, 1), (1, 2), (3, 2), (22, 7), (41, 2), (200, 2),
+                                          (257, 7), (1000, 3)])
+def test_metrics_means_are_np_mean_bit_for_bit(rows, joints):
+    """The four means of ``episode_metrics`` are ``np.mean``'s bits on logs
+    short and long enough for every block size of numpy's pairwise sum."""
+    rng = np.random.default_rng(rows * 10 + joints)
+    log = _log(rng.uniform(-5, 5, (rows, joints)), rng.uniform(-50, 50, (rows, joints)))
+    log.reward[:] = rng.uniform(0, 1, rows)
+    log.ball_x_m[:], log.ball_y_m[:] = rng.uniform(-0.1, 0.1, (2, rows))
+    log.ball_on_plate[:] = 1.0
+    limits = JointLimits(p_min=[-1] * joints, p_max=[1] * joints, v_max=[1] * joints,
+                         a_max=rng.uniform(2, 15, joints), j_max=rng.uniform(50, 300, joints))
+    spec = env.TaskSpec(kind="in_place")
+    rep = env.episode_metrics(log, total_steps=rows, limits=limits, spec=spec)
+    dists = np.linalg.norm(np.column_stack((log.ball_x_m, log.ball_y_m)) - spec.target, axis=1)
+    want = (np.mean(np.abs(log.a) / limits.a_max), np.mean(np.abs(log.jerk) / limits.j_max),
+            np.mean(log.reward), np.mean(dists))
+    got = (rep.mean_norm_accel, rep.mean_norm_jerk, rep.mean_reward, rep.error_distance_m)
+    assert [float(x).hex() for x in got] == [float(x).hex() for x in want]
+
+
 def test_metrics_zero_rows_give_no_steps_and_no_success():
     for spec in (None, env.TaskSpec(kind="in_place"), env.TaskSpec(kind="on_plate")):
         rep = env.episode_metrics(StepLog.allocate(0, 2), total_steps=10,
