@@ -107,12 +107,11 @@ def _frames(model: ChainModel, q):
     (1 - cos(q)) K^2, K being the axis's cross-product matrix, after the
     joint's cached mount rotation.  The joint frames are the arrays the
     loop computes anyway; only the Jacobian reads them.  The chain starts
-    from the plain (3, 3) identity, which the first products broadcast over
-    the batch.  Identity mounts (the gimbal's) and plate offsets are
-    skipped: an identity product is X + 0.0 bitwise (BLAS and batched
-    kernel alike, checked on 2 000 random matrices with signed zeros), and
-    for finite q no -0.0 reaches one, since +0.0 + (-0.0) is +0.0 in
-    I + sin K + vers K^2 and in every product's sums.
+    from the identity, so the first joint's products, identity mounts (the
+    gimbal's) and plate offsets are skipped: an identity product is X + 0.0
+    bitwise (BLAS and batched kernel alike, checked on 2 000 random matrices
+    with signed zeros), and for finite q no -0.0 reaches one, since +0.0 +
+    (-0.0) is +0.0 in I + sin K + vers K^2 and in every product's sums.
     """
     q = np.asarray(q, dtype=float)
     if q.shape[-1] != model.n_joints:
@@ -123,10 +122,10 @@ def _frames(model: ChainModel, q):
     local = _EYE3 + sin * model.axis_skews + vers * model.axis_skews_sq
     if not model.identity_mounts:
         local = model.mounts @ local
-    pos = np.zeros((q.shape[0], 3))
-    rot = _EYE3
-    origins, rots = [], []
-    for i, row in enumerate(model.joints):
+    pos = np.zeros((q.shape[0], 3)) + model.joints[0].origin_xyz
+    rot = local[:, 0]
+    origins, rots = [pos], [rot]
+    for i, row in enumerate(model.joints[1:], 1):
         pos = pos + rot @ row.origin_xyz
         rot = rot @ local[:, i]
         origins.append(pos)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
-from conftest import CONFIG_DIR, arm_chain, planar_chain
+from conftest import CONFIG_DIR, arm_chain, planar_chain, ref_frames
 from trajadapt import kinematics as kin
 from trajadapt.errors import ConfigurationError, IKConvergenceError
 from trajadapt.limits import JointLimits
@@ -231,6 +231,39 @@ def test_fk_and_jacobian_match_oracle(chain):
         np.testing.assert_allclose(pos, want_p, rtol=0, atol=1e-12)
         np.testing.assert_allclose(rot, want_r, rtol=0, atol=1e-12)
         np.testing.assert_allclose(kin.jacobian(model, q), want_j, rtol=0, atol=1e-12)
+
+
+def _signed_origin_chain():
+    """The mounted chain with -0.0 and +0.0 in its first joint's origin and
+    a one-joint chain on a mount, whose first product is the plate's."""
+    model = mounted_chain()
+    first = model.joints[0]
+    rows = (kin.JointRow(axis=first.axis, origin_xyz=[-0.0, 0.0, -0.0],
+                         origin_rpy=first.origin_rpy),) + model.joints[1:]
+    return kin.ChainModel(joints=rows, plate_xyz=model.plate_xyz, plate_rpy=model.plate_rpy,
+                          name="signed")
+
+
+@pytest.mark.parametrize("chain", sorted(FK_CHAINS) + ["signed", "one_joint"])
+def test_frames_match_the_frozen_fk(chain):
+    """Every joint origin and rotation and the plate pose of ``_frames``, bit
+    for bit and signbits included, are those of the frozen FK
+    (``conftest.ref_frames``), which multiplies by every identity; q holds
+    signed zeros and multiples of pi/2 beside random angles."""
+    if chain == "signed":
+        model = _signed_origin_chain()
+    elif chain == "one_joint":
+        model = kin.ChainModel(joints=mounted_chain().joints[:1], plate_xyz=[0.0, -0.0, 0.1],
+                               plate_rpy=[0.3, -0.7, 1.9], name="one")
+    else:
+        model = FK_CHAINS[chain]()
+    rng = np.random.default_rng(29)
+    q = rng.uniform(-np.pi, np.pi, (64, model.n_joints))
+    q[::4] = rng.choice([0.0, -0.0, np.pi / 2, -np.pi / 2, np.pi], (16, model.n_joints))
+    for batch in (q, q[:1], q[5:16]):
+        got, want = kin._frames(model, batch), ref_frames(model, batch)
+        for g, w in zip([*got[0], *got[1], *got[2:]], [*want[0], *want[1], *want[2:]]):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
 @pytest.mark.parametrize("chain", sorted(FK_CHAINS))
