@@ -41,8 +41,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .environment import BallPlateEnv, episode_metrics
-from .errors import (BELOW_ONE, POSITIVE, POSITIVE_RANGE, ConfigurationError, at_least,
-                     check_fields, read_settings, setting)
+from .errors import (BELOW_ONE, NON_NEGATIVE, POSITIVE, POSITIVE_RANGE, ConfigurationError,
+                     at_least, check_fields, read_settings, setting)
 from .kinematics import plate_motion
 from .limits import (JointLimits, StepParams, check_limit_regime, clamp, clip_action,
                      integrate_step, profile_peaks, substep_profile, valid_accel_bounds,
@@ -66,7 +66,8 @@ class RewardWeights:
 
     accel_threshold: float = setting("accel_threshold_norm", 0.8, domain=BELOW_ONE)
     jerk_weight: float = setting("jerk_weight", 4.0, domain=POSITIVE)
-    deviation_low: float = setting("deviation_low_rad", math.radians(2.0))
+    deviation_low: float = setting("deviation_low_rad", math.radians(2.0),
+                                   domain=NON_NEGATIVE)
     deviation_high: float = setting("deviation_high_rad", math.radians(10.0))
     termination: float = setting("termination_rad", math.radians(10.0))
     n_future: int = setting("future_positions", 1, domain=at_least(1))

@@ -201,6 +201,7 @@ BAD_VALUES = [
     ({"reward": {"accel_threshold_norm": 1.0}}, {}, "reward accel_threshold_norm"),
     ({"reward": {"jerk_weight": 0}}, {}, "reward jerk_weight"),
     ({"reward": {"deviation_low_rad": "0.03"}}, {}, "reward deviation_low_rad"),
+    ({"reward": {"deviation_low_rad": -0.01}}, {}, "reward deviation_low_rad"),
     ({"reward": {"deviation_high_rad": None}}, {}, "reward deviation_high_rad"),
     ({"reward": {"termination_rad": [0.25]}}, {}, "reward termination_rad"),
     ({"sampling": {"boxes_m": [[[0.1, 0.1, 0.1], [0.2, 0.2, 0.2]]]}}, {}, "sampling boxes_m"),
