@@ -74,9 +74,11 @@ test as the -1 did that a masked division used to leave there.  The
 velocity at t* is evaluated on the entries with their turning point inside
 the step alone, gathered with ``take`` and written back with ``put``
 (about two in five entries of a random campaign).  Each peak is the
-maximum of the unnormalized candidates, divided by its limit once: the
-operations and order of the campaign's first audit, so the same bits, in
-fewer passes than normalizing every candidate first.  The limits enter
+maximum of the unnormalized candidates, divided by its limit once.
+Correctly rounded division by a positive limit is monotone, so
+fl(max(x, y) / c) is max(fl(x / c), fl(y / c)) bit for bit (the
+candidates are magnitudes, and a NaN propagates either way): normalizing
+every candidate first would give the same bits in more passes.  The limits enter
 only in those whole-array divisions, so they may have the states' shape
 or that of its trailing axes.
 
