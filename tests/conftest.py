@@ -321,9 +321,9 @@ def ref_ball_acceleration(drive, velocity, speed, resist, buf):
     return dx - resist * vx / speed, dy - resist * vy / speed
 
 
-def ref_step_ball(position, velocity, rotations, lin_acc, params, dt, geometry):
-    bound_x, bound_y = env.effective_bounds(geometry, params)
-    resist = params.rolling_friction * env.GRAVITY
+def ref_step_ball(position, velocity, rotations, lin_acc, radius, friction, dt, geometry):
+    bound_x, bound_y = geometry.half_x - radius, geometry.half_y - radius
+    resist = friction * env.GRAVITY
     stop_speed = resist * dt
     (x, y), (vx, vy) = position.tolist(), velocity.tolist()
     buf = np.empty(2)
@@ -342,12 +342,13 @@ def ref_step_ball(position, velocity, rotations, lin_acc, params, dt, geometry):
     return np.array((x, y)), np.array((vx, vy)), on_plate
 
 
-def ref_task_reward(position, on_plate, spec, geometry, params):
+def ref_task_reward(position, on_plate, spec, geometry, radius):
     if not on_plate:
         return 0.0
     k = spec.reward_exponent
     if spec.kind == "on_plate":
-        frac = float(np.max(np.abs(position) / env.effective_bounds(geometry, params)))
+        bounds = (geometry.half_x - radius, geometry.half_y - radius)
+        frac = float(np.max(np.abs(position) / bounds))
     else:
         offset = position - spec.target
         frac = math.sqrt(offset.dot(offset)) / spec.success_bound
@@ -369,12 +370,13 @@ class RefBallPlateEnv:
         self.model = model
         self.geometry = geometry
         self.task = task
-        self.base_ball = ball
+        self.ball = ball
         self.position = self.velocity = self.measured = None
 
     def reset(self, seed):
         self.rng = np.random.default_rng(seed)
-        self.ball = env.randomize_ball(self.base_ball, self.rng)
+        self.radius = float(self.rng.uniform(*self.ball.radius_range))
+        self.friction = float(self.rng.uniform(*self.ball.friction_range))
         self.position = self.task.start
         self.velocity = np.zeros(2)
         self.measured = None
@@ -390,8 +392,10 @@ class RefBallPlateEnv:
 
     def step(self, rotations, lin_acc, dt):
         self.position, self.velocity, on_plate = ref_step_ball(
-            self.position, self.velocity, rotations, lin_acc, self.ball, dt, self.geometry)
-        reward = ref_task_reward(self.position, on_plate, self.task, self.geometry, self.ball)
+            self.position, self.velocity, rotations, lin_acc, self.radius, self.friction, dt,
+            self.geometry)
+        reward = ref_task_reward(self.position, on_plate, self.task, self.geometry,
+                                 self.radius)
         return self.position, on_plate, reward, self._sense()
 
 
@@ -482,7 +486,7 @@ def ref_rollout_log(reference, policy, limits, params, weights, env=None, seed=(
     policy.reset()
     feedback = np.zeros(0)
     if env is not None:
-        env = RefBallPlateEnv(env.model, env.geometry, env.task, env.base_ball)
+        env = RefBallPlateEnv(env.model, env.geometry, env.task, env.ball)
         feedback = env.reset(seed_key + [2])
     log = ad.StepLog.allocate(total_steps, limits.n_joints)
     dt = params.dt

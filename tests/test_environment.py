@@ -212,7 +212,8 @@ def test_step_ball_reversal_test_keeps_numpy_dot():
     rotations = np.eye(3)[None]
     assert 1e-12 < np.linalg.norm(velocity) < params.rolling_friction * env.GRAVITY * 0.005
     got = env.step_ball(np.zeros(2), velocity, rotations, lin_acc, params, 0.005, geometry)
-    want = ref_step_ball(np.zeros(2), velocity, rotations, lin_acc, params, 0.005, geometry)
+    want = ref_step_ball(np.zeros(2), velocity, rotations, lin_acc, params.radius,
+                         params.rolling_friction, 0.005, geometry)
     assert got[0].tobytes() == want[0].tobytes()  # position
     assert got[1].tobytes() == want[1].tobytes()  # velocity
     assert got[2] == want[2]
