@@ -165,10 +165,7 @@ def load_config(path, seed=None, episodes=None, workers=None, out=None) -> RunCo
     policy_kind, policy_args = _policy(raw, base, layout, use_environment)
 
     # an empty sampling section is none
-    sampling = raw.get("sampling", {})
-    if sampling and isinstance(sampling, dict) and "boxes_m" not in sampling:
-        raise ConfigurationError("config section 'sampling' needs boxes_m")
-    areas = None if sampling == {} else SamplingAreas(
+    areas = None if raw.get("sampling", {}) == {} else SamplingAreas(
         **section("sampling", fields(SamplingAreas)))
     generate = section("generate", fields(PipelineConfig) + DATASET_SETTINGS)
     generate_count = generate.pop("count", top["episodes"])

@@ -43,10 +43,12 @@ tick with them.
 ``BallPlateEnv(model, geometry, task, ball)`` is built from the ``plate``,
 ``task`` and ``ball`` config sections alone: each reset puts the ball at
 rest at ``TaskSpec.start`` (the target plus ``start_offset``) and draws its
-radius and friction when ``BallParams.randomize`` is set.  ``check_start``
-rejects a start off the plate for the largest ball a reset can draw;
-``config.load_config`` runs it for every command and ``BallPlateEnv`` again
-for callers that build one directly.
+radius, then its rolling friction, uniformly from the ``BallParams``
+ranges; a range with lo == hi fixes the value.  ``step_ball`` and
+``task_reward`` take the drawn radius and friction as floats.
+``check_start`` rejects a start off the plate for the largest ball a reset
+can draw; ``config.load_config`` runs it for every command and
+``BallPlateEnv`` again for callers that build one directly.
 
 The sensor reads the ball position at reset and after every decision step,
 with Gaussian noise of ``TaskSpec.noise_std`` metres.  The environment keeps
@@ -59,7 +61,7 @@ half-extent and clamped with numpy's tie rule (``limits.clamp``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,30 +85,15 @@ class PlateGeometry:
 
 @dataclass(frozen=True)
 class BallParams:
-    """Ball characteristics plus the ranges a reset draws them from when
-    ``randomize`` is set."""
+    """The ranges each reset draws the ball's radius and rolling friction
+    from (``BallPlateEnv.reset``)."""
 
-    radius: float = setting("radius_m", 0.02, domain=POSITIVE)
-    rolling_friction: float = setting("rolling_friction", 0.005, domain=NON_NEGATIVE)
     radius_range: tuple = setting("radius_range_m", (0.012, 0.030), "pair", POSITIVE_RANGE)
     friction_range: tuple = setting("friction_range", (0.001, 0.010), "pair",
                                     (lambda r: 0.0 <= r[0] <= r[1], "satisfy 0 <= lo <= hi"))
-    randomize: bool = setting("randomize", True, "flag")
 
     def __post_init__(self):
         check_fields(self, "ball")
-
-
-def randomize_ball(params: BallParams, rng: np.random.Generator) -> BallParams:
-    """Uniform draw of radius/friction within the configured ranges; the
-    ``params`` themselves when they are not randomized."""
-    if not params.randomize:
-        return params
-    return replace(
-        params,
-        radius=float(rng.uniform(*params.radius_range)),
-        rolling_friction=float(rng.uniform(*params.friction_range)),
-    )
 
 
 @dataclass(frozen=True)
@@ -160,17 +147,18 @@ def planar_norm(x: float, y: float, buf: np.ndarray) -> float:
     return math.sqrt(buf.dot(buf))
 
 
-def effective_bounds(geometry: PlateGeometry, params: BallParams) -> tuple:
-    """Centre-of-ball bounds (x, y); the ball leaves when its edge passes
-    the rim."""
-    return geometry.half_x - params.radius, geometry.half_y - params.radius
+def effective_bounds(geometry: PlateGeometry, radius: float) -> tuple:
+    """Centre-of-ball bounds (x, y) for a ball of ``radius``; the ball
+    leaves when its edge passes the rim."""
+    return geometry.half_x - radius, geometry.half_y - radius
 
 
-def step_ball(position, velocity, rotations, lin_acc, params: BallParams,
+def step_ball(position, velocity, rotations, lin_acc, radius: float, friction: float,
               dt: float, geometry: PlateGeometry):
     """Advance a ball on the plate through plate ticks spaced ``dt`` apart.
 
     ``position`` and ``velocity`` (2,) are the ball's plate-frame state,
+    ``radius`` and ``friction`` its radius and rolling friction,
     ``rotations`` (k, 3, 3) the plate's world rotation matrices and
     ``lin_acc`` (k, 3) the world-frame accelerations of its origin, one row
     per tick.  One ``plate_drive`` call gives every tick's drive; the tick
@@ -188,8 +176,8 @@ def step_ball(position, velocity, rotations, lin_acc, params: BallParams,
     if len(rotations) != len(lin_acc):
         raise ValueError(f"{len(rotations)} plate rotations but "
                          f"{len(lin_acc)} origin accelerations")
-    bound_x, bound_y = effective_bounds(geometry, params)
-    resist = params.rolling_friction * GRAVITY
+    bound_x, bound_y = effective_bounds(geometry, radius)
+    resist = friction * GRAVITY
     stop_speed = resist * dt
     (x, y), (vx, vy) = position.tolist(), velocity.tolist()
     old, new = np.empty(2), np.empty(2)
@@ -224,22 +212,22 @@ def step_ball(position, velocity, rotations, lin_acc, params: BallParams,
 
 
 def task_reward(position, on_plate: bool, spec: TaskSpec, geometry: PlateGeometry,
-                params: BallParams) -> float:
+                radius: float) -> float:
     """Task reward in [0, 1]: 1 at the target, decaying to 0 at the boundary.
 
     on_plate: decay with the max-normalized distance to the bounds where
     the ball's edge passes the rim; in_place: decay with distance to the
     target, reaching 0 at the success bound.  Off the plate the reward is 0.
     The decay exponent is configurable (2 = quadratic).  ``position`` is the
-    ball's (x, y); the arithmetic runs on floats, the distance through
-    ``planar_norm``.
+    ball's (x, y) and ``radius`` its radius; the arithmetic runs on floats,
+    the distance through ``planar_norm``.
     """
     if not on_plate:
         return 0.0
     x, y = map(float, position)
     k = spec.reward_exponent
     if spec.kind == "on_plate":
-        bound_x, bound_y = effective_bounds(geometry, params)
+        bound_x, bound_y = effective_bounds(geometry, radius)
         fx, fy = abs(x) / bound_x, abs(y) / bound_y
         frac = fx if fx > fy or fx != fx else fy  # np.max: a NaN propagates
     else:
@@ -340,18 +328,19 @@ def episode_metrics(log, total_steps: int, limits, spec: TaskSpec | None) -> Epi
 def check_start(task: TaskSpec, geometry: PlateGeometry, ball: BallParams) -> None:
     """Reject a ``task.start`` off the plate for any ball a reset can draw:
     the largest radius has the tightest bounds."""
-    largest = replace(ball, radius=ball.radius_range[1]) if ball.randomize else ball
+    largest = ball.radius_range[1]
     (x, y), (bound_x, bound_y) = task.start, effective_bounds(geometry, largest)
     if abs(x) > bound_x or abs(y) > bound_y:
         raise ConfigurationError(
             "initial ball position is off the plate: task target_xy_m + "
             f"start_offset_xy_m = ({x:g}, {y:g}) m, beyond +-({bound_x:g}, "
-            f"{bound_y:g}) m for a ball of radius {largest.radius:g} m")
+            f"{bound_y:g}) m for a ball of radius {largest:g} m")
 
 
 class BallPlateEnv:
     """Single-owner mutable environment: the ball's plate-frame ``position``
-    and ``velocity`` arrays plus sensing, for one episode at a time."""
+    and ``velocity`` arrays, the ``radius`` and ``friction`` drawn at reset,
+    plus sensing, for one episode at a time."""
 
     def __init__(self, model, geometry: PlateGeometry, task: TaskSpec,
                  ball: BallParams):
@@ -359,13 +348,13 @@ class BallPlateEnv:
         self.model = model
         self.geometry = geometry
         self.task = task
-        self.base_ball = ball
         self.ball = ball
         self.position = self.velocity = self.measured = None
 
     def reset(self, seed) -> list:
         self.rng = np.random.default_rng(seed)
-        self.ball = randomize_ball(self.base_ball, self.rng)
+        self.radius = float(self.rng.uniform(*self.ball.radius_range))
+        self.friction = float(self.rng.uniform(*self.ball.friction_range))
         self.position = self.task.start
         self.velocity = np.zeros(2)
         self.measured = None
@@ -389,8 +378,8 @@ class BallPlateEnv:
         if self.position is None:
             raise ConfigurationError("environment used before reset")
         self.position, self.velocity, on_plate = step_ball(
-            self.position, self.velocity, rotations, lin_acc, self.ball, dt,
-            self.geometry)
+            self.position, self.velocity, rotations, lin_acc, self.radius, self.friction,
+            dt, self.geometry)
         position = self.position.tolist()
-        reward = task_reward(position, on_plate, self.task, self.geometry, self.ball)
+        reward = task_reward(position, on_plate, self.task, self.geometry, self.radius)
         return position, on_plate, reward, self._sense(position)

@@ -33,11 +33,13 @@ BALANCE_MASK = (-2, -1)                # the balancer's default tilt joints
 
 def balance_mask(mask, n_joints: int) -> tuple:
     """The balancer's joint indices, negative ones counted from the end;
-    at least 2 distinct joints."""
-    mask = tuple(int(i) % n_joints for i in mask)
-    if len(set(mask)) < 2:
+    at least 2 distinct joints, none of them twice."""
+    joints = tuple(int(i) % n_joints for i in mask)
+    if len(set(joints)) < 2:
         raise ConfigurationError("balance mask must select at least 2 joints")
-    return mask
+    if len(set(joints)) < len(joints):
+        raise ConfigurationError(f"policy mask must name each joint once, got {list(mask)}")
+    return joints
 
 
 @dataclass(frozen=True)
@@ -182,7 +184,7 @@ class PDBalancePolicy(TrackingPolicy):
     setup.  Ball position and velocity come from the task feedback (current
     and previous measured positions).  The ball law runs on floats too; the
     tilt's norm and its map to the joints are BLAS products and stay numpy.
-    The config gives it no ``kp`` or ``kd``.
+    It tracks with ``TrackingPolicy``'s default ``kp`` and ``kd``.
     """
 
     SETTINGS = (setting("mask", None, "indices"),
@@ -192,8 +194,8 @@ class PDBalancePolicy(TrackingPolicy):
     def __init__(self, layout: ObservationLayout, limits: JointLimits, dt: float,
                  model: ChainModel, geometry: PlateGeometry, task: TaskSpec,
                  anchor_q, mask=BALANCE_MASK, ball_kp: float = 6.0,
-                 ball_kd: float = 4.5, **gains):
-        super().__init__(layout, limits, dt, **gains)
+                 ball_kd: float = 4.5):
+        super().__init__(layout, limits, dt)
         read_settings({"ball_kp": ball_kp, "ball_kd": ball_kd}, PDBalancePolicy.SETTINGS,
                       "policy")
         self.mask = list(balance_mask(mask, limits.n_joints))

@@ -4,7 +4,7 @@ frozen reference copies of the valid-range kernels, of the decision step
 on arrays and of the environment layers it drives (substep profile, plate
 motion, ball, reward and sensing), of the episode scoring and of the
 campaign's per-step audit; a planar test chain and the stock 7-joint arm;
-a call counter for monkeypatched functions."""
+a fixed ball; a call counter for monkeypatched functions."""
 
 import math
 from dataclasses import fields
@@ -20,6 +20,10 @@ from trajadapt.errors import ConfigurationError, LimitConsistencyError, NonFinit
 from trajadapt.kinematics import ChainModel, JointRow, load_chain
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+# A ball of radius 0.02 m and rolling friction 0.005 on every reset: each
+# range has lo == hi.
+FIXED_BALL = env.BallParams(radius_range=(0.02, 0.02), friction_range=(0.005, 0.005))
 
 
 def count_calls(monkeypatch, owner, names):

@@ -174,27 +174,27 @@ def test_criterion_06_integration_exactness():
 
 
 def test_criterion_07_ball_physics():
-    params = envm.BallParams(rolling_friction=0.0)
     rot = Rotation.from_euler("y", np.deg2rad(5)).as_matrix()
     rots, lin_acc = rot[None], np.zeros((1, 3))
     geometry = envm.PlateGeometry(half_x=100.0, half_y=100.0)
     # one 5 ms tick from rest: the velocity is the acceleration times the tick
-    _, velocity, _ = envm.step_ball(np.zeros(2), np.zeros(2), rots, lin_acc, params,
+    # a ball of radius 0.02 m without rolling friction
+    _, velocity, _ = envm.step_ball(np.zeros(2), np.zeros(2), rots, lin_acc, 0.02, 0.0,
                                     0.005, geometry)
     expected = (5.0 / 7.0) * envm.GRAVITY * np.sin(np.deg2rad(5))
     tilt_gap = abs(np.linalg.norm(velocity / 0.005) - expected)
 
-    flat = envm.step_ball(np.zeros(2), np.zeros(2), np.eye(3)[None], lin_acc,
-                          envm.BallParams(), 0.005, geometry)
+    flat = envm.step_ball(np.zeros(2), np.zeros(2), np.eye(3)[None], lin_acc, 0.02, 0.005,
+                          0.005, geometry)
     flat_exact = not np.any(flat[0]) and not np.any(flat[1]) and flat[2]
 
     g_t = (rot.T @ np.array([0.0, 0.0, -envm.GRAVITY]))[:2]
     position, velocity, _ = envm.step_ball(np.zeros(2), np.zeros(2), rots, lin_acc,
-                                           params, 0.005, geometry)
+                                           0.02, 0.0, 0.005, geometry)
     e0 = 0.7 * np.dot(velocity, velocity) - np.dot(position, g_t)
     for _ in range(1999):
         position, velocity, _ = envm.step_ball(position, velocity, rots, lin_acc,
-                                               params, 0.005, geometry)
+                                               0.02, 0.0, 0.005, geometry)
     e1 = 0.7 * np.dot(velocity, velocity) - np.dot(position, g_t)
     drift = abs(e1 - e0) / (0.7 * np.dot(velocity, velocity))
 

@@ -3,8 +3,9 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from conftest import (RefPDBalancePolicy, RefTrackingPolicy, arm_chain, ref_campaign_report,
-                      ref_profile_peaks, ref_rollout_log, ref_score_log, ref_substep_profile)
+from conftest import (FIXED_BALL, RefPDBalancePolicy, RefTrackingPolicy, arm_chain,
+                      ref_campaign_report, ref_profile_peaks, ref_rollout_log, ref_score_log,
+                      ref_substep_profile)
 from trajadapt import adaptation as ad
 from trajadapt import environment as env
 from trajadapt import kinematics as kin
@@ -274,7 +275,7 @@ class BadAfterPolicy:
 def test_rollout_terminates_on_non_finite_policy_output(start, bad):
     model, limits = kin.gimbal_chain()
     task = env.TaskSpec(kind="on_plate", noise_std=0.0)
-    e = env.BallPlateEnv(model, env.PlateGeometry(), task, env.BallParams(randomize=False))
+    e = env.BallPlateEnv(model, env.PlateGeometry(), task, FIXED_BALL)
     ref = ReferenceTrajectory(dt=0.05, positions=np.zeros((41, 2)))
     report, log = ad.rollout(ref, BadAfterPolicy(start, bad), limits,
                              StepParams(), ad.RewardWeights(), env=e, seed=[0])
@@ -304,7 +305,7 @@ def _ball_episode(policy, rows, weights, jump_at=None):
     model, limits = kin.gimbal_chain()
     e = env.BallPlateEnv(model, env.PlateGeometry(),
                          env.TaskSpec(kind="on_plate", noise_std=0.0),
-                         env.BallParams(randomize=False))
+                         FIXED_BALL)
     positions = np.zeros((rows, 2))
     if jump_at is not None:
         positions[jump_at:] = 1.0
@@ -383,7 +384,7 @@ def test_rollout_random_policy_respects_limits_at_substeps():
 def test_rollout_with_ball_environment_runs():
     model, limits = kin.gimbal_chain()
     task = env.TaskSpec(kind="on_plate", noise_std=0.0)
-    e = env.BallPlateEnv(model, env.PlateGeometry(), task, env.BallParams(randomize=False))
+    e = env.BallPlateEnv(model, env.PlateGeometry(), task, FIXED_BALL)
     ref = ReferenceTrajectory(dt=0.05, positions=np.zeros((10, 2)))
     report, log = ad.rollout(ref, ZeroPolicy(2), limits, StepParams(),
                              ad.RewardWeights(), env=e, seed=[0])
@@ -816,7 +817,7 @@ def test_scored_columns_match_scalar_formulas():
     model, limits = kin.gimbal_chain()
     e = env.BallPlateEnv(model, env.PlateGeometry(),
                          env.TaskSpec(kind="in_place", noise_std=0.0, start_offset=(0.02, 0.0)),
-                         env.BallParams(randomize=False))
+                         FIXED_BALL)
     still = ReferenceTrajectory(dt=0.05, positions=np.zeros((61, 2)))
     layout = pol.ObservationLayout(2, e.task.feedback_size, 1)
     balancer = pol.PDBalancePolicy(layout, limits, params.dt, model, e.geometry,

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import trajadapt
+from conftest import FIXED_BALL
 from trajadapt import adaptation as ad
 from trajadapt import cli
 from trajadapt import environment as envm
@@ -331,8 +332,7 @@ def test_step_log_round_trip_without_environment_keeps_nan_and_signed_zero(tmp_p
 def test_step_log_round_trip_with_environment(tmp_path):
     model, limits = kin.gimbal_chain()
     task = envm.TaskSpec(kind="in_place", noise_std=0.0, start_offset=(0.01, 0.0))
-    env = envm.BallPlateEnv(model, envm.PlateGeometry(), task,
-                            envm.BallParams(randomize=False))
+    env = envm.BallPlateEnv(model, envm.PlateGeometry(), task, FIXED_BALL)
     ref = tr.ReferenceTrajectory(dt=0.05, positions=np.zeros((8, 2)))
     _, log = ad.rollout(ref, _ConstantPolicy([0.01, -0.02]), limits,
                         ad.StepParams(), ad.RewardWeights(), env=env, seed=[0])
@@ -660,8 +660,8 @@ def test_start_off_plate_for_the_largest_ball_fails_on_every_seed(tmp_path, caps
     ("generate", _write_arm_config),
 ], ids=["validate-limits-balance", "generate-arm"])
 def test_start_off_plate_fails_on_every_command(tmp_path, capsys, command, write):
-    # the arm config has no ball section: the default ball is randomized up
-    # to 0.03 m, so 0.145 m is off its 0.17 m half-plate too
+    # the arm config has no ball section: the default ball is drawn up to
+    # 0.03 m, so 0.145 m is off its 0.17 m half-plate too
     cfg = write(tmp_path)
     raw = json.loads(cfg.read_text())
     raw["task"]["start_offset_xy_m"] = [0.145, 0.0]
@@ -732,7 +732,8 @@ def test_dataset_blank_lines_are_skipped(tmp_path):
     (lambda raw: raw["reward"].update(termination_radd=0.2), "termination_radd"),
     (lambda raw: raw.update(policy={"kind": "pd_balance", "mask": [0, 1], "kp": 3.0}),
      "kp"),
-], ids=["top-level", "section", "policy"])
+    (lambda raw: raw["ball"].update(randomize=False), "randomize"),
+], ids=["top-level", "section", "policy", "ball.randomize"])
 def test_unknown_config_key_is_configuration_error(tmp_path, capsys, edit, key):
     cfg = _write_balance_config(tmp_path)
     raw = json.loads(cfg.read_text())
@@ -746,7 +747,7 @@ def test_unknown_config_key_is_configuration_error(tmp_path, capsys, edit, key):
 def test_sampling_without_boxes_is_configuration_error(tmp_path, capsys):
     cfg = _write_arm_config(tmp_path, sampling={"height_band_m": [0.82, 0.92]})
     assert cli.main(["generate", "--config", str(cfg)]) == 2
-    assert "'sampling' needs boxes_m" in capsys.readouterr().err
+    assert "config section 'sampling' is missing key(s): boxes_m" in capsys.readouterr().err
 
 
 def test_pd_balance_without_environment_is_configuration_error(tmp_path, capsys):
@@ -841,7 +842,9 @@ def test_bad_tracking_gain_rejected_at_load(tmp_path, capsys, command):
     ({"kind": "pd_balance", "mask": [0, 1], "ball_kd": -0.5},
      "policy ball_kd must be finite and >= 0, got -0.5"),
     ({"kind": "pd_balance", "mask": [1, -1]}, "balance mask must select at least 2 joints"),
-], ids=["kd", "ball_kd", "mask"])
+    ({"kind": "pd_balance", "mask": [0, 1, 1]},
+     "policy mask must name each joint once, got [0, 1, 1]"),
+], ids=["kd", "ball_kd", "mask", "repeated mask joint"])
 def test_bad_policy_values_rejected_for_every_command(tmp_path, capsys, policy, message):
     cfg = _write_balance_config(tmp_path, policy=policy)
     for command in ("validate-limits", "eval"):

@@ -46,9 +46,7 @@ SECTIONS = {
              "noise_std_m": 0.002, "reward_exponent": 3.0,
              "start_offset_xy_m": [0.03, 0.01]},
     "plate": {"half_x_m": 0.2, "half_y_m": 0.15},
-    "ball": {"radius_m": 0.025, "rolling_friction": 0.004,
-             "radius_range_m": [0.015, 0.028], "friction_range": [0.002, 0.008],
-             "randomize": False},
+    "ball": {"radius_range_m": [0.015, 0.028], "friction_range": [0.002, 0.008]},
     "reward": {"accel_threshold_norm": 0.7, "jerk_weight": 3.0,
                "deviation_low_rad": 0.03, "deviation_high_rad": 0.2,
                "termination_rad": 0.25, "future_positions": 2},
@@ -195,9 +193,6 @@ BAD_VALUES = [
     ({"task": {"start_offset_xy_m": "0.03"}}, {}, "task start_offset_xy_m"),
     ({"plate": {"half_x_m": 0}}, {}, "plate half_x_m"),
     ({"plate": {"half_y_m": -0.15}}, {}, "plate half_y_m"),
-    ({"ball": {"radius_m": 0}}, {}, "ball radius_m"),
-    ({"ball": {"rolling_friction": -0.1}}, {}, "ball rolling_friction"),
-    ({"ball": {"randomize": 1}}, {}, "ball randomize"),
     ({"reward": {"accel_threshold_norm": 1.0}}, {}, "reward accel_threshold_norm"),
     ({"reward": {"jerk_weight": 0}}, {}, "reward jerk_weight"),
     ({"reward": {"deviation_low_rad": "0.03"}}, {}, "reward deviation_low_rad"),
@@ -271,10 +266,8 @@ WRONG_KINDS = [
     ({"step": {"dt_s": "0.05"}}, "step dt_s must be a number"),
     ({"plate": {"half_x_m": None}}, "plate half_x_m must be a number"),
     ({"task": {"noise_std_m": "0"}}, "task noise_std_m must be a number"),
-    ({"ball": {"radius_m": [1]}}, "ball radius_m must be a number"),
     ({"task": {"success_bound_m": float("inf")}}, "task success_bound_m must be a number"),
     ({"step": {"correction_enabled": "no"}}, "step correction_enabled must be true or false"),
-    ({"ball": {"randomize": "no"}}, "ball randomize must be true or false"),
     ({"chain_file": 5}, "chain_file must be a string"),
     ({"out_dir": 5}, "out_dir must be a string"),
     ({"dataset_file": 5}, "dataset_file must be a string"),

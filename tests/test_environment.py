@@ -4,21 +4,23 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
-from conftest import ref_step_ball
+from conftest import FIXED_BALL, ref_step_ball
 from trajadapt import environment as env
 from trajadapt.adaptation import StepLog
 from trajadapt.errors import ConfigurationError
 from trajadapt.kinematics import gimbal_chain
 from trajadapt.limits import JointLimits
 
+RADIUS, FRICTION = 0.02, 0.005  # the ball of the physics and reward tests
 
-def accel(rotation, lin_acc, velocity, params, dt=0.005):
+
+def accel(rotation, lin_acc, velocity, friction, dt=0.005):
     """The ball's acceleration over one ``step_ball`` tick from the plate's
     centre at ``velocity`` (2,), on a plate at ``rotation`` whose origin
     accelerates at ``lin_acc`` (3,)."""
     _, new_velocity, _ = env.step_ball(np.zeros(2), velocity, np.asarray(rotation)[None],
-                                       np.asarray(lin_acc, dtype=float)[None], params, dt,
-                                       env.PlateGeometry())
+                                       np.asarray(lin_acc, dtype=float)[None], RADIUS,
+                                       friction, dt, env.PlateGeometry())
     return (new_velocity - velocity) / dt
 
 
@@ -31,43 +33,39 @@ def still_plate(rot, ticks=1):
 # physics
 
 def test_flat_plate_equilibrium():
-    params = env.BallParams()
     rots, acc = still_plate(np.eye(3), ticks=10)
     position, velocity, on_plate = env.step_ball(np.zeros(2), np.zeros(2), rots, acc,
-                                                 params, 0.005, env.PlateGeometry())
+                                                 RADIUS, FRICTION, 0.005,
+                                                 env.PlateGeometry())
     np.testing.assert_array_equal(position, [0.0, 0.0])
     np.testing.assert_array_equal(velocity, [0.0, 0.0])
     assert on_plate
 
 
 def test_static_tilt_acceleration_value():
-    params = env.BallParams(rolling_friction=0.0)
     rot = Rotation.from_euler("y", np.deg2rad(5)).as_matrix()
-    acc = accel(rot, np.zeros(3), np.zeros(2), params)
+    acc = accel(rot, np.zeros(3), np.zeros(2), 0.0)
     expected = (5.0 / 7.0) * env.GRAVITY * np.sin(np.deg2rad(5))
     assert np.linalg.norm(acc) == pytest.approx(expected, abs=1e-6)
     assert expected == pytest.approx(0.6107, abs=1e-4)
 
 
 def test_accelerating_plate_pseudo_force():
-    params = env.BallParams(rolling_friction=0.0)
     a_p = 1.3
-    acc = accel(np.eye(3), [a_p, 0.0, 0.0], np.zeros(2), params)
+    acc = accel(np.eye(3), [a_p, 0.0, 0.0], np.zeros(2), 0.0)
     np.testing.assert_allclose(acc, [-(5.0 / 7.0) * a_p, 0.0], atol=1e-12)
 
 
 def test_rolling_friction_opposes_motion_and_sticks():
-    params = env.BallParams(rolling_friction=0.02)
-    acc = accel(np.eye(3), np.zeros(3), np.array([0.1, 0.0]), params)
+    acc = accel(np.eye(3), np.zeros(3), np.array([0.1, 0.0]), 0.02)
     assert acc[0] == pytest.approx(-0.02 * env.GRAVITY)
     # at rest on a flat plate friction produces no motion
-    acc0 = accel(np.eye(3), np.zeros(3), np.array([0.0, 0.0]), params)
+    acc0 = accel(np.eye(3), np.zeros(3), np.array([0.0, 0.0]), 0.02)
     np.testing.assert_array_equal(acc0, [0.0, 0.0])
 
 
 def test_energy_conservation_on_static_tilt():
     # frictionless rolling on a fixed 5 degree incline for 10 s at 5 ms
-    params = env.BallParams(rolling_friction=0.0)
     rot = Rotation.from_euler("y", np.deg2rad(5)).as_matrix()
     rots, acc = still_plate(rot)
     geometry = env.PlateGeometry(half_x=100.0, half_y=100.0)
@@ -76,40 +74,39 @@ def test_energy_conservation_on_static_tilt():
     def energy(position, velocity):
         return 0.7 * float(np.dot(velocity, velocity)) - float(np.dot(position, g_t))
 
-    position, velocity, _ = env.step_ball(np.zeros(2), np.zeros(2), rots, acc, params,
-                                          0.005, geometry)
+    position, velocity, _ = env.step_ball(np.zeros(2), np.zeros(2), rots, acc, RADIUS,
+                                          0.0, 0.005, geometry)
     e0 = energy(position, velocity)
     for _ in range(1999):
-        position, velocity, _ = env.step_ball(position, velocity, rots, acc, params,
+        position, velocity, _ = env.step_ball(position, velocity, rots, acc, RADIUS, 0.0,
                                               0.005, geometry)
     drift = abs(energy(position, velocity) - e0)
     assert drift < 0.01 * 0.7 * float(np.dot(velocity, velocity))
 
 
 def test_ball_leaves_plate():
-    params = env.BallParams(rolling_friction=0.0)
     rots, acc = still_plate(Rotation.from_euler("y", np.deg2rad(10)).as_matrix())
     geometry = env.PlateGeometry()
     position, velocity = np.zeros(2), np.zeros(2)
     for _ in range(400):
         position, velocity, on_plate = env.step_ball(position, velocity, rots, acc,
-                                                     params, 0.005, geometry)
+                                                     RADIUS, 0.0, 0.005, geometry)
         if not on_plate:
             break
     assert not on_plate
-    assert np.any(np.abs(position) > env.effective_bounds(geometry, params))
+    assert np.any(np.abs(position) > env.effective_bounds(geometry, RADIUS))
 
 
 # ---------------------------------------------------------------------------
 # the batched step against the per-tick loop it replaced
 
-def oracle_ball_acceleration(rotation, acc_plate, velocity, params, hits):
+def oracle_ball_acceleration(rotation, acc_plate, velocity, friction, hits):
     """Per-tick ball acceleration: ``rotation.T @ (g - a)`` and
     ``np.linalg.norm`` on 2-vectors.  Adds the branch it takes to ``hits``."""
     g_world = np.array([0.0, 0.0, -env.GRAVITY])
     drive = env.ROLLING_FACTOR * (rotation.T @ (g_world - acc_plate))[:2]
     speed = np.linalg.norm(velocity)
-    resist = params.rolling_friction * env.GRAVITY
+    resist = friction * env.GRAVITY
     if speed < 1e-12:
         if np.linalg.norm(drive) <= resist:
             hits.add("static hold")
@@ -119,20 +116,20 @@ def oracle_ball_acceleration(rotation, acc_plate, velocity, params, hits):
     return drive - resist * velocity / speed
 
 
-def oracle_step_ball(position, velocity, rotations, lin_acc, params, dt, geometry,
-                     hits):
+def oracle_step_ball(position, velocity, rotations, lin_acc, radius, friction, dt,
+                     geometry, hits):
     """Per-tick ball step from a ball on the plate, one
     ``oracle_ball_acceleration`` per tick.  Adds the name of each branch it
     takes to ``hits``."""
     on_plate = True
-    bounds = env.effective_bounds(geometry, params)
+    bounds = env.effective_bounds(geometry, radius)
     for rotation, acc_plate in zip(rotations, lin_acc, strict=True):
         if not on_plate:
             break
-        acc = oracle_ball_acceleration(rotation, acc_plate, velocity, params, hits)
+        acc = oracle_ball_acceleration(rotation, acc_plate, velocity, friction, hits)
         new_v = velocity + acc * dt
-        if params.rolling_friction > 0 and np.dot(new_v, velocity) < 0 \
-                and np.linalg.norm(velocity) < params.rolling_friction * env.GRAVITY * dt:
+        if friction > 0 and np.dot(new_v, velocity) < 0 \
+                and np.linalg.norm(velocity) < friction * env.GRAVITY * dt:
             hits.add("reversal")
             new_v = np.zeros(2)
         velocity = new_v
@@ -149,11 +146,11 @@ def random_ball_step(rng, case):
     rim moving out, or a free ball on a tilting, accelerating plate."""
     geometry = env.PlateGeometry()
     friction = rng.choice([0.0, rng.uniform(0.001, 0.01)])
-    params = env.BallParams(radius=rng.uniform(0.012, 0.03), rolling_friction=friction)
+    ball = (rng.uniform(0.012, 0.03), friction)  # (radius, friction)
     tilt = {"rest": 1e-3, "creep": 1e-4}.get(case, 0.2)
     rotations = Rotation.from_rotvec(rng.normal(0.0, tilt, (10, 3))).as_matrix()
     lin_acc = rng.normal(0.0, tilt, (10, 3))
-    bounds = env.effective_bounds(geometry, params)
+    bounds = env.effective_bounds(geometry, ball[0])
     position = rng.uniform(-0.5, 0.5, 2) * bounds
     velocity = rng.normal(0.0, 0.2, 2)
     if case == "rest":
@@ -163,7 +160,7 @@ def random_ball_step(rng, case):
     elif case == "rim":
         position = rng.choice([-1.0, 1.0], 2) * rng.uniform(0.98, 1.0, 2) * bounds
         velocity = np.sign(position) * rng.uniform(0.05, 0.5, 2)
-    return position, velocity, rotations, lin_acc, params, geometry
+    return position, velocity, rotations, lin_acc, ball, geometry
 
 
 def test_step_ball_matches_per_tick_oracle_exactly():
@@ -171,10 +168,10 @@ def test_step_ball_matches_per_tick_oracle_exactly():
     hits = set()
     for i in range(200):
         case = ("rest", "creep", "rim", "free")[i % 4]
-        position, velocity, rotations, lin_acc, params, geometry = random_ball_step(rng, case)
-        want = oracle_step_ball(position, velocity, rotations, lin_acc, params, 0.005,
+        position, velocity, rotations, lin_acc, ball, geometry = random_ball_step(rng, case)
+        want = oracle_step_ball(position, velocity, rotations, lin_acc, *ball, 0.005,
                                 geometry, hits)
-        got = env.step_ball(position, velocity, rotations, lin_acc, params, 0.005, geometry)
+        got = env.step_ball(position, velocity, rotations, lin_acc, *ball, 0.005, geometry)
         assert np.array_equal(got[0], want[0])  # position
         assert np.array_equal(got[1], want[1])  # velocity
         assert got[2] == want[2]                # on the plate
@@ -186,15 +183,14 @@ def test_ball_acceleration_matches_per_tick_oracle_exactly():
     # tick's acceleration times the tick, so a last-bit change in the speed
     # or the rolling resistance shows
     rng = np.random.default_rng(47)
-    params = env.BallParams(rolling_friction=0.007)
     geometry = env.PlateGeometry(half_x=100.0, half_y=100.0)
     rotations = Rotation.from_rotvec(rng.normal(0.0, 0.2, (2000, 3))).as_matrix()
     lin_acc = rng.normal(0.0, 1.0, (2000, 3))
     for rot, acc, velocity in zip(rotations, lin_acc, rng.normal(0.0, 0.3, (2000, 2))):
-        want = oracle_step_ball(np.zeros(2), velocity, rot[None], acc[None], params, 0.005,
-                                geometry, set())
-        got = env.step_ball(np.zeros(2), velocity, rot[None], acc[None], params, 0.005,
-                            geometry)
+        want = oracle_step_ball(np.zeros(2), velocity, rot[None], acc[None], RADIUS, 0.007,
+                                0.005, geometry, set())
+        got = env.step_ball(np.zeros(2), velocity, rot[None], acc[None], RADIUS, 0.007,
+                            0.005, geometry)
         assert np.array_equal(got[1], want[1])
 
 
@@ -205,15 +201,15 @@ def test_step_ball_reversal_test_keeps_numpy_dot():
     # old one: numpy's dot of the two (OpenBLAS's fused multiply-add on
     # AVX2) is below 0 where new_vx*vx + new_vy*vy rounds to 0.0, so the
     # reversal test stops the ball only as numpy's dot decides
-    params = env.BallParams(randomize=False)
     geometry = env.PlateGeometry()
     velocity = np.array([-9.191292031662825e-05, -0.00016527321202246194])
     lin_acc = np.array([[-0.015688649686501143, 0.026710836572215374, 0.0]])
     rotations = np.eye(3)[None]
-    assert 1e-12 < np.linalg.norm(velocity) < params.rolling_friction * env.GRAVITY * 0.005
-    got = env.step_ball(np.zeros(2), velocity, rotations, lin_acc, params, 0.005, geometry)
-    want = ref_step_ball(np.zeros(2), velocity, rotations, lin_acc, params.radius,
-                         params.rolling_friction, 0.005, geometry)
+    assert 1e-12 < np.linalg.norm(velocity) < FRICTION * env.GRAVITY * 0.005
+    got = env.step_ball(np.zeros(2), velocity, rotations, lin_acc, RADIUS, FRICTION, 0.005,
+                        geometry)
+    want = ref_step_ball(np.zeros(2), velocity, rotations, lin_acc, RADIUS, FRICTION, 0.005,
+                         geometry)
     assert got[0].tobytes() == want[0].tobytes()  # position
     assert got[1].tobytes() == want[1].tobytes()  # velocity
     assert got[2] == want[2]
@@ -241,12 +237,12 @@ def test_plate_drive_equals_per_tick_specific_force():
 
 def test_step_ball_leaves_its_inputs_and_returns_fresh_arrays():
     rng = np.random.default_rng(53)
-    position, velocity, rotations, lin_acc, params, geometry = random_ball_step(rng, "free")
+    position, velocity, rotations, lin_acc, ball, geometry = random_ball_step(rng, "free")
     inputs = [position, velocity, rotations, lin_acc]
     saved = [x.copy() for x in inputs]
-    first = env.step_ball(position, velocity, rotations, lin_acc, params, 0.005, geometry)
+    first = env.step_ball(position, velocity, rotations, lin_acc, *ball, 0.005, geometry)
     kept = [x.copy() for x in first[:2]]
-    second = env.step_ball(first[0], first[1], rotations, lin_acc, params, 0.005, geometry)
+    second = env.step_ball(first[0], first[1], rotations, lin_acc, *ball, 0.005, geometry)
     for x, was in zip(inputs + list(first[:2]), saved + kept):
         assert np.array_equal(x, was)
     # every returned array is new: it shares no memory with an input or a
@@ -259,7 +255,7 @@ def test_step_ball_leaves_its_inputs_and_returns_fresh_arrays():
 def test_step_ball_rejects_mismatched_tick_counts():
     rots, acc = still_plate(np.eye(3), ticks=10)
     with pytest.raises(ValueError):
-        env.step_ball(np.zeros(2), np.zeros(2), rots, acc[:1], env.BallParams(), 0.005,
+        env.step_ball(np.zeros(2), np.zeros(2), rots, acc[:1], RADIUS, FRICTION, 0.005,
                       env.PlateGeometry())
 
 
@@ -268,41 +264,41 @@ def test_step_ball_rejects_mismatched_tick_counts():
 
 def test_task_reward_at_target_is_one():
     spec = env.TaskSpec(kind="in_place")
-    assert env.task_reward(np.zeros(2), True, spec, env.PlateGeometry(),
-                           env.BallParams()) == 1.0
+    assert env.task_reward(np.zeros(2), True, spec, env.PlateGeometry(), RADIUS) == 1.0
 
 
 def test_task_reward_off_plate_is_zero():
     spec = env.TaskSpec(kind="on_plate")
     assert env.task_reward(np.array([0.3, 0.0]), False, spec, env.PlateGeometry(),
-                           env.BallParams()) == 0.0
+                           RADIUS) == 0.0
 
 
 def test_task_reward_quadratic_decay_value():
     spec = env.TaskSpec(kind="in_place", success_bound=0.06)
     assert env.task_reward(np.array([0.03, 0.0]), True, spec, env.PlateGeometry(),
-                           env.BallParams()) == pytest.approx(0.75)
+                           RADIUS) == pytest.approx(0.75)
 
 
 def test_task_reward_continuous_at_bound():
     spec = env.TaskSpec(kind="in_place", success_bound=0.06)
-    geometry, ball = env.PlateGeometry(), env.BallParams()
+    geometry = env.PlateGeometry()
     just_in = np.array([0.06 - 1e-9, 0.0])
     at = np.array([0.06, 0.0])
-    assert env.task_reward(just_in, True, spec, geometry, ball) == pytest.approx(0.0, abs=1e-7)
-    assert env.task_reward(at, True, spec, geometry, ball) == 0.0
+    assert env.task_reward(just_in, True, spec, geometry, RADIUS) == pytest.approx(0.0,
+                                                                                 abs=1e-7)
+    assert env.task_reward(at, True, spec, geometry, RADIUS) == 0.0
 
 
 def test_on_plate_reward_decays_to_zero_at_rim():
     spec = env.TaskSpec(kind="on_plate")
-    geometry, ball = env.PlateGeometry(), env.BallParams()
+    geometry = env.PlateGeometry()
     # the ball's edge reaches the rim when its centre is a radius inside
     centre = np.zeros(2)
-    rim = np.array([geometry.half_x - ball.radius, 0.0])
-    half_way = np.array([0.5 * (geometry.half_x - ball.radius), 0.0])
-    assert env.task_reward(centre, True, spec, geometry, ball) == 1.0
-    assert env.task_reward(half_way, True, spec, geometry, ball) == pytest.approx(0.75)
-    assert env.task_reward(rim, True, spec, geometry, ball) == pytest.approx(0.0, abs=1e-12)
+    rim = np.array([geometry.half_x - RADIUS, 0.0])
+    half_way = np.array([0.5 * (geometry.half_x - RADIUS), 0.0])
+    assert env.task_reward(centre, True, spec, geometry, RADIUS) == 1.0
+    assert env.task_reward(half_way, True, spec, geometry, RADIUS) == pytest.approx(0.75)
+    assert env.task_reward(rim, True, spec, geometry, RADIUS) == pytest.approx(0.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +319,7 @@ def test_sensor_feedback_zero_noise_stationary_centre():
     model, _ = gimbal_chain()
     e = env.BallPlateEnv(model, env.PlateGeometry(),
                          env.TaskSpec(kind="in_place", noise_std=0.0),
-                         env.BallParams(randomize=False))
+                         FIXED_BALL)
     f = e.reset(seed=0)
     for _ in range(2):
         np.testing.assert_array_equal(f, np.zeros(6))
@@ -334,7 +330,7 @@ def test_sensor_feedback_noise_magnitude():
     geometry = env.PlateGeometry()
     spec = env.TaskSpec(kind="on_plate", noise_std=0.001)
     model, _ = gimbal_chain()
-    e = env.BallPlateEnv(model, geometry, spec, env.BallParams(randomize=False))
+    e = env.BallPlateEnv(model, geometry, spec, FIXED_BALL)
     e.reset(seed=123)
     # the ball rests at the centre of the flat plate; only the noise moves the reading
     reads = np.array([e.step(*still_plate(np.eye(3)), 0.005)[3][0] for _ in range(4000)])
@@ -356,7 +352,7 @@ def test_env_previous_reading_is_last_current_reading():
     model, _ = gimbal_chain()
     e = env.BallPlateEnv(model, env.PlateGeometry(),
                          env.TaskSpec(kind="in_place", noise_std=0.002),
-                         env.BallParams(randomize=False))
+                         FIXED_BALL)
     f = e.reset(seed=3)
     np.testing.assert_array_equal(f[2:4], f[0:2])
     for _ in range(5):
@@ -369,28 +365,31 @@ def test_env_previous_reading_is_last_current_reading():
 # ---------------------------------------------------------------------------
 # randomization
 
+def _drawn_ball(ball, seed, start_offset=(0.0, 0.0)):
+    """(radius, friction) that ``BallPlateEnv.reset(seed)`` draws from ``ball``."""
+    e = env.BallPlateEnv(gimbal_chain()[0], env.PlateGeometry(),
+                         env.TaskSpec(start_offset=start_offset), ball)
+    e.reset(seed=seed)
+    return e.radius, e.friction
+
+
 def test_randomize_ball_within_ranges_and_deterministic():
     base = env.BallParams()
-    rng = np.random.default_rng(7)
-    draws = [env.randomize_ball(base, np.random.default_rng(k)) for k in range(200)]
-    for d in draws:
-        assert base.radius_range[0] <= d.radius <= base.radius_range[1]
-        assert base.friction_range[0] <= d.rolling_friction <= base.friction_range[1]
-    again = env.randomize_ball(base, np.random.default_rng(5))
-    assert again == env.randomize_ball(base, np.random.default_rng(5))
-
-
-def test_randomize_ball_off_returns_params_without_drawing():
-    base = env.BallParams(randomize=False)
-    rng = np.random.default_rng(3)
-    assert env.randomize_ball(base, rng) is base
-    assert rng.uniform() == np.random.default_rng(3).uniform()
+    for radius, friction in (_drawn_ball(base, k) for k in range(200)):
+        assert base.radius_range[0] <= radius <= base.radius_range[1]
+        assert base.friction_range[0] <= friction <= base.friction_range[1]
+    assert _drawn_ball(base, 5) == _drawn_ball(base, 5)
 
 
 def test_randomize_ball_degenerate_ranges():
-    base = env.BallParams(radius_range=(0.02, 0.02), friction_range=(0.01, 0.01))
-    d = env.randomize_ball(base, np.random.default_rng(3))
-    assert (d.radius, d.rolling_friction) == (0.02, 0.01)
+    # a range with lo == hi is a fixed value: every reset draws exactly it,
+    # and the start is checked at that radius (bound 0.17 - 0.025 m)
+    fixed = env.BallParams(radius_range=(0.025, 0.025), friction_range=(0.009, 0.009))
+    for seed in range(10):
+        assert _drawn_ball(fixed, seed) == (0.025, 0.009)
+        assert _drawn_ball(fixed, seed, start_offset=(0.144, 0.0)) == (0.025, 0.009)
+    with pytest.raises(ConfigurationError, match="for a ball of radius 0.025 m"):
+        _drawn_ball(fixed, 0, start_offset=(0.146, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +493,7 @@ def test_metrics_zero_rows_give_no_steps_and_no_success():
 def test_env_reset_and_step():
     model, _ = gimbal_chain()
     e = env.BallPlateEnv(model, env.PlateGeometry(), env.TaskSpec(noise_std=0.0),
-                         env.BallParams(randomize=False))
+                         FIXED_BALL)
     f = e.reset(seed=0)
     assert len(f) == 6
     position, on_plate, reward, f2 = e.step(*still_plate(np.eye(3), ticks=10), 0.005)
@@ -507,7 +506,7 @@ def test_env_reset_and_step():
 def test_env_step_before_reset_is_rejected():
     model, _ = gimbal_chain()
     e = env.BallPlateEnv(model, env.PlateGeometry(), env.TaskSpec(noise_std=0.0),
-                         env.BallParams(randomize=False))
+                         FIXED_BALL)
     with pytest.raises(ConfigurationError, match="before reset"):
         e.step(*still_plate(np.eye(3)), 0.005)
 
@@ -517,7 +516,7 @@ def test_env_rejects_start_off_plate():
     with pytest.raises(ConfigurationError):
         env.BallPlateEnv(model, env.PlateGeometry(),
                          env.TaskSpec(noise_std=0.0, start_offset=(5.0, 0.0)),
-                         env.BallParams(randomize=False))
+                         FIXED_BALL)
 
 
 def test_env_start_checked_against_largest_radius_it_can_draw():
@@ -525,16 +524,15 @@ def test_env_start_checked_against_largest_radius_it_can_draw():
     # the largest radius a reset can draw (0.03 m, bound 0.14)
     model, _ = gimbal_chain()
 
-    def make(offset, randomize):
+    def make(offset, ball):
         return env.BallPlateEnv(model, env.PlateGeometry(),
-                                env.TaskSpec(noise_std=0.0, start_offset=offset),
-                                env.BallParams(randomize=randomize))
+                                env.TaskSpec(noise_std=0.0, start_offset=offset), ball)
 
-    fixed = make((0.145, 0.0), randomize=False)
+    fixed = make((0.145, 0.0), FIXED_BALL)
     fixed.reset(seed=0)
     np.testing.assert_array_equal(fixed.position, [0.145, 0.0])
     with pytest.raises(ConfigurationError, match="off the plate"):
-        make((0.145, 0.0), randomize=True)
-    at_bound = make((0.14, 0.0), randomize=True)
+        make((0.145, 0.0), env.BallParams())
+    at_bound = make((0.14, 0.0), env.BallParams())
     for seed in range(20):
         at_bound.reset(seed=seed)

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import arm_chain, planar_chain
+from conftest import FIXED_BALL, arm_chain, planar_chain
 from trajadapt import adaptation as ad
 from trajadapt import environment as env
 from trajadapt import kinematics as kin
@@ -128,7 +128,7 @@ def test_balance_zero_gains_degenerates_to_tracking():
                             ball_kp=0.0, ball_kd=0.0)
     ref = ReferenceTrajectory(dt=0.05, positions=np.zeros((60, 2)))
     e = env.BallPlateEnv(model, env.PlateGeometry(), replace(task, start_offset=(0.02, 0.0)),
-                         env.BallParams(randomize=False))
+                         FIXED_BALL)
     report, log = ad.rollout(ref, p, limits, StepParams(), ad.RewardWeights(),
                              env=e, seed=[0])
     # tracks the reference tightly and never reacts to the ball
