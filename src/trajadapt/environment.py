@@ -44,8 +44,8 @@ tick with them.
 ``task`` and ``ball`` config sections alone: each reset puts the ball at
 rest at ``TaskSpec.start`` (the target plus ``start_offset``) and draws its
 radius, then its rolling friction, uniformly from the ``BallParams``
-ranges; a range with lo == hi fixes the value.  ``step_ball`` and
-``task_reward`` take the drawn radius and friction as floats.
+ranges; a range with lo == hi fixes the value.  ``step_ball`` takes the
+drawn radius and friction as floats, ``task_reward`` the radius.
 ``check_start`` rejects a start off the plate for the largest ball a reset
 can draw; ``config.load_config`` runs it for every command and
 ``BallPlateEnv`` again for callers that build one directly.
