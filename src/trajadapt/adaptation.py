@@ -395,7 +395,11 @@ def run_limit_campaign(episodes: int, steps: int = 200, *, n_joints: int, dt: fl
                 bad = np.argwhere((norms[0] > tol) | (norms[1] > tol) | (norms[2] > tol))
                 first = (step, int(bad[0][0]), int(bad[0][1]))
 
-        v += 0.5 * (a + a1) * dt
+        # v += 0.5 * (a + a1) * dt, in the buffer of the a that a1 replaces
+        dv = np.add(a, a1, out=a)
+        dv *= 0.5
+        dv *= dt
+        v += dv
         a = a1
 
     return CampaignReport(episodes, steps, n_joints, violations, *peaks, first)

@@ -17,14 +17,15 @@ episode's decision step and take float sequences of one entry per joint
 The lower velocity bound is the sign reflection of the upper one, so
 ``valid_accel_bounds`` evaluates both sides at once on the stacked (2, ...)
 states (v0, a0) and (-v0, -a0).  It never stacks a limit: a flat index
-into the stacked states, modulo the limits' size, indexes them.  It calls
+into the stacked states, modulo the limits' size (``take`` with
+``mode="wrap"``), indexes them.  It calls
 the internal ``_velocity_bound`` and ``_shifted_bound`` (j_max * dt
 precomputed) under one errstate.
 The ripple correction runs only on the k entries where the velocity bound
 binds: ``nonzero`` gives their flat indices, ``take`` gathers them and
 ``put`` writes the shifted bounds back, with the six candidate interval
 counts as (6, k) rows.  The in-step root is likewise evaluated only past
-its threshold.  On (n_joints,) arrays numpy's
+its threshold, and the boundary and thin-range tests only where lo > hi.  On (n_joints,) arrays numpy's
 Python-level wrappers cost more than the arithmetic, so the kernels call
 ufuncs and C-level array methods alone, and test a mask with
 ``np.count_nonzero`` rather than ``.any()`` or ``.all()``, which go through
@@ -81,6 +82,28 @@ candidates are magnitudes, and a NaN propagates either way): normalizing
 every candidate first would give the same bits in more passes.  The limits enter
 only in those whole-array divisions, so they may have the states' shape
 or that of its trailing axes.
+
+In-place evaluation
+-------------------
+The batch kernels (``valid_accel_bounds``, ``_velocity_bound``,
+``_shifted_bound``, ``profile_peaks``) write each expression as a chain of
+ufunc calls with ``out=``: the same operations on the same operands in the
+same order, so the same bits, written into the one or two arrays that the
+chain allocates for itself and never into an argument.  The only rewrites
+are exact ones, a commuted product or sum (``8.0 * x`` as ``x *= 8.0``,
+``1.0 + x`` as ``x += 1.0``); nothing is reassociated.  A limit term such
+as -jd * dt gets a buffer of the limits' shape.  The reason is the heap.
+With a fresh temporary per operation, a campaign step on (episodes, joints)
+arrays allocated and freed tens of (2, E, n), (E, n) and (6, k) arrays of
+up to 112 kB; glibc's malloc trimmed the freed top of its heap and took
+page faults to grow it again on the next step, a cost that grew with the
+campaign and moved with how the interpreter was started.  A chain's first
+call allocates with ``out=np.empty(shape)``, because a ufunc of 0-d arrays
+returns a numpy scalar, which ``out=`` rejects; ``valid_accel_bounds``
+returns ``x[()]``, numpy scalars for 0-d states as before.  Only the
+gathers stay expressions of fresh (k,) arrays: the k correction entries,
+the in-step entries and the few thin ranges of each campaign step, whose
+brake ``put`` writes into lo and hi.
 
 Supported limit regime
 ----------------------
@@ -270,22 +293,42 @@ def _velocity_bound(v0, a0, v_max, jd, dt):
     limit); v0 == v_max with a0 != 0 falls back to the braking-phase formula,
     whose denominator never vanishes.
     """
-    neg_jd = -jd
+    # Braking-phase solution: quadratic in a1, root chosen so smaller a1 is
+    # safer.  With neg_jd = -jd: disc = 1.0 + (8.0 * (v0 - v_max) + 4.0 * a0
+    # * dt) / (neg_jd * dt) and out = (neg_jd / 2.0) * (1.0 - sqrt(max(disc,
+    # 0.0))); ``neg`` holds the limit terms neg_jd * dt, then neg_jd / 2.0.
+    out = np.subtract(v0, v_max, out=np.empty(v0.shape))
+    out *= 8.0
+    term = np.multiply(a0, 4.0, out=np.empty(v0.shape))
+    term *= dt
+    out += term
+    neg = np.negative(jd, out=np.empty(jd.shape))
+    neg *= dt
+    out /= neg
+    out += 1.0
+    np.maximum(out, 0.0, out=out)
+    np.sqrt(out, out=out)
+    np.subtract(1.0, out, out=out)
+    np.negative(jd, out=neg)
+    neg /= 2.0
+    out *= neg
 
-    # Braking-phase solution: quadratic in a1, root chosen so smaller a1 is safer.
-    disc = 1.0 + (8.0 * (v0 - v_max) + 4.0 * a0 * dt) / (neg_jd * dt)
-    disc = np.maximum(disc, 0.0)
-    out = (neg_jd / 2.0) * (1.0 - np.sqrt(disc))
-
-    past = (v0 + 0.5 * a0 * dt >= v_max).ravel().nonzero()[0]
+    # the threshold v0 + 0.5 * a0 * dt >= v_max
+    np.multiply(a0, 0.5, out=term)
+    term *= dt
+    term += v0
+    past = np.greater_equal(term, v_max).ravel().nonzero()[0]
     if past.size:
-        # In-step-peak solution on the entries past the threshold alone; a
-        # zero gap divides by zero but is never selected.  (A 0-d ``out``
-        # is a numpy scalar until made an array.)
-        out = np.asarray(out)
+        # In-step-peak solution a0 * (1.0 - (a0 * dt) / (2.0 * gap)) on the
+        # entries past the threshold alone; a zero gap divides by zero but is
+        # never selected.
         a0_p = a0.take(past)
-        gap = v_max.take(past % v_max.size) - v0.take(past)
-        instep = a0_p * (1.0 - (a0_p * dt) / (2.0 * gap))
+        gap = v_max.take(past, mode="wrap")
+        gap -= v0.take(past)
+        instep = np.multiply(a0_p, dt)
+        instep /= np.multiply(gap, 2.0)
+        np.subtract(1.0, instep, out=instep)
+        instep *= a0_p
         out.put(past, np.where(a0_p == 0.0, 0.0,
                                np.where(gap > 0.0, instep, out.take(past))))
     return out
@@ -318,33 +361,54 @@ def _shifted_bound(v0, a0, a_unc, v_max, a_max, jd, dt):
     its errstate.  The candidates are laid out (6, k), one row per
     interval-count offset.
     """
-    n0 = np.ceil(np.maximum(a_unc, 0.0) / jd)
-    # clip to [1, 1e6], NaN to 1
-    n0 = np.fmin(np.fmax(n0, 1.0), 1e6)
-    n = np.maximum(n0 + _CANDIDATE_OFFSETS, 1.0)
+    # n0 = ceil(max(a_unc, 0) / jd), clipped to [1, 1e6], NaN to 1
+    buf = np.maximum(a_unc, 0.0, out=np.empty(a_unc.shape))
+    buf /= jd
+    np.ceil(buf, out=buf)
+    np.fmax(buf, 1.0, out=buf)
+    np.fmin(buf, 1e6, out=buf)
+    n = np.add(buf, _CANDIDATE_OFFSETS)
+    np.maximum(n, 1.0, out=n)
 
-    # n - 1 intervals on the -j_max line: a_tail = a* - m, and the
-    # trapezoid sum gives a* = c / n + m / 2.
-    c = (v_max - v0) / dt - 0.5 * a0
-    m = jd * (n - 1.0)
-    a_star = c / n + 0.5 * m
-    a_tail = a_star - m
+    # n - 1 intervals on the -j_max line: m = jd * (n - 1.0), a_tail = a* -
+    # m, and the trapezoid sum gives a* = c / n + 0.5 * m with c = (v_max -
+    # v0) / dt - 0.5 * a0.
+    m = np.subtract(n, 1.0)
+    m *= jd
+    c = np.subtract(v_max, v0, out=buf)
+    c /= dt
+    half = np.multiply(a0, 0.5, out=np.empty(a_unc.shape))
+    c -= half
+    a_star = np.divide(c, n, out=n)
+    a_tail = np.multiply(m, 0.5)
+    a_star += a_tail
+    np.subtract(a_star, m, out=a_tail)
 
-    floor = np.maximum(np.maximum(a0 - jd, -a_max) - LIMIT_EPS, -LIMIT_EPS)
-    admissible = a_star >= floor
-    admissible &= a_star <= a_unc + LIMIT_EPS
-    admissible &= a_tail >= -LIMIT_EPS
-    admissible &= a_tail <= jd + LIMIT_EPS
+    # floor = max(max(a0 - jd, -a_max) - LIMIT_EPS, -LIMIT_EPS)
+    floor = np.subtract(a0, jd, out=half)
+    np.maximum(floor, np.negative(a_max, out=buf), out=floor)
+    floor -= LIMIT_EPS
+    np.maximum(floor, -LIMIT_EPS, out=floor)
+    admissible = np.greater_equal(a_star, floor)
+    test = np.empty(admissible.shape, dtype=bool)
+    admissible &= np.less_equal(a_star, np.add(a_unc, LIMIT_EPS, out=buf), out=test)
+    admissible &= np.greater_equal(a_tail, -LIMIT_EPS, out=test)
+    admissible &= np.less_equal(a_tail, np.add(jd, LIMIT_EPS, out=buf), out=test)
 
-    best = np.maximum.reduce(np.where(admissible, a_star, -np.inf), axis=0)
-    return np.where(np.isfinite(best), np.minimum(np.maximum(best, 0.0), a_unc), a_unc)
+    # an inadmissible candidate is -inf
+    np.putmask(a_star, np.logical_not(admissible, out=admissible), -np.inf)
+    best = np.maximum.reduce(a_star, axis=0)
+    finite = np.isfinite(best)
+    np.maximum(best, 0.0, out=best)
+    np.minimum(best, a_unc, out=best)
+    return np.where(finite, best, a_unc)
 
 
 def _reflected(x):
     """(2, *x.shape) stack of ``x`` and ``-x``."""
     out = np.empty((2,) + x.shape)
     out[0] = x
-    out[1] = -x
+    np.negative(x, out=out[1, ...])
     return out
 
 
@@ -371,43 +435,55 @@ def valid_accel_bounds(v0, a0, v_max, a_max, j_max, dt, *, correction_enabled):
     with np.errstate(invalid="ignore", divide="ignore"):
         vel = _velocity_bound(v_refl, a_refl, v_max, jd, dt)
 
-        ceil = np.minimum(a0 + jd, a_max)
-        floor = np.maximum(a0 - jd, -a_max)
+        # the jerk ceiling and floor; ``edge`` holds -a_max, then the
+        # binding tests' edges, and ``lo`` -vel[1] for the test first
+        shape = v0.shape
+        ceil = np.add(a0, jd, out=np.empty(shape))
+        np.minimum(ceil, a_max, out=ceil)
+        edge = np.negative(a_max, out=np.empty(shape))
+        floor = np.subtract(a0, jd, out=np.empty(shape))
+        np.maximum(floor, edge, out=floor)
+        lo = np.empty(shape)
 
         if correction_enabled:
             binding = np.empty(vel.shape, dtype=bool)
-            np.less_equal(vel[0], ceil + LIMIT_EPS, out=binding[0, ...])
-            np.greater_equal(-vel[1], floor - LIMIT_EPS, out=binding[1, ...])
+            np.less_equal(vel[0], np.add(ceil, LIMIT_EPS, out=edge), out=binding[0, ...])
+            np.greater_equal(np.negative(vel[1], out=lo),
+                             np.subtract(floor, LIMIT_EPS, out=edge), out=binding[1, ...])
             at = binding.ravel().nonzero()[0]
             if at.size:
-                joint = at % jd.size
                 vel.put(at, _shifted_bound(
                     v_refl.take(at), a_refl.take(at), vel.take(at),
-                    v_max.take(joint), a_max.take(joint), jd.take(joint), dt))
+                    *(x.take(at, mode="wrap") for x in (v_max, a_max, jd)), dt))
 
-        hi = np.minimum(ceil, vel[0])
-        lo = np.maximum(floor, -vel[1])
+        hi = np.minimum(ceil, vel[0], out=np.empty(shape))
+        np.negative(vel[1], out=lo)
+        np.maximum(floor, lo, out=lo)
 
-        over = lo > hi
-        if not np.count_nonzero(over):
-            return lo, hi
-        # lo <= hi gives fl(lo - hi) <= 0, so only an entry of ``over`` can be bad
-        bad = lo - hi > LIMIT_EPS
-        if np.count_nonzero(bad):
+        # boundary states and thin ranges (module docstring) have lo > hi,
+        # and lo <= hi gives fl(lo - hi) <= 0, so only those can be bad
+        at = (lo > hi).ravel().nonzero()[0]
+        if not at.size:
+            return lo[()], hi[()]
+        bad = at.compress(lo.take(at) - hi.take(at) > LIMIT_EPS)
+        if bad.size:
             # Boundary states (module docstring): brake at full jerk on the
             # binding side if the state moved toward safety has a range.
-            v_b = v_refl[:, bad]
+            v_b = v_refl.reshape(2, -1).take(bad, axis=1)
             vel_b = _velocity_bound(v_b - BOUNDARY_ULPS * np.abs(np.spacing(v_b)),
-                                    a_refl[:, bad], v_max[bad], jd[bad], dt)
-            ceil_b, floor_b = ceil[bad], floor[bad]
+                                    a_refl.reshape(2, -1).take(bad, axis=1),
+                                    v_max.take(bad), jd.take(bad), dt)
+            ceil_b, floor_b = ceil.take(bad), floor.take(bad)
             empty = np.maximum(floor_b, -vel_b[1]) > np.minimum(ceil_b, vel_b[0])
             if np.count_nonzero(empty):
-                idx = np.argwhere(bad)[empty.argmax()]
-                joint = idx[-1] if idx.size else 0
-                raise LimitConsistencyError(joint, lo[tuple(idx)], hi[tuple(idx)])
-    # boundary states and thin ranges (module docstring)
-    brake = np.where(vel[0] < ceil, floor, ceil)
-    return np.where(over, brake, lo)[()], np.where(over, brake, hi)[()]
+                idx = np.unravel_index(bad[empty.argmax()], shape)
+                raise LimitConsistencyError(idx[-1] if idx else 0, lo[idx], hi[idx])
+    # the brake on those entries: where(vel[0] < ceil, floor, ceil)
+    ceil_o = ceil.take(at)
+    brake = np.where(vel.take(at) < ceil_o, floor.take(at), ceil_o)
+    lo.put(at, brake)
+    hi.put(at, brake)
+    return lo[()], hi[()]
 
 
 def profile_peaks(v0, a0, a1, v_max, a_max, j_max, dt):
@@ -416,31 +492,42 @@ def profile_peaks(v0, a0, a1, v_max, a_max, j_max, dt):
     each normalized by its limit: float arrays of the states' shape, under
     limits of that shape or of its trailing axes (module docstring,
     "Profile peaks")."""
-    da = a1 - a0
-    slope = da / dt
+    shape = v0.shape
+    da = np.subtract(a1, a0, out=np.empty(shape))
+    slope = np.divide(da, dt, out=np.empty(shape))
     jerk = np.abs(da, out=da)
-    jerk /= j_max * dt
+    # ``acc`` holds j_max * dt first, ``vel`` |a0| and ``half`` |v0|
+    acc = np.multiply(j_max, dt, out=np.empty(shape))
+    jerk /= acc
     # |a| peaks at a step end, |v| at a step end or where a crosses zero
-    acc = slope * dt
+    vel = np.abs(a0, out=np.empty(shape))
+    np.multiply(slope, dt, out=acc)
     acc += a0
-    acc = np.maximum(np.abs(a0), np.abs(acc, out=acc), out=acc)
+    np.maximum(vel, np.abs(acc, out=acc), out=acc)
     acc /= a_max
-    vel = a0 * dt
+    np.multiply(a0, dt, out=vel)
     vel += v0
-    half = 0.5 * slope
+    half = np.multiply(slope, 0.5, out=np.empty(shape))
     half *= dt * dt
     vel += half
-    vel = np.maximum(np.abs(v0), np.abs(vel, out=vel), out=vel)
+    np.maximum(np.abs(v0, out=half), np.abs(vel, out=vel), out=vel)
     with np.errstate(invalid="ignore", divide="ignore"):
-        t = np.negative(a0)
+        t = np.negative(a0, out=half)
         t /= slope
     inside = t > 0.0
     inside &= t < dt
     at = inside.ravel().nonzero()[0]
     if at.size:
+        # v0 + a0 * t + 0.5 * slope * t**2 at t = t*
         t_in = t.take(at)
-        v_in = v0.take(at) + a0.take(at) * t_in + 0.5 * slope.take(at) * t_in**2
-        vel.put(at, np.maximum(vel.take(at), np.abs(v_in)))
+        v_in = a0.take(at)
+        v_in *= t_in
+        v_in += v0.take(at)
+        curve = slope.take(at)
+        curve *= 0.5
+        curve *= np.square(t_in, out=t_in)
+        v_in += curve
+        vel.put(at, np.maximum(vel.take(at), np.abs(v_in, out=v_in), out=v_in))
     vel /= v_max
     return vel, acc, jerk
 

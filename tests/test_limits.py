@@ -741,6 +741,59 @@ def test_valid_accel_range_rejects_a_state_of_another_length(n_v, n_a):
         lim.valid_accel_range(np.zeros(n_v), np.zeros(n_a), limits, lim.StepParams())
 
 
+def _assert_inputs_unchanged(kernel, *args, **kwargs):
+    """Call ``kernel`` (a valid-range error counts as a result) and check
+    that every array argument keeps its bytes."""
+    arrays = [x for x in args if isinstance(x, np.ndarray)]
+    before = [x.tobytes() for x in arrays]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        out = _outcome(kernel, *args, **kwargs)
+    assert [x.tobytes() for x in arrays] == before
+    return out
+
+
+def test_kernels_leave_their_inputs_unchanged(monkeypatch):
+    """The batch kernels write into arrays that they allocate, never into an
+    argument: (E, n) states and limits, (n,) rows and 0-d entries of them,
+    with the oracle's boundary and thin-range states, which take the rare
+    branches."""
+    dt, shape = 0.05, (2000, 7)
+    rng = np.random.default_rng(53)
+    limits = _regime_limits(rng, shape[0] * shape[1], dt)
+    states = _oracle_states(rng, *limits, dt)
+    v0, a0, v_max, a_max, j_max = (x.reshape(shape) for x in (*states, *limits))
+    a1 = rng.uniform(-1.0, 1.0, shape) * a_max
+    jd = j_max * dt
+    a_unc = velocity_bound(v0, a0, v_max, j_max, dt)
+    calls = count_calls(monkeypatch, lim, ("_velocity_bound",))
+    for correction in (False, True):
+        calls["_velocity_bound"] = 0
+        lo, hi = _assert_inputs_unchanged(lim.valid_accel_bounds, v0, a0, v_max, a_max, j_max,
+                                          dt, correction_enabled=correction)
+        # the boundary re-evaluation ran, and thin ranges took their brake
+        assert calls["_velocity_bound"] == 2
+        assert np.count_nonzero(lo == hi) > 10
+
+    rows = [(...,)] + [(e,) for e in range(0, 200, 10)]
+    rows += [(e, j) for e, j in zip(range(200, 400, 10), rng.integers(0, 7, 20))]
+    for idx in rows:
+        v, a, a_next, vm, am, jm, jd_, unc = (np.array(x[idx]) for x in
+                                              (v0, a0, a1, v_max, a_max, j_max, jd, a_unc))
+        for correction in (False, True):
+            _assert_inputs_unchanged(lim.valid_accel_bounds, v, a, vm, am, jm, dt,
+                                     correction_enabled=correction)
+        _assert_inputs_unchanged(lim.profile_peaks, v, a, a_next, vm, am, jm, dt)
+        _assert_inputs_unchanged(lim._velocity_bound, v, a, vm, jd_, dt)
+        # stacked states under limits of their trailing axes, as the batch calls it
+        _assert_inputs_unchanged(lim._velocity_bound, np.stack((v, -v)), np.stack((a, -a)),
+                                 vm, jd_, dt)
+        # the shifted bound takes (k,) vectors
+        _assert_inputs_unchanged(lim._shifted_bound,
+                                 *(x.ravel() for x in (v, a, unc, vm, am, jd_)), dt)
+    # (T, n) states under (n,) limits
+    _assert_inputs_unchanged(lim.profile_peaks, v0, a0, a1, v_max[0], a_max[0], j_max[0], dt)
+
+
 # ---------------------------------------------------------------------------
 # step profile peaks
 
