@@ -32,13 +32,18 @@ BALANCE_MASK = (-2, -1)                # the balancer's default tilt joints
 
 
 def balance_mask(mask, n_joints: int) -> tuple:
-    """The balancer's joint indices, negative ones counted from the end;
-    at least 2 distinct joints, none of them twice."""
-    joints = tuple(int(i) % n_joints for i in mask)
+    """The balancer's joint indices, each in -n_joints..n_joints-1 and a
+    negative one counted from the end; at least 2 distinct joints, none of
+    them twice."""
+    mask = [int(i) for i in mask]
+    if not all(-n_joints <= i < n_joints for i in mask):
+        raise ConfigurationError(f"policy mask must hold joint indices in "
+                                 f"{-n_joints}..{n_joints - 1}, got {mask}")
+    joints = tuple(i % n_joints for i in mask)
     if len(set(joints)) < 2:
-        raise ConfigurationError("balance mask must select at least 2 joints")
+        raise ConfigurationError(f"policy mask must select at least 2 joints, got {mask}")
     if len(set(joints)) < len(joints):
-        raise ConfigurationError(f"policy mask must name each joint once, got {list(mask)}")
+        raise ConfigurationError(f"policy mask must name each joint once, got {mask}")
     return joints
 
 

@@ -841,10 +841,15 @@ def test_bad_tracking_gain_rejected_at_load(tmp_path, capsys, command):
     ({"kind": "tracking", "kd": 0.0}, "policy kd must be finite and > 0, got 0.0"),
     ({"kind": "pd_balance", "mask": [0, 1], "ball_kd": -0.5},
      "policy ball_kd must be finite and >= 0, got -0.5"),
-    ({"kind": "pd_balance", "mask": [1, -1]}, "balance mask must select at least 2 joints"),
+    ({"kind": "pd_balance", "mask": [1, -1]},
+     "policy mask must select at least 2 joints, got [1, -1]"),
     ({"kind": "pd_balance", "mask": [0, 1, 1]},
      "policy mask must name each joint once, got [0, 1, 1]"),
-], ids=["kd", "ball_kd", "mask", "repeated mask joint"])
+    ({"kind": "pd_balance", "mask": [0, 3]},
+     "policy mask must hold joint indices in -2..1, got [0, 3]"),
+    ({"kind": "pd_balance", "mask": [0, -5]},
+     "policy mask must hold joint indices in -2..1, got [0, -5]"),
+], ids=["kd", "ball_kd", "mask", "repeated mask joint", "mask index above", "mask index below"])
 def test_bad_policy_values_rejected_for_every_command(tmp_path, capsys, policy, message):
     cfg = _write_balance_config(tmp_path, policy=policy)
     for command in ("validate-limits", "eval"):
